@@ -46,7 +46,6 @@ from .sums import (
     sum_with_radii,
 )
 from .reduction import (
-    OptimizerConfig,
     ReducedSolution,
     brute_force_oracle,
     cyclic_bruteforce,
@@ -75,7 +74,6 @@ __all__ = [
     "MIntervalRecord",
     "MaxSumResult",
     "NonConvergence",
-    "OptimizerConfig",
     "PeriodicTuple",
     "RadiusTuple",
     "ReducedSolution",

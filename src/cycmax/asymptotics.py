@@ -12,7 +12,7 @@ Reference value for the constant: A = 1.70465603718...
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from io import StringIO
 from typing import Iterable, Optional, Sequence
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import IllConditionedFit, NonConvergence
 from .periodic import PeriodicTuple
-from .reduction import OptimizerConfig, ReducedSolution, minimize_chain
+from .reduction import STATIONARITY_TOL, minimize_chain
 
 A_REFERENCE = 1.70465603718
 
@@ -45,22 +45,19 @@ class SweepRecord:
         )
 
 
-def inf_s(n: int, cfg: OptimizerConfig | None = None) -> float:
+def inf_s(n: int) -> float:
     """Minimum of the maximal-average cyclic sum over n-tuples."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return minimize_chain(n, 1.0 / n, cfg).value
+    return minimize_chain(n, 1.0 / n).value
 
 
-def solve_n(n: int, cfg: OptimizerConfig | None = None) -> ReducedSolution:
-    return minimize_chain(n, 1.0 / n, cfg)
+def sweep(n_values: Sequence[int], tol: float = STATIONARITY_TOL) -> list[SweepRecord]:
+    """Solve a sorted list of n values at price 1/n each.
 
-
-def sweep(n_values: Sequence[int], cfg: OptimizerConfig | None = None) -> list[SweepRecord]:
-    """Solve a sorted list of n values, warm-starting each from the last.
-
-    A non-convergent solve is recorded with its best iterate and flagged
-    rather than aborting the sweep.
+    A non-convergent solve (stationarity residual above ``tol``) is
+    recorded with its best solution and flagged rather than aborting the
+    sweep.
     """
     values = list(n_values)
     if not values:
@@ -70,17 +67,12 @@ def sweep(n_values: Sequence[int], cfg: OptimizerConfig | None = None) -> list[S
     if values != sorted(values):
         raise ValueError("n values must be sorted ascending")
 
-    base = cfg or OptimizerConfig()
     records = []
-    warm = base.warm_start
     for n in values:
-        run_cfg = replace(base, warm_start=warm)
         try:
-            sol = minimize_chain(n, 1.0 / n, run_cfg)
-            converged = True
+            sol = minimize_chain(n, 1.0 / n, tol)
         except NonConvergence as exc:
             sol = exc.best
-            converged = False
         records.append(
             SweepRecord(
                 n=n,
@@ -88,10 +80,9 @@ def sweep(n_values: Sequence[int], cfg: OptimizerConfig | None = None) -> list[S
                 deficit=math.e * math.log(n) - sol.value,
                 support=sol.support,
                 residual=sol.stationarity_residual,
-                converged=converged,
+                converged=sol.converged,
             )
         )
-        warm = sol.support_entries()
     return records
 
 

@@ -24,7 +24,7 @@ import sys
 from .asymptotics import estimate_constant_a, geometric_grid, records_to_csv, sweep
 from .errors import CycmaxError, DegenerateOrder, NonConvergence
 from .periodic import FLOAT, RATIONAL, PeriodicTuple, tuple_from_json
-from .reduction import OptimizerConfig, brute_force_oracle, minimize_chain
+from .reduction import STATIONARITY_TOL, brute_force_oracle, minimize_chain
 from .structure import all_m_intervals, average_table, build_poset, full_maximal_start
 from .sums import RadiusTuple, diananda_sum, max_avg_sum, radii_from_json, sum_with_radii
 from .verify import SUITES, run_suites
@@ -200,8 +200,7 @@ def cmd_minimize(args) -> int:
             raise InputError("--p must be positive")
         p = args.p
         N = max(1, math.ceil(1.0 / p))
-    cfg = OptimizerConfig(stationarity_tol=args.tol)
-    sol = minimize_chain(N, p, cfg)
+    sol = minimize_chain(N, p, args.tol)
     if args.oracle:
         if N > 5:
             raise InputError("--oracle supports N <= 5")
@@ -216,8 +215,7 @@ def cmd_sweep(args) -> int:
         grid = geometric_grid(args.start, args.stop, args.points)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    cfg = OptimizerConfig(stationarity_tol=args.tol)
-    records = sweep(grid, cfg)
+    records = sweep(grid, args.tol)
     a_hat = None
     if args.estimate_a:
         a_hat = estimate_constant_a(records)[0]
@@ -253,7 +251,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
         "--format", choices=["json", "csv", "dot"], default=dflt("json")
     )
     parser.add_argument("--seed", type=int, default=dflt(0))
-    parser.add_argument("--tol", type=float, default=dflt(1e-10))
+    parser.add_argument("--tol", type=float, default=dflt(STATIONARITY_TOL))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,9 +14,9 @@ class DegenerateOrder(CycmaxError):
 
 
 class NonConvergence(CycmaxError):
-    """No optimizer start reached the stationarity tolerance.
+    """The best solution found missed the stationarity tolerance.
 
-    Carries the best iterate found so callers can inspect it.
+    Carries that solution so callers can inspect it.
     """
 
     def __init__(self, message, best=None):

@@ -23,6 +23,7 @@ decisions hinge on exact ties).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -82,6 +83,9 @@ class PeriodicTuple:
         vals = list(values)
         if not vals:
             raise ValueError("tuple must have at least one entry")
+        for v in vals:
+            if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+                raise ValueError(f"entries must be finite, got {v!r}")
         if backend is None:
             backend = RATIONAL if any(isinstance(v, Fraction) for v in vals) else FLOAT
         if backend == RATIONAL:
@@ -232,6 +236,8 @@ def parse_number(token, backend: str) -> Number:
     elif isinstance(token, (int, Fraction)):
         value = Fraction(token)
     elif isinstance(token, float):
+        if not math.isfinite(token):
+            raise CycmaxError(f"entries must be finite, got {token!r}")
         value = token if backend == FLOAT else Fraction(str(token))
     else:
         raise CycmaxError(f"cannot interpret {token!r} as a number")

@@ -15,22 +15,24 @@ is at least p.  The minimum over the simplex at p = 1/n equals the
 infimum of the cyclic maximal-average sum over n-tuples, which is what
 makes this module the computational workhorse of the package.
 
-Minimization runs per support size in log coordinates (the ratio terms
-become exponentials of differences, and the normalization constraint
-drops out by scale invariance), multi-started from geometric profiles,
-then polished by a damped Newton solve of the first-order system in
-extended precision.  An independent nested grid search over the simplex
-serves as a cross-check oracle at small N.
+Minimization runs per support size k.  Fixing the last entry s of the
+support, the first-order conditions become a backward recurrence that
+determines the whole support from s, so each k reduces to one scalar
+equation on s in (p, 1).  Its roots are bracketed on a log grid and
+refined by bisection in extended precision; the projected stationarity
+residual, also in extended precision, certifies each solve.  Support
+sizes are enumerated upward until the value stops improving.
+Independent nested grid searches over the simplex serve as cross-check
+oracles at small N.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .errors import ConsistencyViolation, InadmissiblePair, NonConvergence
 
@@ -66,21 +68,22 @@ def t_noncyclic(x: Sequence, p) -> float:
 
     The window at slot i extends at most to the final entry (length
     capped by the distance to the right end), so the vector is treated
-    as a finite segment, not a periodic one.
+    as a finite segment, not a periodic one.  Each window sum runs
+    forward from its own start: a difference of prefix sums would lose
+    a tiny window next to a large one to cancellation.
     """
     if p <= 0:
         raise ValueError("p must be positive")
     n = len(x)
-    prefix = [0 * x[-1]]
-    for v in x:
-        prefix.append(prefix[-1] + v)
     total = 0 * x[-1]
     for i in range(n - 1):
         if x[i] == 0:
             continue
         best = None
+        window = 0 * x[-1]
         for r in range(1, n - i):
-            avg = (prefix[i + 1 + r] - prefix[i + 1]) / r
+            window += x[i + r]
+            avg = window / r
             if best is None or avg > best:
                 best = avg
         if best == 0:
@@ -153,12 +156,7 @@ def projected_residual(x: np.ndarray, p: float) -> float:
     components agree to many digits, and the cancellation would otherwise
     swamp the result for small p.
     """
-    s = support_entries(x).astype(LD)
-    if len(s) == 1:
-        return 0.0
-    g = _grad_ld(s, LD(p))
-    g = g - g.mean()
-    return float(np.sqrt((g * g).sum()))
+    return _residual_ld(support_entries(x).astype(LD), LD(p))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +164,8 @@ def projected_residual(x: np.ndarray, p: float) -> float:
 
 
 def _value_ld(x: np.ndarray, p) -> np.longdouble:
-    return (x[:-1] / x[1:]).sum() + x[-1] / p
+    """Chain sum of one support (1-D) or of each column (2-D)."""
+    return (x[:-1] / x[1:]).sum(axis=0) + x[-1] / p
 
 
 def _grad_ld(x: np.ndarray, p) -> np.ndarray:
@@ -177,177 +176,144 @@ def _grad_ld(x: np.ndarray, p) -> np.ndarray:
     return g
 
 
-def _hess_ld(x: np.ndarray) -> np.ndarray:
-    k = len(x)
-    h = np.zeros((k, k), dtype=LD)
-    for j in range(1, k):
-        h[j, j] += 2 * x[j - 1] / x[j] ** 3
-        h[j - 1, j] -= 1 / x[j] ** 2
-        h[j, j - 1] -= 1 / x[j] ** 2
-    return h
-
-
-def _solve_ld(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting in longdouble."""
-    a = a.copy()
-    b = b.copy()
-    m = len(b)
-    for col in range(m):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[piv, col] == 0:
-            raise np.linalg.LinAlgError("singular system")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        inv = 1 / a[col, col]
-        for row in range(col + 1, m):
-            f = a[row, col] * inv
-            if f != 0:
-                a[row, col:] -= f * a[col, col:]
-                b[row] -= f * b[col]
-    out = np.zeros(m, dtype=LD)
-    for row in range(m - 1, -1, -1):
-        out[row] = (b[row] - (a[row, row + 1 :] * out[row + 1 :]).sum()) / a[row, row]
-    return out
-
-
-def _newton_polish(x0: np.ndarray, p: float, max_iter: int) -> tuple[np.ndarray, float]:
-    """Damped Newton on the first-order system over the support.
-
-    Unknowns are the support entries plus the multiplier of the sum
-    constraint.  Returns the iterate with the smallest projected
-    residual seen.
-    """
-    k = len(x0)
-    pld = LD(p)
-    x = x0.astype(LD)
-    x = x / x.sum()
-    if k == 1:
-        return x, 0.0
-
-    def residual(v):
-        g = _grad_ld(v, pld)
-        g = g - g.mean()
-        return float(np.sqrt((g * g).sum()))
-
-    best_x = x.copy()
-    best_res = residual(x)
-    lam = _grad_ld(x, pld).mean()
-    for _ in range(max_iter):
-        g = _grad_ld(x, pld)
-        f = np.zeros(k + 1, dtype=LD)
-        f[:k] = g - lam
-        f[k] = x.sum() - 1
-        jac = np.zeros((k + 1, k + 1), dtype=LD)
-        jac[:k, :k] = _hess_ld(x)
-        jac[:k, k] = -1
-        jac[k, :k] = 1
-        try:
-            delta = _solve_ld(jac, -f)
-        except np.linalg.LinAlgError:
-            break
-        dx = delta[:k]
-        # fraction-to-boundary damping keeps all entries positive
-        alpha = LD(1)
-        neg = dx < 0
-        if neg.any():
-            alpha = min(alpha, LD(0.95) * (-x[neg] / dx[neg]).min())
-        if alpha <= 0:
-            break
-        x_new = x + alpha * dx
-        lam_new = lam + alpha * delta[k]
-        res_new = residual(x_new)
-        x, lam = x_new, lam_new
-        if res_new < best_res:
-            best_res = res_new
-            best_x = x.copy()
-        elif res_new > 10 * best_res:
-            break
-        if best_res == 0:
-            break
-    best_x = best_x / best_x.sum()
-    return best_x, residual(best_x)
+def _residual_ld(x: np.ndarray, p) -> float:
+    if len(x) == 1:
+        return 0.0
+    g = _grad_ld(x, p)
+    g = g - g.mean()
+    return float(np.sqrt((g * g).sum()))
 
 
 # ---------------------------------------------------------------------------
-# Per-support-size solves in log coordinates
+# Shooting solve of the first-order system, one support size at a time
+#
+# On a support x_0, ..., x_{k-1} with last entry s, stationarity under the
+# sum constraint asks that every partial derivative equal one multiplier
+# lam.  The ratio terms are homogeneous of degree 0 and the boundary term
+# x_{k-1}/p of degree 1, so Euler's identity gives lam * sum(x) = s/p,
+# hence lam = s/p.  Writing q_j = x_{j-1}/x_j, the conditions at
+# j = k-1, ..., 1 turn into the backward recurrence
+#
+#     q_{k-1} = s(1-s)/p,   x_{j-1} = q_j x_j,   q_{j-1} = q_j - lam x_{j-1},
+#
+# and the condition at j = 0 into q_0 = 0.  Conversely, any s with
+# q_0(s) = 0 and q_j(s) > 0 for j >= 1 gives a positive stationary point,
+# whose entries sum to 1 by the same identity.  Each support size is thus
+# a scalar root problem on s in (p, 1), solved by sign changes on a log
+# grid and bisection in extended precision.
+
+# Points of the log grid over [p, 1] on which q_0 is sampled for sign
+# changes.  One support size can carry close pairs of stationary points:
+# 120 points missed the k = 14 root at n = 372759, 400 split every pair on
+# the reference cases.
+BRACKET_POINTS = 400
+
+# Default bound on the projected stationarity residual of a converged solve.
+STATIONARITY_TOL = 1e-10
+
+# Relative change below which a value does not count as an improvement
+# when deciding whether a non-convergent solve is the best one.
+_VALUE_RTOL = 1e-12
 
 
-def _log_objective(u: np.ndarray, p: float) -> tuple[float, np.ndarray]:
-    """Value and gradient in log coordinates, last coordinate gauged to 0.
+def _shoot(s: np.ndarray, k: int, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the recurrence for a vector of trial last entries s.
 
-    With y = exp(u), the objective is sum of exp(u_j - u_{j+1}) plus
-    1 / (p * sum(y)); it is scale-free, so fixing the last coordinate
-    loses nothing.  Evaluated through log-sum-exp so stray line-search
-    points cannot overflow the normalization term.
+    Returns the entries (shape (k, len(s)), unnormalized), q_0 for each
+    trial, and whether the recurrence reached q_0 with every q_j > 0 for
+    j >= 1.  A trial whose q_j turns nonpositive earlier stops there and
+    reports that q_j in place of q_0: both vanish together (x_0 is
+    proportional to q_j), so the reported function stays continuous.
+    Stopped trials are zeroed, and running ones stay bounded because
+    q_{j-1} = q_j (1 - lam x_j) > 0 forces x_j < 1/lam <= 1, so nothing
+    can overflow.
     """
-    full = np.append(u, 0.0)
-    top = full.max()
-    # wild line-search points can overflow the ratio terms; the resulting
-    # inf/nan values are rejected by the caller, not worth a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratios = np.exp(full[:-1] - full[1:])
-        z_log = top + math.log(np.exp(full - top).sum())
-        boundary = math.exp(-math.log(p) - z_log)
-        value = ratios.sum() + boundary
-        grad_full = np.zeros(len(full))
-        grad_full[:-1] += ratios
-        grad_full[1:] -= ratios
-        grad_full -= np.exp(full - z_log) * boundary
-    return value, grad_full[:-1]
+    lam = s / p
+    q = s * (1 - s) / p
+    x = np.empty((k, len(s)), dtype=LD)
+    x[-1] = s
+    reached = np.ones(len(s), dtype=bool)
+    early = np.zeros(len(s), dtype=LD)
+    for j in range(k - 1, 0, -1):
+        x[j - 1] = q * x[j]
+        q = q - lam * x[j - 1]
+        if j > 1:
+            stop = reached & (q <= 0)
+            if stop.any():
+                early[stop] = q[stop]
+                reached &= ~stop
+                q[stop] = 0
+                x[j - 1, stop] = 0
+    return x, np.where(reached, q, early), reached
 
 
-def _start_from_profile(profile: np.ndarray) -> np.ndarray:
-    """Log coordinates (gauge: last entry 0) from a positive profile."""
-    u = np.log(profile)
-    return (u - u[-1])[:-1]
+def _bisect(lo: np.ndarray, hi: np.ndarray, k: int, p) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink sign-change brackets of q_0 until their ends are adjacent."""
+    lo_positive = _shoot(lo, k, p)[1] > 0
+    while True:
+        mid = (lo + hi) / 2
+        if np.all((mid <= lo) | (mid >= hi)):
+            return lo, hi
+        same = (_shoot(mid, k, p)[1] > 0) == lo_positive
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
 
 
-def _adapt_profile(w: np.ndarray, k: int) -> np.ndarray:
-    """Stretch or trim a positive support profile to length k."""
-    s = len(w)
-    if s == k:
-        prof = w
-    elif s > k:
-        prof = w[s - k :]
-    else:
-        ratio = w[0] / w[1] if s >= 2 and w[1] > 0 else math.e
-        ratio = min(max(ratio, 1.05), 20.0)
-        front = [w[0] * ratio ** (k - s - j) for j in range(k - s)]
-        prof = np.concatenate([front, w])
-    return prof / prof.sum()
+def _solve_support(k: int, p: float) -> Optional[tuple[np.ndarray, np.longdouble]]:
+    """Lowest-value positive stationary point with support size k >= 2.
 
-
-@dataclass
-class OptimizerConfig:
-    """Tolerances and search strategy for the simplex minimization."""
-
-    stationarity_tol: float = 1e-10
-    value_rtol: float = 1e-12
-    max_iterations: int = 500
-    support_patience: int = 3
-    start_ratios: tuple[float, ...] = (0.25, 1.0 / math.e, 0.45)
-    include_uniform_start: bool = True
-    max_newton: int = 40
-    warm_start: Optional[np.ndarray] = None
+    Returns the longdouble entries (sum 1) and their value, or None when
+    no admissible root exists.  Brackets whose negative end stops before
+    q_0 close on a point where a leading entry vanishes, which belongs to
+    a smaller support, and are discarded.
+    """
+    pld = LD(p)
+    t = np.linspace(0, 1, BRACKET_POINTS, dtype=LD)
+    grid = pld ** (1 - t)
+    positive = _shoot(grid, k, pld)[1] > 0
+    cross = np.nonzero(positive[:-1] != positive[1:])[0]
+    if len(cross) == 0:
+        return None
+    lo, hi = _bisect(grid[cross], grid[cross + 1], k, pld)
+    lo_positive = positive[cross]
+    s_pos = np.where(lo_positive, lo, hi)
+    s_neg = np.where(lo_positive, hi, lo)
+    genuine = _shoot(s_neg, k, pld)[2]
+    if not genuine.any():
+        return None
+    x = _shoot(s_pos[genuine], k, pld)[0]
+    x = x / x.sum(axis=0)
+    values = _value_ld(x, pld)
+    best = int(np.argmin(values))
+    return x[:, best], values[best]
 
 
 @dataclass
 class ReducedSolution:
-    """Outcome of a simplex minimization of the chain sum."""
+    """Outcome of a simplex minimization of the chain sum.
+
+    Only the trailing support is stored; every entry before it is zero.
+    """
 
     N: int
     p: float
     value: float
-    minimizer: np.ndarray
-    support: int
+    entries: np.ndarray
     stationarity_residual: float
     oracle_gap: Optional[float] = None
     consistency_gap: Optional[float] = None
     converged: bool = True
 
-    def support_entries(self) -> np.ndarray:
-        return self.minimizer[self.N - self.support :]
+    @property
+    def support(self) -> int:
+        return len(self.entries)
+
+    @property
+    def minimizer(self) -> np.ndarray:
+        """The dense length-N minimizer, built on request."""
+        x = np.zeros(self.N)
+        x[self.N - self.support :] = self.entries
+        return x
 
     def to_dict(self) -> dict:
         return {
@@ -355,153 +321,79 @@ class ReducedSolution:
             "p": self.p,
             "value": self.value,
             "support": self.support,
-            "minimizer": [float(v) for v in self.minimizer],
+            "entries": [float(v) for v in self.entries],
             "residual": self.stationarity_residual,
             "oracle_gap": self.oracle_gap,
         }
 
 
-@dataclass
-class _Candidate:
-    k: int
-    x: np.ndarray  # support entries, longdouble, sum 1
-    value: float
-    residual: float
-    converged: bool
-
-
-def _solve_support(k: int, p: float, starts: list[np.ndarray], cfg: OptimizerConfig) -> _Candidate:
-    if k == 1:
-        return _Candidate(1, np.ones(1, dtype=LD), 1.0 / p, 0.0, True)
-    best_u = None
-    best_val = math.inf
-    for u0 in starts:
-        res = _sciopt.minimize(
-            _log_objective,
-            u0,
-            args=(p,),
-            jac=True,
-            method="BFGS",
-            options={"maxiter": cfg.max_iterations, "gtol": 1e-12},
-        )
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_val = float(res.fun)
-            best_u = res.x
-    if best_u is None:  # all starts blew up; fall back to the first profile
-        best_u = starts[0]
-    full = np.append(best_u, 0.0)
-    y = np.exp(full - full.max())
-    x = y / y.sum()
-    x_ld, residual = _newton_polish(x, p, cfg.max_newton)
-    value = float(_value_ld(x_ld, LD(p)))
-    return _Candidate(k, x_ld, value, residual, residual <= cfg.stationarity_tol)
-
-
-def _starts_for(k: int, cfg: OptimizerConfig, extra_profiles: list[np.ndarray]) -> list[np.ndarray]:
-    starts = []
-    for q in cfg.start_ratios:
-        prof = q ** np.arange(k, dtype=float)
-        starts.append(_start_from_profile(prof / prof.sum()))
-    if cfg.include_uniform_start:
-        starts.append(np.zeros(k - 1))
-    for w in extra_profiles:
-        if w is not None and len(w) > 0:
-            starts.append(_start_from_profile(_adapt_profile(np.asarray(w, dtype=float), k)))
-    return starts
-
-
-def minimize_chain(N: int, p: float, cfg: OptimizerConfig | None = None) -> ReducedSolution:
+def minimize_chain(N: int, p: float, tol: float = STATIONARITY_TOL) -> ReducedSolution:
     """Minimize the chain sum over the N-simplex at price p.
 
-    Support sizes are enumerated from 1 up to min(N, ceil(1/p)), the
-    bound past which enlarging the simplex cannot help; enumeration
-    stops early once several consecutive sizes fail to improve.  Raises
-    NonConvergence (carrying the best iterate) only if the best value
-    found belongs to a solve that missed the stationarity tolerance.
+    Support sizes are enumerated upward from 1, up to min(N, ceil(1/p)),
+    the bound past which enlarging the simplex cannot help.  Enumeration
+    stops at the first size whose best stationary point has no root or
+    does not strictly lower the value.  The certificate of each solve is
+    its projected stationarity residual in extended precision; raises
+    NonConvergence (carrying the best solution) only if the best value
+    belongs to a solve whose residual exceeds ``tol``.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
     if not (p > 0) or not math.isfinite(p):
         raise ValueError("p must be positive and finite")
-    cfg = cfg or OptimizerConfig()
     kmax = min(N, max(1, math.ceil(1.0 / p)))
 
-    warm = None
-    if cfg.warm_start is not None:
-        warm = support_entries(np.asarray(cfg.warm_start, dtype=float))
-
-    best: _Candidate | None = None
-    best_conv: _Candidate | None = None
-    prev_x: np.ndarray | None = None
-    patience = 0
-    for k in range(1, kmax + 1):
-        extras = [w for w in (warm, prev_x) if w is not None]
-        cand = _solve_support(k, p, _starts_for(k, cfg, extras), cfg)
-        prev_x = np.asarray(cand.x, dtype=float)
-        improved = (
-            best is None
-            or cand.value < best.value - abs(best.value) * 0.1 * cfg.value_rtol
-        )
-        if best is None or cand.value < best.value:
-            best = cand
-        if cand.converged and (best_conv is None or cand.value < best_conv.value):
-            best_conv = cand
-        patience = 0 if improved else patience + 1
-        if patience >= cfg.support_patience:
-            break
-
-    def _to_solution(c: _Candidate, converged: bool) -> ReducedSolution:
-        minimizer = np.zeros(N)
-        minimizer[N - c.k :] = np.asarray(c.x, dtype=float)
-        minimizer[N - c.k :] /= minimizer[N - c.k :].sum()
-        value = float(t_chain(minimizer[N - c.k :], p))
+    def solution(x: np.ndarray, value) -> ReducedSolution:
+        entries = np.asarray(x, dtype=float)
+        entries /= entries.sum()
+        residual = _residual_ld(x, LD(p))
         return ReducedSolution(
             N=N,
             p=p,
-            value=value,
-            minimizer=minimizer,
-            support=c.k,
-            stationarity_residual=c.residual,
-            converged=converged,
+            value=float(value),
+            entries=entries,
+            stationarity_residual=residual,
+            converged=residual <= tol,
         )
 
-    assert best is not None
-    slack = abs(best.value) * cfg.value_rtol + 1e-15
-    if best_conv is not None and best_conv.value <= best.value + slack:
-        return _to_solution(best_conv, True)
+    best = best_conv = solution(np.ones(1, dtype=LD), 1.0 / p)
+    for k in range(2, kmax + 1):
+        found = _solve_support(k, p)
+        if found is None or not found[1] < best.value:
+            break
+        best = solution(*found)
+        if best.converged:
+            best_conv = best
+
+    slack = abs(best.value) * _VALUE_RTOL + 1e-15
+    if best_conv.value <= best.value + slack:
+        return best_conv
     raise NonConvergence(
-        f"no support size reached stationarity {cfg.stationarity_tol:g} "
+        f"no support size reached stationarity {tol:g} "
         f"at the best value {best.value:.12g}",
-        best=_to_solution(best, False),
+        best=best,
     )
 
 
-def minimize_noncyclic(N: int, p: float, cfg: OptimizerConfig | None = None) -> ReducedSolution:
+def minimize_noncyclic(N: int, p: float) -> ReducedSolution:
     """Minimize the windowed sum; solved through the chain form.
 
     At the chain minimizer the forward-window denominators collapse to
     the immediate successors, so the two objectives must agree there;
     the observed discrepancy is recorded and a violation raised when it
-    exceeds 1e-9 relative.
+    exceeds 1e-9 relative.  The zero prefix contributes nothing to the
+    windowed sum, so it is evaluated on the support alone.
     """
-    sol = minimize_chain(N, p, cfg)
-    windowed = t_noncyclic(sol.minimizer, p)
+    sol = minimize_chain(N, p)
+    windowed = t_noncyclic(sol.entries, p)
     gap = abs(windowed - sol.value) / max(abs(sol.value), 1.0)
     if gap > 1e-9:
         raise ConsistencyViolation(
             f"windowed value {windowed!r} and chain value {sol.value!r} "
             f"disagree (relative gap {gap:.3e})"
         )
-    return ReducedSolution(
-        N=N,
-        p=p,
-        value=float(windowed),
-        minimizer=sol.minimizer,
-        support=sol.support,
-        stationarity_residual=sol.stationarity_residual,
-        consistency_gap=float(gap),
-        converged=sol.converged,
-    )
+    return replace(sol, value=float(windowed), consistency_gap=float(gap))
 
 
 # ---------------------------------------------------------------------------

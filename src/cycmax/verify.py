@@ -310,7 +310,7 @@ def suite_reduced(rng: np.random.Generator, p_values=(0.5, 0.2, 0.1, 0.05, 0.01)
     for p in (1.0, 1.5, 4.0):
         sol = minimize_chain(6, p)
         worst = max(worst, abs(sol.value - 1.0 / p) * p)
-        if not (sol.support == 1 and sol.minimizer[-1] == 1.0):
+        if not (sol.support == 1 and sol.entries[-1] == 1.0):
             worst = max(worst, 1.0)
     results.append(
         CheckResult("reduced", "closed-form-or-trivial-values", worst <= 1e-9, f"worst relative error {worst:.2e}")
@@ -335,7 +335,7 @@ def suite_reduced(rng: np.random.Generator, p_values=(0.5, 0.2, 0.1, 0.05, 0.01)
 
         sol = minimize_noncyclic(cap + 5, p)
         agree_worst = max(agree_worst, sol.consistency_gap)
-        s = sol.support_entries()
+        s = sol.entries
         if len(s) >= 2 and np.any(np.diff(s[1:]) > 1e-9 * s.max()):
             struct_bad += 1
         if s[-1] < p - 1e-9:

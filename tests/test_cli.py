@@ -170,6 +170,14 @@ class TestMinimize:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(1.0)
 
+    def test_large_n_prints_only_the_support(self, capsys):
+        code, out, _ = run_cli(capsys, "minimize", "--n", "100000")
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["entries"]) == doc["support"] < 20
+        assert sum(doc["entries"]) == pytest.approx(1.0, abs=1e-12)
+        assert len(out) < 2000
+
     def test_requires_exactly_one_of_n_p(self, capsys):
         assert run_cli(capsys, "minimize")[0] == 1
         assert run_cli(capsys, "minimize", "--n", "2", "--p", "0.5")[0] == 1

@@ -62,6 +62,12 @@ class TestPeriodicTuple:
         assert PeriodicTuple([Fraction(1, 2), 1]).backend == "rational"
         assert PeriodicTuple([0.5, 1]).backend == "float"
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("backend", [None, "float", "rational"])
+    def test_rejects_non_finite_entries(self, bad, backend):
+        with pytest.raises(ValueError, match="finite"):
+            PeriodicTuple([1.0, bad], backend=backend)
+
 
 class TestIntervalAverage:
     def test_full_period_average(self, ref_float, ref_rational):
@@ -193,3 +199,11 @@ class TestJson:
 
         with pytest.raises((CycmaxError, ValueError)):
             tuple_from_json(text, "float")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    def test_rejects_non_finite_entries(self, token, backend):
+        from cycmax.errors import CycmaxError
+
+        with pytest.raises(CycmaxError, match="finite"):
+            tuple_from_json('{"values": [1, %s]}' % token, backend)
