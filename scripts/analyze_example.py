@@ -26,11 +26,11 @@ def main() -> int:
     args = parser.parse_args()
 
     x = PeriodicTuple(EXAMPLE)
+    poset = build_poset(x)
     print("window averages (rows: length, columns: start; '*' marks the")
     print("irreducible maximal interval of each start):\n")
-    print(analyze_table_csv(x).replace(",", "\t"))
+    print(analyze_table_csv(x, poset).replace(",", "\t"))
 
-    poset = build_poset(x)
     print("\ninclusion tree (child -> parent):")
     for child in sorted(poset.nodes):
         parent = poset.parent[child]

@@ -15,7 +15,6 @@ Library layout:
 from .errors import (
     ConsistencyViolation,
     CycmaxError,
-    DegenerateOrder,
     IllConditionedFit,
     InadmissiblePair,
     NonConvergence,
@@ -66,7 +65,6 @@ __all__ = [
     "A_REFERENCE",
     "ConsistencyViolation",
     "CycmaxError",
-    "DegenerateOrder",
     "IllConditionedFit",
     "InadmissiblePair",
     "IndexInterval",

@@ -22,10 +22,10 @@ import math
 import sys
 
 from .asymptotics import estimate_constant_a, geometric_grid, records_to_csv, sweep
-from .errors import CycmaxError, DegenerateOrder, NonConvergence
+from .errors import CycmaxError, NonConvergence
 from .periodic import FLOAT, RATIONAL, PeriodicTuple, tuple_from_json
 from .reduction import STATIONARITY_TOL, brute_force_oracle, minimize_chain
-from .structure import all_m_intervals, average_table, build_poset, full_maximal_start
+from .structure import IntervalPoset, average_table, build_poset
 from .sums import RadiusTuple, diananda_sum, max_avg_sum, radii_from_json, sum_with_radii
 from .verify import SUITES, run_suites
 
@@ -78,50 +78,42 @@ def format_cell(value) -> str:
     return text if text else "0"
 
 
-def analyze_report(x: PeriodicTuple) -> dict:
-    records = all_m_intervals(x)
-    table = average_table(x)
-    star = full_maximal_start(x)
-    warnings: list[str] = []
-    poset = None
-    degenerate = False
-    try:
-        poset = build_poset(x)
-        if poset.root is None:
-            degenerate = True
-            warnings.append(
-                "no full-length class: tied averages make the order degenerate"
-            )
-    except DegenerateOrder as exc:
-        degenerate = True
-        warnings.append(f"degenerate order: {exc}")
+def analyze_warnings(poset: IntervalPoset) -> list[str]:
+    if poset.root is None:
+        return ["no full-length class: tied averages make the order degenerate"]
+    return []
+
+
+def analyze_report(x: PeriodicTuple, poset: IntervalPoset) -> dict:
+    star = poset.full_maximal_start()
+    warnings = analyze_warnings(poset)
     return {
         "n": x.n,
         "backend": x.backend,
         "average": float(x.average),
-        "table": [[float(v) for v in row] for row in table],
+        "table": [[float(v) for v in row] for row in average_table(x)],
         "m_intervals": [
             {"start": r.start, "kappa": r.kappa, "average": float(r.average)}
-            for r in records
+            for r in (poset.nodes[i] for i in sorted(poset.nodes))
         ],
         "full_maximal_start": star,
         "majorizing_rotation": star,
-        "poset": json.loads(poset.to_json()) if poset is not None else None,
-        "degenerate": degenerate,
+        "poset": json.loads(poset.to_json()),
+        "degenerate": bool(warnings),
         "warnings": warnings,
     }
 
 
-def analyze_table_csv(x: PeriodicTuple) -> str:
+def analyze_table_csv(x: PeriodicTuple, poset: IntervalPoset) -> str:
     """The window-average table as CSV, maximal cells marked with '*'.
 
     Rows are window lengths 1..n-1, columns are start indices; the
     column of the full-length class carries '*' in the header.  A
     summary block follows as comment lines.
     """
-    records = all_m_intervals(x)
+    records = [poset.nodes[i] for i in sorted(poset.nodes)]
     marks = {(r.kappa + 1, r.start) for r in records}
-    star = full_maximal_start(x)
+    star = poset.full_maximal_start()
     table = average_table(x)
     lines = []
     header = ["r\\i"] + [f"{i}*" if i == star else str(i) for i in range(1, x.n + 1)]
@@ -145,17 +137,15 @@ def analyze_table_csv(x: PeriodicTuple) -> str:
 
 def cmd_analyze(args) -> int:
     x = _read_tuple(args.tuple, args.backend)
-    report = analyze_report(x)
-    for w in report["warnings"]:
+    poset = build_poset(x)
+    for w in analyze_warnings(poset):
         print(f"warning: {w}", file=sys.stderr)
     if args.format == "dot":
-        if report["poset"] is None:
-            raise InputError("degenerate order has no poset to render")
-        print(build_poset(x).to_dot())
+        print(poset.to_dot())
     elif args.format == "csv":
-        print(analyze_table_csv(x))
+        print(analyze_table_csv(x, poset))
     else:
-        print(json.dumps(report))
+        print(json.dumps(analyze_report(x, poset)))
     return EXIT_OK
 
 

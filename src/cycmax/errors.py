@@ -9,10 +9,6 @@ class InadmissiblePair(CycmaxError):
     """A sum was requested whose denominator vanishes."""
 
 
-class DegenerateOrder(CycmaxError):
-    """Interval inclusion produced overlapping, non-nested representatives."""
-
-
 class NonConvergence(CycmaxError):
     """The best solution found missed the stationarity tolerance.
 

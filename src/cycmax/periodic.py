@@ -11,13 +11,18 @@ Conventions used throughout the package:
   windows [i : i+r-1] with 1 <= r <= n.  Restricting to r <= n loses
   nothing: a window longer than one period averages the full-period
   mean into a shorter window, so it can never beat both.
-* All maximal searches use strict ``>`` so the reported maximizing
-  window length is the smallest one attaining the maximum.  This keeps
-  tie handling deterministic on both arithmetic backends.
+* The reported maximizing window is the shortest one attaining the
+  maximum, which keeps tie handling deterministic on both backends.
 
-Two backends are supported: binary floats (fast, numpy-assisted) and
-exact rationals via ``fractions.Fraction`` (used where combinatorial
-decisions hinge on exact ties).
+All maximal averages come from one primitive, ``right_maximal_profile``:
+a right-to-left stack pass over the prefix-sum points (F. Riesz's rising
+sun lemma, i.e. the least concave majorant of the prefix sums).  It
+yields the value, the shortest maximizing length and the Hasse parent of
+every start in amortized O(n).
+
+Two backends are supported: binary floats and exact rationals via
+``fractions.Fraction`` (used where combinatorial decisions hinge on
+exact ties).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,14 +58,8 @@ class IndexInterval:
     def cardinality(self) -> int:
         return self.b - self.a + 1
 
-    def is_short(self, n: int) -> bool:
-        return self.b - self.a < n
-
     def shifted(self, k: int) -> "IndexInterval":
         return IndexInterval(self.a + k, self.b + k)
-
-    def equivalent_to(self, other: "IndexInterval", n: int) -> bool:
-        return (self.a - other.a) % n == 0 and self.b - self.a == other.b - other.a
 
     def contains(self, other: "IndexInterval") -> bool:
         return self.a <= other.a and other.b <= self.b
@@ -77,7 +76,7 @@ class PeriodicTuple:
     maximal average strictly positive.
     """
 
-    __slots__ = ("n", "values", "backend", "_prefix", "_prefix2", "_total", "_np2")
+    __slots__ = ("n", "values", "backend", "_prefix", "_prefix3", "_total")
 
     def __init__(self, values: Sequence[Number], backend: str | None = None):
         vals = list(values)
@@ -110,12 +109,17 @@ class PeriodicTuple:
             prefix.append(prefix[-1] + v)
         self._prefix = prefix
         self._total = prefix[-1]
-        # Two-period table so scalar and vector paths share identical
-        # float roundings for every in-window sum.
-        self._prefix2 = prefix + [self._total + s for s in prefix[1:]]
-        self._np2 = (
-            np.asarray(self._prefix2, dtype=float) if backend == FLOAT else None
+        # Three-period table for the maximal-average pass: starts 1..n read
+        # their windows from the first two periods, and the third lets the
+        # pass see every window of the second period's starts.
+        twice = self._total + self._total
+        self._prefix3 = (
+            prefix
+            + [self._total + s for s in prefix[1:]]
+            + [twice + s for s in prefix[1:]]
         )
+        if backend == FLOAT and not math.isfinite(self._prefix3[-1]):
+            raise ValueError("entries too large: their sum over three periods overflows")
 
     @property
     def total(self) -> Number:
@@ -131,8 +135,8 @@ class PeriodicTuple:
 
     def prefix(self, k: int) -> Number:
         """Sum of entries at indices 1..k for any integer k (0 for k=0)."""
-        if 0 <= k <= 2 * self.n:
-            return self._prefix2[k]
+        if 0 <= k <= 3 * self.n:
+            return self._prefix3[k]
         q, r = divmod(k, self.n)
         return q * self._total + self._prefix[r]
 
@@ -147,9 +151,6 @@ class PeriodicTuple:
 
     def scaled(self, t: Number) -> "PeriodicTuple":
         return PeriodicTuple([v * t for v in self.values], backend=self.backend)
-
-    def as_floats(self) -> np.ndarray:
-        return np.asarray([float(v) for v in self.values])
 
     def __repr__(self) -> str:
         return f"PeriodicTuple({list(self.values)!r}, backend={self.backend!r})"
@@ -170,28 +171,72 @@ def interval_average(x: PeriodicTuple, interval: IndexInterval) -> Number:
     return x.interval_sum(interval) / interval.cardinality
 
 
-def right_maximal_length(x: PeriodicTuple, i: int) -> tuple[Number, int]:
-    """Largest window average at left end i and the smallest length attaining it.
+class Profile(NamedTuple):
+    """Maximal structure of the starts 1..n (entry i-1 belongs to start i).
 
-    Windows are [i : i+r-1] for r = 1..n; strict comparison keeps the
-    first (shortest) maximizer.
+    ``values`` are the right maximal values, ``lengths`` the shortest
+    windows attaining them, and ``parents`` the start of the smallest
+    class strictly containing each start's class (None at length n).
+    """
+
+    values: list
+    lengths: list[int]
+    parents: list[Optional[int]]
+
+
+def right_maximal_profile(x: PeriodicTuple) -> Profile:
+    """Right maximal values, shortest maximizing lengths and Hasse parents.
+
+    One right-to-left pass over the prefix-sum points k = 3n..0 keeps a
+    stack that is the upper hull of the points to the right.  At point k
+    the top is popped while the average from k to the second entry is
+    strictly greater than the average to the top; strict ``>`` keeps the
+    shortest window on ties.  The top left after popping ends the maximal
+    window starting at k+1, and the point that pops an entry starts the
+    smallest window containing that entry's window.
+
+    Starts 1..n are read from the first period, so their window sums are
+    the same differences of the same table entries as a per-start scan.
+    Each length is clamped to n: in floats, rounding can lift a window of
+    two or three periods above the mean window it repeats.  Parents are
+    read from the second period's starts, whose containers may begin up
+    to n-1 places to their left, across the period boundary.
     """
     n = x.n
-    i0 = (i - 1) % n + 1  # reduce to 1..n so the two-period table applies
-    left = x.prefix(i0 - 1)
-    best = None
-    best_r = 0
-    for r in range(1, n + 1):
-        avg = (x.prefix(i0 + r - 1) - left) / r
-        if best is None or avg > best:
-            best = avg
-            best_r = r
-    return best, best_r
+    p = x._prefix3
+    ends = [0] * n
+    poppers: list[Optional[int]] = [None] * n  # for the points n..2n-1
+    stack = [3 * n]
+    for k in range(3 * n - 1, -1, -1):
+        pk = p[k]
+        top = stack[-1]
+        best = (p[top] - pk) / (top - k)
+        while len(stack) > 1:
+            nxt = stack[-2]
+            avg = (p[nxt] - pk) / (nxt - k)
+            if not avg > best:
+                break
+            if n <= top < 2 * n:
+                poppers[top - n] = k
+            stack.pop()
+            top, best = nxt, avg
+        if k < n:
+            ends[k] = top
+        stack.append(k)
+
+    values, lengths, parents = [], [], []
+    for k in range(n):
+        r = min(ends[k] - k, n)
+        values.append((p[k + r] - p[k]) / r)
+        lengths.append(r)
+        popper = poppers[k]
+        parents.append(None if r == n or popper is None else popper % n + 1)
+    return Profile(values, lengths, parents)
 
 
 def right_maximal(x: PeriodicTuple, i: int) -> Number:
     """Right maximal value at i: max over r=1..n of the average of [i : i+r-1]."""
-    return right_maximal_length(x, i)[0]
+    return right_maximal_profile(x).values[(i - 1) % x.n]
 
 
 def forward_max_average(x: PeriodicTuple, i: int) -> Number:
@@ -200,33 +245,6 @@ def forward_max_average(x: PeriodicTuple, i: int) -> Number:
     Equals the right maximal value at i+1.
     """
     return right_maximal(x, i + 1)
-
-
-def right_maximal_profile(x: PeriodicTuple) -> tuple[list, list[int]]:
-    """Right maximal values and smallest maximizing lengths for i = 1..n.
-
-    The float backend runs a vectorized sweep over window lengths; it
-    reproduces the scalar routine bit for bit because both read window
-    sums from the same two-period prefix table.
-    """
-    n = x.n
-    if x.backend == FLOAT:
-        p2 = x._np2
-        idx = np.arange(n)
-        best = np.full(n, -np.inf)
-        best_r = np.zeros(n, dtype=int)
-        for r in range(1, n + 1):
-            avg = (p2[idx + r] - p2[idx]) / r
-            better = avg > best
-            best = np.where(better, avg, best)
-            best_r[better] = r
-        return [float(v) for v in best], [int(r) for r in best_r]
-    out_v, out_r = [], []
-    for i in range(1, n + 1):
-        v, r = right_maximal_length(x, i)
-        out_v.append(v)
-        out_r.append(r)
-    return out_v, out_r
 
 
 def parse_number(token, backend: str) -> Number:

@@ -5,9 +5,15 @@ For each left end i there is a unique shortest window [i : i+kappa(i)]
 whose average attains the right maximal value at i; kappa maps into
 [0 : n-1] and is n-periodic.  The n classes of these windows modulo
 shifts by n, ordered by set inclusion of representatives, form the
-interval poset.  When all short-window averages are pairwise distinct
-(the generic case) the Hasse diagram is a tree whose root is the unique
-full-length class, whose average equals the period mean.
+interval poset.  Shortest maximal windows are always nested or
+disjoint, so the Hasse diagram is a forest; when all short-window
+averages are pairwise distinct (the generic case) it is a tree whose root
+is the unique full-length class, whose average equals the period mean.
+
+Every object here is a lookup into one ``right_maximal_profile`` pass:
+the classes are its lengths, the Hasse parents are the starts that pop
+each class off its stack, and the majorizing rotation is the first
+argmin of its values.
 """
 
 from __future__ import annotations
@@ -16,13 +22,12 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegenerateOrder
 from .periodic import (
     IndexInterval,
     Number,
     PeriodicTuple,
+    Profile,
     interval_average,
-    right_maximal_length,
     right_maximal_profile,
 )
 
@@ -72,6 +77,10 @@ class IntervalPoset:
             chain.append(self.parent[chain[-1]])
         return chain
 
+    def full_maximal_start(self) -> int:
+        """Smallest start whose class average is least (the period mean)."""
+        return min(self.nodes, key=lambda i: (self.nodes[i].average, i))
+
     def is_tree(self) -> bool:
         return self.root is not None and sum(
             1 for p in self.parent.values() if p is None
@@ -107,19 +116,20 @@ class IntervalPoset:
         return "\n".join(lines)
 
 
+def _records(profile: Profile) -> list[MIntervalRecord]:
+    return [
+        MIntervalRecord(start=i + 1, kappa=r - 1, average=v)
+        for i, (v, r) in enumerate(zip(profile.values, profile.lengths))
+    ]
+
+
 def m_interval(x: PeriodicTuple, i: int) -> MIntervalRecord:
     """The irreducible maximal interval with left end i (reduced to 1..n)."""
-    start = (i - 1) % x.n + 1
-    value, r = right_maximal_length(x, start)
-    return MIntervalRecord(start=start, kappa=r - 1, average=value)
+    return all_m_intervals(x)[(i - 1) % x.n]
 
 
 def all_m_intervals(x: PeriodicTuple) -> list[MIntervalRecord]:
-    values, lengths = right_maximal_profile(x)
-    return [
-        MIntervalRecord(start=i + 1, kappa=lengths[i] - 1, average=values[i])
-        for i in range(x.n)
-    ]
+    return _records(right_maximal_profile(x))
 
 
 def full_maximal_start(x: PeriodicTuple) -> int:
@@ -129,9 +139,7 @@ def full_maximal_start(x: PeriodicTuple) -> int:
     least; that least value is the period mean.  With distinct
     short-window averages the index is unique and kappa(i) = n-1 there.
     """
-    values, _ = right_maximal_profile(x)
-    best = min(values)
-    return values.index(best) + 1
+    return build_poset(x).full_maximal_start()
 
 
 def majorizing_rotation(x: PeriodicTuple) -> int:
@@ -157,78 +165,22 @@ def has_majorizing_prefixes(x: PeriodicTuple, start: int, strict: bool = True) -
     return True
 
 
-def _class_contains(parent: MIntervalRecord, child: MIntervalRecord, n: int) -> bool:
-    """Whether some shift of ``child`` by a multiple of n lies inside ``parent``."""
-    if parent.cardinality <= child.cardinality:
-        return False
-    for t in (-1, 0, 1):
-        if parent.interval.contains(child.interval.shifted(t * n)):
-            return True
-    return False
-
-
-def _classes_overlap(a: MIntervalRecord, b: MIntervalRecord, n: int) -> bool:
-    """Whether representatives of the two classes share an index (mod shifts)."""
-    for t in (-1, 0, 1):
-        shifted = b.interval.shifted(t * n)
-        if shifted.a <= a.interval.b and a.interval.a <= shifted.b:
-            return True
-    return False
-
-
-def _link_parents(records: list[MIntervalRecord], n: int) -> dict[int, Optional[int]]:
-    """Hasse parents by smallest strict container; nesting is required.
-
-    Raises DegenerateOrder if two classes overlap without one containing
-    the other, which cannot happen when short-window averages are
-    pairwise distinct.
-    """
-    parent: dict[int, Optional[int]] = {}
-    for rec in records:
-        containers = [
-            other
-            for other in records
-            if other.start != rec.start and _class_contains(other, rec, n)
-        ]
-        overlaps = [
-            other
-            for other in records
-            if other.start != rec.start
-            and not _class_contains(other, rec, n)
-            and not _class_contains(rec, other, n)
-            and _classes_overlap(rec, other, n)
-        ]
-        if overlaps:
-            culprit = overlaps[0]
-            raise DegenerateOrder(
-                f"classes {rec.interval} and {culprit.interval} overlap "
-                "without nesting; averages are tied"
-            )
-        if containers:
-            smallest = min(containers, key=lambda r: (r.cardinality, r.start))
-            parent[rec.start] = smallest.start
-        else:
-            parent[rec.start] = None
-    return parent
-
-
 def build_poset(x: PeriodicTuple) -> IntervalPoset:
     """Inclusion order of the n irreducible-maximal-interval classes.
 
-    On generic inputs the result is a tree rooted at the full-length
-    class.  On tied inputs the result may be a forest (root None when no
-    class has cardinality n); genuinely ambiguous inclusion raises
-    DegenerateOrder.
+    Each class's parent is the smallest class strictly containing it, as
+    found by the profile pass.  On generic inputs the result is a tree
+    rooted at the full-length class; on tied inputs it may be a forest
+    (root None when no class has cardinality n).
     """
-    records = all_m_intervals(x)
-    parent = _link_parents(records, x.n)
-    roots = [rec for rec in records if rec.cardinality == x.n]
-    root = min(rec.start for rec in roots) if roots else None
+    profile = right_maximal_profile(x)
+    records = _records(profile)
+    roots = [rec.start for rec in records if rec.cardinality == x.n]
     return IntervalPoset(
         n=x.n,
         nodes={rec.start: rec for rec in records},
-        parent=parent,
-        root=root,
+        parent={rec.start: q for rec, q in zip(records, profile.parents)},
+        root=min(roots) if roots else None,
     )
 
 

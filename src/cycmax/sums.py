@@ -154,7 +154,7 @@ def max_avg_sum(x: PeriodicTuple) -> MaxSumResult:
     maximizing window).  The returned radii satisfy
     sum_with_radii(x, radii) == value.
     """
-    values, lengths = right_maximal_profile(x)
+    values, lengths, _ = right_maximal_profile(x)
     total = Fraction(0) if x.backend != FLOAT else 0.0
     radii = []
     for i in range(1, x.n + 1):

@@ -80,13 +80,22 @@ def _random_rational_tuple(
             return x
 
 
+def _random_tied_tuple(rng: np.random.Generator, max_n: int = 16) -> PeriodicTuple:
+    """Rational tuple of small integers, so many window averages tie."""
+    while True:
+        vals = rng.integers(0, 4, size=int(rng.integers(1, max_n + 1)))
+        if vals.any():
+            return PeriodicTuple([Fraction(int(v)) for v in vals], backend="rational")
+
+
 def _brute_right_maximal(x: PeriodicTuple, i: int, r_max: int):
-    best = None
+    """Largest average of [i : i+r-1] over r = 1..r_max and the shortest r attaining it."""
+    best, best_r = None, 0
     for r in range(1, r_max + 1):
         avg = interval_average(x, IndexInterval(i, i + r - 1))
         if best is None or avg > best:
-            best = avg
-    return best
+            best, best_r = avg, r
+    return best, best_r
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +136,7 @@ def suite_periodic(rng: np.random.Generator, trials: int = 200) -> list[CheckRes
         x = _random_float_tuple(rng, max_n=16)
         i = int(rng.integers(1, x.n + 1))
         short = right_maximal(x, i)
-        wide = _brute_right_maximal(x, i, 3 * x.n)
+        wide, _ = _brute_right_maximal(x, i, 3 * x.n)
         if wide > short + 1e-12 * max(abs(short), 1.0):
             bad += 1
     results.append(
@@ -147,6 +156,17 @@ def suite_periodic(rng: np.random.Generator, trials: int = 200) -> list[CheckRes
     results.append(
         CheckResult("periodic", "bounds-and-periodicity", bad == 0, f"{trials} trials, {bad} failures")
     )
+
+    bad = 0
+    for _ in range(trials // 4):
+        x = _random_tied_tuple(rng)
+        prof = right_maximal_profile(x)
+        brute = [_brute_right_maximal(x, i, x.n) for i in range(1, x.n + 1)]
+        if list(zip(prof.values, prof.lengths)) != brute:
+            bad += 1
+    results.append(
+        CheckResult("periodic", "shortest-window-exact", bad == 0, f"{trials // 4} tied rational tuples, {bad} mismatches")
+    )
     return results
 
 
@@ -158,7 +178,7 @@ def suite_prop4(
     worst = 0.0
     for _ in range(float_trials):
         x = _random_float_tuple(rng, max_n=50)
-        values, _ = right_maximal_profile(x)
+        values = right_maximal_profile(x).values
         gap = abs(min(values) - x.average) / max(abs(x.average), 1.0)
         worst = max(worst, gap)
     results.append(
@@ -168,7 +188,7 @@ def suite_prop4(
     bad = 0
     for _ in range(rational_trials):
         x = _random_rational_tuple(rng, generic=False)
-        values, _ = right_maximal_profile(x)
+        values = right_maximal_profile(x).values
         if min(values) != x.average:
             bad += 1
     results.append(

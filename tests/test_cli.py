@@ -111,6 +111,28 @@ class TestAnalyzeGolden:
         assert "degenerate" in err
         assert json.loads(out)["degenerate"]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
+    def test_one_profile_pass_per_format(self, capsys, ref_path, monkeypatch, fmt):
+        import sys
+
+        from cycmax import periodic
+
+        original = periodic.right_maximal_profile
+        calls = []
+
+        def counted(x):
+            calls.append(x.n)
+            return original(x)
+
+        for name, module in list(sys.modules.items()):
+            if name == "cycmax" or name.startswith("cycmax."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        code, _, _ = run_cli(capsys, "--format", fmt, "analyze", ref_path)
+        assert code == 0
+        assert calls == [10]
+
     def test_malformed_input_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{broken")
@@ -154,6 +176,15 @@ class TestSumCommands:
         doc = json.loads(out)
         assert doc["radii"] == [2, 1, 5, 4, 3, 2, 1, 10, 1, 8]
         assert doc["value"] == pytest.approx(8.413545512623653, rel=1e-12)
+
+
+    def test_maxsum_rejects_overflowing_entries(self, capsys, tmp_path):
+        # the prefix sums overflow, which once made the value 0.0 instead of 2
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"values": [1e308, 1e308]}))
+        code, out, err = run_cli(capsys, "maxsum", str(path))
+        assert code == 1 and out == ""
+        assert "overflow" in err
 
 
 class TestMinimize:

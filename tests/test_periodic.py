@@ -12,11 +12,11 @@ from cycmax import (
     right_maximal,
     tuple_from_json,
 )
-from cycmax.periodic import (
-    right_maximal_length,
-    right_maximal_profile,
-    tuple_to_json,
-)
+from cycmax.errors import CycmaxError
+from cycmax.periodic import right_maximal_profile, tuple_to_json
+from cycmax.structure import all_m_intervals
+
+from oracles import link_parents, scan_profile, scan_right_maximal
 
 fractions_st = st.fractions(min_value=0, max_value=1000, max_denominator=50)
 
@@ -25,6 +25,21 @@ def positive_fraction_lists(min_size=1, max_size=12):
     return st.lists(fractions_st, min_size=min_size, max_size=max_size).filter(
         lambda vs: any(v > 0 for v in vs)
     )
+
+
+def tied_rational_lists(max_size=12):
+    """Small integer entries, so many window averages tie exactly."""
+    return st.lists(st.integers(0, 3), min_size=1, max_size=max_size).filter(any).map(
+        lambda vs: [Fraction(v) for v in vs]
+    )
+
+
+# Float tuple on which rounding lifts the three-period window at the
+# full-window start above the one-period mean window: lengths must be
+# clamped to n.
+CLAMP_REGRESSION = [
+    6.561491559638452, 5.464779457176233, 5.470289501377164, 8.445990211921815, 7.245472344742572,
+]
 
 
 def brute_average(values, a, b):
@@ -67,6 +82,23 @@ class TestPeriodicTuple:
     def test_rejects_non_finite_entries(self, bad, backend):
         with pytest.raises(ValueError, match="finite"):
             PeriodicTuple([1.0, bad], backend=backend)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1e308, 1e308], [5e307, 5e307], [1.7e308]],
+        ids=["one-period", "third-period", "single"],
+    )
+    def test_rejects_prefix_overflow(self, values):
+        # the sum over one period of [5e307, 5e307] is finite; over three it is not
+        with pytest.raises(ValueError, match="overflow"):
+            PeriodicTuple(values)
+        with pytest.raises(ValueError, match="overflow"):
+            tuple_from_json('{"values": %s}' % values, "float")
+
+    def test_large_entries_below_overflow_are_kept(self):
+        x = PeriodicTuple([1e307, 1e307])
+        assert right_maximal_profile(x).values == [1e307, 1e307]
+        assert PeriodicTuple([Fraction(10) ** 400, 1], backend="rational").n == 2
 
 
 class TestIntervalAverage:
@@ -118,17 +150,17 @@ class TestRightMaximal:
         x = PeriodicTuple([2.0] * 5)
         for i in range(1, 6):
             assert right_maximal(x, i) == 2.0
-            # smallest maximizing window under strict comparison
-            assert right_maximal_length(x, i)[1] == 1
+        # smallest maximizing window under strict comparison
+        assert right_maximal_profile(x).lengths == [1] * 5
 
     def test_smallest_maximizer_reported(self):
         # both windows [1:1] and [1:3] average to 2; the shorter one wins
         x = PeriodicTuple([Fraction(2), Fraction(1), Fraction(3), Fraction(100)], backend="rational")
-        value, r = right_maximal_length(x, 1)
-        assert r == 4  # [1:4] avg 106/4 = 26.5 beats everything
+        prof = right_maximal_profile(x)
+        assert prof.lengths[0] == 4  # [1:4] avg 106/4 = 26.5 beats everything
         x2 = PeriodicTuple([Fraction(2), Fraction(1), Fraction(3), Fraction(0)], backend="rational")
-        value2, r2 = right_maximal_length(x2, 1)
-        assert value2 == Fraction(2) and r2 == 1
+        prof2 = right_maximal_profile(x2)
+        assert prof2.values[0] == Fraction(2) and prof2.lengths[0] == 1
 
     @given(st.lists(st.floats(0.01, 50.0), min_size=1, max_size=14), st.integers(1, 14))
     def test_bounds_and_periodicity(self, values, i):
@@ -151,11 +183,35 @@ class TestRightMaximal:
         for _ in range(25):
             n = int(rng.integers(1, 40))
             x = PeriodicTuple(rng.uniform(0.001, 50.0, n).tolist())
-            values, lengths = right_maximal_profile(x)
+            values, lengths, _ = right_maximal_profile(x)
             for i in range(1, n + 1):
-                v, r = right_maximal_length(x, i)
+                v, r = scan_right_maximal(x, i)
                 assert values[i - 1] == v
                 assert lengths[i - 1] == r
+
+    def test_clamp_regression_matches_scan(self):
+        x = PeriodicTuple(CLAMP_REGRESSION)
+        prof = right_maximal_profile(x)
+        assert (prof.values, prof.lengths) == scan_profile(x)
+        assert max(prof.lengths) == x.n
+        assert prof.parents[prof.lengths.index(x.n)] is None
+
+    @given(tied_rational_lists(max_size=16))
+    def test_tied_rationals_match_oracles_exactly(self, values):
+        x = PeriodicTuple(values, backend="rational")
+        prof = right_maximal_profile(x)
+        assert (prof.values, prof.lengths) == scan_profile(x)
+        parents = link_parents(all_m_intervals(x), x.n)
+        assert prof.parents == [parents[i] for i in range(1, x.n + 1)]
+
+    @given(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=20))
+    def test_float_values_agree_with_scan(self, values):
+        x = PeriodicTuple(values)
+        prof = right_maximal_profile(x)
+        scan_values, _ = scan_profile(x)
+        for got, want, r in zip(prof.values, scan_values, prof.lengths):
+            assert 1 <= r <= x.n
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestForwardMaxAverage:
@@ -195,15 +251,11 @@ class TestJson:
         ['{"values": []}', '{"nope": [1]}', "[1, 2]", '{"values": [0, 0]}', '{"values": [-1, 2]}'],
     )
     def test_rejects_malformed(self, text):
-        from cycmax.errors import CycmaxError
-
         with pytest.raises((CycmaxError, ValueError)):
             tuple_from_json(text, "float")
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("backend", ["float", "rational"])
     def test_rejects_non_finite_entries(self, token, backend):
-        from cycmax.errors import CycmaxError
-
         with pytest.raises(CycmaxError, match="finite"):
             tuple_from_json('{"values": [1, %s]}' % token, backend)

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cycmax import (
-    DegenerateOrder,
     PeriodicTuple,
     build_poset,
     full_maximal_start,
@@ -13,8 +13,6 @@ from cycmax import (
     majorizing_rotation,
 )
 from cycmax.structure import (
-    MIntervalRecord,
-    _link_parents,
     all_m_intervals,
     average_table,
     distinct_short_averages,
@@ -144,14 +142,30 @@ class TestPoset:
         assert poset.minimal_elements() == [1, 2, 3, 4]
         assert not poset.is_tree()
 
-    def test_degenerate_order_detected(self):
-        records = [
-            MIntervalRecord(start=1, kappa=1, average=2.0),
-            MIntervalRecord(start=2, kappa=1, average=2.0),
-            MIntervalRecord(start=3, kappa=0, average=1.0),
-        ]
-        with pytest.raises(DegenerateOrder):
-            _link_parents(records, 3)
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=14).filter(any),
+        st.sampled_from(["float", "rational"]),
+    )
+    def test_tied_classes_nest(self, values, backend):
+        # Shortest maximal windows never cross, even when averages tie, and
+        # each Hasse parent strictly contains its child up to a shift by n.
+        x = PeriodicTuple([Fraction(v) for v in values], backend=backend)
+        records = all_m_intervals(x)
+        for a in records:
+            for b in records:
+                for t in (-1, 0, 1):
+                    sb = b.interval.shifted(t * x.n)
+                    overlap = sb.a <= a.interval.b and a.interval.a <= sb.b
+                    assert not overlap or a.interval.contains(sb) or sb.contains(a.interval)
+        poset = build_poset(x)
+        for child, parent in poset.parent.items():
+            if parent is None:
+                continue
+            inner, outer = poset.nodes[child], poset.nodes[parent]
+            assert outer.cardinality > inner.cardinality
+            assert any(
+                outer.interval.contains(inner.interval.shifted(t * x.n)) for t in (-1, 0, 1)
+            )
 
     def test_generic_structure_properties(self):
         rng = np.random.default_rng(5)
