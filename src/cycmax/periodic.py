@@ -18,7 +18,7 @@ All maximal averages come from one primitive, ``right_maximal_profile``:
 a right-to-left stack pass over the prefix-sum points (F. Riesz's rising
 sun lemma, i.e. the least concave majorant of the prefix sums).  It
 yields the value, the shortest maximizing length and the Hasse parent of
-every start in amortized O(n).
+every start in amortized O(n), and runs once per tuple.
 
 Two backends are supported: binary floats and exact rationals via
 ``fractions.Fraction`` (used where combinatorial decisions hinge on
@@ -76,7 +76,7 @@ class PeriodicTuple:
     maximal average strictly positive.
     """
 
-    __slots__ = ("n", "values", "backend", "_prefix", "_prefix3", "_total")
+    __slots__ = ("n", "values", "backend", "_prefix", "_prefix3", "_total", "_profile")
 
     def __init__(self, values: Sequence[Number], backend: str | None = None):
         vals = list(values)
@@ -120,6 +120,8 @@ class PeriodicTuple:
         )
         if backend == FLOAT and not math.isfinite(self._prefix3[-1]):
             raise ValueError("entries too large: their sum over three periods overflows")
+        # Filled by the first ``right_maximal_profile`` call.
+        self._profile: Optional[Profile] = None
 
     @property
     def total(self) -> Number:
@@ -186,6 +188,16 @@ class Profile(NamedTuple):
 
 def right_maximal_profile(x: PeriodicTuple) -> Profile:
     """Right maximal values, shortest maximizing lengths and Hasse parents.
+
+    The pass runs once per tuple; later calls return the same result.
+    """
+    if x._profile is None:
+        x._profile = _rising_sun(x)
+    return x._profile
+
+
+def _rising_sun(x: PeriodicTuple) -> Profile:
+    """The stack pass behind ``right_maximal_profile``.
 
     One right-to-left pass over the prefix-sum points k = 3n..0 keeps a
     stack that is the upper hull of the points to the right.  At point k

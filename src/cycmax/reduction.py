@@ -18,10 +18,13 @@ makes this module the computational workhorse of the package.
 Minimization runs per support size k.  Fixing the last entry s of the
 support, the first-order conditions become a backward recurrence that
 determines the whole support from s, so each k reduces to one scalar
-equation on s in (p, 1).  Its roots are bracketed on a log grid and
-refined by bisection in extended precision; the projected stationarity
+equation on s in (p, 1).  The recurrence is the same for every k, so
+one batched shooting pass serves a whole chunk of support sizes: the
+roots are bracketed on a log grid and refined by multisection in
+extended precision, all sizes together; the projected stationarity
 residual, also in extended precision, certifies each solve.  Support
-sizes are enumerated upward until the value stops improving.
+sizes are taken upward, in chunks of doubling size, until the value
+stops improving.
 Independent nested grid searches over the simplex serve as cross-check
 oracles at small N.
 """
@@ -185,7 +188,7 @@ def _residual_ld(x: np.ndarray, p) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Shooting solve of the first-order system, one support size at a time
+# Shooting solve of the first-order system, every support size at once
 #
 # On a support x_0, ..., x_{k-1} with last entry s, stationarity under the
 # sum constraint asks that every partial derivative equal one multiplier
@@ -199,14 +202,26 @@ def _residual_ld(x: np.ndarray, p) -> float:
 # and the condition at j = 0 into q_0 = 0.  Conversely, any s with
 # q_0(s) = 0 and q_j(s) > 0 for j >= 1 gives a positive stationary point,
 # whose entries sum to 1 by the same identity.  Each support size is thus
-# a scalar root problem on s in (p, 1), solved by sign changes on a log
-# grid and bisection in extended precision.
+# a scalar root problem on s in (p, 1).
+#
+# The recurrence from s does not depend on k: step m gives the entry m
+# places before the last, and q_0 of support size k is q after k-1 steps.
+# So one trajectory over a log grid of s samples q_0 of every support size
+# at once, and the sign-change brackets of all sizes are refined together
+# by multisection in extended precision, each column of a shooting pass
+# stopping at its own depth.  A pass costs a fixed number of numpy calls
+# whatever its width.
 
 # Points of the log grid over [p, 1] on which q_0 is sampled for sign
 # changes.  One support size can carry close pairs of stationary points:
 # 120 points missed the k = 14 root at n = 372759, 400 split every pair on
 # the reference cases.
 BRACKET_POINTS = 400
+
+# Bisection levels replayed per refinement pass: each pass shoots the
+# 2**_LEVELS - 1 interior points of the bisection tree of every bracket
+# and gains _LEVELS bits.
+_LEVELS = 4
 
 # Default bound on the projected stationarity residual of a converged solve.
 STATIONARITY_TOL = 1e-10
@@ -215,77 +230,148 @@ STATIONARITY_TOL = 1e-10
 # when deciding whether a non-convergent solve is the best one.
 _VALUE_RTOL = 1e-12
 
+# The first chunk of support sizes ends at ceil(log(1/p)) + _CHUNK_SLACK.
+# The optimal support at p = 1/n is about log(n) + 1, so enumeration
+# normally stops inside it; later chunks double in size.
+_CHUNK_SLACK = 3
 
-def _shoot(s: np.ndarray, k: int, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the recurrence for a vector of trial last entries s.
 
-    Returns the entries (shape (k, len(s)), unnormalized), q_0 for each
-    trial, and whether the recurrence reached q_0 with every q_j > 0 for
-    j >= 1.  A trial whose q_j turns nonpositive earlier stops there and
-    reports that q_j in place of q_0: both vanish together (x_0 is
-    proportional to q_j), so the reported function stays continuous.
-    Stopped trials are zeroed, and running ones stay bounded because
-    q_{j-1} = q_j (1 - lam x_j) > 0 forces x_j < 1/lam <= 1, so nothing
-    can overflow.
+def _shoot(s: np.ndarray, depth: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
+    """Run the recurrence for trial last entries s, column by column.
+
+    Column i stops after depth[i] steps (support size depth[i] + 1) and
+    reports its q there, i.e. q_0, together with whether every earlier
+    q_j stayed positive.  A column whose q_j turns nonpositive before its
+    depth stops there and reports that q_j in place of q_0: both vanish
+    together (x_0 is proportional to q_j), so the reported function stays
+    continuous.  Stopped and finished columns are frozen at zero, and
+    running ones stay bounded because q_{j-1} = q_j (1 - lam x_j) > 0
+    forces x_j < 1/lam <= 1, so nothing can overflow.
     """
     lam = s / p
     q = s * (1 - s) / p
-    x = np.empty((k, len(s)), dtype=LD)
-    x[-1] = s
+    x = s.copy()
     reached = np.ones(len(s), dtype=bool)
-    early = np.zeros(len(s), dtype=LD)
-    for j in range(k - 1, 0, -1):
-        x[j - 1] = q * x[j]
-        q = q - lam * x[j - 1]
-        if j > 1:
-            stop = reached & (q <= 0)
-            if stop.any():
-                early[stop] = q[stop]
-                reached &= ~stop
-                q[stop] = 0
-                x[j - 1, stop] = 0
-    return x, np.where(reached, q, early), reached
+    out = np.zeros(len(s), dtype=LD)
+    for m in range(1, int(depth.max(initial=0)) + 1):
+        x *= q
+        q -= lam * x
+        stop = reached & (depth > m) & (q <= 0)
+        reached &= ~stop
+        end = stop | (reached & (depth == m))
+        out[end] = q[end]
+        q[end] = 0
+        x[end] = 0
+    return out, reached
 
 
-def _bisect(lo: np.ndarray, hi: np.ndarray, k: int, p) -> tuple[np.ndarray, np.ndarray]:
-    """Shrink sign-change brackets of q_0 until their ends are adjacent."""
-    lo_positive = _shoot(lo, k, p)[1] > 0
+def _trajectory(s: np.ndarray, steps: int, p) -> tuple[np.ndarray, np.ndarray]:
+    """Entries and q of the recurrence after m = 1..steps steps (row m-1).
+
+    Row m-1 holds the entry m places before the last (unnormalized) and
+    q_0 of support size m+1.  A trial stops at its first nonpositive q,
+    and its rows from there on are zero: no size it has not reached can
+    have a positive q_0.  Cost and memory grow with the number of trials
+    times ``steps``, so this serves the shared grid and the final roots.
+    """
+    lam = s / p
+    q = s * (1 - s) / p
+    x = s.copy()
+    xs = np.empty((steps, len(s)), dtype=LD)
+    qs = np.empty((steps, len(s)), dtype=LD)
+    for m in range(steps):
+        x *= q
+        q -= lam * x
+        stop = q <= 0
+        q[stop] = 0
+        x[stop] = 0
+        xs[m], qs[m] = x, q
+    return xs, qs
+
+
+def _refine(lo: np.ndarray, hi: np.ndarray, lo_positive: np.ndarray, depth: np.ndarray, p):
+    """Shrink sign-change brackets of q_0 until their ends are adjacent.
+
+    Each pass shoots the interior points of every bracket's bisection
+    tree at once and replays bisection over their signs, so the brackets
+    end exactly where plain bisection would leave them.
+    """
+    parts = 2**_LEVELS
+    cols = np.arange(len(lo))
     while True:
         mid = (lo + hi) / 2
         if np.all((mid <= lo) | (mid >= hi)):
             return lo, hi
-        same = (_shoot(mid, k, p)[1] > 0) == lo_positive
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
+        # pts[i] is the point i/parts of the way from lo to hi, computed by
+        # the same halvings bisection would make
+        pts = np.empty((parts + 1, len(lo)), dtype=LD)
+        pts[0], pts[parts] = lo, hi
+        step = parts // 2
+        while step:
+            pts[step::2 * step] = (pts[: -step : 2 * step] + pts[2 * step :: 2 * step]) / 2
+            step //= 2
+        q0 = _shoot(pts[1:parts].ravel(), np.tile(depth, parts - 1), p)[0]
+        positive = (q0 > 0).reshape(parts - 1, -1)  # row i - 1 holds point i
+        a = np.zeros(len(lo), dtype=int)
+        b = np.full(len(lo), parts)
+        for _ in range(_LEVELS):
+            c = (a + b) // 2
+            same = positive[c - 1, cols] == lo_positive
+            a = np.where(same, c, a)
+            b = np.where(same, b, c)
+        lo, hi = pts[a, cols], pts[b, cols]
 
 
-def _solve_support(k: int, p: float) -> Optional[tuple[np.ndarray, np.longdouble]]:
-    """Lowest-value positive stationary point with support size k >= 2.
+def _solve_supports(ks: Sequence[int], p: float) -> list[Optional[tuple[np.ndarray, np.longdouble]]]:
+    """Lowest-value positive stationary point of each support size k >= 2.
 
-    Returns the longdouble entries (sum 1) and their value, or None when
-    no admissible root exists.  Brackets whose negative end stops before
-    q_0 close on a point where a leading entry vanishes, which belongs to
-    a smaller support, and are discarded.
+    Gives, per k, the longdouble entries (sum 1) and their value, or None
+    when no admissible root exists.  All sizes share one grid trajectory,
+    one refinement loop and one genuineness shoot.  Brackets whose negative
+    end stops before q_0 close on a point where a leading entry vanishes,
+    which belongs to a smaller support, and are discarded.
     """
     pld = LD(p)
+    depth_of = np.asarray(ks, dtype=int) - 1
     t = np.linspace(0, 1, BRACKET_POINTS, dtype=LD)
     grid = pld ** (1 - t)
-    positive = _shoot(grid, k, pld)[1] > 0
-    cross = np.nonzero(positive[:-1] != positive[1:])[0]
-    if len(cross) == 0:
-        return None
-    lo, hi = _bisect(grid[cross], grid[cross + 1], k, pld)
-    lo_positive = positive[cross]
+    positive = _trajectory(grid, int(depth_of.max(initial=0)), pld)[1][depth_of - 1] > 0
+    rows, cross = np.nonzero(positive[:, :-1] != positive[:, 1:])
+    depth = depth_of[rows]
+    lo_positive = positive[rows, cross]
+    lo, hi = _refine(grid[cross], grid[cross + 1], lo_positive, depth, pld)
     s_pos = np.where(lo_positive, lo, hi)
     s_neg = np.where(lo_positive, hi, lo)
-    genuine = _shoot(s_neg, k, pld)[2]
-    if not genuine.any():
-        return None
-    x = _shoot(s_pos[genuine], k, pld)[0]
-    x = x / x.sum(axis=0)
-    values = _value_ld(x, pld)
-    best = int(np.argmin(values))
-    return x[:, best], values[best]
+    genuine = _shoot(s_neg, depth, pld)[1]
+
+    found = []
+    for row, k in enumerate(ks):
+        keep = genuine & (rows == row)
+        if not keep.any():
+            found.append(None)
+            continue
+        s = s_pos[keep]
+        x = np.empty((k, len(s)), dtype=LD)
+        x[-1] = s
+        x[:-1] = _trajectory(s, k - 1, pld)[0][::-1]
+        x = x / x.sum(axis=0)
+        values = _value_ld(x, pld)
+        best = int(np.argmin(values))
+        found.append((x[:, best], values[best]))
+    return found
+
+
+def _solve_in_chunks(p: float, kmax: int):
+    """``_solve_supports`` for k = 2..kmax in order, in chunks of doubling size.
+
+    Chunks are solved only when the previous one is used up, so a caller
+    that stops early wastes at most the rest of one chunk.
+    """
+    k = 2
+    end = min(kmax, max(k, math.ceil(math.log(1.0 / p)) + _CHUNK_SLACK))
+    while k <= kmax:
+        yield from _solve_supports(range(k, end + 1), p)
+        k, end = end + 1, min(kmax, end + 2 * (end + 1 - k))
 
 
 @dataclass
@@ -323,6 +409,7 @@ class ReducedSolution:
             "support": self.support,
             "entries": [float(v) for v in self.entries],
             "residual": self.stationarity_residual,
+            "converged": self.converged,
             "oracle_gap": self.oracle_gap,
         }
 
@@ -333,8 +420,10 @@ def minimize_chain(N: int, p: float, tol: float = STATIONARITY_TOL) -> ReducedSo
     Support sizes are enumerated upward from 1, up to min(N, ceil(1/p)),
     the bound past which enlarging the simplex cannot help.  Enumeration
     stops at the first size whose best stationary point has no root or
-    does not strictly lower the value.  The certificate of each solve is
-    its projected stationarity residual in extended precision; raises
+    does not strictly lower the value.  Sizes are solved in chunks (see
+    ``_solve_in_chunks``); chunking saves shooting passes and never
+    changes which size is kept.  The certificate of each solve is its
+    projected stationarity residual in extended precision; raises
     NonConvergence (carrying the best solution) only if the best value
     belongs to a solve whose residual exceeds ``tol``.
     """
@@ -358,8 +447,7 @@ def minimize_chain(N: int, p: float, tol: float = STATIONARITY_TOL) -> ReducedSo
         )
 
     best = best_conv = solution(np.ones(1, dtype=LD), 1.0 / p)
-    for k in range(2, kmax + 1):
-        found = _solve_support(k, p)
+    for found in _solve_in_chunks(p, kmax):
         if found is None or not found[1] < best.value:
             break
         best = solution(*found)

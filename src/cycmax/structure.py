@@ -22,12 +22,14 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .periodic import (
+    FLOAT,
     IndexInterval,
     Number,
     PeriodicTuple,
     Profile,
-    interval_average,
     right_maximal_profile,
 )
 
@@ -116,16 +118,18 @@ class IntervalPoset:
         return "\n".join(lines)
 
 
+def _record(profile: Profile, k: int) -> MIntervalRecord:
+    """The class of start k + 1."""
+    return MIntervalRecord(start=k + 1, kappa=profile.lengths[k] - 1, average=profile.values[k])
+
+
 def _records(profile: Profile) -> list[MIntervalRecord]:
-    return [
-        MIntervalRecord(start=i + 1, kappa=r - 1, average=v)
-        for i, (v, r) in enumerate(zip(profile.values, profile.lengths))
-    ]
+    return [_record(profile, k) for k in range(len(profile.values))]
 
 
 def m_interval(x: PeriodicTuple, i: int) -> MIntervalRecord:
     """The irreducible maximal interval with left end i (reduced to 1..n)."""
-    return all_m_intervals(x)[(i - 1) % x.n]
+    return _record(right_maximal_profile(x), (i - 1) % x.n)
 
 
 def all_m_intervals(x: PeriodicTuple) -> list[MIntervalRecord]:
@@ -203,12 +207,14 @@ def distinct_short_averages(x: PeriodicTuple) -> bool:
 
 
 def average_table(x: PeriodicTuple) -> list[list[Number]]:
-    """Averages of [i : i+r-1] for r = 1..n-1 (rows) and i = 1..n (columns)."""
+    """Averages of [i : i+r-1] for r = 1..n-1 (rows) and i = 1..n (columns).
+
+    Each cell is the prefix-sum difference divided by r, the same
+    operations as ``interval_average``; float rows are computed in numpy.
+    """
     n = x.n
-    table = []
-    for r in range(1, n):
-        row = []
-        for i in range(1, n + 1):
-            row.append(interval_average(x, IndexInterval(i, i + r - 1)))
-        table.append(row)
-    return table
+    if x.backend == FLOAT:
+        p = np.array(x._prefix3)
+        return [((p[r : r + n] - p[:n]) / r).tolist() for r in range(1, n)]
+    p = x._prefix3
+    return [[(p[i + r] - p[i]) / r for i in range(n)] for r in range(1, n)]

@@ -1,12 +1,27 @@
-"""Quadratic reference implementations of the maximal-average structure.
+"""Reference implementations kept as independent oracles.
 
 The package derives values, shortest maximizing lengths and Hasse parents
-from one O(n) stack pass (``cycmax.periodic.right_maximal_profile``).
-These are the direct definitions it replaced, kept as independent oracles.
+from one O(n) stack pass (``cycmax.periodic.right_maximal_profile``), and
+solves every support size of the chain problem in one batched shooting
+pass (``cycmax.reduction.minimize_chain``).  These are the direct
+definitions and the per-size solve they replaced.
 """
 
+import math
 from typing import Optional
 
+import numpy as np
+
+from cycmax.errors import NonConvergence
+from cycmax.reduction import (
+    BRACKET_POINTS,
+    LD,
+    STATIONARITY_TOL,
+    _VALUE_RTOL,
+    ReducedSolution,
+    _residual_ld,
+    _value_ld,
+)
 from cycmax.structure import MIntervalRecord
 
 
@@ -72,3 +87,100 @@ def link_parents(records: list[MIntervalRecord], n: int) -> dict[int, Optional[i
         else:
             parent[rec.start] = None
     return parent
+
+
+# ---------------------------------------------------------------------------
+# Chain minimization one support size at a time, by plain bisection.
+#
+# ``cycmax.reduction.minimize_chain`` solves every support size of a chunk
+# in one batched shooting pass and refines the brackets by multisection.
+# This is the per-size solve it replaced, kept verbatim so that its
+# results can be compared bit for bit.
+
+
+def shoot(s, k: int, p):
+    """Entries (k, len(s)), q_0 (or the early-stopped q_j) and ``reached``."""
+    lam = s / p
+    q = s * (1 - s) / p
+    x = np.empty((k, len(s)), dtype=LD)
+    x[-1] = s
+    reached = np.ones(len(s), dtype=bool)
+    early = np.zeros(len(s), dtype=LD)
+    for j in range(k - 1, 0, -1):
+        x[j - 1] = q * x[j]
+        q = q - lam * x[j - 1]
+        if j > 1:
+            stop = reached & (q <= 0)
+            if stop.any():
+                early[stop] = q[stop]
+                reached &= ~stop
+                q[stop] = 0
+                x[j - 1, stop] = 0
+    return x, np.where(reached, q, early), reached
+
+
+def bisect(lo, hi, k: int, p):
+    """Shrink sign-change brackets of q_0 until their ends are adjacent."""
+    lo_positive = shoot(lo, k, p)[1] > 0
+    while True:
+        mid = (lo + hi) / 2
+        if np.all((mid <= lo) | (mid >= hi)):
+            return lo, hi
+        same = (shoot(mid, k, p)[1] > 0) == lo_positive
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+
+
+def solve_support(k: int, p: float):
+    """Lowest-value admissible root of support size k >= 2, or None."""
+    pld = LD(p)
+    t = np.linspace(0, 1, BRACKET_POINTS, dtype=LD)
+    grid = pld ** (1 - t)
+    positive = shoot(grid, k, pld)[1] > 0
+    cross = np.nonzero(positive[:-1] != positive[1:])[0]
+    if len(cross) == 0:
+        return None
+    lo, hi = bisect(grid[cross], grid[cross + 1], k, pld)
+    lo_positive = positive[cross]
+    s_pos = np.where(lo_positive, lo, hi)
+    s_neg = np.where(lo_positive, hi, lo)
+    genuine = shoot(s_neg, k, pld)[2]
+    if not genuine.any():
+        return None
+    x = shoot(s_pos[genuine], k, pld)[0]
+    x = x / x.sum(axis=0)
+    values = _value_ld(x, pld)
+    best = int(np.argmin(values))
+    return x[:, best], values[best]
+
+
+def minimize_by_support(N: int, p: float, tol: float = STATIONARITY_TOL) -> ReducedSolution:
+    """``minimize_chain`` walking k = 2, 3, ... with ``solve_support``."""
+    kmax = min(N, max(1, math.ceil(1.0 / p)))
+
+    def solution(x, value):
+        entries = np.asarray(x, dtype=float)
+        entries /= entries.sum()
+        residual = _residual_ld(x, LD(p))
+        return ReducedSolution(
+            N=N,
+            p=p,
+            value=float(value),
+            entries=entries,
+            stationarity_residual=residual,
+            converged=residual <= tol,
+        )
+
+    best = best_conv = solution(np.ones(1, dtype=LD), 1.0 / p)
+    for k in range(2, kmax + 1):
+        found = solve_support(k, p)
+        if found is None or not found[1] < best.value:
+            break
+        best = solution(*found)
+        if best.converged:
+            best_conv = best
+
+    slack = abs(best.value) * _VALUE_RTOL + 1e-15
+    if best_conv.value <= best.value + slack:
+        return best_conv
+    raise NonConvergence("no support size reached stationarity", best=best)

@@ -195,6 +195,7 @@ class TestMinimize:
         assert doc["value"] == pytest.approx(2 * math.sqrt(3) - 1, rel=1e-9)
         assert doc["support"] == 2
         assert doc["oracle_gap"] is not None and doc["oracle_gap"] <= 1e-4
+        assert doc["converged"] is True
 
     def test_by_price_one(self, capsys):
         code, out, _ = run_cli(capsys, "minimize", "--p", "1.0")
@@ -215,6 +216,14 @@ class TestMinimize:
 
     def test_oracle_refused_for_large_n(self, capsys):
         assert run_cli(capsys, "minimize", "--n", "6", "--oracle")[0] == 1
+
+    def test_nonconvergent_payload_says_so(self, capsys):
+        # the absolute residual certificate fails from n ~ 1e10 on
+        code, out, err = run_cli(capsys, "minimize", "--n", "10000000000")
+        assert code == 2 and "stationarity" in err
+        doc = json.loads(out)
+        assert doc["converged"] is False
+        assert doc["residual"] > 1e-10 and doc["support"] == 24
 
     def test_nonconvergence_exits_2(self, capsys, monkeypatch):
         from cycmax.errors import NonConvergence

@@ -12,9 +12,10 @@ from cycmax import (
     right_maximal,
     tuple_from_json,
 )
+from cycmax import periodic
 from cycmax.errors import CycmaxError
 from cycmax.periodic import right_maximal_profile, tuple_to_json
-from cycmax.structure import all_m_intervals
+from cycmax.structure import all_m_intervals, m_interval
 
 from oracles import link_parents, scan_profile, scan_right_maximal
 
@@ -188,6 +189,24 @@ class TestRightMaximal:
                 v, r = scan_right_maximal(x, i)
                 assert values[i - 1] == v
                 assert lengths[i - 1] == r
+
+    def test_lookups_run_the_pass_once(self, monkeypatch):
+        passes = []
+        original = periodic._rising_sun
+
+        def counted(x):
+            passes.append(x.n)
+            return original(x)
+
+        monkeypatch.setattr(periodic, "_rising_sun", counted)
+        x = PeriodicTuple(np.random.default_rng(9).uniform(0.05, 10.0, 2000).tolist())
+        for i in range(1, x.n + 1):
+            right_maximal(x, i)
+            forward_max_average(x, i)
+            m_interval(x, i)
+        assert passes == [2000]
+        assert right_maximal_profile(x) is right_maximal_profile(x)
+        assert passes == [2000]
 
     def test_clamp_regression_matches_scan(self):
         x = PeriodicTuple(CLAMP_REGRESSION)

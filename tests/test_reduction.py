@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,15 @@ from cycmax import (
     t_noncyclic,
 )
 from cycmax.asymptotics import geometric_grid
+import cycmax.reduction as reduction
 from cycmax.reduction import (
+    BRACKET_POINTS,
+    LD,
     _compositions,
-    _solve_support,
+    _refine,
+    _shoot,
+    _solve_supports,
+    _trajectory,
     chain_gradient,
     chain_gradient_fd,
     gradient_agreement,
@@ -28,6 +35,7 @@ from cycmax.reduction import (
     support_entries,
 )
 from cycmax import PeriodicTuple, max_avg_sum
+import oracles
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -244,17 +252,113 @@ class TestMinimizeChain:
         assert doc["value"] == pytest.approx(2.0 * SQRT3 - 1.0)
         assert doc["entries"] == pytest.approx([1.0 - 1.0 / SQRT3, 1.0 / SQRT3], rel=1e-9)
         assert "minimizer" not in doc
+        assert doc["converged"] is True
         assert doc["oracle_gap"] is None
 
 
 def full_scan(N, p):
     """Best stationary point over every support size up to min(N, ceil(1/p))."""
     best_value, best_k = 1.0 / p, 1
-    for k in range(2, min(N, math.ceil(1.0 / p)) + 1):
-        found = _solve_support(k, p)
+    ks = range(2, min(N, math.ceil(1.0 / p)) + 1)
+    for k, found in zip(ks, _solve_supports(ks, p)):
         if found is not None and found[1] < best_value:
             best_value, best_k = float(found[1]), k
     return best_value, best_k
+
+
+def solve_or_best(solve, N, p):
+    """The returned solution, or the best one a NonConvergence carries."""
+    try:
+        return solve(N, p), True
+    except NonConvergence as exc:
+        return exc.best, False
+
+
+def assert_bit_identical(a, b):
+    assert a.value == b.value
+    assert a.support == b.support
+    assert np.array_equal(a.entries, b.entries)
+    assert a.stationarity_residual == b.stationarity_residual
+    assert a.converged == b.converged
+
+
+class TestBatchedSolve:
+    """The batched multisection solve against the per-size bisection oracle."""
+
+    def test_shoots_match_per_size_shoots(self):
+        p = LD(1e-4)
+        s = p ** (1 - np.linspace(0, 1, 50, dtype=LD))
+        ks = [2, 3, 7, 12, 16]
+        q0, reached = _shoot(np.tile(s, len(ks)), np.repeat(np.array(ks) - 1, len(s)), p)
+        xs, qs = _trajectory(s, max(ks) - 1, p)
+        for row, k in enumerate(ks):
+            want_x, want_q0, want_reached = oracles.shoot(s, k, p)
+            cols = slice(row * len(s), (row + 1) * len(s))
+            assert np.array_equal(q0[cols], want_q0), k
+            assert np.array_equal(reached[cols], want_reached), k
+            assert np.array_equal(qs[k - 2] > 0, want_q0 > 0), k
+            assert np.array_equal(xs[k - 2 :: -1, want_q0 > 0], want_x[:-1, want_q0 > 0]), k
+
+    def test_refine_stops_where_bisection_does(self):
+        p = LD(1.0 / 138950)
+        grid = p ** (1 - np.linspace(0, 1, BRACKET_POINTS, dtype=LD))
+        for k in (2, 9, 13, 14):
+            positive = oracles.shoot(grid, k, p)[1] > 0
+            cross = np.nonzero(positive[:-1] != positive[1:])[0]
+            lo, hi = grid[cross], grid[cross + 1]
+            depth = np.full(len(cross), k - 1)
+            got = _refine(lo, hi, positive[cross], depth, p)
+            want = oracles.bisect(lo, hi, k, p)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), k
+
+    def test_bit_identical_to_per_size_oracle(self):
+        rng = np.random.default_rng(31)
+        cases = [(N, p) for N in range(1, 6) for p in (0.05, 0.3, 1.0 / N, 1.0, 1.7)]
+        while len(cases) < 80:
+            N = max(1, int(10 ** rng.uniform(0, 7)))
+            cases.append((N, float(10 ** rng.uniform(-7, math.log10(2)))))
+        for N, p in cases:
+            got, ok = solve_or_best(minimize_chain, N, p)
+            want, want_ok = solve_or_best(oracles.minimize_by_support, N, p)
+            assert ok == want_ok, (N, p)
+            assert_bit_identical(got, want)
+
+    def test_doubling_chunks_give_the_same_solution(self, monkeypatch):
+        chunks = []
+
+        def recorded(ks, p):
+            chunks.append(list(ks))
+            return _solve_supports(ks, p)
+
+        monkeypatch.setattr(reduction, "_solve_supports", recorded)
+        monkeypatch.setattr(reduction, "_CHUNK_SLACK", -100)
+        for N, p in [(1000, 1e-3), (372759, 1.0 / 372759), (40, 0.02), (3, 1.0 / 3.0)]:
+            chunks.clear()
+            got, _ = solve_or_best(minimize_chain, N, p)
+            want, _ = solve_or_best(oracles.minimize_by_support, N, p)
+            assert_bit_identical(got, want)
+            assert chunks[0] == [2]
+            for a, b in zip(chunks, chunks[1:]):
+                assert b[0] == a[-1] + 1 and len(b) <= 2 * len(a)
+            if N == 372759:  # support 14: chunks [2], [3, 4], [5..8], [9..16]
+                assert [len(c) for c in chunks] == [1, 2, 4, 8]
+
+    def test_far_range(self):
+        # the shoot freezes finished columns, so depth ~20 raises no overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, ok = solve_or_best(minimize_chain, 10**9, 1e-9)
+        want, _ = solve_or_best(oracles.minimize_by_support, 10**9, 1e-9)
+        assert ok and got.support == 21
+        assert_bit_identical(got, want)
+
+        # the absolute residual certificate fails at 1e15, as before
+        with pytest.raises(NonConvergence) as exc_info:
+            minimize_chain(10**15, 1e-15)
+        with pytest.raises(NonConvergence) as oracle_info:
+            oracles.minimize_by_support(10**15, 1e-15)
+        assert exc_info.value.best.support == 35
+        assert_bit_identical(exc_info.value.best, oracle_info.value.best)
 
 
 class TestShootingSolve:

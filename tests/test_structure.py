@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cycmax import (
+    IndexInterval,
     PeriodicTuple,
     build_poset,
     full_maximal_start,
+    interval_average,
     m_interval,
     majorizing_rotation,
 )
@@ -236,3 +238,21 @@ class TestAverageTable:
         assert table[1][1] == Fraction(29, 10)     # r=2, i=2
         assert table[7][0] == Fraction(19, 8)      # r=8, i=1
         assert table[8][3] == Fraction(191, 90)    # r=9, i=4 = 2.1222...
+
+    def test_cells_equal_interval_averages_exactly(self):
+        # the table is the output of analyze json and csv, so it must stay
+        # bit for bit the per-cell definition on both backends
+        rng = np.random.default_rng(44)
+        for _ in range(20):
+            n = int(rng.integers(1, 60))
+            floats = PeriodicTuple(rng.uniform(0.05, 10.0, n).tolist())
+            ints = [int(v) for v in rng.integers(0, 4, n)]
+            ints[0] += 1
+            for x in (floats, PeriodicTuple(ints, backend="rational")):
+                want = [
+                    [interval_average(x, IndexInterval(i, i + r - 1)) for i in range(1, n + 1)]
+                    for r in range(1, n)
+                ]
+                table = average_table(x)
+                assert table == want
+                assert all(type(v) is type(x.values[0]) for row in table for v in row)
