@@ -3,8 +3,9 @@
 The minimum of the maximal-average cyclic sum over n-tuples equals the
 simplex minimum of the chain sum at price 1/n.  As n grows it behaves
 like e*log(n) - A with a remainder of order 1/log(n); this module
-sweeps n, records the deficit e*log(n) - value, and extrapolates the
-constant A by regressing the deficit on 1/log(n).
+sweeps n, solving every n of a sweep in one batched solve, records the
+deficit e*log(n) - value, and extrapolates the constant A by regressing
+the deficit on 1/log(n).
 
 Reference value for the constant: A = 1.70465603718...
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import IllConditionedFit, NonConvergence
 from .periodic import PeriodicTuple
-from .reduction import STATIONARITY_TOL, minimize_chain
+from .reduction import STATIONARITY_TOL, _minimize_many, minimize_chain
 
 A_REFERENCE = 1.70465603718
 
@@ -55,7 +56,10 @@ def inf_s(n: int) -> float:
 def sweep(n_values: Sequence[int], tol: float = STATIONARITY_TOL) -> list[SweepRecord]:
     """Solve a sorted list of n values at price 1/n each.
 
-    A non-convergent solve (stationarity residual above ``tol``) is
+    All n are solved together: every solve shares its shooting passes
+    with the others, round by round, and leaves when its own stop rule
+    fires, with the same result as ``minimize_chain(n, 1/n, tol)``.  A
+    non-convergent solve (stationarity residual above ``tol``) is
     recorded with its best solution and flagged rather than aborting the
     sweep.
     """
@@ -68,11 +72,9 @@ def sweep(n_values: Sequence[int], tol: float = STATIONARITY_TOL) -> list[SweepR
         raise ValueError("n values must be sorted ascending")
 
     records = []
-    for n in values:
-        try:
-            sol = minimize_chain(n, 1.0 / n, tol)
-        except NonConvergence as exc:
-            sol = exc.best
+    for n, sol in zip(values, _minimize_many([(n, 1.0 / n) for n in values], tol)):
+        if isinstance(sol, NonConvergence):
+            sol = sol.best
         records.append(
             SweepRecord(
                 n=n,
@@ -88,7 +90,7 @@ def sweep(n_values: Sequence[int], tol: float = STATIONARITY_TOL) -> list[SweepR
 
 def geometric_grid(lo: float, hi: float, points: int) -> list[int]:
     """Distinct integers, geometrically spaced between lo and hi inclusive."""
-    if points < 1 or lo < 1 or hi < lo:
+    if points < 1 or not 1 <= lo <= hi < math.inf:
         raise ValueError("invalid range")
     raw = np.geomspace(lo, hi, points)
     out: list[int] = []

@@ -184,10 +184,15 @@ def cmd_minimize(args) -> int:
     if args.n is not None:
         if args.n < 1:
             raise InputError("--n must be a positive integer")
-        N, p = args.n, 1.0 / args.n
+        try:
+            N, p = args.n, 1.0 / args.n
+        except OverflowError as exc:
+            raise InputError(f"--n is too large: {exc}") from exc
     else:
-        if not (args.p > 0):
-            raise InputError("--p must be positive")
+        if not (0 < args.p < math.inf):
+            raise InputError("--p must be positive and finite")
+        if not math.isfinite(1.0 / args.p):
+            raise InputError(f"--p {args.p!r} is too small: 1/p overflows")
         p = args.p
         N = max(1, math.ceil(1.0 / p))
     sol = minimize_chain(N, p, args.tol)

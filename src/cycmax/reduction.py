@@ -18,22 +18,23 @@ makes this module the computational workhorse of the package.
 Minimization runs per support size k.  Fixing the last entry s of the
 support, the first-order conditions become a backward recurrence that
 determines the whole support from s, so each k reduces to one scalar
-equation on s in (p, 1).  The recurrence is the same for every k, so
-one batched shooting pass serves a whole chunk of support sizes: the
-roots are bracketed on a log grid and refined by multisection in
-extended precision, all sizes together; the projected stationarity
-residual, also in extended precision, certifies each solve.  Support
-sizes are taken upward, in chunks of doubling size, until the value
-stops improving.
-Independent nested grid searches over the simplex serve as cross-check
-oracles at small N.
+equation on s in (p, 1).  The recurrence is the same for every k and
+differs between prices only in its start, so one batched shooting pass
+serves a whole chunk of support sizes of many problems (N, p) at once:
+the roots are bracketed on a log grid and refined by multisection in
+extended precision, all sizes and all problems together; the projected
+stationarity residual, also in extended precision, certifies each solve.
+Each problem takes its support sizes upward, in chunks of doubling size,
+until the value stops improving; a sweep over n solves all its n in the
+same passes, round by round.  Independent nested grid searches over the
+simplex serve as cross-check oracles at small N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -206,11 +207,22 @@ def _residual_ld(x: np.ndarray, p) -> float:
 #
 # The recurrence from s does not depend on k: step m gives the entry m
 # places before the last, and q_0 of support size k is q after k-1 steps.
-# So one trajectory over a log grid of s samples q_0 of every support size
-# at once, and the sign-change brackets of all sizes are refined together
-# by multisection in extended precision, each column of a shooting pass
-# stopping at its own depth.  A pass costs a fixed number of numpy calls
-# whatever its width.
+# Nor does it depend on the problem (N, p) except through p, so columns of
+# many problems, each with its own p and lam, run in one shooting pass.
+# The kernel clamps q at zero: a column whose q_j turns nonpositive has
+# x = 0 from the next step on and stays at q = 0, so q_0 > 0 exactly when
+# every q_j stayed positive, and no mask is needed.  Columns are ordered by
+# depth, descending, so step m works only on the prefix of columns that
+# still run.  A pass costs a fixed number of numpy calls per step whatever
+# its width.
+#
+# Problems are solved in rounds.  Round r takes the r-th chunk of support
+# sizes of every problem still running: one pass over the log grids of s
+# of all of them samples q_0 of every size of every chunk, the sign-change
+# brackets of all sizes are refined together by multisection in extended
+# precision, and one more pass over both ends of every bracket gives the
+# genuineness test and the entries of the roots.  A problem leaves the
+# rounds when its stop rule fires.
 
 # Points of the log grid over [p, 1] on which q_0 is sampled for sign
 # changes.  One support size can carry close pairs of stationary points:
@@ -236,141 +248,164 @@ _VALUE_RTOL = 1e-12
 _CHUNK_SLACK = 3
 
 
-def _shoot(s: np.ndarray, depth: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
-    """Run the recurrence for trial last entries s, column by column.
+def _shoot(s: np.ndarray, p, depth: np.ndarray, entries: bool = False):
+    """Run the recurrence from the trial last entries s, one column each.
 
-    Column i stops after depth[i] steps (support size depth[i] + 1) and
-    reports its q there, i.e. q_0, together with whether every earlier
-    q_j stayed positive.  A column whose q_j turns nonpositive before its
-    depth stops there and reports that q_j in place of q_0: both vanish
-    together (x_0 is proportional to q_j), so the reported function stays
-    continuous.  Stopped and finished columns are frozen at zero, and
-    running ones stay bounded because q_{j-1} = q_j (1 - lam x_j) > 0
-    forces x_j < 1/lam <= 1, so nothing can overflow.
+    The columns are the entries of s in C order, and p broadcasts against
+    s.  Column i starts from s[i] at price p[i] and runs depth[i] steps;
+    the columns must come sorted by depth, descending.
+    Returns a boolean table of depth[0] rows whose row m-1 tells whether
+    q > 0 after m steps, so a column has q_0 > 0 when its row depth-1
+    says so, and reached q_0 at all when its row depth-2 does; with
+    ``entries``, also the table of x after m steps, the entry m places
+    before the last (unnormalized).  Both tables read zero past a column's
+    depth.  Running columns stay bounded because q_{j-1} = q_j (1 - lam x_j)
+    > 0 forces x_j < 1/lam <= 1, and stopped ones are zero, so nothing can
+    overflow.
     """
-    lam = s / p
-    q = s * (1 - s) / p
-    x = s.copy()
-    reached = np.ones(len(s), dtype=bool)
-    out = np.zeros(len(s), dtype=LD)
-    for m in range(1, int(depth.max(initial=0)) + 1):
-        x *= q
-        q -= lam * x
-        stop = reached & (depth > m) & (q <= 0)
-        reached &= ~stop
-        end = stop | (reached & (depth == m))
-        out[end] = q[end]
-        q[end] = 0
-        x[end] = 0
-    return out, reached
+    steps = int(depth[0]) if len(depth) else 0
+    # how many columns still run at steps 1, 2, ..., steps
+    live = np.searchsorted(-depth, -np.arange(1, steps + 1), side="right").tolist()
+    x = np.array(s, dtype=LD)
+    lam = (x / p).ravel()
+    q = 1 - x
+    q *= x
+    q /= p
+    q, x = q.ravel(), x.ravel()
+    lam_x = np.empty_like(x)
+    positive = np.zeros((steps, len(x)), dtype=bool)
+    xs = np.zeros((steps, len(x)), dtype=LD) if entries else None
+    for m, n in enumerate(live):
+        xm, qm, tm = x[:n], q[:n], lam_x[:n]
+        xm *= qm
+        np.multiply(lam[:n], xm, out=tm)
+        qm -= tm
+        np.maximum(qm, 0, out=qm)
+        np.greater(qm, 0, out=positive[m, :n])
+        if entries:
+            xs[m, :n] = xm
+    return positive, xs
 
 
-def _trajectory(s: np.ndarray, steps: int, p) -> tuple[np.ndarray, np.ndarray]:
-    """Entries and q of the recurrence after m = 1..steps steps (row m-1).
-
-    Row m-1 holds the entry m places before the last (unnormalized) and
-    q_0 of support size m+1.  A trial stops at its first nonpositive q,
-    and its rows from there on are zero: no size it has not reached can
-    have a positive q_0.  Cost and memory grow with the number of trials
-    times ``steps``, so this serves the shared grid and the final roots.
-    """
-    lam = s / p
-    q = s * (1 - s) / p
-    x = s.copy()
-    xs = np.empty((steps, len(s)), dtype=LD)
-    qs = np.empty((steps, len(s)), dtype=LD)
-    for m in range(steps):
-        x *= q
-        q -= lam * x
-        stop = q <= 0
-        q[stop] = 0
-        x[stop] = 0
-        xs[m], qs[m] = x, q
-    return xs, qs
-
-
-def _refine(lo: np.ndarray, hi: np.ndarray, lo_positive: np.ndarray, depth: np.ndarray, p):
+def _refine(lo: np.ndarray, hi: np.ndarray, lo_positive: np.ndarray, depth: np.ndarray, p: np.ndarray):
     """Shrink sign-change brackets of q_0 until their ends are adjacent.
 
+    Brackets are sorted by depth, descending, and each has its own p.
     Each pass shoots the interior points of every bracket's bisection
     tree at once and replays bisection over their signs, so the brackets
     end exactly where plain bisection would leave them.
     """
     parts = 2**_LEVELS
-    cols = np.arange(len(lo))
+    rows = np.arange(len(lo))
+    # the interior points of a bracket are adjacent columns of the shoot
+    depth_pts = np.repeat(depth, parts - 1)
+    at_depth = (depth_pts - 1, np.arange(len(depth_pts)))
     while True:
         mid = (lo + hi) / 2
         if np.all((mid <= lo) | (mid >= hi)):
             return lo, hi
-        # pts[i] is the point i/parts of the way from lo to hi, computed by
-        # the same halvings bisection would make
-        pts = np.empty((parts + 1, len(lo)), dtype=LD)
-        pts[0], pts[parts] = lo, hi
+        # pts[:, i] is the point i/parts of the way from lo to hi, computed
+        # by the same halvings bisection would make
+        pts = np.empty((len(lo), parts + 1), dtype=LD)
+        pts[:, 0], pts[:, parts] = lo, hi
         step = parts // 2
         while step:
-            pts[step::2 * step] = (pts[: -step : 2 * step] + pts[2 * step :: 2 * step]) / 2
+            pts[:, step::2 * step] = (pts[:, : -step : 2 * step] + pts[:, 2 * step :: 2 * step]) / 2
             step //= 2
-        q0 = _shoot(pts[1:parts].ravel(), np.tile(depth, parts - 1), p)[0]
-        positive = (q0 > 0).reshape(parts - 1, -1)  # row i - 1 holds point i
+        positive = _shoot(pts[:, 1:parts], p[:, None], depth_pts)[0][at_depth]
+        positive = positive.reshape(len(lo), parts - 1)  # column i - 1 holds point i
         a = np.zeros(len(lo), dtype=int)
         b = np.full(len(lo), parts)
         for _ in range(_LEVELS):
             c = (a + b) // 2
-            same = positive[c - 1, cols] == lo_positive
+            same = positive[rows, c - 1] == lo_positive
             a = np.where(same, c, a)
             b = np.where(same, b, c)
-        lo, hi = pts[a, cols], pts[b, cols]
+        lo, hi = pts[rows, a], pts[rows, b]
 
 
-def _solve_supports(ks: Sequence[int], p: float) -> list[Optional[tuple[np.ndarray, np.longdouble]]]:
-    """Lowest-value positive stationary point of each support size k >= 2.
+def _grid_brackets(ks: np.ndarray, owner: np.ndarray, ps: np.ndarray, deepest: np.ndarray):
+    """Sign-change brackets of q_0 on the log grid.
 
-    Gives, per k, the longdouble entries (sum 1) and their value, or None
-    when no admissible root exists.  All sizes share one grid trajectory,
-    one refinement loop and one genuineness shoot.  Brackets whose negative
-    end stops before q_0 close on a point where a leading entry vanishes,
-    which belongs to a smaller support, and are discarded.
+    Problem j has price ps[j] and deepest support size deepest[j] + 1, and
+    the problems come deepest first; row g stands for support size ks[g]
+    of problem owner[g].  One shooting pass samples every row.  Gives, per
+    bracket, its row, its ends and whether q_0 > 0 at its lower end, in
+    the order of the rows.
     """
-    pld = LD(p)
-    depth_of = np.asarray(ks, dtype=int) - 1
     t = np.linspace(0, 1, BRACKET_POINTS, dtype=LD)
-    grid = pld ** (1 - t)
-    positive = _trajectory(grid, int(depth_of.max(initial=0)), pld)[1][depth_of - 1] > 0
+    grid = ps[:, None] ** (1 - t)
+    signs = _shoot(grid, ps[:, None], np.repeat(deepest, BRACKET_POINTS))[0]
+    positive = signs.reshape(-1, len(ps), BRACKET_POINTS)[ks - 2, owner]
     rows, cross = np.nonzero(positive[:, :-1] != positive[:, 1:])
-    depth = depth_of[rows]
-    lo_positive = positive[rows, cross]
-    lo, hi = _refine(grid[cross], grid[cross + 1], lo_positive, depth, pld)
+    at = owner[rows]
+    return rows, grid[at, cross], grid[at, cross + 1], positive[rows, cross]
+
+
+def _solve_supports(
+    chunks: Sequence[tuple[Sequence[int], float]],
+) -> list[list[Optional[tuple[np.ndarray, np.longdouble]]]]:
+    """Lowest-value positive stationary point of each support size of each chunk.
+
+    A chunk is a pair (ks, p) of ascending support sizes k >= 2 and a
+    price.  Gives, per chunk and per k, the longdouble entries (sum 1) and
+    their value, or None when no admissible root exists.  All chunks share
+    one grid pass, one refinement loop and one final pass.  Brackets whose
+    negative end stops before q_0 close on a point where a leading entry
+    vanishes, which belongs to a smaller support, and are discarded.
+    """
+    # deepest chunk first, so that the grid columns are ordered by depth
+    order = sorted(range(len(chunks)), key=lambda i: -chunks[i][0][-1])
+    ps = np.array([chunks[i][1] for i in order], dtype=LD)
+    deepest = np.array([chunks[i][0][-1] - 1 for i in order])
+    # one row per (chunk, k), largest k first, so that the brackets come out
+    # ordered by depth
+    groups = sorted(((k, j) for j, i in enumerate(order) for k in chunks[i][0]), key=lambda g: -g[0])
+    ks = np.array([k for k, _ in groups])
+    owner = np.array([j for _, j in groups])
+    rows, lo, hi, lo_positive = _grid_brackets(ks, owner, ps, deepest)
+    depth = ks[rows] - 1
+    at = owner[rows]
+    lo, hi = _refine(lo, hi, lo_positive, depth, ps[at])
     s_pos = np.where(lo_positive, lo, hi)
     s_neg = np.where(lo_positive, hi, lo)
-    genuine = _shoot(s_neg, depth, pld)[1]
 
-    found = []
-    for row, k in enumerate(ks):
-        keep = genuine & (rows == row)
+    # the negative end of a bracket tells whether q_0 was reached, and the
+    # positive end, a root, gives the entries
+    ends = np.stack([s_neg, s_pos], axis=1)
+    signs, xs = _shoot(ends, ps[at, None], np.repeat(depth, 2), entries=True)
+    neg = 2 * np.arange(len(depth))
+    genuine = np.where(depth > 1, signs[depth - 2, neg], True)
+
+    found = [[None] * len(ks_i) for ks_i, _ in chunks]
+    # values are taken one (chunk, k) at a time, on arrays shaped as in a
+    # per-size solve: numpy sums a single column pairwise and several row
+    # by row, so a wider array could change the last bit
+    bounds = np.searchsorted(rows, np.arange(len(groups) + 1)).tolist()
+    for (k, j), a, b in zip(groups, bounds, bounds[1:]):
+        keep = genuine[a:b]
         if not keep.any():
-            found.append(None)
             continue
-        s = s_pos[keep]
-        x = np.empty((k, len(s)), dtype=LD)
-        x[-1] = s
-        x[:-1] = _trajectory(s, k - 1, pld)[0][::-1]
+        x = np.empty((k, int(keep.sum())), dtype=LD)
+        x[-1] = s_pos[a:b][keep]
+        x[:-1] = xs[k - 2 :: -1, neg[a:b][keep] + 1]
         x = x / x.sum(axis=0)
-        values = _value_ld(x, pld)
+        values = _value_ld(x, ps[j])
         best = int(np.argmin(values))
-        found.append((x[:, best], values[best]))
+        found[order[j]][k - chunks[order[j]][0][0]] = (x[:, best], values[best])
     return found
 
 
-def _solve_in_chunks(p: float, kmax: int):
-    """``_solve_supports`` for k = 2..kmax in order, in chunks of doubling size.
+def _chunks(p: float, kmax: int) -> Iterator[range]:
+    """Support sizes k = 2..kmax in order, in chunks of doubling size.
 
-    Chunks are solved only when the previous one is used up, so a caller
+    A chunk is solved only when the previous one is used up, so a problem
     that stops early wastes at most the rest of one chunk.
     """
     k = 2
     end = min(kmax, max(k, math.ceil(math.log(1.0 / p)) + _CHUNK_SLACK))
     while k <= kmax:
-        yield from _solve_supports(range(k, end + 1), p)
+        yield range(k, end + 1)
         k, end = end + 1, min(kmax, end + 2 * (end + 1 - k))
 
 
@@ -414,6 +449,83 @@ class ReducedSolution:
         }
 
 
+def _solution(N: int, p: float, tol: float, x: np.ndarray, value) -> ReducedSolution:
+    """The solution with longdouble support entries x, certified against ``tol``."""
+    entries = np.asarray(x, dtype=float)
+    entries /= entries.sum()
+    residual = _residual_ld(x, LD(p))
+    return ReducedSolution(
+        N=N,
+        p=p,
+        value=float(value),
+        entries=entries,
+        stationarity_residual=residual,
+        converged=residual <= tol,
+    )
+
+
+class _Run:
+    """One problem's walk over its chunks of support sizes, and its best solutions."""
+
+    def __init__(self, N: int, p: float, tol: float, kmax: int):
+        self.N, self.p, self.tol = N, p, tol
+        self.chunks = _chunks(p, kmax)
+        self.chunk: Optional[range] = None
+        self.best = self.best_conv = _solution(N, p, tol, np.ones(1, dtype=LD), 1.0 / p)
+
+    def advance(self) -> bool:
+        """Move to the next chunk; False when none is left."""
+        self.chunk = next(self.chunks, None)
+        return self.chunk is not None
+
+    def take(self, found) -> bool:
+        """Walk a solved chunk in k order; False once the stop rule fires."""
+        for item in found:
+            if item is None or not item[1] < self.best.value:
+                return False
+            self.best = _solution(self.N, self.p, self.tol, *item)
+            if self.best.converged:
+                self.best_conv = self.best
+        return True
+
+    def outcome(self):
+        """The best converged solution, or a NonConvergence carrying the best one."""
+        slack = abs(self.best.value) * _VALUE_RTOL + 1e-15
+        if self.best_conv.value <= self.best.value + slack:
+            return self.best_conv
+        return NonConvergence(
+            f"no support size reached stationarity {self.tol:g} "
+            f"at the best value {self.best.value:.12g}",
+            best=self.best,
+        )
+
+
+def _minimize_many(problems: Sequence[tuple[int, float]], tol: float = STATIONARITY_TOL) -> list:
+    """Minimize the chain sum for every (N, p) of ``problems`` together.
+
+    Each problem walks its support sizes as ``minimize_chain`` describes,
+    and all of them share their shooting passes: round r solves the r-th
+    chunk of every problem still running, and a problem leaves the rounds
+    when its stop rule fires.  Gives, per problem, its ReducedSolution or
+    the NonConvergence that ``minimize_chain`` raises.
+    """
+    runs = []
+    for N, p in problems:
+        if N < 1:
+            raise ValueError("N must be a positive integer")
+        if not (p > 0) or not math.isfinite(p):
+            raise ValueError("p must be positive and finite")
+        if not math.isfinite(1.0 / p):
+            raise ValueError(f"p = {p!r} is too small: 1/p overflows")
+        runs.append(_Run(N, p, tol, min(N, max(1, math.ceil(1.0 / p)))))
+
+    running = [run for run in runs if run.advance()]
+    while running:
+        found = _solve_supports([(run.chunk, run.p) for run in running])
+        running = [run for run, f in zip(running, found) if run.take(f) and run.advance()]
+    return [run.outcome() for run in runs]
+
+
 def minimize_chain(N: int, p: float, tol: float = STATIONARITY_TOL) -> ReducedSolution:
     """Minimize the chain sum over the N-simplex at price p.
 
@@ -421,47 +533,17 @@ def minimize_chain(N: int, p: float, tol: float = STATIONARITY_TOL) -> ReducedSo
     the bound past which enlarging the simplex cannot help.  Enumeration
     stops at the first size whose best stationary point has no root or
     does not strictly lower the value.  Sizes are solved in chunks (see
-    ``_solve_in_chunks``); chunking saves shooting passes and never
-    changes which size is kept.  The certificate of each solve is its
-    projected stationarity residual in extended precision; raises
-    NonConvergence (carrying the best solution) only if the best value
-    belongs to a solve whose residual exceeds ``tol``.
+    ``_chunks``); chunking saves shooting passes and never changes which
+    size is kept.  The certificate of each solve is its projected
+    stationarity residual in extended precision; raises NonConvergence
+    (carrying the best solution) only if the best value belongs to a
+    solve whose residual exceeds ``tol``.  Rejects a p so small that 1/p
+    overflows a float.  ``_minimize_many`` solves many (N, p) at once.
     """
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if not (p > 0) or not math.isfinite(p):
-        raise ValueError("p must be positive and finite")
-    kmax = min(N, max(1, math.ceil(1.0 / p)))
-
-    def solution(x: np.ndarray, value) -> ReducedSolution:
-        entries = np.asarray(x, dtype=float)
-        entries /= entries.sum()
-        residual = _residual_ld(x, LD(p))
-        return ReducedSolution(
-            N=N,
-            p=p,
-            value=float(value),
-            entries=entries,
-            stationarity_residual=residual,
-            converged=residual <= tol,
-        )
-
-    best = best_conv = solution(np.ones(1, dtype=LD), 1.0 / p)
-    for found in _solve_in_chunks(p, kmax):
-        if found is None or not found[1] < best.value:
-            break
-        best = solution(*found)
-        if best.converged:
-            best_conv = best
-
-    slack = abs(best.value) * _VALUE_RTOL + 1e-15
-    if best_conv.value <= best.value + slack:
-        return best_conv
-    raise NonConvergence(
-        f"no support size reached stationarity {tol:g} "
-        f"at the best value {best.value:.12g}",
-        best=best,
-    )
+    result = _minimize_many([(N, p)], tol)[0]
+    if isinstance(result, NonConvergence):
+        raise result
+    return result
 
 
 def minimize_noncyclic(N: int, p: float) -> ReducedSolution:

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from cycmax import (
@@ -17,6 +19,9 @@ from cycmax.asymptotics import (
     geometric_witness,
     records_to_csv,
 )
+import cycmax.reduction as reduction
+from cycmax.errors import NonConvergence
+import oracles
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -83,6 +88,112 @@ class TestSweep:
         assert [r.s_star for r in a] == [r.s_star for r in b]
 
 
+def benchmark_sweep_grids(seed):
+    """The twelve n-grids of the benchmark's sweep workload for one seed.
+
+    Each is ``geometric_grid(1e3 f, 1e6 f, 8)`` with f = 2**((u0 + j g) mod 1),
+    u0 the seed's first draw and g the golden ratio minus one, as
+    ``perfbench/workloads.py`` builds them.
+    """
+    u0 = random.Random(seed).random()
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    factors = [2.0 ** ((u0 + j * golden) % 1.0) for j in range(12)]
+    return [geometric_grid(1e3 * f, 1e6 * f, 8) for f in factors]
+
+
+def assert_records_match_oracle(records, ns):
+    """Each record equals the per-size oracle's solve at p = 1/n, bit for bit.
+
+    Gives the oracle's solutions.
+    """
+    assert [r.n for r in records] == ns
+    wants = []
+    for rec in records:
+        try:
+            want = oracles.minimize_by_support(rec.n, 1.0 / rec.n)
+        except NonConvergence as exc:
+            want = exc.best
+        assert rec.s_star == want.value, rec.n
+        assert rec.support == want.support, rec.n
+        assert rec.residual == want.stationarity_residual, rec.n
+        assert rec.converged == want.converged, rec.n
+        assert rec.deficit == math.e * math.log(rec.n) - want.value, rec.n
+        wants.append(want)
+    return wants
+
+
+class TestBatchedSweep:
+    """One batched solve for every n against a per-n, per-size oracle."""
+
+    def test_benchmark_grids_match_the_per_n_oracle(self):
+        for ns in benchmark_sweep_grids(5):
+            wants = assert_records_match_oracle(sweep(ns), ns)
+            # records carry no entries, so read them off the batched core
+            sols = reduction._minimize_many([(n, 1.0 / n) for n in ns])
+            for n, sol, want in zip(ns, sols, wants):
+                assert np.array_equal(sol.entries, want.entries), n
+
+    def test_problems_leaving_in_different_rounds(self, monkeypatch):
+        rounds = []
+
+        def recorded(chunks):
+            rounds.append([list(ks) for ks, _ in chunks])
+            return solve_supports(chunks)
+
+        solve_supports = reduction._solve_supports
+        monkeypatch.setattr(reduction, "_solve_supports", recorded)
+        monkeypatch.setattr(reduction, "_CHUNK_SLACK", -100)
+        ns = [1, 2, 3, 10, 40, 1000, 372759, 10**9]
+        assert_records_match_oracle(sweep(ns), ns)
+        # chunks [2], [3, 4], [5..8], [9..16], [17..32], cut at min(N, ceil(n)):
+        # n = 1 has only support 1 and joins no round, n = 2 runs out of sizes
+        # after the first round, 3 and 10 stop in the second, 40 in the third,
+        # 1000 and 372759 in the fourth and 10**9 in the fifth
+        assert [len(r) for r in rounds] == [7, 6, 4, 3, 1]
+        assert rounds[1][0] == [3] and rounds[1][1] == [3, 4]
+        assert rounds[-1] == [list(range(17, 33))]
+
+    def test_nonconvergent_point_keeps_its_own_best(self):
+        ns = geometric_grid(1e3, 1e10, 8)
+        records = sweep(ns)
+        assert ns[-1] == 10**10
+        assert [r.converged for r in records] == [True] * 7 + [False]
+        assert records[-1].residual > 1e-10 and records[-1].support == 24
+        assert_records_match_oracle(records, ns)
+        assert_records_match_oracle(records[:-1], ns[:-1])
+        # the points before it read as they do in a sweep without it
+        alone = sweep(ns[:-1])
+        assert [(r.s_star, r.support, r.residual) for r in alone] == [
+            (r.s_star, r.support, r.residual) for r in records[:-1]
+        ]
+
+    def test_one_grid_pass_and_one_refinement_per_sweep(self, monkeypatch):
+        calls = []
+        shoot, refine = reduction._shoot, reduction._refine
+
+        def counted_shoot(s, *args, **kwargs):
+            calls.append(("shoot", np.size(s)))
+            return shoot(s, *args, **kwargs)
+
+        def counted_refine(lo, *args):
+            calls.append(("refine", len(lo)))
+            mark = len(calls)
+            out = refine(lo, *args)
+            del calls[mark:]  # the refinement's own shooting passes
+            return out
+
+        monkeypatch.setattr(reduction, "_shoot", counted_shoot)
+        monkeypatch.setattr(reduction, "_refine", counted_refine)
+        ns = geometric_grid(1e3, 1e6, 8)
+        sweep(ns)
+        # the grid pass over 400 points of every n, one refinement of every
+        # bracket, one final pass over both ends of every bracket
+        kinds = [kind for kind, _ in calls]
+        assert kinds == ["shoot", "refine", "shoot"]
+        assert calls[0][1] == len(ns) * reduction.BRACKET_POINTS
+        assert calls[2][1] == 2 * calls[1][1]
+
+
 class TestGeometricGrid:
     def test_small(self):
         assert geometric_grid(1, 3, 3) == [1, 2, 3]
@@ -97,7 +208,7 @@ class TestGeometricGrid:
         assert grid[0] == 1000 and grid[-1] == 1000000
 
     def test_rejects_bad_ranges(self):
-        for args in [(0, 10, 3), (10, 5, 3), (1, 10, 0)]:
+        for args in [(0, 10, 3), (10, 5, 3), (1, 10, 0), (1, math.inf, 3), (math.nan, 10, 3)]:
             with pytest.raises(ValueError):
                 geometric_grid(*args)
 

@@ -214,6 +214,18 @@ class TestMinimize:
         assert run_cli(capsys, "minimize")[0] == 1
         assert run_cli(capsys, "minimize", "--n", "2", "--p", "0.5")[0] == 1
 
+    @pytest.mark.parametrize("p", ["1e-320", "5e-324", "inf", "nan", "0"])
+    def test_rejects_a_price_whose_inverse_overflows(self, capsys, p):
+        # 1/p is inf for a subnormal p; ceil(1/p) used to raise OverflowError
+        code, out, err = run_cli(capsys, "minimize", "--p", p)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --p")
+
+    def test_rejects_an_n_too_large_for_a_float(self, capsys):
+        code, out, err = run_cli(capsys, "minimize", "--n", "1" + "0" * 400)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --n is too large")
+
     def test_oracle_refused_for_large_n(self, capsys):
         assert run_cli(capsys, "minimize", "--n", "6", "--oracle")[0] == 1
 
@@ -255,6 +267,11 @@ class TestSweep:
     def test_empty_range_exits_1(self, capsys):
         assert run_cli(capsys, "sweep", "--from", "5", "--to", "3", "--points", "2")[0] == 1
         assert run_cli(capsys, "sweep", "--from", "1", "--to", "3", "--points", "0")[0] == 1
+
+    @pytest.mark.parametrize("stop", ["1e400", "inf", "nan"])
+    def test_infinite_range_exits_1(self, capsys, stop):
+        code, out, err = run_cli(capsys, "sweep", "--from", "1000", "--to", stop, "--points", "3")
+        assert code == 1 and out == "" and err.startswith("error: ")
 
 
 class TestVerify:

@@ -26,7 +26,6 @@ from cycmax.reduction import (
     _refine,
     _shoot,
     _solve_supports,
-    _trajectory,
     chain_gradient,
     chain_gradient_fd,
     gradient_agreement,
@@ -237,6 +236,14 @@ class TestMinimizeChain:
         with pytest.raises(ValueError):
             minimize_chain(3, math.inf)
 
+    @pytest.mark.parametrize("p", [5e-324, 1e-320, 5e-309])
+    def test_rejects_a_price_whose_inverse_overflows(self, p):
+        assert math.isinf(1.0 / p)
+        with pytest.raises(ValueError, match="1/p overflows"):
+            minimize_chain(10, p)
+        with pytest.raises(ValueError, match="1/p overflows"):
+            reduction._minimize_many([(10, 1e-3), (10, p)])
+
     def test_nonconvergence_carries_best_iterate(self):
         with pytest.raises(NonConvergence) as exc_info:
             minimize_chain(10, 0.01, tol=1e-300)
@@ -260,9 +267,10 @@ def full_scan(N, p):
     """Best stationary point over every support size up to min(N, ceil(1/p))."""
     best_value, best_k = 1.0 / p, 1
     ks = range(2, min(N, math.ceil(1.0 / p)) + 1)
-    for k, found in zip(ks, _solve_supports(ks, p)):
-        if found is not None and found[1] < best_value:
-            best_value, best_k = float(found[1]), k
+    if ks:
+        for k, found in zip(ks, _solve_supports([(ks, p)])[0]):
+            if found is not None and found[1] < best_value:
+                best_value, best_k = float(found[1]), k
     return best_value, best_k
 
 
@@ -288,28 +296,58 @@ class TestBatchedSolve:
     def test_shoots_match_per_size_shoots(self):
         p = LD(1e-4)
         s = p ** (1 - np.linspace(0, 1, 50, dtype=LD))
-        ks = [2, 3, 7, 12, 16]
-        q0, reached = _shoot(np.tile(s, len(ks)), np.repeat(np.array(ks) - 1, len(s)), p)
-        xs, qs = _trajectory(s, max(ks) - 1, p)
+        ks = [16, 12, 7, 3, 2]  # columns ordered by depth, descending
+        depth = np.repeat(np.array(ks) - 1, len(s))
+        positive, xs = _shoot(np.tile(s, len(ks)), p, depth, entries=True)
         for row, k in enumerate(ks):
             want_x, want_q0, want_reached = oracles.shoot(s, k, p)
             cols = slice(row * len(s), (row + 1) * len(s))
-            assert np.array_equal(q0[cols], want_q0), k
-            assert np.array_equal(reached[cols], want_reached), k
-            assert np.array_equal(qs[k - 2] > 0, want_q0 > 0), k
-            assert np.array_equal(xs[k - 2 :: -1, want_q0 > 0], want_x[:-1, want_q0 > 0]), k
+            assert np.array_equal(positive[k - 2, cols], want_q0 > 0), k
+            reached = positive[k - 3, cols] if k > 2 else np.ones(len(s), dtype=bool)
+            assert np.array_equal(reached, want_reached), k
+            assert np.array_equal(xs[k - 2 :: -1, cols][:, want_reached], want_x[:-1, want_reached]), k
+            # a column reads zero past its own depth
+            assert not positive[k - 1 :, cols].any() and not xs[k - 1 :, cols].any(), k
+
+    def test_shoot_columns_of_two_prices_match_separate_shoots(self):
+        # each column carries its own p: one call over both prices equals
+        # one call per price, bit for bit, and both equal the per-size shoot
+        t = np.linspace(0, 1, 60, dtype=LD)
+        cases = [(LD(1.0 / 372759), 14), (LD(0.02), 5)]  # deeper first
+        s = np.concatenate([p ** (1 - t) for p, _ in cases])
+        p = np.repeat([p for p, _ in cases], len(t))
+        depth = np.repeat([k - 1 for _, k in cases], len(t))
+        positive, xs = _shoot(s, p, depth, entries=True)
+        for row, (pk, k) in enumerate(cases):
+            cols = slice(row * len(t), (row + 1) * len(t))
+            alone, alone_x = _shoot(pk ** (1 - t), pk, np.full(len(t), k - 1), entries=True)
+            assert np.array_equal(positive[: k - 1, cols], alone), k
+            assert np.array_equal(xs[: k - 1, cols], alone_x), k
+            want_x, want_q0, want_reached = oracles.shoot(pk ** (1 - t), k, pk)
+            assert np.array_equal(positive[k - 2, cols], want_q0 > 0), k
+            assert np.array_equal(positive[k - 3, cols], want_reached), k
+            assert np.array_equal(xs[k - 2 :: -1, cols][:, want_reached], want_x[:-1, want_reached]), k
 
     def test_refine_stops_where_bisection_does(self):
-        p = LD(1.0 / 138950)
-        grid = p ** (1 - np.linspace(0, 1, BRACKET_POINTS, dtype=LD))
-        for k in (2, 9, 13, 14):
+        # brackets of several sizes and two prices, refined in one call
+        cases = [(LD(1.0 / 138950), k) for k in (14, 13, 9, 2)] + [(LD(1e-3), 7)]
+        groups = []
+        for p, k in cases:
+            grid = p ** (1 - np.linspace(0, 1, BRACKET_POINTS, dtype=LD))
             positive = oracles.shoot(grid, k, p)[1] > 0
             cross = np.nonzero(positive[:-1] != positive[1:])[0]
-            lo, hi = grid[cross], grid[cross + 1]
-            depth = np.full(len(cross), k - 1)
-            got = _refine(lo, hi, positive[cross], depth, p)
-            want = oracles.bisect(lo, hi, k, p)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), k
+            groups.append((p, k, grid[cross], grid[cross + 1], positive[cross]))
+        groups.sort(key=lambda g: -g[1])
+        lo, hi, lo_positive = (np.concatenate([g[i] for g in groups]) for i in (2, 3, 4))
+        depth = np.concatenate([np.full(len(g[2]), g[1] - 1) for g in groups])
+        p = np.concatenate([np.full(len(g[2]), g[0]) for g in groups])
+        got_lo, got_hi = _refine(lo, hi, lo_positive, depth, p)
+        start = 0
+        for pk, k, glo, ghi, _ in groups:
+            cols = slice(start, start + len(glo))
+            start += len(glo)
+            want = oracles.bisect(glo, ghi, k, pk)
+            assert np.array_equal(got_lo[cols], want[0]) and np.array_equal(got_hi[cols], want[1]), k
 
     def test_bit_identical_to_per_size_oracle(self):
         rng = np.random.default_rng(31)
@@ -326,9 +364,10 @@ class TestBatchedSolve:
     def test_doubling_chunks_give_the_same_solution(self, monkeypatch):
         chunks = []
 
-        def recorded(ks, p):
+        def recorded(problems):
+            (ks, _), = problems
             chunks.append(list(ks))
-            return _solve_supports(ks, p)
+            return _solve_supports(problems)
 
         monkeypatch.setattr(reduction, "_solve_supports", recorded)
         monkeypatch.setattr(reduction, "_CHUNK_SLACK", -100)
