@@ -13,6 +13,7 @@ Reference value for the constant: A = 1.70465603718...
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from io import StringIO
 from typing import Iterable, Optional, Sequence
@@ -46,11 +47,21 @@ class SweepRecord:
         )
 
 
+def _price(n: int) -> float:
+    """The price 1/n as a float; n must lie inside the float range."""
+    try:
+        return 1.0 / n
+    except OverflowError:
+        raise ValueError(
+            f"n is too large: it must lie within the float range (at most {sys.float_info.max:.6g})"
+        ) from None
+
+
 def inf_s(n: int) -> float:
     """Minimum of the maximal-average cyclic sum over n-tuples."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return minimize_chain(n, 1.0 / n).value
+    return minimize_chain(n, _price(n)).value
 
 
 def sweep(n_values: Sequence[int], tol: float = STATIONARITY_TOL) -> list[SweepRecord]:
@@ -72,7 +83,7 @@ def sweep(n_values: Sequence[int], tol: float = STATIONARITY_TOL) -> list[SweepR
         raise ValueError("n values must be sorted ascending")
 
     records = []
-    for n, sol in zip(values, _minimize_many([(n, 1.0 / n) for n in values], tol)):
+    for n, sol in zip(values, _minimize_many([(n, _price(n)) for n in values], tol)):
         if isinstance(sol, NonConvergence):
             sol = sol.best
         records.append(

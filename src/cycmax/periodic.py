@@ -22,7 +22,13 @@ every start in amortized O(n), and runs once per tuple.
 
 Two backends are supported: binary floats and exact rationals via
 ``fractions.Fraction`` (used where combinatorial decisions hinge on
-exact ties).
+exact ties).  A rational tuple keeps its prefix sums as Python integers,
+the numerators over one common denominator D (the lcm of the entry
+denominators), and compares averages exactly by cross-multiplication;
+``Fraction`` objects are built only for the values returned.  D bounds
+the denominator of every ``Fraction`` prefix sum of the entries, so the
+numbers grow no faster than summing ``Fraction`` objects would make them.
+Float comparisons divide, as a per-start scan does.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ class PeriodicTuple:
     maximal average strictly positive.
     """
 
-    __slots__ = ("n", "values", "backend", "_prefix", "_prefix3", "_total", "_profile")
+    __slots__ = ("n", "values", "backend", "_prefix3", "_den", "_profile")
 
     def __init__(self, values: Sequence[Number], backend: str | None = None):
         vals = list(values)
@@ -102,20 +108,28 @@ class PeriodicTuple:
         self.values = tuple(vals)
         self.backend = backend
 
+        # The prefix table holds floats, or for rationals the integer
+        # numerators over the common denominator ``_den``.
+        if backend == RATIONAL:
+            self._den = math.lcm(*(v.denominator for v in vals))
+            entries = [v.numerator * (self._den // v.denominator) for v in vals]
+            zero = 0
+        else:
+            self._den = None
+            entries = vals
+            zero = 0.0
         # One-period running sums; prefix[k] = x_1 + ... + x_k.
-        zero = Fraction(0) if backend == RATIONAL else 0.0
         prefix = [zero]
-        for v in vals:
+        for v in entries:
             prefix.append(prefix[-1] + v)
-        self._prefix = prefix
-        self._total = prefix[-1]
+        total = prefix[-1]
         # Three-period table for the maximal-average pass: starts 1..n read
         # their windows from the first two periods, and the third lets the
         # pass see every window of the second period's starts.
-        twice = self._total + self._total
+        twice = total + total
         self._prefix3 = (
             prefix
-            + [self._total + s for s in prefix[1:]]
+            + [total + s for s in prefix[1:]]
             + [twice + s for s in prefix[1:]]
         )
         if backend == FLOAT and not math.isfinite(self._prefix3[-1]):
@@ -123,13 +137,26 @@ class PeriodicTuple:
         # Filled by the first ``right_maximal_profile`` call.
         self._profile: Optional[Profile] = None
 
+    def _table(self, k: int):
+        """Prefix sum at any integer k, in table units."""
+        if 0 <= k <= 3 * self.n:
+            return self._prefix3[k]
+        q, r = divmod(k, self.n)
+        return q * self._prefix3[self.n] + self._prefix3[r]
+
+    def _ratio(self, s, r: int) -> Number:
+        """The average s / r of a table-unit sum s over r entries."""
+        if self._den is None:
+            return s / r
+        return Fraction(s, r * self._den)
+
     @property
     def total(self) -> Number:
-        return self._total
+        return self._ratio(self._prefix3[self.n], 1)
 
     @property
     def average(self) -> Number:
-        return self._total / self.n
+        return self._ratio(self._prefix3[self.n], self.n)
 
     def value(self, i: int) -> Number:
         """Entry at any integer index, via periodic extension."""
@@ -137,13 +164,10 @@ class PeriodicTuple:
 
     def prefix(self, k: int) -> Number:
         """Sum of entries at indices 1..k for any integer k (0 for k=0)."""
-        if 0 <= k <= 3 * self.n:
-            return self._prefix3[k]
-        q, r = divmod(k, self.n)
-        return q * self._total + self._prefix[r]
+        return self._ratio(self._table(k), 1)
 
     def interval_sum(self, interval: IndexInterval) -> Number:
-        return self.prefix(interval.b) - self.prefix(interval.a - 1)
+        return self._ratio(self._table(interval.b) - self._table(interval.a - 1), 1)
 
     def rotated(self, start: int) -> "PeriodicTuple":
         """The rotation beginning at index ``start``."""
@@ -170,7 +194,7 @@ class PeriodicTuple:
 
 def interval_average(x: PeriodicTuple, interval: IndexInterval) -> Number:
     """Mean of the entries of the periodic extension over ``interval``."""
-    return x.interval_sum(interval) / interval.cardinality
+    return x._ratio(x._table(interval.b) - x._table(interval.a - 1), interval.cardinality)
 
 
 class Profile(NamedTuple):
@@ -205,7 +229,9 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
     strictly greater than the average to the top; strict ``>`` keeps the
     shortest window on ties.  The top left after popping ends the maximal
     window starting at k+1, and the point that pops an entry starts the
-    smallest window containing that entry's window.
+    smallest window containing that entry's window.  Rational averages
+    are compared exactly on the integer table, a/b > c/d as a*d > c*b;
+    float averages as quotients, the operations of a per-start scan.
 
     Starts 1..n are read from the first period, so their window sums are
     the same differences of the same table entries as a per-start scan.
@@ -216,22 +242,24 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
     """
     n = x.n
     p = x._prefix3
+    den = x._den
+    exact = den is not None
     ends = [0] * n
     poppers: list[Optional[int]] = [None] * n  # for the points n..2n-1
     stack = [3 * n]
     for k in range(3 * n - 1, -1, -1):
         pk = p[k]
         top = stack[-1]
-        best = (p[top] - pk) / (top - k)
+        rise, run = p[top] - pk, top - k
         while len(stack) > 1:
             nxt = stack[-2]
-            avg = (p[nxt] - pk) / (nxt - k)
-            if not avg > best:
+            nrise, nrun = p[nxt] - pk, nxt - k
+            if not (nrise * run > rise * nrun if exact else nrise / nrun > rise / run):
                 break
             if n <= top < 2 * n:
                 poppers[top - n] = k
             stack.pop()
-            top, best = nxt, avg
+            top, rise, run = nxt, nrise, nrun
         if k < n:
             ends[k] = top
         stack.append(k)
@@ -239,7 +267,8 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
     values, lengths, parents = [], [], []
     for k in range(n):
         r = min(ends[k] - k, n)
-        values.append((p[k + r] - p[k]) / r)
+        s = p[k + r] - p[k]
+        values.append(Fraction(s, r * den) if exact else s / r)
         lengths.append(r)
         popper = poppers[k]
         parents.append(None if r == n or popper is None else popper % n + 1)

@@ -32,6 +32,7 @@ simplex serve as cross-check oracles at small N.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
@@ -579,17 +580,25 @@ def _chain_values(X: np.ndarray, p: float) -> np.ndarray:
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
-    """All nonnegative integer vectors of given length summing to total."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    rows = []
-    for first in range(total + 1):
-        rest = _compositions(total - first, parts - 1)
-        block = np.empty((len(rest), parts), dtype=np.int64)
-        block[:, 0] = first
-        block[:, 1:] = rest
-        rows.append(block)
-    return np.vstack(rows)
+    """All nonnegative integer vectors of given length summing to total.
+
+    Rows are in lexicographic order, enumerated by stars and bars: the
+    positions of the parts - 1 bars among total + parts - 1 slots, taken in
+    lexicographic order, fix the row, and the gaps between bars are its
+    entries.
+    """
+    slots = total + parts - 1
+    count = math.comb(slots, parts - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+        dtype=np.int64,
+        count=count * (parts - 1),
+    ).reshape(count, parts - 1)
+    edges = np.empty((count, parts + 1), dtype=np.int64)
+    edges[:, 0] = -1
+    edges[:, 1:-1] = bars
+    edges[:, -1] = slots
+    return np.diff(edges, axis=1) - 1
 
 
 def _refine_box(center: np.ndarray, width: float, per_dim: int, evaluate) -> tuple[np.ndarray, float, float]:

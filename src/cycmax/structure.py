@@ -19,7 +19,9 @@ argmin of its values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -156,15 +158,17 @@ def majorizing_rotation(x: PeriodicTuple) -> int:
 
 
 def has_majorizing_prefixes(x: PeriodicTuple, start: int, strict: bool = True) -> bool:
-    """Check the prefix-sum domination property for one rotation."""
-    mean = x.average
-    left = x.prefix(start - 1)
-    for k in range(1, x.n):
-        partial = x.prefix(start + k - 1) - left
-        if strict:
-            if partial >= k * mean:
-                return False
-        elif partial > k * mean:
+    """Check the prefix-sum domination property for one rotation.
+
+    On the rational backend ``partial < k * mean`` is tested exactly as
+    ``partial * n < k * total`` on the integer prefix table.
+    """
+    n = x.n
+    scale, bound = (1, x.average) if x.backend == FLOAT else (n, x._prefix3[n])
+    left = x._table(start - 1)
+    for k in range(1, n):
+        partial = (x._table(start + k - 1) - left) * scale
+        if partial > k * bound or (strict and partial == k * bound):
             return False
     return True
 
@@ -193,28 +197,39 @@ def distinct_short_averages(x: PeriodicTuple) -> bool:
 
     Collects the averages of [i : i+r-1] for i = 1..n, r = 1..n-1,
     together with the period mean, and checks for collisions.  Exact on
-    the rational backend; quadratically many values, so callers gate it.
+    the rational backend, where an average s / (r D) is keyed by the
+    reduced pair (s, r) of its integer table sum; quadratically many
+    values, so callers gate it.
     """
     n = x.n
-    seen = {x.average}
-    count = 1
-    for i in range(1, n + 1):
-        left = x.prefix(i - 1)
+    p = x._prefix3
+    if x.backend == FLOAT:
+        def key(s, r):
+            return s / r
+    else:
+        def key(s, r):
+            g = math.gcd(s, r)
+            return s // g, r // g
+    seen = {key(p[n], n)}
+    for i in range(n):
         for r in range(1, n):
-            seen.add((x.prefix(i + r - 1) - left) / r)
-            count += 1
-    return len(seen) == count
+            avg = key(p[i + r] - p[i], r)
+            if avg in seen:
+                return False
+            seen.add(avg)
+    return True
 
 
 def average_table(x: PeriodicTuple) -> list[list[Number]]:
     """Averages of [i : i+r-1] for r = 1..n-1 (rows) and i = 1..n (columns).
 
     Each cell is the prefix-sum difference divided by r, the same
-    operations as ``interval_average``; float rows are computed in numpy.
+    operations as ``interval_average``; float rows are computed in numpy,
+    rational cells straight from the integer table.
     """
     n = x.n
     if x.backend == FLOAT:
         p = np.array(x._prefix3)
         return [((p[r : r + n] - p[:n]) / r).tolist() for r in range(1, n)]
-    p = x._prefix3
-    return [[(p[i + r] - p[i]) / r for i in range(n)] for r in range(1, n)]
+    p, den = x._prefix3, x._den
+    return [[Fraction(p[i + r] - p[i], r * den) for i in range(n)] for r in range(1, n)]

@@ -107,13 +107,25 @@ class SubsetCollectionSystem:
         return cls(collections)
 
     def max_subset_average(self, x: PeriodicTuple, i: int) -> Number:
-        best = None
+        """Largest subset average in the i-th collection (the first on ties).
+
+        On the rational backend subset sums are integer table differences,
+        and s / r > t / q is tested as s * q > t * r.
+        """
+        if x.backend == FLOAT:
+            best = None
+            for idx in self.collections[i - 1]:
+                avg = sum((x.values[j - 1] for j in idx), start=0.0) / len(idx)
+                if best is None or avg > best:
+                    best = avg
+            return best
+        p = x._prefix3
+        best_s, best_r = None, 1
         for idx in self.collections[i - 1]:
-            s = sum((x.values[j - 1] for j in idx), start=Fraction(0) if x.backend != FLOAT else 0.0)
-            avg = s / len(idx)
-            if best is None or avg > best:
-                best = avg
-        return best
+            s, r = sum(p[j] - p[j - 1] for j in idx), len(idx)
+            if best_s is None or s * best_r > best_s * r:
+                best_s, best_r = s, r
+        return x._ratio(best_s, best_r)
 
 
 def sum_with_radii(x: PeriodicTuple, r: RadiusTuple) -> Number:

@@ -204,16 +204,18 @@ def _poset_checks_one(x: PeriodicTuple) -> list[str]:
     n = x.n
 
     # representatives in one period window must be disjoint or nested
-    for a in records:
-        for b in records:
-            if a.start >= b.start:
+    spans = [(rec.start, rec.start + rec.kappa) for rec in records]
+    for a, b in spans:
+        for c0, d0 in spans:
+            if a >= c0:
                 continue
-            for t in (-1, 0, 1):
-                sb = b.interval.shifted(t * n)
-                overlap = sb.a <= a.interval.b and a.interval.a <= sb.b
-                nested = a.interval.contains(sb) or sb.contains(a.interval)
+            for c, d in ((c0 - n, d0 - n), (c0, d0), (c0 + n, d0 + n)):
+                overlap = c <= b and a <= d
+                nested = (a <= c and d <= b) or (c <= a and b <= d)
                 if overlap and not nested:
-                    defects.append(f"{a.interval} and {sb} overlap without nesting")
+                    defects.append(
+                        f"{IndexInterval(a, b)} and {IndexInterval(c, d)} overlap without nesting"
+                    )
 
     poset = build_poset(x)
     if not poset.is_tree():

@@ -4,10 +4,14 @@ The package derives values, shortest maximizing lengths and Hasse parents
 from one O(n) stack pass (``cycmax.periodic.right_maximal_profile``), and
 solves every support size of the chain problem in one batched shooting
 pass (``cycmax.reduction.minimize_chain``).  These are the direct
-definitions and the per-size solve they replaced.
+definitions and the per-size solve they replaced.  The rational backend
+compares averages by cross-multiplying integer prefix sums; the
+``Fraction`` versions below sum ``x.values`` themselves and never read
+that table.
 """
 
 import math
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -22,6 +26,7 @@ from cycmax.reduction import (
     _residual_ld,
     _value_ld,
 )
+from cycmax.periodic import Profile
 from cycmax.structure import MIntervalRecord
 
 
@@ -87,6 +92,120 @@ def link_parents(records: list[MIntervalRecord], n: int) -> dict[int, Optional[i
         else:
             parent[rec.start] = None
     return parent
+
+
+# ---------------------------------------------------------------------------
+# Rational-backend kernels on ``Fraction`` prefix sums of ``x.values``.
+
+
+def fraction_prefix3(x) -> list:
+    """Prefix sums over three periods, p[k] = x_1 + ... + x_k, as Fractions."""
+    p = [Fraction(0)]
+    for v in x.values * 3:
+        p.append(p[-1] + Fraction(v))
+    return p
+
+
+def _fraction_prefix(x, p: list, k: int) -> Fraction:
+    q, r = divmod(k, x.n)
+    return q * p[x.n] + p[r]
+
+
+def fraction_rising_sun(x) -> Profile:
+    """The rising-sun pass with ``Fraction`` averages and quotient comparisons."""
+    n = x.n
+    p = fraction_prefix3(x)
+    ends = [0] * n
+    poppers: list[Optional[int]] = [None] * n
+    stack = [3 * n]
+    for k in range(3 * n - 1, -1, -1):
+        pk = p[k]
+        top = stack[-1]
+        best = (p[top] - pk) / (top - k)
+        while len(stack) > 1:
+            nxt = stack[-2]
+            avg = (p[nxt] - pk) / (nxt - k)
+            if not avg > best:
+                break
+            if n <= top < 2 * n:
+                poppers[top - n] = k
+            stack.pop()
+            top, best = nxt, avg
+        if k < n:
+            ends[k] = top
+        stack.append(k)
+
+    values, lengths, parents = [], [], []
+    for k in range(n):
+        r = min(ends[k] - k, n)
+        values.append((p[k + r] - p[k]) / r)
+        lengths.append(r)
+        popper = poppers[k]
+        parents.append(None if r == n or popper is None else popper % n + 1)
+    return Profile(values, lengths, parents)
+
+
+def fraction_distinct_short_averages(x) -> bool:
+    """Whether the averages of [i : i+r-1], r < n, and the mean are pairwise distinct."""
+    n = x.n
+    p = fraction_prefix3(x)
+    seen = {p[n] / n}
+    count = 1
+    for i in range(n):
+        for r in range(1, n):
+            seen.add((p[i + r] - p[i]) / r)
+            count += 1
+    return len(seen) == count
+
+
+def fraction_has_majorizing_prefixes(x, start: int, strict: bool = True) -> bool:
+    """Every proper prefix sum of the rotation at ``start`` below (or at) k times the mean."""
+    p = fraction_prefix3(x)
+    mean = p[x.n] / x.n
+    left = _fraction_prefix(x, p, start - 1)
+    for k in range(1, x.n):
+        partial = _fraction_prefix(x, p, start + k - 1) - left
+        if strict:
+            if partial >= k * mean:
+                return False
+        elif partial > k * mean:
+            return False
+    return True
+
+
+def fraction_max_subset_average(system, x, i: int) -> Fraction:
+    """Largest subset average in the i-th collection, the first on ties."""
+    best = None
+    for idx in system.collections[i - 1]:
+        avg = sum((Fraction(x.values[j - 1]) for j in idx), start=Fraction(0)) / len(idx)
+        if best is None or avg > best:
+            best = avg
+    return best
+
+
+def fraction_average_table(x) -> list[list[Fraction]]:
+    """Averages of [i : i+r-1] for r = 1..n-1 (rows) and i = 1..n (columns)."""
+    n = x.n
+    p = fraction_prefix3(x)
+    return [[(p[i + r] - p[i]) / r for i in range(n)] for r in range(1, n)]
+
+
+# ---------------------------------------------------------------------------
+# Grid enumeration of the simplex, by recursion on the first coordinate.
+
+
+def compositions(total: int, parts: int) -> np.ndarray:
+    """All nonnegative integer vectors of given length summing to total."""
+    if parts == 1:
+        return np.array([[total]], dtype=np.int64)
+    rows = []
+    for first in range(total + 1):
+        rest = compositions(total - first, parts - 1)
+        block = np.empty((len(rest), parts), dtype=np.int64)
+        block[:, 0] = first
+        block[:, 1:] = rest
+        rows.append(block)
+    return np.vstack(rows)
 
 
 # ---------------------------------------------------------------------------

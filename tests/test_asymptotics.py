@@ -52,6 +52,10 @@ class TestInfS:
         with pytest.raises(ValueError):
             inf_s(0)
 
+    def test_rejects_an_n_past_the_float_range(self):
+        with pytest.raises(ValueError, match="float range"):
+            inf_s(10**400)
+
     def test_agrees_with_windowed_route(self):
         from cycmax import minimize_noncyclic
 
@@ -81,6 +85,10 @@ class TestSweep:
             sweep([3, 2])
         with pytest.raises(ValueError):
             sweep([0, 2])
+        with pytest.raises(ValueError, match="float range"):
+            sweep([10**400])
+        with pytest.raises(ValueError, match="float range"):
+            sweep([10, 10**400])
 
     def test_warm_start_keeps_results_deterministic(self):
         a = sweep([50, 100, 200])

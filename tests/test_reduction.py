@@ -532,6 +532,20 @@ class TestVectorizedEvaluators:
         assert _compositions(5, 1).tolist() == [[5]]
         assert (_compositions(7, 4).sum(axis=1) == 7).all()
 
+    @pytest.mark.parametrize(
+        "total, parts", [(5, 1), (0, 3), (3, 3), (10, 4), (300, 3), (2000, 2), (12, 6)]
+    )
+    def test_compositions_match_recursion_row_for_row(self, total, parts):
+        got, want = _compositions(total, parts), oracles.compositions(total, parts)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_grid_oracles_frozen(self):
+        # The row order decides the argmin, hence the refinement centre.
+        assert cyclic_bruteforce(2, 2000, 3) == 1.8284271247461936
+        assert cyclic_bruteforce(3, 300, 3) == 2.464101615137865
+        assert brute_force_oracle(5, 0.3, 12, 2) == 2.651490514905149
+
     def test_max_sum_values_match_scalar_evaluator(self):
         rng = np.random.default_rng(21)
         X = rng.dirichlet(np.ones(4), size=50)

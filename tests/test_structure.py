@@ -14,12 +14,18 @@ from cycmax import (
     m_interval,
     majorizing_rotation,
 )
+from cycmax import verify
+from cycmax.periodic import right_maximal_profile
 from cycmax.structure import (
+    MIntervalRecord,
     all_m_intervals,
     average_table,
     distinct_short_averages,
     has_majorizing_prefixes,
 )
+from cycmax.sums import SubsetCollectionSystem
+
+import oracles
 
 # start -> (kappa, exact average) for the 10-entry reference tuple
 REFERENCE_CLASSES = {
@@ -183,6 +189,18 @@ class TestPoset:
                 if parent is not None:
                     assert poset.nodes[child].average > poset.nodes[parent].average
 
+    def test_verify_check_reports_crossing_classes(self, monkeypatch):
+        # The check compares integer (start, end) pairs; fed two crossing
+        # classes it must name both crossings, one of them across the period.
+        x = PeriodicTuple([Fraction(v) for v in (5, 1, 7, 2)], backend="rational")
+        crossing = [MIntervalRecord(1, 2, Fraction(13, 3)), MIntervalRecord(3, 2, Fraction(14, 3))]
+        monkeypatch.setattr(verify, "all_m_intervals", lambda x: crossing)
+        assert verify._poset_checks_one(x) == [
+            "[1:3] and [-1:1] overlap without nesting",
+            "[1:3] and [3:5] overlap without nesting",
+            "0 full-length classes",
+        ]
+
     def test_nonoverlap_on_generic_tuples(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
@@ -256,3 +274,89 @@ class TestAverageTable:
                 table = average_table(x)
                 assert table == want
                 assert all(type(v) is type(x.values[0]) for row in table for v in row)
+
+
+def mixed_denominator_fractions():
+    """Entries over denominators up to 10**6; zeros and small fractions tie often."""
+    small = st.builds(Fraction, st.integers(0, 3), st.sampled_from([1, 2, 3]))
+    wide = st.builds(Fraction, st.integers(0, 10**7), st.integers(1, 10**6))
+    return st.one_of(small, small, small, wide, st.just(Fraction(0)))
+
+
+@st.composite
+def mixed_denominator_tuples(draw, max_size=9):
+    values = draw(st.lists(mixed_denominator_fractions(), min_size=1, max_size=max_size))
+    if draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = Fraction(10**400)
+    if not any(values):
+        values[0] = Fraction(1, 7)
+    return PeriodicTuple(values, backend="rational")
+
+
+@st.composite
+def subset_systems(draw, n):
+    collections = []
+    for _ in range(n):
+        subsets = draw(
+            st.lists(
+                st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        collections.append(subsets)
+    return SubsetCollectionSystem(collections)
+
+
+class TestExactKernel:
+    """The integer-table kernels against ``Fraction`` oracles that sum ``x.values``."""
+
+    @given(mixed_denominator_tuples(), st.data())
+    def test_matches_fraction_oracles(self, x, data):
+        n = x.n
+        prof = right_maximal_profile(x)
+        want = oracles.fraction_rising_sun(x)
+        assert prof.values == want.values
+        assert all(type(v) is Fraction for v in prof.values)
+        assert prof.lengths == want.lengths
+        assert prof.parents == want.parents
+
+        assert distinct_short_averages(x) == oracles.fraction_distinct_short_averages(x)
+        for start in range(1 - n, 2 * n + 1):
+            for strict in (True, False):
+                assert has_majorizing_prefixes(x, start, strict) == (
+                    oracles.fraction_has_majorizing_prefixes(x, start, strict)
+                )
+
+        for system in (SubsetCollectionSystem.right_windows(n), data.draw(subset_systems(n))):
+            for i in range(1, n + 1):
+                got = system.max_subset_average(x, i)
+                assert type(got) is Fraction
+                assert got == oracles.fraction_max_subset_average(system, x, i)
+
+        table = average_table(x)
+        assert table == oracles.fraction_average_table(x)
+        assert all(type(v) is Fraction for row in table for v in row)
+
+    def test_genericity_verdicts_on_tied_tuples(self):
+        rng = np.random.default_rng(31)
+        verdicts = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            values = [Fraction(int(a), int(b)) for a, b in zip(rng.integers(0, 4, n), rng.integers(1, 3, n))]
+            values[0] += 1
+            x = PeriodicTuple(values, backend="rational")
+            verdict = distinct_short_averages(x)
+            assert verdict == oracles.fraction_distinct_short_averages(x)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_common_denominator_table(self):
+        x = PeriodicTuple([Fraction(1, 6), Fraction(3, 4), Fraction(0), Fraction(2)], backend="rational")
+        assert x._den == 12
+        assert x._prefix3[:5] == [0, 2, 11, 11, 35]
+        assert all(type(v) is int for v in x._prefix3)
+        assert x.total == Fraction(35, 12) and x.average == Fraction(35, 48)
+        assert [x.prefix(k) for k in (-1, 0, 5, 13)] == [
+            Fraction(-2), 0, Fraction(35, 12) + Fraction(1, 6), Fraction(35, 4) + Fraction(1, 6)
+        ]
