@@ -13,9 +13,9 @@ Usage:
 import argparse
 import sys
 
-from cycmax import PeriodicTuple, build_poset, max_avg_sum
+from cycmax import PeriodicTuple, build_poset, full_maximal_start, max_avg_sum
 from cycmax.cli import analyze_table_csv
-from cycmax.structure import has_majorizing_prefixes, majorizing_rotation
+from cycmax.structure import has_majorizing_prefixes
 
 EXAMPLE = [1.2, 2.3, 3.5, 1.8, 1.6, 2.4, 3.0, 3.2, 1.1, 2.5]
 
@@ -39,7 +39,7 @@ def main() -> int:
         print(f"  [{rec.start}:{rec.start + rec.kappa}] -> {target}")
     print(f"minimal elements: {poset.minimal_elements()}")
 
-    i_star = majorizing_rotation(x)
+    i_star = full_maximal_start(x)
     print(f"\nmajorizing rotation starts at {i_star}; strict prefix domination:",
           has_majorizing_prefixes(x, i_star, strict=True))
 

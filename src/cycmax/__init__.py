@@ -22,7 +22,6 @@ from .errors import (
 from .periodic import (
     IndexInterval,
     PeriodicTuple,
-    forward_max_average,
     interval_average,
     right_maximal,
     tuple_from_json,
@@ -33,7 +32,6 @@ from .structure import (
     build_poset,
     full_maximal_start,
     m_interval,
-    majorizing_rotation,
 )
 from .sums import (
     MaxSumResult,
@@ -57,7 +55,6 @@ from .asymptotics import (
     A_REFERENCE,
     SweepRecord,
     estimate_constant_a,
-    inf_s,
     sweep,
 )
 
@@ -82,13 +79,10 @@ __all__ = [
     "cyclic_bruteforce",
     "diananda_sum",
     "estimate_constant_a",
-    "forward_max_average",
     "full_maximal_start",
     "generalized_max_sum",
-    "inf_s",
     "interval_average",
     "m_interval",
-    "majorizing_rotation",
     "max_avg_sum",
     "minimize_chain",
     "minimize_noncyclic",

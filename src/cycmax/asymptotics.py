@@ -21,8 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import IllConditionedFit, NonConvergence
-from .periodic import PeriodicTuple
-from .reduction import STATIONARITY_TOL, _minimize_many, minimize_chain
+from .reduction import STATIONARITY_TOL, _minimize_many
 
 A_REFERENCE = 1.70465603718
 
@@ -55,13 +54,6 @@ def _price(n: int) -> float:
         raise ValueError(
             f"n is too large: it must lie within the float range (at most {sys.float_info.max:.6g})"
         ) from None
-
-
-def inf_s(n: int) -> float:
-    """Minimum of the maximal-average cyclic sum over n-tuples."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return minimize_chain(n, _price(n)).value
 
 
 def sweep(n_values: Sequence[int], tol: float = STATIONARITY_TOL) -> list[SweepRecord]:
@@ -162,18 +154,3 @@ def records_to_csv(records: Iterable[SweepRecord], a_hat: Optional[float] = None
         buf.write(f"# a_hat,{a_hat:.17g}\n")
     return buf.getvalue()
 
-
-def geometric_witness(n: int) -> PeriodicTuple:
-    """The n-tuple 1, 1/e, 1/e^2, ... truncated at ceil(log n), then zeros.
-
-    Normalized to sum 1.  Its maximal-average sum stays within an O(1)
-    band above e*log(n), giving a cheap upper-bound companion to the
-    optimizer along the sweep.
-    """
-    if n < 2:
-        raise ValueError("witness needs n >= 2")
-    k = min(n, math.ceil(math.log(n)))
-    head = [math.exp(-j) for j in range(k)]
-    total = sum(head)
-    values = [v / total for v in head] + [0.0] * (n - k)
-    return PeriodicTuple(values, backend="float")

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 input error, 2 optimizer non-convergence,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -72,6 +73,15 @@ def _read_radii(path: str, n: int) -> RadiusTuple:
         raise InputError(f"malformed radii file {path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _printable():
+    """Report a rational result past the float range as an input error."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise InputError(f"a result lies outside the float range and cannot be printed: {exc}") from None
+
+
 def format_cell(value) -> str:
     """Three-decimal rounding with trailing zeros trimmed: 2.26, 3, 2.375."""
     text = f"{float(value):.3f}".rstrip("0").rstrip(".")
@@ -97,8 +107,7 @@ def analyze_report(x: PeriodicTuple, poset: IntervalPoset) -> dict:
             for r in (poset.nodes[i] for i in sorted(poset.nodes))
         ],
         "full_maximal_start": star,
-        "majorizing_rotation": star,
-        "poset": json.loads(poset.to_json()),
+        "poset": poset.to_dict(),
         "degenerate": bool(warnings),
         "warnings": warnings,
     }
@@ -140,12 +149,14 @@ def cmd_analyze(args) -> int:
     poset = build_poset(x)
     for w in analyze_warnings(poset):
         print(f"warning: {w}", file=sys.stderr)
-    if args.format == "dot":
-        print(poset.to_dot())
-    elif args.format == "csv":
-        print(analyze_table_csv(x, poset))
-    else:
-        print(json.dumps(analyze_report(x, poset)))
+    with _printable():
+        if args.format == "dot":
+            text = poset.to_dot()
+        elif args.format == "csv":
+            text = analyze_table_csv(x, poset)
+        else:
+            text = json.dumps(analyze_report(x, poset))
+    print(text)
     return EXIT_OK
 
 
@@ -158,7 +169,7 @@ def cmd_sum(args) -> int:
         if args.normalized:
             raise InputError("--normalized applies only with --k")
         value = sum_with_radii(x, radii)
-        payload = {"value": float(value), "radii": list(radii.radii)}
+        details = {"radii": list(radii.radii)}
     else:
         if args.k < 1:
             raise InputError("--k must be a positive integer")
@@ -166,7 +177,9 @@ def cmd_sum(args) -> int:
             value = diananda_sum(x, args.k)
         else:
             value = sum_with_radii(x, RadiusTuple.constant(x.n, args.k))
-        payload = {"value": float(value), "k": args.k, "normalized": bool(args.normalized)}
+        details = {"k": args.k, "normalized": bool(args.normalized)}
+    with _printable():
+        payload = {"value": float(value), **details}
     print(json.dumps(payload))
     return EXIT_OK
 
@@ -213,7 +226,10 @@ def cmd_sweep(args) -> int:
     records = sweep(grid, args.tol)
     a_hat = None
     if args.estimate_a:
-        a_hat = estimate_constant_a(records)[0]
+        try:
+            a_hat = estimate_constant_a(records)[0]
+        except ValueError as exc:
+            raise InputError(f"--estimate-a: {exc}") from exc
     sys.stdout.write(records_to_csv(records, a_hat))
     return EXIT_OK
 

@@ -96,7 +96,12 @@ class PeriodicTuple:
         if backend == RATIONAL:
             vals = [Fraction(v) for v in vals]
         elif backend == FLOAT:
-            vals = [float(v) for v in vals]
+            try:
+                vals = [float(v) for v in vals]
+            except OverflowError:
+                raise ValueError(
+                    "entries must lie within the float range (the rational backend reads them exactly)"
+                ) from None
         else:
             raise ValueError(f"unknown backend {backend!r}")
         if any(v < 0 for v in vals):
@@ -165,9 +170,6 @@ class PeriodicTuple:
     def prefix(self, k: int) -> Number:
         """Sum of entries at indices 1..k for any integer k (0 for k=0)."""
         return self._ratio(self._table(k), 1)
-
-    def interval_sum(self, interval: IndexInterval) -> Number:
-        return self._ratio(self._table(interval.b) - self._table(interval.a - 1), 1)
 
     def rotated(self, start: int) -> "PeriodicTuple":
         """The rotation beginning at index ``start``."""
@@ -280,27 +282,21 @@ def right_maximal(x: PeriodicTuple, i: int) -> Number:
     return right_maximal_profile(x).values[(i - 1) % x.n]
 
 
-def forward_max_average(x: PeriodicTuple, i: int) -> Number:
-    """Largest average over windows starting strictly after i.
-
-    Equals the right maximal value at i+1.
-    """
-    return right_maximal(x, i + 1)
-
-
 def parse_number(token, backend: str) -> Number:
-    """One tuple entry from JSON: a number, or a string like '7/3'."""
-    if isinstance(token, str):
-        value = Fraction(token)
-    elif isinstance(token, (int, Fraction)):
-        value = Fraction(token)
-    elif isinstance(token, float):
+    """One tuple entry from JSON: a number, or a string like '7/3'.
+
+    Float tokens stay floats on the float backend; every other entry is
+    read exactly, and ``PeriodicTuple`` converts it to the backend.
+    """
+    if isinstance(token, bool):
+        raise CycmaxError(f"cannot interpret {json.dumps(token)} as a number")
+    if isinstance(token, (str, int, Fraction)):
+        return Fraction(token)
+    if isinstance(token, float):
         if not math.isfinite(token):
             raise CycmaxError(f"entries must be finite, got {token!r}")
-        value = token if backend == FLOAT else Fraction(str(token))
-    else:
-        raise CycmaxError(f"cannot interpret {token!r} as a number")
-    return float(value) if backend == FLOAT else value
+        return token if backend == FLOAT else Fraction(str(token))
+    raise CycmaxError(f"cannot interpret {token!r} as a number")
 
 
 def tuple_from_json(text: str, backend: str = FLOAT) -> PeriodicTuple:

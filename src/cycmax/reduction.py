@@ -97,19 +97,6 @@ def t_noncyclic(x: Sequence, p) -> float:
     return total + x[-1] / p
 
 
-def chain_gradient(x: np.ndarray, p: float) -> np.ndarray:
-    """Gradient of the chain sum at a strictly positive vector."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("gradient requires a strictly positive vector")
-    n = len(x)
-    g = np.zeros(n)
-    g[:-1] += 1.0 / x[1:]
-    g[-1] += 1.0 / p
-    g[1:] -= x[:-1] / x[1:] ** 2
-    return g
-
-
 def chain_gradient_fd(x: np.ndarray, p: float, rel_step: float = 1e-6) -> np.ndarray:
     """Central-difference gradient with per-component relative steps.
 
@@ -136,32 +123,14 @@ def chain_gradient_fd(x: np.ndarray, p: float, rel_step: float = 1e-6) -> np.nda
 
 
 def gradient_agreement(x: np.ndarray, p: float, rel_step: float = 1e-6) -> float:
-    """Normalized mismatch between analytic and differenced gradients."""
-    g = chain_gradient(x, p)
-    g_fd = chain_gradient_fd(x, p, rel_step)
-    return float(np.linalg.norm(g_fd - g) / max(np.linalg.norm(g), 1.0))
+    """Normalized mismatch between the analytic and the differenced gradient.
 
-
-def support_entries(x: np.ndarray) -> np.ndarray:
-    """Trailing positive block of a vector whose zeros form a prefix."""
-    x = np.asarray(x, dtype=float)
-    nz = np.nonzero(x)[0]
-    if len(nz) == 0:
-        raise ValueError("vector is identically zero")
-    lead = nz[0]
-    if np.any(x[lead:] <= 0):
-        raise ValueError("zeros occur inside the support")
-    return x[lead:]
-
-
-def projected_residual(x: np.ndarray, p: float) -> float:
-    """Norm of the support gradient projected tangent to the sum constraint.
-
-    Evaluated in extended precision: near the optimum the gradient
-    components agree to many digits, and the cancellation would otherwise
-    swamp the result for small p.
+    The analytic gradient is ``_grad_ld``, the one behind every solve's
+    stationarity certificate, evaluated here in double precision.
     """
-    return _residual_ld(support_entries(x).astype(LD), LD(p))
+    g_fd = chain_gradient_fd(x, p, rel_step)
+    g = _grad_ld(np.asarray(x, dtype=float), p)
+    return float(np.linalg.norm(g_fd - g) / max(np.linalg.norm(g), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +143,8 @@ def _value_ld(x: np.ndarray, p) -> np.longdouble:
 
 
 def _grad_ld(x: np.ndarray, p) -> np.ndarray:
-    g = np.zeros(len(x), dtype=LD)
+    """Gradient of the chain sum of one support, in the precision of x."""
+    g = np.zeros(len(x), dtype=x.dtype)
     g[:-1] += 1 / x[1:]
     g[-1] += 1 / p
     g[1:] -= x[:-1] / x[1:] ** 2
@@ -182,6 +152,12 @@ def _grad_ld(x: np.ndarray, p) -> np.ndarray:
 
 
 def _residual_ld(x: np.ndarray, p) -> float:
+    """Norm of the support gradient projected tangent to the sum constraint.
+
+    Evaluated in extended precision: near the optimum the gradient
+    components agree to many digits, and the cancellation would otherwise
+    swamp the result for small p.
+    """
     if len(x) == 1:
         return 0.0
     g = _grad_ld(x, p)
@@ -429,13 +405,6 @@ class ReducedSolution:
     @property
     def support(self) -> int:
         return len(self.entries)
-
-    @property
-    def minimizer(self) -> np.ndarray:
-        """The dense length-N minimizer, built on request."""
-        x = np.zeros(self.N)
-        x[self.N - self.support :] = self.entries
-        return x
 
     def to_dict(self) -> dict:
         return {

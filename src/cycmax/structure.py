@@ -18,7 +18,6 @@ argmin of its values.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,7 +89,8 @@ class IntervalPoset:
             1 for p in self.parent.values() if p is None
         ) == 1
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """Nodes, child-parent edges and root, ready for JSON."""
         nodes = [
             {
                 "start": rec.start,
@@ -104,7 +104,7 @@ class IntervalPoset:
             for child, parent in sorted(self.parent.items())
             if parent is not None
         ]
-        return json.dumps({"nodes": nodes, "edges": edges, "root": self.root})
+        return {"nodes": nodes, "edges": edges, "root": self.root}
 
     def to_dot(self) -> str:
         lines = ["digraph interval_poset {", "  rankdir=BT;"]
@@ -143,18 +143,12 @@ def full_maximal_start(x: PeriodicTuple) -> int:
 
     Equivalently the smallest index at which the right maximal value is
     least; that least value is the period mean.  With distinct
-    short-window averages the index is unique and kappa(i) = n-1 there.
+    short-window averages the index is unique and kappa(i) = n-1 there,
+    and it starts the majorizing rotation (x_{i*}, ..., x_{i*+n-1}): the
+    one rotation whose every proper prefix sum stays below k times the
+    period mean, with equality exactly at k = n.
     """
     return build_poset(x).full_maximal_start()
-
-
-def majorizing_rotation(x: PeriodicTuple) -> int:
-    """Start of the unique rotation dominating the constant profile.
-
-    The rotation (x_{i*}, ..., x_{i*+n-1}) has every proper prefix sum
-    below k times the period mean, with equality exactly at k = n.
-    """
-    return full_maximal_start(x)
 
 
 def has_majorizing_prefixes(x: PeriodicTuple, start: int, strict: bool = True) -> bool:

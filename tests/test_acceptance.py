@@ -155,7 +155,7 @@ def test_criterion_06_reduced_exact_values(capsys):
         sol = minimize_chain(8, p)
         if abs(sol.value - 1.0 / p) > 1e-9 / p:
             failures.append(f"value(8, {p}) = {sol.value!r}, expected {1.0 / p!r}")
-        if sol.support != 1 or sol.minimizer[-1] != 1.0 or sol.minimizer[:-1].any():
+        if sol.support != 1 or sol.entries[0] != 1.0:
             failures.append(f"minimizer for p={p} is not the point mass")
     _finish("reduced-problem-exact-values", 1.0, t0, failures, "1, 2*sqrt(2)-1, 2*sqrt(3)-1, 1/p")
 

@@ -6,9 +6,10 @@ import pytest
 
 from cycmax import (
     IllConditionedFit,
+    PeriodicTuple,
     estimate_constant_a,
-    inf_s,
     max_avg_sum,
+    minimize_chain,
     sweep,
 )
 from cycmax.asymptotics import (
@@ -16,7 +17,6 @@ from cycmax.asymptotics import (
     CSV_HEADER,
     SweepRecord,
     geometric_grid,
-    geometric_witness,
     records_to_csv,
 )
 import cycmax.reduction as reduction
@@ -38,30 +38,31 @@ def synthetic_records(n_values, a, c, wobble=0.0):
 
 
 class TestInfS:
+    """inf S_n, the minimum of the maximal-average cyclic sum over
+    n-tuples, is the chain minimum at price 1/n."""
+
     def test_small_n_closed_forms(self):
-        assert inf_s(1) == pytest.approx(1.0, rel=1e-12)
-        assert inf_s(2) == pytest.approx(2.0 * SQRT2 - 1.0, rel=1e-9)
-        assert inf_s(3) == pytest.approx(2.0 * SQRT3 - 1.0, rel=1e-9)
+        assert minimize_chain(1, 1.0).value == pytest.approx(1.0, rel=1e-12)
+        assert minimize_chain(2, 1.0 / 2).value == pytest.approx(2.0 * SQRT2 - 1.0, rel=1e-9)
+        assert minimize_chain(3, 1.0 / 3).value == pytest.approx(2.0 * SQRT3 - 1.0, rel=1e-9)
 
     def test_bracketing(self):
         for n in (1, 2, 3, 5, 10, 50):
-            v = inf_s(n)
+            v = minimize_chain(n, 1.0 / n).value
             assert 1.0 - 1e-12 <= v <= n
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            inf_s(0)
-
-    def test_rejects_an_n_past_the_float_range(self):
-        with pytest.raises(ValueError, match="float range"):
-            inf_s(10**400)
+            minimize_chain(0, 1.0)
+        with pytest.raises(ValueError):
+            sweep([0])
 
     def test_agrees_with_windowed_route(self):
         from cycmax import minimize_noncyclic
 
         for n in (2, 5, 17):
             windowed = minimize_noncyclic(n, 1.0 / n).value
-            assert inf_s(n) == pytest.approx(windowed, rel=1e-9)
+            assert minimize_chain(n, 1.0 / n).value == pytest.approx(windowed, rel=1e-9)
 
 
 class TestSweep:
@@ -287,6 +288,16 @@ class TestCsv:
         assert float(last.split(",")[1]) == 1.2345
 
 
+def geometric_witness(n):
+    """The n-tuple 1, 1/e, 1/e^2, ... truncated at ceil(log n), then zeros,
+    normalized to sum 1: an explicit feasible tuple whose maximal-average
+    sum stays within an O(1) band above e*log(n)."""
+    k = min(n, math.ceil(math.log(n)))
+    head = [math.exp(-j) for j in range(k)]
+    total = sum(head)
+    return PeriodicTuple([v / total for v in head] + [0.0] * (n - k), backend="float")
+
+
 class TestWitness:
     def test_structure(self):
         w = geometric_witness(10)
@@ -303,9 +314,5 @@ class TestWitness:
     def test_upper_bound_band(self, n):
         w = geometric_witness(n)
         value = max_avg_sum(w).value
-        assert value >= inf_s(n) - 1e-9
+        assert value >= minimize_chain(n, 1.0 / n).value - 1e-9
         assert value - math.e * math.log(n) <= 2.0
-
-    def test_rejects_tiny_n(self):
-        with pytest.raises(ValueError):
-            geometric_witness(1)

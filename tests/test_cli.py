@@ -76,7 +76,7 @@ class TestAnalyzeGolden:
         assert doc["n"] == 10
         assert doc["average"] == pytest.approx(2.26)
         assert doc["full_maximal_start"] == 9
-        assert doc["majorizing_rotation"] == 9
+        assert "majorizing_rotation" not in doc
         assert not doc["degenerate"]
         poset = doc["poset"]
         assert poset["root"] == 9
@@ -187,6 +187,53 @@ class TestSumCommands:
         assert "overflow" in err
 
 
+class TestEntriesPastTheFloatRange:
+    """A tuple holding 10**400: the float backend rejects it when parsed,
+    and a rational result that no float can hold is an input error."""
+
+    @pytest.fixture
+    def huge_path(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"values": [10**400, 1, 2, 3]}))
+        return str(path)
+
+    COMMANDS = [
+        ("--format", "json", "analyze"),
+        ("--format", "csv", "analyze"),
+        ("--format", "dot", "analyze"),
+        ("sum", "--k", "2"),
+        ("sum", "--k", "2", "--normalized"),
+    ]
+
+    def assert_one_error_line(self, code, out, err):
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "float range" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: "-".join(a).lstrip("-"))
+    def test_exits_1_with_one_error_line(self, capsys, huge_path, backend, argv):
+        self.assert_one_error_line(*run_cli(capsys, "--backend", backend, *argv, huge_path))
+
+    def test_float_maxsum_rejects_the_entry(self, capsys, huge_path):
+        self.assert_one_error_line(*run_cli(capsys, "--backend", "float", "maxsum", huge_path))
+
+    def test_rational_maxsum_still_works(self, capsys, huge_path):
+        code, out, _ = run_cli(capsys, "--backend", "rational", "maxsum", huge_path)
+        assert code == 0
+        assert json.loads(out) == {"value": 4.0, "radii": [4, 3, 2, 1]}
+
+
+class TestBooleanEntries:
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    def test_maxsum_rejects_booleans(self, capsys, tmp_path, backend):
+        path = tmp_path / "bool.json"
+        path.write_text('{"values": [true, 2, false]}')
+        code, out, err = run_cli(capsys, "--backend", backend, "maxsum", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "true" in err
+
+
 class TestMinimize:
     def test_by_n_with_oracle(self, capsys):
         code, out, _ = run_cli(capsys, "minimize", "--n", "3", "--oracle")
@@ -264,6 +311,13 @@ class TestSweep:
         assert code == 0
         assert out.strip().split("\n")[-1].startswith("# a_hat,")
 
+    def test_estimate_a_with_too_few_points_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--from", "10", "--to", "60", "--points", "4", "--estimate-a"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "at least four records" in err
+
     def test_empty_range_exits_1(self, capsys):
         assert run_cli(capsys, "sweep", "--from", "5", "--to", "3", "--points", "2")[0] == 1
         assert run_cli(capsys, "sweep", "--from", "1", "--to", "3", "--points", "0")[0] == 1
@@ -307,6 +361,29 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["radii"] == [2, 1, 5, 4, 3, 2, 1, 10, 1, 8]
+
+
+class TestPublicSurface:
+    def test_every_exported_name_resolves(self):
+        import cycmax
+
+        assert len(set(cycmax.__all__)) == len(cycmax.__all__)
+        for name in cycmax.__all__:
+            assert getattr(cycmax, name) is not None, name
+
+    def test_analyze_example_script(self):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import cycmax
+
+        script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "analyze_example.py"
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cycmax.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "majorizing rotation starts at 9; strict prefix domination: True" in proc.stdout
 
 
 class TestDeterminism:

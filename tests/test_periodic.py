@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from cycmax import (
     IndexInterval,
     PeriodicTuple,
-    forward_max_average,
     interval_average,
     right_maximal,
     tuple_from_json,
@@ -95,6 +94,12 @@ class TestPeriodicTuple:
             PeriodicTuple(values)
         with pytest.raises(ValueError, match="overflow"):
             tuple_from_json('{"values": %s}' % values, "float")
+
+    def test_float_tuple_rejects_an_entry_past_the_float_range(self):
+        with pytest.raises(ValueError, match="float range"):
+            PeriodicTuple([1, 10**400], backend="float")
+        with pytest.raises(ValueError, match="float range"):
+            PeriodicTuple([Fraction(1), Fraction(10**400, 3)], backend="float")
 
     def test_large_entries_below_overflow_are_kept(self):
         x = PeriodicTuple([1e307, 1e307])
@@ -202,7 +207,6 @@ class TestRightMaximal:
         x = PeriodicTuple(np.random.default_rng(9).uniform(0.05, 10.0, 2000).tolist())
         for i in range(1, x.n + 1):
             right_maximal(x, i)
-            forward_max_average(x, i)
             m_interval(x, i)
         assert passes == [2000]
         assert right_maximal_profile(x) is right_maximal_profile(x)
@@ -234,18 +238,21 @@ class TestRightMaximal:
 
 
 class TestForwardMaxAverage:
+    """The largest average over windows starting strictly after i is the
+    right maximal value at i + 1."""
+
     def test_reference_values(self, ref_float):
-        assert forward_max_average(ref_float, 2) == pytest.approx(3.5, abs=1e-12)
-        assert forward_max_average(ref_float, 8) == pytest.approx(2.26, abs=1e-12)
+        assert right_maximal(ref_float, 2 + 1) == pytest.approx(3.5, abs=1e-12)
+        assert right_maximal(ref_float, 8 + 1) == pytest.approx(2.26, abs=1e-12)
 
     def test_constant(self):
         x = PeriodicTuple([4.0] * 6)
-        assert forward_max_average(x, 3) == 4.0
+        assert right_maximal(x, 3 + 1) == 4.0
 
     @given(st.lists(st.floats(0.01, 50.0), min_size=2, max_size=12), st.integers(1, 12))
     def test_between_mean_and_max(self, values, i):
         x = PeriodicTuple(values)
-        m = forward_max_average(x, i)
+        m = right_maximal(x, i + 1)
         mean = interval_average(x, IndexInterval(1, x.n))
         assert mean - 1e-12 * max(mean, 1.0) <= m <= max(values) + 1e-12
 
@@ -278,3 +285,19 @@ class TestJson:
     def test_rejects_non_finite_entries(self, token, backend):
         with pytest.raises(CycmaxError, match="finite"):
             tuple_from_json('{"values": [1, %s]}' % token, backend)
+
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    def test_rejects_boolean_entries(self, backend):
+        with pytest.raises(CycmaxError, match="true"):
+            tuple_from_json('{"values": [true, 2, false]}', backend)
+        with pytest.raises(CycmaxError):
+            periodic.parse_number(False, backend)
+
+    @pytest.mark.parametrize(
+        "entry", [str(10**400), '"1e400"', '"%d/3"' % 10**400], ids=["integer", "exponent", "ratio"]
+    )
+    def test_float_backend_rejects_entries_past_the_float_range(self, entry):
+        with pytest.raises(ValueError, match="float range"):
+            tuple_from_json('{"values": [1, %s]}' % entry, "float")
+        x = tuple_from_json('{"values": [1, %s]}' % entry, "rational")
+        assert x.values[1] > 10**300

@@ -23,15 +23,14 @@ from cycmax.reduction import (
     BRACKET_POINTS,
     LD,
     _compositions,
+    _grad_ld,
     _refine,
+    _residual_ld,
     _shoot,
     _solve_supports,
-    chain_gradient,
     chain_gradient_fd,
     gradient_agreement,
     max_sum_values,
-    projected_residual,
-    support_entries,
 )
 from cycmax import PeriodicTuple, max_avg_sum
 import oracles
@@ -132,35 +131,31 @@ class TestGradient:
 
     def test_exact_small_case(self):
         # f(a, b) = a/b + b/p: df/da = 1/b, df/db = -a/b^2 + 1/p
-        x = np.array([0.25, 0.75])
-        p = 0.5
-        g = chain_gradient(x, p)
-        assert g[0] == pytest.approx(1.0 / 0.75)
-        assert g[1] == pytest.approx(-0.25 / 0.75**2 + 2.0)
+        for dtype in (float, LD):
+            g = _grad_ld(np.array([0.25, 0.75], dtype=dtype), dtype(0.5))
+            assert g.dtype == dtype
+            assert float(g[0]) == pytest.approx(1.0 / 0.75)
+            assert float(g[1]) == pytest.approx(-0.25 / 0.75**2 + 2.0)
 
     def test_fd_uses_relative_steps(self):
         x = np.array([0.9, 0.0999, 1e-4])
         x = x / x.sum()
-        g = chain_gradient(x, 1e-4)
+        g = _grad_ld(x, 1e-4)
         g_fd = chain_gradient_fd(x, 1e-4)
         assert np.linalg.norm(g_fd - g) / np.linalg.norm(g) <= 1e-6
 
     def test_requires_positive_entries(self):
-        with pytest.raises(ValueError):
-            chain_gradient(np.array([0.0, 1.0]), 1.0)
+        for x in ([0.0, 1.0], [0.5, -0.1, 0.6]):
+            with pytest.raises(ValueError, match="strictly positive"):
+                chain_gradient_fd(np.array(x), 1.0)
+            with pytest.raises(ValueError, match="strictly positive"):
+                gradient_agreement(np.array(x), 1.0)
 
 
 class TestSupportHelpers:
-    def test_support_entries(self):
-        s = support_entries(np.array([0.0, 0.0, 0.2, 0.8]))
-        assert list(s) == [0.2, 0.8]
-        with pytest.raises(ValueError):
-            support_entries(np.array([0.2, 0.0, 0.8]))
-        with pytest.raises(ValueError):
-            support_entries(np.zeros(3))
-
     def test_projected_residual_zero_for_singleton(self):
-        assert projected_residual(np.array([0.0, 1.0]), 0.3) == 0.0
+        assert _residual_ld(np.ones(1, dtype=LD), LD(0.3)) == 0.0
+        assert minimize_chain(7, 1.5).stationarity_residual == 0.0
 
 
 class TestMinimizeChain:
@@ -177,27 +172,27 @@ class TestMinimizeChain:
 
     def test_two_entry_minimizer(self):
         sol = minimize_chain(2, 0.5)
-        assert sol.minimizer == pytest.approx([1.0 - 1.0 / SQRT2, 1.0 / SQRT2], rel=1e-9)
+        assert sol.entries == pytest.approx([1.0 - 1.0 / SQRT2, 1.0 / SQRT2], rel=1e-9)
         assert sol.support == 2
 
     def test_three_entry_support_two(self):
         sol = minimize_chain(3, 1.0 / 3.0)
         assert sol.support == 2
-        assert sol.minimizer == pytest.approx([0.0, 1.0 - 1.0 / SQRT3, 1.0 / SQRT3], rel=1e-9)
+        assert sol.entries == pytest.approx([1.0 - 1.0 / SQRT3, 1.0 / SQRT3], rel=1e-9)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
     def test_price_at_least_one_collapses_to_point_mass(self, p):
         sol = minimize_chain(7, p)
         assert sol.value == pytest.approx(1.0 / p, rel=1e-12)
         assert sol.support == 1
-        assert list(sol.minimizer) == [0.0] * 6 + [1.0]
+        assert list(sol.entries) == [1.0]
 
     def test_value_matches_objective_at_minimizer(self):
         for N, p in [(2, 0.5), (5, 0.2), (12, 0.07)]:
             sol = minimize_chain(N, p)
             recomputed = t_chain(sol.entries, p)
             assert sol.value == pytest.approx(recomputed, rel=1e-12)
-            assert sol.minimizer.sum() == pytest.approx(1.0, abs=1e-12)
+            assert sol.entries.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_minimizer_structure(self):
         for p in (0.5, 0.1, 0.01):
@@ -205,7 +200,7 @@ class TestMinimizeChain:
             sol = minimize_chain(N, p)
             s = sol.entries
             assert np.all(s > 0)
-            assert np.all(sol.minimizer[: N - sol.support] == 0.0)
+            assert len(s) == sol.support <= N
             if len(s) >= 2:
                 assert np.all(np.diff(s[1:]) <= 1e-9 * s.max())
             assert s[-1] >= p - 1e-9
@@ -226,7 +221,7 @@ class TestMinimizeChain:
     def test_residual_recomputable_from_solution(self):
         for N, p in [(5, 0.2), (14, 0.08)]:
             sol = minimize_chain(N, p)
-            assert projected_residual(sol.minimizer, p) <= 1e-10
+            assert _residual_ld(sol.entries.astype(LD), LD(p)) <= 1e-10
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

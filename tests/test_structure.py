@@ -12,7 +12,6 @@ from cycmax import (
     full_maximal_start,
     interval_average,
     m_interval,
-    majorizing_rotation,
 )
 from cycmax import verify
 from cycmax.periodic import right_maximal_profile
@@ -104,7 +103,7 @@ class TestFullMaximalStart:
 
 class TestMajorizingRotation:
     def test_reference_partial_sums(self, ref_rational):
-        i_star = majorizing_rotation(ref_rational)
+        i_star = full_maximal_start(ref_rational)
         assert i_star == 9
         mean = ref_rational.average
         rotation = [ref_rational.value(9 + j) for j in range(10)]
@@ -121,7 +120,7 @@ class TestMajorizingRotation:
 
     def test_constant_boundary_case(self):
         x = PeriodicTuple([2.0] * 5)
-        assert majorizing_rotation(x) == 1
+        assert full_maximal_start(x) == 1
         assert not has_majorizing_prefixes(x, 1, strict=True)
         assert all(has_majorizing_prefixes(x, i, strict=False) for i in range(1, 6))
 
@@ -219,7 +218,7 @@ class TestPoset:
 
 class TestSerialization:
     def test_poset_json_shape(self, ref_rational):
-        doc = json.loads(build_poset(ref_rational).to_json())
+        doc = json.loads(json.dumps(build_poset(ref_rational).to_dict()))
         assert doc["root"] == 9
         assert len(doc["nodes"]) == 10
         assert sorted(doc["edges"]) == sorted(
