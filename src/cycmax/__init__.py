@@ -13,7 +13,6 @@ Library layout:
 """
 
 from .errors import (
-    ConsistencyViolation,
     CycmaxError,
     IllConditionedFit,
     InadmissiblePair,
@@ -47,7 +46,6 @@ from .reduction import (
     brute_force_oracle,
     cyclic_bruteforce,
     minimize_chain,
-    minimize_noncyclic,
     t_chain,
     t_noncyclic,
 )
@@ -60,7 +58,6 @@ from .asymptotics import (
 
 __all__ = [
     "A_REFERENCE",
-    "ConsistencyViolation",
     "CycmaxError",
     "IllConditionedFit",
     "InadmissiblePair",
@@ -85,7 +82,6 @@ __all__ = [
     "m_interval",
     "max_avg_sum",
     "minimize_chain",
-    "minimize_noncyclic",
     "right_maximal",
     "sum_with_radii",
     "sweep",

@@ -112,26 +112,29 @@ class FitDiagnostics:
     regressor_spread: float
 
 
-def estimate_constant_a(
-    records: Iterable[SweepRecord],
-    min_n: int = 100,
-    spread_threshold: float = 1e-3,
-) -> tuple[float, FitDiagnostics]:
+# Smallest n whose record enters the fit of the constant.
+FIT_MIN_N = 100
+
+# Least spread of the regressor 1/log(n) that the fit accepts.
+FIT_MIN_SPREAD = 1e-3
+
+
+def estimate_constant_a(records: Iterable[SweepRecord]) -> tuple[float, FitDiagnostics]:
     """Intercept of the least-squares fit deficit = a - c / log(n).
 
-    Uses records with n >= min_n (at least four are required).  Raises
-    IllConditionedFit when the regressor 1/log(n) is too clustered for
-    the intercept to be trustworthy.
+    Uses records with n >= FIT_MIN_N (at least four are required).
+    Raises IllConditionedFit when the regressor 1/log(n) is too clustered
+    for the intercept to be trustworthy.
     """
-    pts = [r for r in records if r.n >= min_n]
+    pts = [r for r in records if r.n >= FIT_MIN_N]
     if len(pts) < 4:
-        raise ValueError("need at least four records with n >= %d" % min_n)
+        raise ValueError("need at least four records with n >= %d" % FIT_MIN_N)
     regressor = np.array([1.0 / math.log(r.n) for r in pts])
     deficits = np.array([r.deficit for r in pts])
     spread = float(regressor.max() - regressor.min())
-    if spread < spread_threshold:
+    if spread < FIT_MIN_SPREAD:
         raise IllConditionedFit(
-            f"regressor spread {spread:.3e} below {spread_threshold:.3e}"
+            f"regressor spread {spread:.3e} below {FIT_MIN_SPREAD:.3e}"
         )
     design = np.column_stack([np.ones_like(regressor), -regressor])
     coef, res, _, _ = np.linalg.lstsq(design, deficits, rcond=None)

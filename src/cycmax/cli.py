@@ -247,44 +247,29 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
-    """Global flags accepted both before and after the subcommand.
-
-    Subparsers suppress their defaults so a value given at the top level
-    is not clobbered when the flag is omitted after the subcommand.
-    """
-
-    def dflt(value):
-        return value if top_level else argparse.SUPPRESS
-
-    parser.add_argument("--backend", choices=[FLOAT, RATIONAL], default=dflt(FLOAT))
-    parser.add_argument(
-        "--format", choices=["json", "csv", "dot"], default=dflt("json")
-    )
-    parser.add_argument("--seed", type=int, default=dflt(0))
-    parser.add_argument("--tol", type=float, default=dflt(STATIONARITY_TOL))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cycmax",
         description="Cyclic sums with one-sided maximal averages: analysis, "
         "optimization, sweeps, verification.",
     )
-    _add_global_flags(parser, top_level=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
-        _add_global_flags(p, top_level=False)
-        return p
+    def add_backend(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--backend", choices=[FLOAT, RATIONAL], default=FLOAT)
 
-    p_analyze = add_command("analyze", help="window table, maximal intervals, poset")
+    def add_tol(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--tol", type=float, default=STATIONARITY_TOL)
+
+    p_analyze = sub.add_parser("analyze", help="window table, maximal intervals, poset")
     p_analyze.add_argument("tuple", help="tuple JSON file")
+    add_backend(p_analyze)
+    p_analyze.add_argument("--format", choices=["json", "csv", "dot"], default="json")
     p_analyze.set_defaults(func=cmd_analyze)
 
-    p_sum = add_command("sum", help="cyclic sum for given radii")
+    p_sum = sub.add_parser("sum", help="cyclic sum for given radii")
     p_sum.add_argument("tuple")
+    add_backend(p_sum)
     p_sum.add_argument("--radii", help="radii JSON file")
     p_sum.add_argument("--k", type=int, help="constant radius")
     p_sum.add_argument(
@@ -292,27 +277,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sum.set_defaults(func=cmd_sum)
 
-    p_maxsum = add_command("maxsum", help="maximal-average sum and argmax radii")
+    p_maxsum = sub.add_parser("maxsum", help="maximal-average sum and argmax radii")
     p_maxsum.add_argument("tuple")
+    add_backend(p_maxsum)
     p_maxsum.set_defaults(func=cmd_maxsum)
 
-    p_min = add_command("minimize", help="minimize the chain objective")
+    p_min = sub.add_parser("minimize", help="minimize the chain objective")
     p_min.add_argument("--n", type=int, help="cyclic length (sets p = 1/n)")
     p_min.add_argument("--p", type=float, help="boundary price")
     p_min.add_argument("--oracle", action="store_true", help="grid cross-check (N <= 5)")
+    add_tol(p_min)
     p_min.set_defaults(func=cmd_minimize)
 
-    p_sweep = add_command("sweep", help="CSV sweep of the cyclic minimum")
+    p_sweep = sub.add_parser("sweep", help="CSV sweep of the cyclic minimum")
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--points", type=int, required=True)
     p_sweep.add_argument("--estimate-a", action="store_true")
+    add_tol(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_verify = add_command("verify", help="run self-check suites")
+    p_verify = sub.add_parser("verify", help="run self-check suites")
     p_verify.add_argument(
         "--suite", action="append", choices=sorted(SUITES), help="restrict to a suite"
     )
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

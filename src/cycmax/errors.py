@@ -20,9 +20,5 @@ class NonConvergence(CycmaxError):
         self.best = best
 
 
-class ConsistencyViolation(CycmaxError):
-    """Two evaluation routes that must agree at a minimizer disagree."""
-
-
 class IllConditionedFit(CycmaxError):
     """Regression abscissas too clustered to extract an intercept."""

@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConsistencyViolation, InadmissiblePair, NonConvergence
+from .errors import InadmissiblePair, NonConvergence
 
 LD = np.longdouble
 
@@ -97,7 +97,11 @@ def t_noncyclic(x: Sequence, p) -> float:
     return total + x[-1] / p
 
 
-def chain_gradient_fd(x: np.ndarray, p: float, rel_step: float = 1e-6) -> np.ndarray:
+# Step of the central differences, relative to each coordinate.
+FD_REL_STEP = 1e-6
+
+
+def chain_gradient_fd(x: np.ndarray, p: float) -> np.ndarray:
     """Central-difference gradient with per-component relative steps.
 
     Steps scale with each coordinate, which keeps the difference quotient
@@ -113,7 +117,7 @@ def chain_gradient_fd(x: np.ndarray, p: float, rel_step: float = 1e-6) -> np.nda
     pld = LD(p)
     g = np.zeros(len(x), dtype=LD)
     for j in range(len(x)):
-        h = LD(rel_step) * x[j]
+        h = LD(FD_REL_STEP) * x[j]
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
@@ -122,13 +126,13 @@ def chain_gradient_fd(x: np.ndarray, p: float, rel_step: float = 1e-6) -> np.nda
     return g.astype(float)
 
 
-def gradient_agreement(x: np.ndarray, p: float, rel_step: float = 1e-6) -> float:
+def gradient_agreement(x: np.ndarray, p: float) -> float:
     """Normalized mismatch between the analytic and the differenced gradient.
 
     The analytic gradient is ``_grad_ld``, the one behind every solve's
     stationarity certificate, evaluated here in double precision.
     """
-    g_fd = chain_gradient_fd(x, p, rel_step)
+    g_fd = chain_gradient_fd(x, p)
     g = _grad_ld(np.asarray(x, dtype=float), p)
     return float(np.linalg.norm(g_fd - g) / max(np.linalg.norm(g), 1.0))
 
@@ -399,7 +403,6 @@ class ReducedSolution:
     entries: np.ndarray
     stationarity_residual: float
     oracle_gap: Optional[float] = None
-    consistency_gap: Optional[float] = None
     converged: bool = True
 
     @property
@@ -516,26 +519,6 @@ def minimize_chain(N: int, p: float, tol: float = STATIONARITY_TOL) -> ReducedSo
     return result
 
 
-def minimize_noncyclic(N: int, p: float) -> ReducedSolution:
-    """Minimize the windowed sum; solved through the chain form.
-
-    At the chain minimizer the forward-window denominators collapse to
-    the immediate successors, so the two objectives must agree there;
-    the observed discrepancy is recorded and a violation raised when it
-    exceeds 1e-9 relative.  The zero prefix contributes nothing to the
-    windowed sum, so it is evaluated on the support alone.
-    """
-    sol = minimize_chain(N, p)
-    windowed = t_noncyclic(sol.entries, p)
-    gap = abs(windowed - sol.value) / max(abs(sol.value), 1.0)
-    if gap > 1e-9:
-        raise ConsistencyViolation(
-            f"windowed value {windowed!r} and chain value {sol.value!r} "
-            f"disagree (relative gap {gap:.3e})"
-        )
-    return replace(sol, value=float(windowed), consistency_gap=float(gap))
-
-
 # ---------------------------------------------------------------------------
 # Grid-search oracles
 
@@ -596,10 +579,14 @@ def _refine_box(center: np.ndarray, width: float, per_dim: int, evaluate) -> tup
     return X[idx], float(vals[idx]), cell
 
 
-def _per_dim_budget(n_free: int, budget: int = 200_000) -> int:
+# Grid points per local refinement box of the grid oracles.
+_BOX_BUDGET = 200_000
+
+
+def _per_dim_budget(n_free: int) -> int:
     if n_free <= 0:
         return 1
-    m = int(budget ** (1.0 / n_free))
+    m = int(_BOX_BUDGET ** (1.0 / n_free))
     return max(9, min(m, 61))
 
 

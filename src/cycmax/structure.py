@@ -67,9 +67,6 @@ class IntervalPoset:
     parent: dict[int, Optional[int]]
     root: Optional[int]
 
-    def children(self, start: int) -> list[int]:
-        return sorted(i for i, p in self.parent.items() if p == start)
-
     def minimal_elements(self) -> list[int]:
         have_child = set(p for p in self.parent.values() if p is not None)
         return sorted(i for i in self.nodes if i not in have_child)

@@ -13,6 +13,7 @@ contains the corresponding singleton.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -55,8 +56,8 @@ class RadiusTuple:
 class SubsetCollectionSystem:
     """For each index i in 1..n, a nonempty list of nonempty subsets of 1..n.
 
-    Subsets are canonicalized to sorted tuples; for n <= 64 a bitmask per
-    subset backs validation and deduplication.
+    Subsets are canonicalized to sorted tuples, and repeats are dropped,
+    keeping the first occurrence.
     """
 
     def __init__(self, collections: Sequence[Sequence[Sequence[int]]]):
@@ -67,8 +68,7 @@ class SubsetCollectionSystem:
         for i, subsets in enumerate(collections, start=1):
             if not subsets:
                 raise ValueError(f"collection at index {i} is empty")
-            seen_masks = set()
-            cleaned = []
+            cleaned = {}  # ordered set of canonical subsets
             for subset in subsets:
                 idx = tuple(sorted(set(int(j) for j in subset)))
                 if not idx:
@@ -77,16 +77,7 @@ class SubsetCollectionSystem:
                     raise ValueError(
                         f"subset {idx} at index {i} leaves the range 1..{self.n}"
                     )
-                if self.n <= 64:
-                    mask = 0
-                    for j in idx:
-                        mask |= 1 << (j - 1)
-                    if mask in seen_masks:
-                        continue
-                    seen_masks.add(mask)
-                elif idx in cleaned:
-                    continue
-                cleaned.append(idx)
+                cleaned[idx] = None
             canon.append(tuple(cleaned))
         self.collections = tuple(canon)
 
@@ -129,15 +120,30 @@ class SubsetCollectionSystem:
 
 
 def sum_with_radii(x: PeriodicTuple, r: RadiusTuple) -> Number:
-    """S(x, r) = sum_i x_i / mean of the r_i entries after i."""
+    """S(x, r) = sum_i x_i / mean of the r_i entries after i.
+
+    On the float backend each window is summed from its own entries
+    (whole periods as multiples of the period sum) with ``math.fsum``: a
+    difference of prefix sums would lose a small window after a large
+    entry to cancellation.  The rational backend reads its exact table.
+    """
     if len(r) != x.n:
         raise ValueError("radii length must match tuple length")
+    n = x.n
+    if x.backend == FLOAT:
+        period = math.fsum(x.values)
     total = Fraction(0) if x.backend != FLOAT else 0.0
-    for i in range(1, x.n + 1):
-        denom = interval_average(x, IndexInterval(i + 1, i + r.radii[i - 1]))
+    for i in range(1, n + 1):
+        length = r.radii[i - 1]
+        if x.backend == FLOAT:
+            q, rest = divmod(length, n)
+            window = math.fsum([q * period, *(x.values[(i + j) % n] for j in range(rest))])
+            denom = window / length
+        else:
+            denom = interval_average(x, IndexInterval(i + 1, i + length))
         if denom == 0:
             raise InadmissiblePair(
-                f"window of length {r.radii[i - 1]} after index {i} sums to zero"
+                f"window of length {length} after index {i} sums to zero"
             )
         total += x.values[i - 1] / denom
     return total
@@ -198,12 +204,3 @@ def radii_from_json(text: str) -> RadiusTuple:
         return RadiusTuple(tuple(int(r) for r in radii))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise CycmaxError(f"malformed radii JSON: {exc}") from exc
-
-
-def system_from_json(text: str) -> SubsetCollectionSystem:
-    """Parse {"collections": [[[int, ...], ...], ...]} with 1-based indices."""
-    try:
-        doc = json.loads(text)
-        return SubsetCollectionSystem(doc["collections"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise CycmaxError(f"malformed subset-system JSON: {exc}") from exc

@@ -53,7 +53,7 @@ def test_criterion_01_golden_reference_analysis(capsys, tmp_path):
     path = tmp_path / "ref.json"
     path.write_text(json.dumps({"values": REFERENCE}))
 
-    code = cli.main(["--format", "csv", "analyze", str(path)])
+    code = cli.main(["analyze", "--format", "csv", str(path)])
     table_out = capsys.readouterr().out
     if code != 0:
         failures.append(f"analyze (csv) exited {code}")

@@ -58,11 +58,14 @@ class TestInfS:
             sweep([0])
 
     def test_agrees_with_windowed_route(self):
-        from cycmax import minimize_noncyclic
-
-        for n in (2, 5, 17):
-            windowed = minimize_noncyclic(n, 1.0 / n).value
-            assert minimize_chain(n, 1.0 / n).value == pytest.approx(windowed, rel=1e-9)
+        # uncycling: the chain minimizer, read as a periodic n-tuple with
+        # a zero run before its support, has the chain value as its
+        # maximal-average sum
+        for n in (10, 100, 1000, 5000):
+            sol = minimize_chain(n, 1.0 / n)
+            dense = PeriodicTuple([0.0] * (n - sol.support) + sol.entries.tolist())
+            value = max_avg_sum(dense).value
+            assert abs(value - sol.value) / sol.value <= 1e-13
 
 
 class TestSweep:

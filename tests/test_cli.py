@@ -52,7 +52,7 @@ def parse_table_csv(out):
 
 class TestAnalyzeGolden:
     def test_table_cells_match_publication_at_printed_precision(self, capsys, ref_path):
-        code, out, _ = run_cli(capsys, "--format", "csv", "analyze", ref_path)
+        code, out, _ = run_cli(capsys, "analyze", "--format", "csv", ref_path)
         assert code == 0
         header, cells, marks, comments = parse_table_csv(out)
         assert header == ["r\\i", "1", "2", "3", "4", "5", "6", "7", "8", "9*", "10"]
@@ -91,13 +91,13 @@ class TestAnalyzeGolden:
         assert chain == CHAIN_UNDER_ROOT
 
     def test_dot_output(self, capsys, ref_path):
-        code, out, _ = run_cli(capsys, "--format", "dot", "analyze", ref_path)
+        code, out, _ = run_cli(capsys, "analyze", "--format", "dot", ref_path)
         assert code == 0
         assert out.startswith("digraph")
         assert '"[9:18] a=2.26"' in out
 
     def test_rational_backend_matches(self, capsys, ref_path):
-        code, out, _ = run_cli(capsys, "--backend", "rational", "--format", "csv", "analyze", ref_path)
+        code, out, _ = run_cli(capsys, "analyze", "--backend", "rational", "--format", "csv", ref_path)
         assert code == 0
         _, cells, marks, _ = parse_table_csv(out)
         assert marks == MAXIMAL_CELLS
@@ -129,7 +129,7 @@ class TestAnalyzeGolden:
                 for key, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, key, counted)
-        code, _, _ = run_cli(capsys, "--format", fmt, "analyze", ref_path)
+        code, _, _ = run_cli(capsys, "analyze", "--format", fmt, ref_path)
         assert code == 0
         assert calls == [10]
 
@@ -198,9 +198,9 @@ class TestEntriesPastTheFloatRange:
         return str(path)
 
     COMMANDS = [
-        ("--format", "json", "analyze"),
-        ("--format", "csv", "analyze"),
-        ("--format", "dot", "analyze"),
+        pytest.param(("analyze", "--format", "json"), id="format-json-analyze"),
+        pytest.param(("analyze", "--format", "csv"), id="format-csv-analyze"),
+        pytest.param(("analyze", "--format", "dot"), id="format-dot-analyze"),
         ("sum", "--k", "2"),
         ("sum", "--k", "2", "--normalized"),
     ]
@@ -213,15 +213,58 @@ class TestEntriesPastTheFloatRange:
     @pytest.mark.parametrize("backend", ["float", "rational"])
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: "-".join(a).lstrip("-"))
     def test_exits_1_with_one_error_line(self, capsys, huge_path, backend, argv):
-        self.assert_one_error_line(*run_cli(capsys, "--backend", backend, *argv, huge_path))
+        command, *flags = argv
+        self.assert_one_error_line(*run_cli(capsys, command, "--backend", backend, *flags, huge_path))
 
     def test_float_maxsum_rejects_the_entry(self, capsys, huge_path):
-        self.assert_one_error_line(*run_cli(capsys, "--backend", "float", "maxsum", huge_path))
+        self.assert_one_error_line(*run_cli(capsys, "maxsum", "--backend", "float", huge_path))
 
     def test_rational_maxsum_still_works(self, capsys, huge_path):
-        code, out, _ = run_cli(capsys, "--backend", "rational", "maxsum", huge_path)
+        code, out, _ = run_cli(capsys, "maxsum", "--backend", "rational", huge_path)
         assert code == 0
         assert json.loads(out) == {"value": 4.0, "radii": [4, 3, 2, 1]}
+
+
+class TestFlagSlots:
+    """Each subcommand accepts only the flags it reads, and only after its name."""
+
+    FLAGS = {"--backend": "rational", "--format": "csv", "--seed": "3", "--tol": "1e-9"}
+    READS = {
+        "analyze": {"--backend", "--format"},
+        "sum": {"--backend"},
+        "maxsum": {"--backend"},
+        "minimize": {"--tol"},
+        "sweep": {"--tol"},
+        "verify": {"--seed"},
+    }
+
+    @staticmethod
+    def argv(command, ref_path):
+        operands = {
+            "analyze": [ref_path],
+            "sum": [ref_path, "--k", "2"],
+            "maxsum": [ref_path],
+            "minimize": ["--n", "3"],
+            "sweep": ["--from", "1", "--to", "3", "--points", "2"],
+            "verify": ["--suite", "rotation"],
+        }
+        return [command, *operands[command]]
+
+    @pytest.mark.parametrize("flag", sorted(FLAGS))
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_after_the_subcommand(self, capsys, ref_path, command, flag):
+        command_argv = self.argv(command, ref_path)
+        code, out, err = run_cli(capsys, *command_argv, flag, self.FLAGS[flag])
+        if flag in self.READS[command]:
+            assert code == 0 and out and not err
+        else:
+            assert code == 1 and out == ""
+            assert err.startswith("error: unrecognized arguments: " + flag)
+
+    @pytest.mark.parametrize("flag", sorted(FLAGS))
+    def test_before_the_subcommand_exits_1(self, capsys, ref_path, flag):
+        code, out, err = run_cli(capsys, flag, self.FLAGS[flag], *self.argv("maxsum", ref_path))
+        assert code == 1 and out == "" and err.startswith("error: ")
 
 
 class TestBooleanEntries:
@@ -229,7 +272,7 @@ class TestBooleanEntries:
     def test_maxsum_rejects_booleans(self, capsys, tmp_path, backend):
         path = tmp_path / "bool.json"
         path.write_text('{"values": [true, 2, false]}')
-        code, out, err = run_cli(capsys, "--backend", backend, "maxsum", str(path))
+        code, out, err = run_cli(capsys, "maxsum", "--backend", backend, str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "true" in err
 
@@ -351,13 +394,20 @@ class TestVerify:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, ref_path):
+        import os
+        import pathlib
         import subprocess
         import sys
 
+        import cycmax
+
+        # the child finds the package the tests import, installed or not
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cycmax.__file__).parents[1])}
         proc = subprocess.run(
             [sys.executable, "-m", "cycmax", "maxsum", ref_path],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["radii"] == [2, 1, 5, 4, 3, 2, 1, 10, 1, 8]

@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cycmax import (
-    ConsistencyViolation,
     InadmissiblePair,
     NonConvergence,
     brute_force_oracle,
     cyclic_bruteforce,
     minimize_chain,
-    minimize_noncyclic,
     t_chain,
     t_noncyclic,
 )
@@ -449,24 +447,23 @@ class TestShootingSolve:
             assert len(sol.to_dict()["entries"]) == sol.support
 
 
-class TestMinimizeNoncyclic:
-    def test_agrees_with_chain_route(self):
-        for N, p in [(2, 0.5), (4, 0.25), (10, 0.07)]:
-            chain = minimize_chain(N, p)
-            windowed = minimize_noncyclic(N, p)
-            assert windowed.value == pytest.approx(chain.value, rel=1e-9)
-            assert windowed.consistency_gap <= 1e-9
+class TestUncycling:
+    """At the chain minimizer the windowed sum takes the chain value."""
 
-    def test_price_one(self):
-        sol = minimize_noncyclic(4, 1.0)
-        assert sol.value == pytest.approx(1.0, rel=1e-12)
+    def test_windowed_equals_chain_at_minimizer(self):
+        for N, p in [(2, 0.5), (4, 0.25), (10, 0.07), (4, 1.0)]:
+            sol = minimize_chain(N, p)
+            windowed = t_noncyclic(sol.entries, p)
+            assert abs(windowed - sol.value) / max(abs(sol.value), 1.0) <= 1e-9
+        # at p >= 1 the minimizer is the point mass, worth 1/p
+        assert t_noncyclic(minimize_chain(4, 1.0).entries, 1.0) == pytest.approx(1.0, rel=1e-12)
 
-    def test_route_disagreement_raises(self, monkeypatch):
-        import cycmax.reduction as reduction
+    def test_route_disagreement_fails_the_verify_check(self, monkeypatch):
+        from cycmax import verify
 
-        monkeypatch.setattr(reduction, "t_noncyclic", lambda x, p: 0.0)
-        with pytest.raises(ConsistencyViolation):
-            minimize_noncyclic(3, 0.5)
+        monkeypatch.setattr(verify, "t_noncyclic", lambda x, p: 0.0)
+        results = {r.name: r for r in verify.suite_reduced(np.random.default_rng(0))}
+        assert not results["windowed-equals-chain-at-minimizer"].passed
 
 
 class TestBruteForceOracle:

@@ -14,7 +14,7 @@ from cycmax import (
     max_avg_sum,
     sum_with_radii,
 )
-from cycmax.sums import radii_from_json, system_from_json
+from cycmax.sums import radii_from_json
 from cycmax.errors import CycmaxError
 
 # Largest forward-window averages of the reference tuple, index 1..10,
@@ -78,6 +78,16 @@ class TestSumWithRadii:
             sum_with_radii(x, RadiusTuple((1, 1, 1, 1)))
         # wider windows avoid the zero
         assert sum_with_radii(x, RadiusTuple((2, 2, 2, 2))) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("values", [[1e16, 3.0, 1.0], [1e20, 1e-5, 1.0]])
+    def test_float_matches_rational_after_a_large_entry(self, values):
+        # as a difference of prefix sums, the window after the large entry cancelled
+        x = PeriodicTuple(values)
+        exact = PeriodicTuple([Fraction(v) for v in values], backend="rational")
+        for k in (1, 2, 4, 7):
+            radii = RadiusTuple.constant(3, k)
+            expected = float(sum_with_radii(exact, radii))
+            assert sum_with_radii(x, radii) == pytest.approx(expected, rel=1e-14)
 
     def test_radii_validation(self):
         with pytest.raises(ValueError):
@@ -246,6 +256,12 @@ class TestGeneralizedMaxSum:
     def test_duplicate_subsets_removed(self):
         system = SubsetCollectionSystem([[[1, 2], [2, 1], [1]], [[1, 2]]])
         assert system.collections[0] == ((1, 2), (1,))
+        # past 64 indices too, with repeated and reordered entries
+        n = 70
+        first = [[70, 1, 65], [2], [1, 65, 70], [65, 65, 1, 70], [2, 2], [69, 70]]
+        system = SubsetCollectionSystem([first] + [[[i]] for i in range(2, n + 1)])
+        assert system.collections[0] == ((1, 65, 70), (2,), (69, 70))
+        assert system.collections[1:] == tuple(((i,),) for i in range(2, n + 1))
 
 
 class TestJsonInterfaces:
@@ -257,13 +273,3 @@ class TestJsonInterfaces:
         for text in ('{"radii": []}', '{"radii": [0]}', '{"x": 1}', "oops"):
             with pytest.raises(CycmaxError):
                 radii_from_json(text)
-
-    def test_system_parse(self):
-        system = system_from_json('{"collections": [[[1, 2], [1]], [[2]]]}')
-        assert system.n == 2
-        assert system.collections == (((1, 2), (1,)), ((2,),))
-
-    def test_system_malformed(self):
-        for text in ('{"collections": []}', '{"collections": [[]]}', "nope"):
-            with pytest.raises(CycmaxError):
-                system_from_json(text)
