@@ -447,16 +447,25 @@ class TestShootingSolve:
             assert len(sol.to_dict()["entries"]) == sol.support
 
 
-class TestUncycling:
-    """At the chain minimizer the windowed sum takes the chain value."""
+class TestMinimizeNoncyclic:
+    """At the chain minimizer the windowed (non-cyclic) sum takes the chain value."""
 
-    def test_windowed_equals_chain_at_minimizer(self):
-        for N, p in [(2, 0.5), (4, 0.25), (10, 0.07), (4, 1.0)]:
+    def test_agrees_with_chain_route(self):
+        for N, p in [(2, 0.5), (4, 0.25), (10, 0.07)]:
             sol = minimize_chain(N, p)
             windowed = t_noncyclic(sol.entries, p)
+            assert windowed == pytest.approx(sol.value, rel=1e-9)
             assert abs(windowed - sol.value) / max(abs(sol.value), 1.0) <= 1e-9
+
+    def test_price_one(self):
         # at p >= 1 the minimizer is the point mass, worth 1/p
-        assert t_noncyclic(minimize_chain(4, 1.0).entries, 1.0) == pytest.approx(1.0, rel=1e-12)
+        sol = minimize_chain(4, 1.0)
+        assert sol.value == pytest.approx(1.0, rel=1e-12)
+        assert t_noncyclic(sol.entries, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+
+class TestUncycling:
+    """A windowed route that leaves the chain value fails the verify check."""
 
     def test_route_disagreement_fails_the_verify_check(self, monkeypatch):
         from cycmax import verify
