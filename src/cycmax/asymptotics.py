@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import IllConditionedFit, NonConvergence
-from .reduction import STATIONARITY_TOL, _minimize_many
+from .reduction import _minimize_many
 
 A_REFERENCE = 1.70465603718
 
@@ -56,15 +56,14 @@ def _price(n: int) -> float:
         ) from None
 
 
-def sweep(n_values: Sequence[int], tol: float = STATIONARITY_TOL) -> list[SweepRecord]:
+def sweep(n_values: Sequence[int]) -> list[SweepRecord]:
     """Solve a sorted list of n values at price 1/n each.
 
     All n are solved together: every solve shares its shooting passes
     with the others, round by round, and leaves when its own stop rule
-    fires, with the same result as ``minimize_chain(n, 1/n, tol)``.  A
-    non-convergent solve (stationarity residual above ``tol``) is
-    recorded with its best solution and flagged rather than aborting the
-    sweep.
+    fires, with the same result as ``minimize_chain(n, 1/n)``.  A
+    non-convergent solve (residual above ``STATIONARITY_TOL``) is
+    recorded with its best solution and flagged rather than aborting.
     """
     values = list(n_values)
     if not values:
@@ -75,7 +74,7 @@ def sweep(n_values: Sequence[int], tol: float = STATIONARITY_TOL) -> list[SweepR
         raise ValueError("n values must be sorted ascending")
 
     records = []
-    for n, sol in zip(values, _minimize_many([(n, _price(n)) for n in values], tol)):
+    for n, sol in zip(values, _minimize_many([(n, _price(n)) for n in values])):
         if isinstance(sol, NonConvergence):
             sol = sol.best
         records.append(

@@ -25,7 +25,7 @@ import sys
 from .asymptotics import estimate_constant_a, geometric_grid, records_to_csv, sweep
 from .errors import CycmaxError, NonConvergence
 from .periodic import FLOAT, RATIONAL, PeriodicTuple, tuple_from_json
-from .reduction import STATIONARITY_TOL, brute_force_oracle, minimize_chain
+from .reduction import brute_force_oracle, minimize_chain
 from .structure import IntervalPoset, average_table, build_poset
 from .sums import RadiusTuple, diananda_sum, max_avg_sum, radii_from_json, sum_with_radii
 from .verify import SUITES, run_suites
@@ -208,7 +208,7 @@ def cmd_minimize(args) -> int:
             raise InputError(f"--p {args.p!r} is too small: 1/p overflows")
         p = args.p
         N = max(1, math.ceil(1.0 / p))
-    sol = minimize_chain(N, p, args.tol)
+    sol = minimize_chain(N, p)
     if args.oracle:
         if N > 5:
             raise InputError("--oracle supports N <= 5")
@@ -223,7 +223,7 @@ def cmd_sweep(args) -> int:
         grid = geometric_grid(args.start, args.stop, args.points)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    records = sweep(grid, args.tol)
+    records = sweep(grid)
     a_hat = None
     if args.estimate_a:
         try:
@@ -258,9 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_backend(p: argparse.ArgumentParser) -> None:
         p.add_argument("--backend", choices=[FLOAT, RATIONAL], default=FLOAT)
 
-    def add_tol(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=STATIONARITY_TOL)
-
     p_analyze = sub.add_parser("analyze", help="window table, maximal intervals, poset")
     p_analyze.add_argument("tuple", help="tuple JSON file")
     add_backend(p_analyze)
@@ -286,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--n", type=int, help="cyclic length (sets p = 1/n)")
     p_min.add_argument("--p", type=float, help="boundary price")
     p_min.add_argument("--oracle", action="store_true", help="grid cross-check (N <= 5)")
-    add_tol(p_min)
     p_min.set_defaults(func=cmd_minimize)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep of the cyclic minimum")
@@ -294,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--points", type=int, required=True)
     p_sweep.add_argument("--estimate-a", action="store_true")
-    add_tol(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run self-check suites")

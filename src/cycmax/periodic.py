@@ -28,7 +28,8 @@ denominators), and compares averages exactly by cross-multiplication;
 ``Fraction`` objects are built only for the values returned.  D bounds
 the denominator of every ``Fraction`` prefix sum of the entries, so the
 numbers grow no faster than summing ``Fraction`` objects would make them.
-Float comparisons divide, as a per-start scan does.
+Float comparisons divide, as a per-start scan does.  Exact predicates
+read a float tuple through its rational twin (``Fraction(float)`` is exact).
 """
 
 from __future__ import annotations
@@ -148,6 +149,12 @@ class PeriodicTuple:
             return self._prefix3[k]
         q, r = divmod(k, self.n)
         return q * self._prefix3[self.n] + self._prefix3[r]
+
+    def _exact(self) -> "PeriodicTuple":
+        """The rational twin: the same entries, exactly, on the rational backend."""
+        if self.backend == RATIONAL:
+            return self
+        return PeriodicTuple(self.values, backend=RATIONAL)
 
     def _ratio(self, s, r: int) -> Number:
         """The average s / r of a table-unit sum s over r entries."""

@@ -216,7 +216,7 @@ BRACKET_POINTS = 400
 # and gains _LEVELS bits.
 _LEVELS = 4
 
-# Default bound on the projected stationarity residual of a converged solve.
+# Bound on the projected stationarity residual of a converged solve.
 STATIONARITY_TOL = 1e-10
 
 # Relative change below which a value does not count as an improvement
@@ -422,8 +422,8 @@ class ReducedSolution:
         }
 
 
-def _solution(N: int, p: float, tol: float, x: np.ndarray, value) -> ReducedSolution:
-    """The solution with longdouble support entries x, certified against ``tol``."""
+def _solution(N: int, p: float, x: np.ndarray, value) -> ReducedSolution:
+    """The solution with longdouble support entries x, certified against ``STATIONARITY_TOL``."""
     entries = np.asarray(x, dtype=float)
     entries /= entries.sum()
     residual = _residual_ld(x, LD(p))
@@ -433,18 +433,18 @@ def _solution(N: int, p: float, tol: float, x: np.ndarray, value) -> ReducedSolu
         value=float(value),
         entries=entries,
         stationarity_residual=residual,
-        converged=residual <= tol,
+        converged=residual <= STATIONARITY_TOL,
     )
 
 
 class _Run:
     """One problem's walk over its chunks of support sizes, and its best solutions."""
 
-    def __init__(self, N: int, p: float, tol: float, kmax: int):
-        self.N, self.p, self.tol = N, p, tol
+    def __init__(self, N: int, p: float, kmax: int):
+        self.N, self.p = N, p
         self.chunks = _chunks(p, kmax)
         self.chunk: Optional[range] = None
-        self.best = self.best_conv = _solution(N, p, tol, np.ones(1, dtype=LD), 1.0 / p)
+        self.best = self.best_conv = _solution(N, p, np.ones(1, dtype=LD), 1.0 / p)
 
     def advance(self) -> bool:
         """Move to the next chunk; False when none is left."""
@@ -456,7 +456,7 @@ class _Run:
         for item in found:
             if item is None or not item[1] < self.best.value:
                 return False
-            self.best = _solution(self.N, self.p, self.tol, *item)
+            self.best = _solution(self.N, self.p, *item)
             if self.best.converged:
                 self.best_conv = self.best
         return True
@@ -467,13 +467,13 @@ class _Run:
         if self.best_conv.value <= self.best.value + slack:
             return self.best_conv
         return NonConvergence(
-            f"no support size reached stationarity {self.tol:g} "
+            f"no support size reached stationarity {STATIONARITY_TOL:g} "
             f"at the best value {self.best.value:.12g}",
             best=self.best,
         )
 
 
-def _minimize_many(problems: Sequence[tuple[int, float]], tol: float = STATIONARITY_TOL) -> list:
+def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
     """Minimize the chain sum for every (N, p) of ``problems`` together.
 
     Each problem walks its support sizes as ``minimize_chain`` describes,
@@ -490,7 +490,7 @@ def _minimize_many(problems: Sequence[tuple[int, float]], tol: float = STATIONAR
             raise ValueError("p must be positive and finite")
         if not math.isfinite(1.0 / p):
             raise ValueError(f"p = {p!r} is too small: 1/p overflows")
-        runs.append(_Run(N, p, tol, min(N, max(1, math.ceil(1.0 / p)))))
+        runs.append(_Run(N, p, min(N, max(1, math.ceil(1.0 / p)))))
 
     running = [run for run in runs if run.advance()]
     while running:
@@ -499,7 +499,7 @@ def _minimize_many(problems: Sequence[tuple[int, float]], tol: float = STATIONAR
     return [run.outcome() for run in runs]
 
 
-def minimize_chain(N: int, p: float, tol: float = STATIONARITY_TOL) -> ReducedSolution:
+def minimize_chain(N: int, p: float) -> ReducedSolution:
     """Minimize the chain sum over the N-simplex at price p.
 
     Support sizes are enumerated upward from 1, up to min(N, ceil(1/p)),
@@ -509,11 +509,11 @@ def minimize_chain(N: int, p: float, tol: float = STATIONARITY_TOL) -> ReducedSo
     ``_chunks``); chunking saves shooting passes and never changes which
     size is kept.  The certificate of each solve is its projected
     stationarity residual in extended precision; raises NonConvergence
-    (carrying the best solution) only if the best value belongs to a
-    solve whose residual exceeds ``tol``.  Rejects a p so small that 1/p
-    overflows a float.  ``_minimize_many`` solves many (N, p) at once.
+    (carrying the best solution) only if the best value belongs to a solve
+    whose residual exceeds ``STATIONARITY_TOL``.  Rejects a p so small
+    that 1/p overflows a float; ``_minimize_many`` solves many at once.
     """
-    result = _minimize_many([(N, p)], tol)[0]
+    result = _minimize_many([(N, p)])[0]
     if isinstance(result, NonConvergence):
         raise result
     return result

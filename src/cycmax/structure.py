@@ -151,15 +151,15 @@ def full_maximal_start(x: PeriodicTuple) -> int:
 def has_majorizing_prefixes(x: PeriodicTuple, start: int, strict: bool = True) -> bool:
     """Check the prefix-sum domination property for one rotation.
 
-    On the rational backend ``partial < k * mean`` is tested exactly as
-    ``partial * n < k * total`` on the integer prefix table.
+    ``partial < k * mean`` is tested exactly as ``partial * n < k * total``
+    on the integer prefix table of the rational twin.
     """
-    n = x.n
-    scale, bound = (1, x.average) if x.backend == FLOAT else (n, x._prefix3[n])
+    x = x._exact()
+    n, total = x.n, x._prefix3[x.n]
     left = x._table(start - 1)
     for k in range(1, n):
-        partial = (x._table(start + k - 1) - left) * scale
-        if partial > k * bound or (strict and partial == k * bound):
+        partial = (x._table(start + k - 1) - left) * n
+        if partial > k * total or (strict and partial == k * total):
             return False
     return True
 
@@ -187,20 +187,17 @@ def distinct_short_averages(x: PeriodicTuple) -> bool:
     """Surrogate genericity test: all short-window averages pairwise distinct.
 
     Collects the averages of [i : i+r-1] for i = 1..n, r = 1..n-1,
-    together with the period mean, and checks for collisions.  Exact on
-    the rational backend, where an average s / (r D) is keyed by the
-    reduced pair (s, r) of its integer table sum; quadratically many
-    values, so callers gate it.
+    together with the period mean, and checks for collisions.  Exact, on
+    the rational twin: an average s / (r D) is keyed by the reduced pair
+    (s, r) of its integer table sum; quadratically many values, so
+    callers gate it.
     """
+    x = x._exact()
     n = x.n
     p = x._prefix3
-    if x.backend == FLOAT:
-        def key(s, r):
-            return s / r
-    else:
-        def key(s, r):
-            g = math.gcd(s, r)
-            return s // g, r // g
+    def key(s, r):
+        g = math.gcd(s, r)
+        return s // g, r // g
     seen = {key(p[n], n)}
     for i in range(n):
         for r in range(1, n):

@@ -97,19 +97,13 @@ class SubsetCollectionSystem:
             collections.append(subsets)
         return cls(collections)
 
-    def max_subset_average(self, x: PeriodicTuple, i: int) -> Number:
+    def max_subset_average(self, x: PeriodicTuple, i: int) -> Fraction:
         """Largest subset average in the i-th collection (the first on ties).
 
-        On the rational backend subset sums are integer table differences,
-        and s / r > t / q is tested as s * q > t * r.
+        Exact on both backends: subset sums are integer table differences
+        of the rational twin, and s / r > t / q is tested as s * q > t * r.
         """
-        if x.backend == FLOAT:
-            best = None
-            for idx in self.collections[i - 1]:
-                avg = sum((x.values[j - 1] for j in idx), start=0.0) / len(idx)
-                if best is None or avg > best:
-                    best = avg
-            return best
+        x = x._exact()
         p = x._prefix3
         best_s, best_r = None, 1
         for idx in self.collections[i - 1]:
@@ -130,17 +124,15 @@ def sum_with_radii(x: PeriodicTuple, r: RadiusTuple) -> Number:
     if len(r) != x.n:
         raise ValueError("radii length must match tuple length")
     n = x.n
-    if x.backend == FLOAT:
-        period = math.fsum(x.values)
-    total = Fraction(0) if x.backend != FLOAT else 0.0
+    period = math.fsum(x.values) if x.backend == FLOAT else None
+    total = 0 * x.values[0]
     for i in range(1, n + 1):
         length = r.radii[i - 1]
-        if x.backend == FLOAT:
-            q, rest = divmod(length, n)
-            window = math.fsum([q * period, *(x.values[(i + j) % n] for j in range(rest))])
-            denom = window / length
-        else:
+        if period is None:
             denom = interval_average(x, IndexInterval(i + 1, i + length))
+        else:
+            q, rest = divmod(length, n)
+            denom = math.fsum([q * period, *(x.values[(i + j) % n] for j in range(rest))]) / length
         if denom == 0:
             raise InadmissiblePair(
                 f"window of length {length} after index {i} sums to zero"
@@ -169,11 +161,12 @@ def max_avg_sum(x: PeriodicTuple) -> MaxSumResult:
 
     m_i equals the right maximal value at i+1, so the argmax radius at i
     is the length of the irreducible maximal interval at i+1 (smallest
-    maximizing window).  The returned radii satisfy
-    sum_with_radii(x, radii) == value.
+    maximizing window).  The returned radii give sum_with_radii(x, radii)
+    == value exactly on the rational backend; on floats only to rounding,
+    as ``sum_with_radii`` sums each window with ``math.fsum``.
     """
     values, lengths, _ = right_maximal_profile(x)
-    total = Fraction(0) if x.backend != FLOAT else 0.0
+    total = 0 * x.values[0]
     radii = []
     for i in range(1, x.n + 1):
         j = i % x.n  # 0-based position of index i+1
@@ -187,7 +180,7 @@ def generalized_max_sum(x: PeriodicTuple, system: SubsetCollectionSystem) -> Num
     """sum_i x_i / (largest subset average in the i-th collection)."""
     if system.n != x.n:
         raise ValueError("system size must match tuple length")
-    total = Fraction(0) if x.backend != FLOAT else 0.0
+    total = 0 * x.values[0]
     for i in range(1, x.n + 1):
         m = system.max_subset_average(x, i)
         if m == 0:

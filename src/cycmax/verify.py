@@ -9,6 +9,7 @@ counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -318,6 +319,7 @@ def suite_prop5(rng: np.random.Generator, trials: int = 100) -> list[CheckResult
 
 def suite_reduced(rng: np.random.Generator, p_values=(0.5, 0.2, 0.1, 0.05, 0.01)) -> list[CheckResult]:
     results = []
+    solve = functools.cache(minimize_chain)  # the checks share their solves
 
     exact = [
         (1, 1.0, 1.0),
@@ -326,10 +328,10 @@ def suite_reduced(rng: np.random.Generator, p_values=(0.5, 0.2, 0.1, 0.05, 0.01)
     ]
     worst = 0.0
     for N, p, target in exact:
-        sol = minimize_chain(N, p)
+        sol = solve(N, p)
         worst = max(worst, abs(sol.value - target) / target)
     for p in (1.0, 1.5, 4.0):
-        sol = minimize_chain(6, p)
+        sol = solve(6, p)
         worst = max(worst, abs(sol.value - 1.0 / p) * p)
         if not (sol.support == 1 and sol.entries[-1] == 1.0):
             worst = max(worst, 1.0)
@@ -346,12 +348,11 @@ def suite_reduced(rng: np.random.Generator, p_values=(0.5, 0.2, 0.1, 0.05, 0.01)
         samples = sorted(set([1, 2, 3, max(1, cap // 2), cap, cap + 5]))
         prev = math.inf
         for N in samples:
-            val = minimize_chain(N, p).value
+            val = solve(N, p).value
             if val > prev + 1e-10:
                 mono_bad += 1
             prev = val
-        v_cap = minimize_chain(cap, p).value
-        sol = minimize_chain(cap + 5, p)
+        v_cap, sol = solve(cap, p).value, solve(cap + 5, p)
         stab_worst = max(stab_worst, abs(v_cap - sol.value) / max(abs(v_cap), 1.0))
 
         # uncycling: at the chain minimizer the windowed sum takes the same value

@@ -16,11 +16,11 @@ from typing import Optional
 
 import numpy as np
 
+from cycmax import reduction
 from cycmax.errors import NonConvergence
 from cycmax.reduction import (
     BRACKET_POINTS,
     LD,
-    STATIONARITY_TOL,
     _VALUE_RTOL,
     ReducedSolution,
     _residual_ld,
@@ -273,7 +273,7 @@ def solve_support(k: int, p: float):
     return x[:, best], values[best]
 
 
-def minimize_by_support(N: int, p: float, tol: float = STATIONARITY_TOL) -> ReducedSolution:
+def minimize_by_support(N: int, p: float) -> ReducedSolution:
     """``minimize_chain`` walking k = 2, 3, ... with ``solve_support``."""
     kmax = min(N, max(1, math.ceil(1.0 / p)))
 
@@ -287,7 +287,7 @@ def minimize_by_support(N: int, p: float, tol: float = STATIONARITY_TOL) -> Redu
             value=float(value),
             entries=entries,
             stationarity_residual=residual,
-            converged=residual <= tol,
+            converged=residual <= reduction.STATIONARITY_TOL,
         )
 
     best = best_conv = solution(np.ones(1, dtype=LD), 1.0 / p)

@@ -1,5 +1,8 @@
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -233,8 +236,8 @@ class TestFlagSlots:
         "analyze": {"--backend", "--format"},
         "sum": {"--backend"},
         "maxsum": {"--backend"},
-        "minimize": {"--tol"},
-        "sweep": {"--tol"},
+        "minimize": set(),
+        "sweep": set(),
         "verify": {"--seed"},
     }
 
@@ -265,6 +268,24 @@ class TestFlagSlots:
     def test_before_the_subcommand_exits_1(self, capsys, ref_path, flag):
         code, out, err = run_cli(capsys, flag, self.FLAGS[flag], *self.argv("maxsum", ref_path))
         assert code == 1 and out == "" and err.startswith("error: ")
+
+
+def test_readme_flag_table_matches_the_parser():
+    """The README command-line table lists exactly the flags each subcommand declares."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = {
+        row.group(1): set(re.findall(r"--[a-z][a-z-]*", row.group(2)))
+        for row in re.finditer(r"^\| `(\w+)`\s*\|(.*)\|$", section, re.MULTILINE)
+    }
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    declared = {
+        name: {s for a in sub._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == declared
 
 
 class TestBooleanEntries:

@@ -237,9 +237,10 @@ class TestMinimizeChain:
         with pytest.raises(ValueError, match="1/p overflows"):
             reduction._minimize_many([(10, 1e-3), (10, p)])
 
-    def test_nonconvergence_carries_best_iterate(self):
+    def test_nonconvergence_carries_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(reduction, "STATIONARITY_TOL", 1e-300)
         with pytest.raises(NonConvergence) as exc_info:
-            minimize_chain(10, 0.01, tol=1e-300)
+            minimize_chain(10, 0.01)
         best = exc_info.value.best
         assert best is not None
         assert not best.converged
@@ -473,6 +474,20 @@ class TestUncycling:
         monkeypatch.setattr(verify, "t_noncyclic", lambda x, p: 0.0)
         results = {r.name: r for r in verify.suite_reduced(np.random.default_rng(0))}
         assert not results["windowed-equals-chain-at-minimizer"].passed
+
+
+def test_reduced_suite_solves_each_problem_once(monkeypatch):
+    from cycmax import verify
+
+    calls = []
+
+    def counted(N, p):
+        calls.append((N, p))
+        return minimize_chain(N, p)
+
+    monkeypatch.setattr(verify, "minimize_chain", counted)
+    verify.suite_reduced(np.random.default_rng(1))
+    assert calls and len(calls) == len(set(calls))
 
 
 class TestBruteForceOracle:

@@ -22,7 +22,7 @@ from cycmax.structure import (
     distinct_short_averages,
     has_majorizing_prefixes,
 )
-from cycmax.sums import SubsetCollectionSystem
+from cycmax.sums import SubsetCollectionSystem, generalized_max_sum
 
 import oracles
 
@@ -292,6 +292,21 @@ def mixed_denominator_tuples(draw, max_size=9):
     return PeriodicTuple(values, backend="rational")
 
 
+def mixed_magnitude_floats():
+    """Decimal literals such as 0.3 or 2.5e-4, huge and tiny entries side by side, and zeros."""
+    decimal = st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(0, 999), st.integers(-6, 2))
+    extreme = st.sampled_from([1e20, 1e-5, 1.0, 0.0])
+    return st.one_of(decimal, decimal, extreme, st.floats(0.0, 1e20))
+
+
+@st.composite
+def mixed_magnitude_float_tuples(draw, max_size=9):
+    values = draw(st.lists(mixed_magnitude_floats(), min_size=1, max_size=max_size))
+    if not any(values):
+        values[0] = 0.1
+    return PeriodicTuple(values, backend="float")
+
+
 @st.composite
 def subset_systems(draw, n):
     collections = []
@@ -308,11 +323,14 @@ def subset_systems(draw, n):
 
 
 class TestExactKernel:
-    """The integer-table kernels against ``Fraction`` oracles that sum ``x.values``."""
+    """The integer-table kernels against ``Fraction`` oracles that sum ``x.values``.
 
-    @given(mixed_denominator_tuples(), st.data())
-    def test_matches_fraction_oracles(self, x, data):
-        n = x.n
+    The genericity, rotation and subset-maximum predicates read a float
+    tuple exactly, so on float tuples they must equal the same oracles.
+    """
+
+    @given(mixed_denominator_tuples(), mixed_magnitude_float_tuples(), st.data())
+    def test_matches_fraction_oracles(self, x, floats, data):
         prof = right_maximal_profile(x)
         want = oracles.fraction_rising_sun(x)
         assert prof.values == want.values
@@ -320,22 +338,36 @@ class TestExactKernel:
         assert prof.lengths == want.lengths
         assert prof.parents == want.parents
 
-        assert distinct_short_averages(x) == oracles.fraction_distinct_short_averages(x)
-        for start in range(1 - n, 2 * n + 1):
-            for strict in (True, False):
-                assert has_majorizing_prefixes(x, start, strict) == (
-                    oracles.fraction_has_majorizing_prefixes(x, start, strict)
-                )
-
-        for system in (SubsetCollectionSystem.right_windows(n), data.draw(subset_systems(n))):
-            for i in range(1, n + 1):
-                got = system.max_subset_average(x, i)
-                assert type(got) is Fraction
-                assert got == oracles.fraction_max_subset_average(system, x, i)
-
         table = average_table(x)
         assert table == oracles.fraction_average_table(x)
         assert all(type(v) is Fraction for row in table for v in row)
+
+        for y in (x, floats):
+            n = y.n
+            assert distinct_short_averages(y) == oracles.fraction_distinct_short_averages(y)
+            for start in range(1 - n, 2 * n + 1):
+                for strict in (True, False):
+                    assert has_majorizing_prefixes(y, start, strict) == (
+                        oracles.fraction_has_majorizing_prefixes(y, start, strict)
+                    )
+
+            for system in (SubsetCollectionSystem.right_windows(n), data.draw(subset_systems(n))):
+                for i in range(1, n + 1):
+                    got = system.max_subset_average(y, i)
+                    assert type(got) is Fraction
+                    assert got == oracles.fraction_max_subset_average(system, y, i)
+
+    # The float sum of [0.1, 0.2, 0.3, 0.6] over 4 is 0.30000000000000004.
+    @pytest.mark.parametrize("values, first_max", [([1e20, 1e-5, 1.0], 1e20), ([0.1, 0.2, 0.3, 0.6], 0.3)])
+    def test_float_regressions(self, values, first_max):
+        # rounded float averages collide; the binary values themselves do not
+        x = PeriodicTuple(values)
+        assert distinct_short_averages(x) is True
+        system = SubsetCollectionSystem.right_windows(x.n)
+        got = system.max_subset_average(x, 1)
+        assert got == oracles.fraction_max_subset_average(system, x, 1)
+        assert float(got) == first_max
+        assert type(generalized_max_sum(x, system)) is float
 
     def test_genericity_verdicts_on_tied_tuples(self):
         rng = np.random.default_rng(31)
