@@ -3,9 +3,9 @@
 The minimum of the maximal-average cyclic sum over n-tuples equals the
 simplex minimum of the chain sum at price 1/n.  As n grows it behaves
 like e*log(n) - A with a remainder of order 1/log(n); this module
-sweeps n, solving every n of a sweep in one batched solve, records the
-deficit e*log(n) - value, and extrapolates the constant A by regressing
-the deficit on 1/log(n).
+sweeps n, solving every n of a sweep in one batched root solve, records
+the deficit e*log(n) - value, and extrapolates the constant A by
+regressing the deficit on 1/log(n).
 
 Reference value for the constant: A = 1.70465603718...
 """
@@ -59,11 +59,12 @@ def _price(n: int) -> float:
 def sweep(n_values: Sequence[int]) -> list[SweepRecord]:
     """Solve a sorted list of n values at price 1/n each.
 
-    All n are solved together: every solve shares its shooting passes
-    with the others, round by round, and leaves when its own stop rule
-    fires, with the same result as ``minimize_chain(n, 1/n)``.  A
-    non-convergent solve (residual above ``STATIONARITY_TOL``) is
-    recorded with its best solution and flagged rather than aborting.
+    All n are solved together: every branch of every support size of
+    every n is one column of a single batched root solve, and each n
+    keeps its own lowest value, the same result as
+    ``minimize_chain(n, 1/n)``.  A non-convergent solve (residual above
+    ``STATIONARITY_TOL``) is recorded with its best solution and flagged
+    rather than aborting.
     """
     values = list(n_values)
     if not values:

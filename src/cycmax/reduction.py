@@ -15,27 +15,29 @@ is at least p.  The minimum over the simplex at p = 1/n equals the
 infimum of the cyclic maximal-average sum over n-tuples, which is what
 makes this module the computational workhorse of the package.
 
-Minimization runs per support size k.  Fixing the last entry s of the
-support, the first-order conditions become a backward recurrence that
-determines the whole support from s, so each k reduces to one scalar
-equation on s in (p, 1).  The recurrence is the same for every k and
-differs between prices only in its start, so one batched shooting pass
-serves a whole chunk of support sizes of many problems (N, p) at once:
-the roots are bracketed on a log grid and refined by multisection in
-extended precision, all sizes and all problems together; the projected
-stationarity residual, also in extended precision, certifies each solve.
-Each problem takes its support sizes upward, in chunks of doubling size,
-until the value stops improving; a sweep over n solves all its n in the
-same passes, round by round.  Independent nested grid searches over the
-simplex serve as cross-check oracles at small N.
+Minimization runs per support size k.  From a free parameter a, the
+first-order conditions run front to back as a forward recurrence of
+sums and quotients of positive numbers, which makes size k stationary at
+one price p_k(a); each k thus reduces to the scalar equation p_k(a) = p.
+The recurrence depends on neither k nor p, so one longdouble pass serves
+every size of many problems (N, p) at once.  A table of where each
+p_k peaks, independent of p, tells which sizes have a root and splits
+each into monotone branches; every branch of every size of every
+problem is then solved in one batched Newton iteration, the lowest value
+wins, and its entries are taken in 40-digit decimals.  The projected
+stationarity residual in extended precision certifies each solve.
+Independent nested grid searches over the simplex serve as cross-check
+oracles at small N.
 """
 
 from __future__ import annotations
 
+import decimal
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -170,224 +172,185 @@ def _residual_ld(x: np.ndarray, p) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Shooting solve of the first-order system, every support size at once
+# Forward recurrence for the first-order system, every support size at once
 #
-# On a support x_0, ..., x_{k-1} with last entry s, stationarity under the
-# sum constraint asks that every partial derivative equal one multiplier
-# lam.  The ratio terms are homogeneous of degree 0 and the boundary term
-# x_{k-1}/p of degree 1, so Euler's identity gives lam * sum(x) = s/p,
-# hence lam = s/p.  Writing q_j = x_{j-1}/x_j, the conditions at
-# j = k-1, ..., 1 turn into the backward recurrence
+# On a support x_0, ..., x_{k-1}, stationarity under the sum constraint asks
+# that every partial derivative of the chain sum equal one multiplier lam.
+# Writing q_j = x_{j-1}/x_j (q_0 = 0) and u_j = lam x_j, the conditions at
+# j = 0, ..., k-2 run front to back from a free parameter a = u_0 > 0:
 #
-#     q_{k-1} = s(1-s)/p,   x_{j-1} = q_j x_j,   q_{j-1} = q_j - lam x_{j-1},
+#     q_0 = 0,  u_0 = a,  q_j = q_{j-1} + u_{j-1},  u_j = u_{j-1} / q_j.
 #
-# and the condition at j = 0 into q_0 = 0.  Conversely, any s with
-# q_0(s) = 0 and q_j(s) > 0 for j >= 1 gives a positive stationary point,
-# whose entries sum to 1 by the same identity.  Each support size is thus
-# a scalar root problem on s in (p, 1).
+# The condition at the last entry then holds exactly at the price
+# p_k(a) = u_{k-1} / q_k^2, with lam = q_k (Euler's identity), entries
+# x_j = u_j / q_k, which sum to 1 because q_k = u_0 + ... + u_{k-1}, and
+# value V_k(a) = q_1 + ... + q_k.  Every step adds or divides positive
+# numbers, so nothing cancels, and the price enters only as the level of
+# the root equation p_k(a) = p: all problems share the same curves.
 #
-# The recurrence from s does not depend on k: step m gives the entry m
-# places before the last, and q_0 of support size k is q after k-1 steps.
-# Nor does it depend on the problem (N, p) except through p, so columns of
-# many problems, each with its own p and lam, run in one shooting pass.
-# The kernel clamps q at zero: a column whose q_j turns nonpositive has
-# x = 0 from the next step on and stays at q = 0, so q_0 > 0 exactly when
-# every q_j stayed positive, and no mask is needed.  Columns are ordered by
-# depth, descending, so step m works only on the prefix of columns that
-# still run.  A pass costs a fixed number of numpy calls per step whatever
-# its width.
-#
-# Problems are solved in rounds.  Round r takes the r-th chunk of support
-# sizes of every problem still running: one pass over the log grids of s
-# of all of them samples q_0 of every size of every chunk, the sign-change
-# brackets of all sizes are refined together by multisection in extended
-# precision, and one more pass over both ends of every bracket gives the
-# genuineness test and the entries of the roots.  A problem leaves the
-# rounds when its stop rule fires.
+# In ln a, ln p_k tends to ln p_{k-1}(1) as a -> 0 (size k at a -> 0 runs
+# as size k - 1 at a = 1) and falls like -k ln a as a -> oo.  Measured
+# (tests/test_reduction.py pins it), it is decreasing for k <= 6 and has
+# one interior maximum, at a*_k < 1, for k >= 7; its top, -m_k, falls
+# strictly with k.  So size k has a root iff m_k < ln(1/p), and each of its
+# two monotone branches, left and right of a*_k, holds at most one.  a*_k
+# and m_k depend on no price and are tabulated once per size.  The roots of
+# every branch of every size of every problem of a call are then solved
+# together by safeguarded Newton in ln a, and the lowest value wins.
 
-# Points of the log grid over [p, 1] on which q_0 is sampled for sign
-# changes.  One support size can carry close pairs of stationary points:
-# 120 points missed the k = 14 root at n = 372759, 400 split every pair on
-# the reference cases.
-BRACKET_POINTS = 400
+# Lower end of every bracket in a.  At and below it a is under half an ulp
+# of 1 in longdouble, so q_2 = a + 1 rounds to 1 and p_k no longer moves:
+# the column runs exactly as size k - 1 at a = 1, its a -> 0 limit.
+_A_MIN = LD(2.0**-65)
 
-# Bisection levels replayed per refinement pass: each pass shoots the
-# 2**_LEVELS - 1 interior points of the bisection tree of every bracket
-# and gains _LEVELS bits.
-_LEVELS = 4
+# Newton step in ln a below which a root is taken as found.  It sits well
+# above the rounding noise of a step (~1e-18 / |d ln p_k / d ln a|), so
+# noise never passes for slow progress, and V_k there is within ~1e-16 of
+# its value at the root; ``_entries`` takes the step left.
+_ROOT_STEP = LD(2.0**-50)
 
 # Bound on the projected stationarity residual of a converged solve.
 STATIONARITY_TOL = 1e-10
 
-# Relative change below which a value does not count as an improvement
-# when deciding whether a non-convergent solve is the best one.
-_VALUE_RTOL = 1e-12
 
-# The first chunk of support sizes ends at ceil(log(1/p)) + _CHUNK_SLACK.
-# The optimal support at p = 1/n is about log(n) + 1, so enumeration
-# normally stops inside it; later chunks double in size.
-_CHUNK_SLACK = 3
+def _forward(a: np.ndarray, k: np.ndarray):
+    """p_k(a), d ln p_k / d ln a and V_k(a) in longdouble, one column each.
 
-
-def _shoot(s: np.ndarray, p, depth: np.ndarray, entries: bool = False):
-    """Run the recurrence from the trial last entries s, one column each.
-
-    The columns are the entries of s in C order, and p broadcasts against
-    s.  Column i starts from s[i] at price p[i] and runs depth[i] steps;
-    the columns must come sorted by depth, descending.
-    Returns a boolean table of depth[0] rows whose row m-1 tells whether
-    q > 0 after m steps, so a column has q_0 > 0 when its row depth-1
-    says so, and reached q_0 at all when its row depth-2 does; with
-    ``entries``, also the table of x after m steps, the entry m places
-    before the last (unnormalized).  Both tables read zero past a column's
-    depth.  Running columns stay bounded because q_{j-1} = q_j (1 - lam x_j)
-    > 0 forces x_j < 1/lam <= 1, and stopped ones are zero, so nothing can
-    overflow.
+    Column i runs k[i] steps from a[i]; the columns must come sorted by k,
+    descending, so that step j works on the prefix of columns with k >= j.
+    The derivative runs the logarithmic derivatives Q_j = d ln q_j / d ln a
+    and U_j = d ln u_j / d ln a alongside the recurrence:
+    Q_j = (q_{j-1} Q_{j-1} + u_{j-1} U_{j-1}) / q_j and U_j = U_{j-1} - Q_j.
     """
-    steps = int(depth[0]) if len(depth) else 0
-    # how many columns still run at steps 1, 2, ..., steps
-    live = np.searchsorted(-depth, -np.arange(1, steps + 1), side="right").tolist()
-    x = np.array(s, dtype=LD)
-    lam = (x / p).ravel()
-    q = 1 - x
-    q *= x
-    q /= p
-    q, x = q.ravel(), x.ravel()
-    lam_x = np.empty_like(x)
-    positive = np.zeros((steps, len(x)), dtype=bool)
-    xs = np.zeros((steps, len(x)), dtype=LD) if entries else None
-    for m, n in enumerate(live):
-        xm, qm, tm = x[:n], q[:n], lam_x[:n]
-        xm *= qm
-        np.multiply(lam[:n], xm, out=tm)
-        qm -= tm
-        np.maximum(qm, 0, out=qm)
-        np.greater(qm, 0, out=positive[m, :n])
-        if entries:
-            xs[m, :n] = xm
-    return positive, xs
+    steps = int(k[0]) if len(k) else 0
+    # how many columns take steps 1, 2, ..., steps + 1
+    live = np.searchsorted(-k, -np.arange(1, steps + 2), side="right").tolist()
+    u = np.array(a, dtype=LD)
+    q = np.zeros_like(u)
+    Q = np.zeros_like(u)
+    U = np.ones_like(u)
+    V = np.zeros_like(u)
+    qQ = np.empty_like(u)
+    for n, m in zip(live, live[1:]):
+        qn, Qn, qQn, un = q[:n], Q[:n], qQ[:n], u[:n]
+        np.multiply(qn, Qn, out=qQn)
+        qQn += un * U[:n]
+        qn += un
+        np.divide(qQn, qn, out=Qn)
+        V[:n] += qn
+        # u_{j+1} and U_{j+1} serve only the columns that take one more step
+        U[:m] -= Q[:m]
+        u[:m] /= q[:m]
+    return u / (q * q), U - 2 * Q, V
 
 
-def _refine(lo: np.ndarray, hi: np.ndarray, lo_positive: np.ndarray, depth: np.ndarray, p: np.ndarray):
-    """Shrink sign-change brackets of q_0 until their ends are adjacent.
+@functools.cache
+def _size_table(K: int):
+    """a*_k, m_k and ln p_k(_A_MIN), as arrays indexed by k = 0..K.
 
-    Brackets are sorted by depth, descending, and each has its own p.
-    Each pass shoots the interior points of every bracket's bisection
-    tree at once and replays bisection over their signs, so the brackets
-    end exactly where plain bisection would leave them.
+    a*_k is where ln p_k peaks on [_A_MIN, oo), found by bisection in ln a
+    over [_A_MIN, 1] on the sign of the derivative; it is _A_MIN where
+    ln p_k only falls.  Sizes 0 and 1 carry m = oo, so that no price
+    selects them.  Each column is solved on its own, so a size reads the
+    same in every table.
     """
-    parts = 2**_LEVELS
-    rows = np.arange(len(lo))
-    # the interior points of a bracket are adjacent columns of the shoot
-    depth_pts = np.repeat(depth, parts - 1)
-    at_depth = (depth_pts - 1, np.arange(len(depth_pts)))
+    k = np.arange(K, 1, -1)
+    lo = np.full(len(k), _A_MIN)
+    hi = np.ones(len(k), dtype=LD)
     while True:
-        mid = (lo + hi) / 2
+        mid = np.sqrt(lo * hi)
         if np.all((mid <= lo) | (mid >= hi)):
-            return lo, hi
-        # pts[:, i] is the point i/parts of the way from lo to hi, computed
-        # by the same halvings bisection would make
-        pts = np.empty((len(lo), parts + 1), dtype=LD)
-        pts[:, 0], pts[:, parts] = lo, hi
-        step = parts // 2
-        while step:
-            pts[:, step::2 * step] = (pts[:, : -step : 2 * step] + pts[:, 2 * step :: 2 * step]) / 2
-            step //= 2
-        positive = _shoot(pts[:, 1:parts], p[:, None], depth_pts)[0][at_depth]
-        positive = positive.reshape(len(lo), parts - 1)  # column i - 1 holds point i
-        a = np.zeros(len(lo), dtype=int)
-        b = np.full(len(lo), parts)
-        for _ in range(_LEVELS):
-            c = (a + b) // 2
-            same = positive[rows, c - 1] == lo_positive
-            a = np.where(same, c, a)
-            b = np.where(same, b, c)
-        lo, hi = pts[rows, a], pts[rows, b]
+            break
+        rising = _forward(mid, k)[1] > 0
+        lo = np.where(rising, mid, lo)
+        hi = np.where(rising, hi, mid)
+    pad = np.array([np.inf, np.inf], dtype=LD)
+    peak = np.log(_forward(lo, k)[0])
+    floor = np.log(_forward(np.full(len(k), _A_MIN), k)[0])
+    return np.r_[pad, lo[::-1]], np.r_[pad, -peak[::-1]], np.r_[-pad, floor[::-1]]
 
 
-def _grid_brackets(ks: np.ndarray, owner: np.ndarray, ps: np.ndarray, deepest: np.ndarray):
-    """Sign-change brackets of q_0 on the log grid.
+def _table_for(N: int, log_p) -> tuple:
+    """A size table that reaches every size up to N with a root at ln p = log_p.
 
-    Problem j has price ps[j] and deepest support size deepest[j] + 1, and
-    the problems come deepest first; row g stands for support size ks[g]
-    of problem owner[g].  One shooting pass samples every row.  Gives, per
-    bracket, its row, its ends and whether q_0 > 0 at its lower end, in
-    the order of the rows.
+    m_k rises by at least 0.98 a size (measured), so sizes past
+    2 + ln(1/p) / 0.98 have no root; no smaller table is built on the way.
     """
-    t = np.linspace(0, 1, BRACKET_POINTS, dtype=LD)
-    grid = ps[:, None] ** (1 - t)
-    signs = _shoot(grid, ps[:, None], np.repeat(deepest, BRACKET_POINTS))[0]
-    positive = signs.reshape(-1, len(ps), BRACKET_POINTS)[ks - 2, owner]
-    rows, cross = np.nonzero(positive[:, :-1] != positive[:, 1:])
-    at = owner[rows]
-    return rows, grid[at, cross], grid[at, cross + 1], positive[rows, cross]
+    K = 16
+    while K < N and (K < 2 - log_p / 0.98 or _size_table(K)[1][K] < -log_p):
+        K *= 2
+    return _size_table(K)
 
 
-def _solve_supports(
-    chunks: Sequence[tuple[Sequence[int], float]],
-) -> list[list[Optional[tuple[np.ndarray, np.longdouble]]]]:
-    """Lowest-value positive stationary point of each support size of each chunk.
+def _roots(lo, hi, a, k, p, sign):
+    """Roots of p_k(a) = p on brackets [lo, hi], one per column.
 
-    A chunk is a pair (ks, p) of ascending support sizes k >= 2 and a
-    price.  Gives, per chunk and per k, the longdouble entries (sum 1) and
-    their value, or None when no admissible root exists.  All chunks share
-    one grid pass, one refinement loop and one final pass.  Brackets whose
-    negative end stops before q_0 close on a point where a leading entry
-    vanishes, which belongs to a smaller support, and are discarded.
+    Columns come sorted by k, descending, each with its own price, bracket
+    and start a; sign is +1 where p_k falls across the bracket and -1 where
+    it rises, so that h = sign ln(p_k / p) falls from h(lo) > 0 to
+    h(hi) < 0.  h is the log of a ratio near 1, not a difference of logs
+    near ln p, so its rounding stays at the ulps of p_k.  Newton steps in
+    ln a are replaced by bisection in ln a when they leave the bracket or
+    do not halve the step before last (rtsafe).  A column stops once its Newton
+    step falls to _ROOT_STEP or its bracket ends are adjacent floats.
+    Gives a and V_k at the roots.
     """
-    # deepest chunk first, so that the grid columns are ordered by depth
-    order = sorted(range(len(chunks)), key=lambda i: -chunks[i][0][-1])
-    ps = np.array([chunks[i][1] for i in order], dtype=LD)
-    deepest = np.array([chunks[i][0][-1] - 1 for i in order])
-    # one row per (chunk, k), largest k first, so that the brackets come out
-    # ordered by depth
-    groups = sorted(((k, j) for j, i in enumerate(order) for k in chunks[i][0]), key=lambda g: -g[0])
-    ks = np.array([k for k, _ in groups])
-    owner = np.array([j for _, j in groups])
-    rows, lo, hi, lo_positive = _grid_brackets(ks, owner, ps, deepest)
-    depth = ks[rows] - 1
-    at = owner[rows]
-    lo, hi = _refine(lo, hi, lo_positive, depth, ps[at])
-    s_pos = np.where(lo_positive, lo, hi)
-    s_neg = np.where(lo_positive, hi, lo)
-
-    # the negative end of a bracket tells whether q_0 was reached, and the
-    # positive end, a root, gives the entries
-    ends = np.stack([s_neg, s_pos], axis=1)
-    signs, xs = _shoot(ends, ps[at, None], np.repeat(depth, 2), entries=True)
-    neg = 2 * np.arange(len(depth))
-    genuine = np.where(depth > 1, signs[depth - 2, neg], True)
-
-    found = [[None] * len(ks_i) for ks_i, _ in chunks]
-    # values are taken one (chunk, k) at a time, on arrays shaped as in a
-    # per-size solve: numpy sums a single column pairwise and several row
-    # by row, so a wider array could change the last bit
-    bounds = np.searchsorted(rows, np.arange(len(groups) + 1)).tolist()
-    for (k, j), a, b in zip(groups, bounds, bounds[1:]):
-        keep = genuine[a:b]
-        if not keep.any():
-            continue
-        x = np.empty((k, int(keep.sum())), dtype=LD)
-        x[-1] = s_pos[a:b][keep]
-        x[:-1] = xs[k - 2 :: -1, neg[a:b][keep] + 1]
-        x = x / x.sum(axis=0)
-        values = _value_ld(x, ps[j])
-        best = int(np.argmin(values))
-        found[order[j]][k - chunks[order[j]][0][0]] = (x[:, best], values[best])
-    return found
+    V = np.empty_like(a)
+    step = np.log(hi / lo)
+    step_old = step.copy()
+    run = np.arange(len(a))
+    while len(run):
+        price, g, V[run] = _forward(a[run], k[run])
+        ar, lor, hir = a[run], lo[run], hi[run]
+        h, dh = sign[run] * np.log(price / p[run]), sign[run] * g
+        lor = lo[run] = np.where(h > 0, ar, lor)
+        hir = hi[run] = np.where(h < 0, ar, hir)
+        s = -h / np.where(dh < 0, dh, -1)
+        found = (h == 0) | ((dh < 0) & (abs(s) <= _ROOT_STEP))
+        newton = (dh < 0) & (2 * abs(s) <= abs(step_old[run]))
+        new = ar + ar * np.expm1(np.where(newton, s, 0))
+        newton &= (lor < new) & (new < hir)
+        new = np.where(newton, new, np.sqrt(lor * hir))
+        done = found | (new == ar) | (new <= lor) | (new >= hir)
+        step_old[run] = step[run]
+        step[run] = np.where(newton, s, np.log(new / ar))
+        run = run[~done]
+        a[run] = new[~done]
+    return a, V
 
 
-def _chunks(p: float, kmax: int) -> Iterator[range]:
-    """Support sizes k = 2..kmax in order, in chunks of doubling size.
+def _entries(a: np.ndarray, k: np.ndarray, p: np.ndarray) -> list:
+    """Support entries and value of each root, rounded once from 40 digits.
 
-    A chunk is solved only when the previous one is used up, so a problem
-    that stops early wastes at most the rest of one chunk.
+    Item i holds the longdouble entries of size k[i] at root a[i] and
+    price p[i], and the value.  The longdouble recurrence leaves p_k and
+    the entries a few ulps off, and the gradient at the last entry reads
+    that error times 1/p.  So the recurrence runs again in 40-digit
+    decimals, and one Newton step in ln a, with the longdouble
+    derivative, takes a from where ``_roots`` stopped to the root.
     """
-    k = 2
-    end = min(kmax, max(k, math.ceil(math.log(1.0 / p)) + _CHUNK_SLACK))
-    while k <= kmax:
-        yield range(k, end + 1)
-        k, end = end + 1, min(kmax, end + 2 * (end + 1 - k))
+
+    def run(a, k):
+        u, q, value, x = a, 0, 0, []
+        for _ in range(k):
+            x.append(u)
+            q += u
+            value += q
+            u /= q
+        return x, q, value
+
+    slope = _forward(a, k)[1]
+    out = []
+    with decimal.localcontext() as context:
+        context.prec = 40
+        for a_i, g_i, k_i, p_i in zip(a, slope, k.tolist(), p):
+            num, den = a_i.as_integer_ratio()
+            root = decimal.Decimal(num) / den
+            x, q, _ = run(root, k_i)
+            mismatch = x[-1] / (q * q * decimal.Decimal(float(p_i))) - 1  # p_k(a) / p - 1
+            x, q, value = run(root * (1 - mismatch / decimal.Decimal(float(g_i))), k_i)
+            out.append((np.array([str(v / q) for v in x], dtype=LD), float(value)))
+    return out
 
 
 @dataclass
@@ -437,81 +400,73 @@ def _solution(N: int, p: float, x: np.ndarray, value) -> ReducedSolution:
     )
 
 
-class _Run:
-    """One problem's walk over its chunks of support sizes, and its best solutions."""
-
-    def __init__(self, N: int, p: float, kmax: int):
-        self.N, self.p = N, p
-        self.chunks = _chunks(p, kmax)
-        self.chunk: Optional[range] = None
-        self.best = self.best_conv = _solution(N, p, np.ones(1, dtype=LD), 1.0 / p)
-
-    def advance(self) -> bool:
-        """Move to the next chunk; False when none is left."""
-        self.chunk = next(self.chunks, None)
-        return self.chunk is not None
-
-    def take(self, found) -> bool:
-        """Walk a solved chunk in k order; False once the stop rule fires."""
-        for item in found:
-            if item is None or not item[1] < self.best.value:
-                return False
-            self.best = _solution(self.N, self.p, *item)
-            if self.best.converged:
-                self.best_conv = self.best
-        return True
-
-    def outcome(self):
-        """The best converged solution, or a NonConvergence carrying the best one."""
-        slack = abs(self.best.value) * _VALUE_RTOL + 1e-15
-        if self.best_conv.value <= self.best.value + slack:
-            return self.best_conv
-        return NonConvergence(
-            f"no support size reached stationarity {STATIONARITY_TOL:g} "
-            f"at the best value {self.best.value:.12g}",
-            best=self.best,
-        )
-
-
 def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
     """Minimize the chain sum for every (N, p) of ``problems`` together.
 
-    Each problem walks its support sizes as ``minimize_chain`` describes,
-    and all of them share their shooting passes: round r solves the r-th
-    chunk of every problem still running, and a problem leaves the rounds
-    when its stop rule fires.  Gives, per problem, its ReducedSolution or
-    the NonConvergence that ``minimize_chain`` raises.
+    Each branch of each size with a root, of each problem, is one column
+    of a single batched root solve; each problem then keeps its lowest
+    value.  Gives, per problem, its ReducedSolution or the NonConvergence
+    that ``minimize_chain`` raises.
     """
-    runs = []
-    for N, p in problems:
+    fields = {name: [] for name in ("owner", "k", "sign", "lo", "hi", "start", "p")}
+
+    def add(**columns):
+        for name, values in columns.items():
+            fields[name].append(np.broadcast_to(values, len(columns["k"])))
+
+    for i, (N, p) in enumerate(problems):
         if N < 1:
             raise ValueError("N must be a positive integer")
         if not (p > 0) or not math.isfinite(p):
             raise ValueError("p must be positive and finite")
         if not math.isfinite(1.0 / p):
             raise ValueError(f"p = {p!r} is too small: 1/p overflows")
-        runs.append(_Run(N, p, min(N, max(1, math.ceil(1.0 / p)))))
+        log_p = np.log(LD(p))
+        a_star, m, floor = _table_for(N, log_p)
+        sizes = np.arange(2, min(N, len(m) - 1) + 1)
+        sizes = sizes[m[sizes] < -log_p]
+        # p_k(a) <= a^-k for a >= 1, so p_k < p at a = 2 p^(-1/k)
+        top = 2 * np.exp(-log_p / sizes)
+        add(owner=i, k=sizes, sign=LD(1), lo=a_star[sizes], hi=top, start=top, p=LD(p))
+        left = sizes[floor[sizes] < log_p]
+        start = np.sqrt(_A_MIN * a_star[left])
+        add(owner=i, k=left, sign=LD(-1), lo=_A_MIN, hi=a_star[left], start=start, p=LD(p))
+    order = np.argsort(-np.concatenate(fields["k"]), kind="stable")
+    owner, k, sign, lo, hi, start, price = (np.concatenate(fields[name])[order] for name in fields)
+    a, V = _roots(lo, hi, start, k, price, sign)
 
-    running = [run for run in runs if run.advance()]
-    while running:
-        found = _solve_supports([(run.chunk, run.p) for run in running])
-        running = [run for run, f in zip(running, found) if run.take(f) and run.advance()]
-    return [run.outcome() for run in runs]
+    # per problem, the lowest value, the smallest size on a tie; a problem
+    # without columns (p >= 1 or N = 1) keeps the point mass, which size 2
+    # beats wherever it has a root
+    best = {}
+    for c in np.lexsort((k, V, owner)).tolist():
+        best.setdefault(owner[c], c)
+    cols = np.sort(list(best.values())).astype(int)  # k descending, as columns are
+    winners = dict(zip(owner[cols].tolist(), _entries(a[cols], k[cols], price[cols])))
+
+    out = []
+    for i, (N, p) in enumerate(problems):
+        sol = _solution(N, p, *winners.get(i, (np.ones(1, dtype=LD), 1.0 / p)))
+        if not sol.converged:
+            sol = NonConvergence(
+                f"the best stationary point (support {sol.support}, value {sol.value:.12g}) "
+                f"has stationarity residual {sol.stationarity_residual:.3g} above {STATIONARITY_TOL:g}",
+                best=sol,
+            )
+        out.append(sol)
+    return out
 
 
 def minimize_chain(N: int, p: float) -> ReducedSolution:
     """Minimize the chain sum over the N-simplex at price p.
 
-    Support sizes are enumerated upward from 1, up to min(N, ceil(1/p)),
-    the bound past which enlarging the simplex cannot help.  Enumeration
-    stops at the first size whose best stationary point has no root or
-    does not strictly lower the value.  Sizes are solved in chunks (see
-    ``_chunks``); chunking saves shooting passes and never changes which
-    size is kept.  The certificate of each solve is its projected
-    stationarity residual in extended precision; raises NonConvergence
-    (carrying the best solution) only if the best value belongs to a solve
-    whose residual exceeds ``STATIONARITY_TOL``.  Rejects a p so small
-    that 1/p overflows a float; ``_minimize_many`` solves many at once.
+    The candidates are the point mass and the positive stationary points
+    of the support sizes 2..N: every branch of every size with a root is
+    solved in longdouble, the lowest value wins, and its entries and value
+    are rounded from 40-digit decimals.  The certificate is the projected stationarity residual of the winner in
+    extended precision; raises NonConvergence (carrying the winner) if it
+    exceeds ``STATIONARITY_TOL``.  Rejects a p so small that 1/p overflows
+    a float; ``_minimize_many`` solves many at once.
     """
     result = _minimize_many([(N, p)])[0]
     if isinstance(result, NonConvergence):

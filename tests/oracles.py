@@ -2,30 +2,26 @@
 
 The package derives values, shortest maximizing lengths and Hasse parents
 from one O(n) stack pass (``cycmax.periodic.right_maximal_profile``), and
-solves every support size of the chain problem in one batched shooting
-pass (``cycmax.reduction.minimize_chain``).  These are the direct
-definitions and the per-size solve they replaced.  The rational backend
-compares averages by cross-multiplying integer prefix sums; the
-``Fraction`` versions below sum ``x.values`` themselves and never read
-that table.
+solves every support size of the chain problem by one batched Newton
+iteration on a forward recurrence (``cycmax.reduction.minimize_chain``).
+These are the direct definitions and two per-size chain solvers: the
+backward shooting solve the forward one replaced, with its own grid
+brackets and bisection, and the forward recurrence in mpmath.  The
+rational backend compares averages by cross-multiplying integer prefix
+sums; the ``Fraction`` versions below sum ``x.values`` themselves and
+never read that table.
 """
 
 import math
 from fractions import Fraction
 from typing import Optional
 
+import mpmath as mp
 import numpy as np
 
 from cycmax import reduction
 from cycmax.errors import NonConvergence
-from cycmax.reduction import (
-    BRACKET_POINTS,
-    LD,
-    _VALUE_RTOL,
-    ReducedSolution,
-    _residual_ld,
-    _value_ld,
-)
+from cycmax.reduction import LD, ReducedSolution, _residual_ld, _value_ld
 from cycmax.periodic import Profile
 from cycmax.structure import MIntervalRecord
 
@@ -209,12 +205,27 @@ def compositions(total: int, parts: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Chain minimization one support size at a time, by plain bisection.
+# Chain minimization one support size at a time, by backward shooting.
 #
-# ``cycmax.reduction.minimize_chain`` solves every support size of a chunk
-# in one batched shooting pass and refines the brackets by multisection.
-# This is the per-size solve it replaced, kept verbatim so that its
-# results can be compared bit for bit.
+# Fixing the last entry s of the support, the first-order conditions run
+# back to front: lam = s/p, q_{k-1} = s(1-s)/p, x_{j-1} = q_j x_j and
+# q_{j-1} = q_j - lam x_{j-1}, and size k is stationary where q_0(s) = 0.
+# Roots are bracketed on a log grid of s over [p, 1] and bisected to
+# adjacent floats; the walk over k stops at the first size with no root
+# or no lower value.  Close pairs of roots can fall inside one grid cell,
+# so from n ~ 2.9e9 on it misses the optimal size; below that it agrees
+# with ``cycmax.reduction.minimize_chain``.
+
+
+# Points of the log grid over [p, 1] on which q_0 is sampled for sign
+# changes.  One support size can carry close pairs of stationary points:
+# 120 points missed the k = 14 root at n = 372759; 400 split every pair on
+# the reference cases below n ~ 2.9e9.
+BRACKET_POINTS = 400
+
+# Relative change below which a value does not count as an improvement
+# when deciding whether a non-convergent solve is the best one.
+VALUE_RTOL = 1e-12
 
 
 def shoot(s, k: int, p):
@@ -299,7 +310,113 @@ def minimize_by_support(N: int, p: float) -> ReducedSolution:
         if best.converged:
             best_conv = best
 
-    slack = abs(best.value) * _VALUE_RTOL + 1e-15
+    slack = abs(best.value) * VALUE_RTOL + 1e-15
     if best_conv.value <= best.value + slack:
         return best_conv
     raise NonConvergence("no support size reached stationarity", best=best)
+
+
+# ---------------------------------------------------------------------------
+# The forward recurrence one support size at a time, in mpmath.
+#
+# ``cycmax.reduction`` runs the recurrence in longdouble for every size of
+# every problem at once, takes the peak of ln p_k from a table and solves
+# all branches by one batched Newton iteration.  Here each size runs alone
+# at MP_DPS digits: the peak by bisection in ln a on the sign of the
+# derivative, each monotone branch's root by a bracketing solver.
+
+MP_DPS = 50
+
+# Lower end of the search in a, below which ln p_k is flat in longdouble.
+MP_A_MIN = mp.mpf(2) ** -65
+
+
+def mp_of(x):
+    """A longdouble (or float) as an exact mpf; compare it inside mp.workdps(MP_DPS)."""
+    num, den = x.as_integer_ratio()
+    with mp.workdps(MP_DPS):
+        return mp.mpf(num) / den
+
+
+def mp_forward(a, k: int, slope: bool = True):
+    """p_k(a), d ln p_k / d ln a, V_k(a) and the entries of size k, as mpf.
+
+    Without ``slope`` the derivative is skipped and reads None.
+    """
+    q, u, Q, U = mp.mpf(0), mp.mpf(a), mp.mpf(0), mp.mpf(1)
+    value, us = mp.mpf(0), []
+    for j in range(1, k + 1):
+        us.append(u)
+        if slope:
+            qQ = q * Q + u * U
+        q += u
+        value += q
+        if slope:
+            Q = qQ / q
+        if j < k:
+            if slope:
+                U -= Q
+            u /= q
+    return u / q**2, U - 2 * Q if slope else None, value, [v / q for v in us]
+
+
+def mp_peak(k: int):
+    """(ln a*_k, ln p_k(a*_k)): where ln p_k peaks on [MP_A_MIN, oo), and its top."""
+    with mp.workdps(MP_DPS):
+        lo, hi = mp.log(MP_A_MIN), mp.mpf(0)
+        while hi - lo > mp.mpf(10) ** -12:
+            mid = (lo + hi) / 2
+            if mp_forward(mp.exp(mid), k)[1] > 0:
+                lo = mid
+            else:
+                hi = mid
+        return lo, mp.log(mp_forward(mp.exp(lo), k, slope=False)[0])
+
+
+def mp_stationary_points(k: int, p: float) -> list:
+    """(value, entries) of each stationary point of size k >= 2 at price p.
+
+    Each monotone branch that changes sign is bisected in ln a down to a
+    bracket 1e-6 wide, and Newton steps from its middle take the root to
+    MP_DPS digits.
+    """
+    with mp.workdps(MP_DPS):
+        p = mp.mpf(p)
+        peak, top = mp_peak(k)
+
+        def level(t, slope=False):
+            price, dlevel, _, _ = mp_forward(mp.exp(t), k, slope)
+            return mp.log(price / p), dlevel
+
+        brackets = []
+        if top > mp.log(p):
+            brackets.append((peak, mp.log(2) - mp.log(p) / k))
+            if level(mp.log(MP_A_MIN))[0] < 0:
+                brackets.append((mp.log(MP_A_MIN), peak))
+        points = []
+        for lo, hi in brackets:
+            low_negative = level(lo)[0] < 0
+            while hi - lo > mp.mpf(10) ** -6:
+                mid = (lo + hi) / 2
+                if (level(mid)[0] < 0) == low_negative:
+                    lo = mid
+                else:
+                    hi = mid
+            t = (lo + hi) / 2
+            for _ in range(4):  # 1e-6 -> 1e-12 -> 1e-24 -> 1e-48 -> past MP_DPS
+                h, dh = level(t, slope=True)
+                t -= h / dh
+            assert abs(level(t)[0]) < mp.mpf(10) ** (5 - MP_DPS)
+            _, _, value, entries = mp_forward(mp.exp(t), k, slope=False)
+            points.append((value, entries))
+        return points
+
+
+def mp_minimize(p: float, sizes) -> tuple:
+    """(k, value, entries) of the lowest stationary point over the given sizes."""
+    best = None
+    for k in sizes:
+        for value, entries in mp_stationary_points(k, p):
+            if best is None or value < best[1]:
+                best = (k, value, entries)
+    return best

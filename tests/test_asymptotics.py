@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -113,29 +114,44 @@ def benchmark_sweep_grids(seed):
     return [geometric_grid(1e3 * f, 1e6 * f, 8) for f in factors]
 
 
-def assert_records_match_oracle(records, ns):
-    """Each record equals the per-size oracle's solve at p = 1/n, bit for bit.
+@functools.cache
+def backward_oracle(n):
+    """The backward per-size oracle's solution at p = 1/n, converged or not."""
+    try:
+        return oracles.minimize_by_support(n, 1.0 / n)
+    except NonConvergence as exc:
+        return exc.best
 
-    Gives the oracle's solutions.
+
+def assert_records_match_oracle(records, ns):
+    """Each record agrees with the backward per-size oracle's solve at p = 1/n.
+
+    Same support, values within 1e-13, and converged wherever the oracle
+    is.  Gives the oracle's solutions.
     """
     assert [r.n for r in records] == ns
     wants = []
     for rec in records:
-        try:
-            want = oracles.minimize_by_support(rec.n, 1.0 / rec.n)
-        except NonConvergence as exc:
-            want = exc.best
-        assert rec.s_star == want.value, rec.n
+        want = backward_oracle(rec.n)
         assert rec.support == want.support, rec.n
-        assert rec.residual == want.stationarity_residual, rec.n
-        assert rec.converged == want.converged, rec.n
-        assert rec.deficit == math.e * math.log(rec.n) - want.value, rec.n
+        assert abs(rec.s_star - want.value) <= 1e-13 * want.value, rec.n
+        if want.converged:
+            assert rec.converged and rec.residual <= reduction.STATIONARITY_TOL, rec.n
+        assert rec.deficit == math.e * math.log(rec.n) - rec.s_star, rec.n
         wants.append(want)
     return wants
 
 
+def per_n(n):
+    """``minimize_chain(n, 1/n)``, or the best solution its NonConvergence carries."""
+    try:
+        return minimize_chain(n, 1.0 / n)
+    except NonConvergence as exc:
+        return exc.best
+
+
 class TestBatchedSweep:
-    """One batched solve for every n against a per-n, per-size oracle."""
+    """One batched solve for every n against per-n solves and a per-size oracle."""
 
     def test_benchmark_grids_match_the_per_n_oracle(self):
         for ns in benchmark_sweep_grids(5):
@@ -143,27 +159,22 @@ class TestBatchedSweep:
             # records carry no entries, so read them off the batched core
             sols = reduction._minimize_many([(n, 1.0 / n) for n in ns])
             for n, sol, want in zip(ns, sols, wants):
-                assert np.array_equal(sol.entries, want.entries), n
+                assert np.allclose(sol.entries, want.entries, rtol=1e-13, atol=0), n
 
-    def test_problems_leaving_in_different_rounds(self, monkeypatch):
-        rounds = []
-
-        def recorded(chunks):
-            rounds.append([list(ks) for ks, _ in chunks])
-            return solve_supports(chunks)
-
-        solve_supports = reduction._solve_supports
-        monkeypatch.setattr(reduction, "_solve_supports", recorded)
-        monkeypatch.setattr(reduction, "_CHUNK_SLACK", -100)
-        ns = [1, 2, 3, 10, 40, 1000, 372759, 10**9]
-        assert_records_match_oracle(sweep(ns), ns)
-        # chunks [2], [3, 4], [5..8], [9..16], [17..32], cut at min(N, ceil(n)):
-        # n = 1 has only support 1 and joins no round, n = 2 runs out of sizes
-        # after the first round, 3 and 10 stop in the second, 40 in the third,
-        # 1000 and 372759 in the fourth and 10**9 in the fifth
-        assert [len(r) for r in rounds] == [7, 6, 4, 3, 1]
-        assert rounds[1][0] == [3] and rounds[1][1] == [3, 4]
-        assert rounds[-1] == [list(range(17, 33))]
+    def test_records_equal_per_n_minimize_chain(self):
+        # n = 1 has no size with a root, 2 and 3 only size 2, and 10**10 does
+        # not converge; each record is bit for bit its own solve
+        ns = [1, 2, 3, 10, 40, 1000, 372759, 10**9, 10**10]
+        records = sweep(ns)
+        for rec in records:
+            sol = per_n(rec.n)
+            assert (rec.s_star, rec.support, rec.residual, rec.converged) == (
+                sol.value,
+                sol.support,
+                sol.stationarity_residual,
+                sol.converged,
+            ), rec.n
+        assert_records_match_oracle(records[:-1], ns[:-1])
 
     def test_nonconvergent_point_keeps_its_own_best(self):
         ns = geometric_grid(1e3, 1e10, 8)
@@ -179,31 +190,25 @@ class TestBatchedSweep:
             (r.s_star, r.support, r.residual) for r in records[:-1]
         ]
 
-    def test_one_grid_pass_and_one_refinement_per_sweep(self, monkeypatch):
+    def test_one_batched_root_solve_per_sweep(self, monkeypatch):
         calls = []
-        shoot, refine = reduction._shoot, reduction._refine
+        roots, entries = reduction._roots, reduction._entries
 
-        def counted_shoot(s, *args, **kwargs):
-            calls.append(("shoot", np.size(s)))
-            return shoot(s, *args, **kwargs)
+        def counted(name, solve):
+            def run(*args):
+                calls.append((name, len(args[0])))
+                return solve(*args)
 
-        def counted_refine(lo, *args):
-            calls.append(("refine", len(lo)))
-            mark = len(calls)
-            out = refine(lo, *args)
-            del calls[mark:]  # the refinement's own shooting passes
-            return out
+            return run
 
-        monkeypatch.setattr(reduction, "_shoot", counted_shoot)
-        monkeypatch.setattr(reduction, "_refine", counted_refine)
+        monkeypatch.setattr(reduction, "_roots", counted("roots", roots))
+        monkeypatch.setattr(reduction, "_entries", counted("entries", entries))
         ns = geometric_grid(1e3, 1e6, 8)
         sweep(ns)
-        # the grid pass over 400 points of every n, one refinement of every
-        # bracket, one final pass over both ends of every bracket
-        kinds = [kind for kind, _ in calls]
-        assert kinds == ["shoot", "refine", "shoot"]
-        assert calls[0][1] == len(ns) * reduction.BRACKET_POINTS
-        assert calls[2][1] == 2 * calls[1][1]
+        # every branch of every size of every n in one root solve, then the
+        # entries of the eight winners
+        assert [name for name, _ in calls] == ["roots", "entries"]
+        assert calls[0][1] > 8 * 7 and calls[1][1] == 8
 
 
 class TestGeometricGrid:

@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,14 +19,14 @@ from cycmax import (
 from cycmax.asymptotics import geometric_grid
 import cycmax.reduction as reduction
 from cycmax.reduction import (
-    BRACKET_POINTS,
     LD,
+    _A_MIN,
     _compositions,
+    _forward,
     _grad_ld,
-    _refine,
     _residual_ld,
-    _shoot,
-    _solve_supports,
+    _roots,
+    _size_table,
     chain_gradient_fd,
     gradient_agreement,
     max_sum_values,
@@ -258,13 +259,16 @@ class TestMinimizeChain:
 
 
 def full_scan(N, p):
-    """Best stationary point over every support size up to min(N, ceil(1/p))."""
+    """Best stationary point over every support size up to min(N, ceil(1/p)).
+
+    Each size is solved on its own by the backward per-size oracle, with no
+    stop rule.
+    """
     best_value, best_k = 1.0 / p, 1
-    ks = range(2, min(N, math.ceil(1.0 / p)) + 1)
-    if ks:
-        for k, found in zip(ks, _solve_supports([(ks, p)])[0]):
-            if found is not None and found[1] < best_value:
-                best_value, best_k = float(found[1]), k
+    for k in range(2, min(N, math.ceil(1.0 / p)) + 1):
+        found = oracles.solve_support(k, p)
+        if found is not None and found[1] < best_value:
+            best_value, best_k = float(found[1]), k
     return best_value, best_k
 
 
@@ -276,114 +280,102 @@ def solve_or_best(solve, N, p):
         return exc.best, False
 
 
-def assert_bit_identical(a, b):
-    assert a.value == b.value
-    assert a.support == b.support
-    assert np.array_equal(a.entries, b.entries)
-    assert a.stationarity_residual == b.stationarity_residual
-    assert a.converged == b.converged
+def assert_matches_backward_oracle(got, want):
+    """Same support, values within 1e-13, and converged wherever the oracle is."""
+    assert got.support == want.support
+    assert abs(got.value - want.value) <= 1e-13 * abs(want.value)
+    if want.converged:
+        assert got.converged and got.stationarity_residual <= reduction.STATIONARITY_TOL
+
+
+def solver_columns(problems):
+    """The inputs and outputs of the one batched root solve of ``problems``."""
+    calls = []
+
+    def recorded(*args):
+        inputs = [np.array(arg) for arg in args]
+        calls.append((inputs, _roots(*args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "_roots", recorded)
+        reduction._minimize_many(problems)
+    (inputs, outputs), = calls
+    return inputs, outputs
 
 
 class TestBatchedSolve:
-    """The batched multisection solve against the per-size bisection oracle."""
+    """The batched forward solve against per-column runs and per-size oracles."""
 
-    def test_shoots_match_per_size_shoots(self):
-        p = LD(1e-4)
-        s = p ** (1 - np.linspace(0, 1, 50, dtype=LD))
-        ks = [16, 12, 7, 3, 2]  # columns ordered by depth, descending
-        depth = np.repeat(np.array(ks) - 1, len(s))
-        positive, xs = _shoot(np.tile(s, len(ks)), p, depth, entries=True)
-        for row, k in enumerate(ks):
-            want_x, want_q0, want_reached = oracles.shoot(s, k, p)
-            cols = slice(row * len(s), (row + 1) * len(s))
-            assert np.array_equal(positive[k - 2, cols], want_q0 > 0), k
-            reached = positive[k - 3, cols] if k > 2 else np.ones(len(s), dtype=bool)
-            assert np.array_equal(reached, want_reached), k
-            assert np.array_equal(xs[k - 2 :: -1, cols][:, want_reached], want_x[:-1, want_reached]), k
-            # a column reads zero past its own depth
-            assert not positive[k - 1 :, cols].any() and not xs[k - 1 :, cols].any(), k
+    def test_kernel_matches_mpmath_per_size(self):
+        # one batch of sizes 40 down to 2 at a spread of a, each column
+        # against its own 50-digit run
+        spread = [2.0**-65, 1e-9, 0.05, 0.3, 1.0, 7.0, 1e6]
+        k = np.repeat(np.arange(40, 1, -1), len(spread))
+        a = np.tile(np.array(spread, dtype=LD), 39)
+        price, slope, value = _forward(a, k)
+        eps = float(np.finfo(LD).eps)
+        with mp.workdps(oracles.MP_DPS):
+            for i in range(len(a)):
+                want_price, want_slope, want_value, _ = oracles.mp_forward(oracles.mp_of(a[i]), int(k[i]))
+                got_price, got_slope, got_value = (oracles.mp_of(c[i]) for c in (price, slope, value))
+                assert abs(got_price / want_price - 1) <= 2 * k[i] * eps, (k[i], a[i])
+                assert abs(got_value / want_value - 1) <= 2 * k[i] * eps, (k[i], a[i])
+                assert abs(got_slope - want_slope) <= 2 * k[i] * eps * (1 + abs(want_slope)), (k[i], a[i])
 
-    def test_shoot_columns_of_two_prices_match_separate_shoots(self):
-        # each column carries its own p: one call over both prices equals
-        # one call per price, bit for bit, and both equal the per-size shoot
-        t = np.linspace(0, 1, 60, dtype=LD)
-        cases = [(LD(1.0 / 372759), 14), (LD(0.02), 5)]  # deeper first
-        s = np.concatenate([p ** (1 - t) for p, _ in cases])
-        p = np.repeat([p for p, _ in cases], len(t))
-        depth = np.repeat([k - 1 for _, k in cases], len(t))
-        positive, xs = _shoot(s, p, depth, entries=True)
-        for row, (pk, k) in enumerate(cases):
-            cols = slice(row * len(t), (row + 1) * len(t))
-            alone, alone_x = _shoot(pk ** (1 - t), pk, np.full(len(t), k - 1), entries=True)
-            assert np.array_equal(positive[: k - 1, cols], alone), k
-            assert np.array_equal(xs[: k - 1, cols], alone_x), k
-            want_x, want_q0, want_reached = oracles.shoot(pk ** (1 - t), k, pk)
-            assert np.array_equal(positive[k - 2, cols], want_q0 > 0), k
-            assert np.array_equal(positive[k - 3, cols], want_reached), k
-            assert np.array_equal(xs[k - 2 :: -1, cols][:, want_reached], want_x[:-1, want_reached]), k
+    def test_kernel_columns_of_different_sizes_and_prices_match_separate_calls(self):
+        # the columns of one sweep-like batch, run again one at a time
+        (lo, hi, a, k, p, sign), (root, value) = solver_columns(
+            [(1000, 1e-3), (372759, 1.0 / 372759), (40, 0.02), (10**9, 1e-9), (3, 1.0 / 3.0)]
+        )
+        assert len(set(k.tolist())) > 10 and len(set(p.tolist())) == 5 and set(sign.tolist()) == {-1, 1}
+        batch = _forward(a, k)
+        for i in range(len(a)):
+            alone = _forward(a[i : i + 1], k[i : i + 1])
+            assert all(np.array_equal(b[i : i + 1], c) for b, c in zip(batch, alone)), i
+            cols = slice(i, i + 1)
+            alone = _roots(lo[cols].copy(), hi[cols].copy(), a[cols].copy(), k[cols], p[cols], sign[cols])
+            assert np.array_equal(alone[0], root[cols]) and np.array_equal(alone[1], value[cols]), i
 
-    def test_refine_stops_where_bisection_does(self):
-        # brackets of several sizes and two prices, refined in one call
-        cases = [(LD(1.0 / 138950), k) for k in (14, 13, 9, 2)] + [(LD(1e-3), 7)]
-        groups = []
-        for p, k in cases:
-            grid = p ** (1 - np.linspace(0, 1, BRACKET_POINTS, dtype=LD))
-            positive = oracles.shoot(grid, k, p)[1] > 0
-            cross = np.nonzero(positive[:-1] != positive[1:])[0]
-            groups.append((p, k, grid[cross], grid[cross + 1], positive[cross]))
-        groups.sort(key=lambda g: -g[1])
-        lo, hi, lo_positive = (np.concatenate([g[i] for g in groups]) for i in (2, 3, 4))
-        depth = np.concatenate([np.full(len(g[2]), g[1] - 1) for g in groups])
-        p = np.concatenate([np.full(len(g[2]), g[0]) for g in groups])
-        got_lo, got_hi = _refine(lo, hi, lo_positive, depth, p)
-        start = 0
-        for pk, k, glo, ghi, _ in groups:
-            cols = slice(start, start + len(glo))
-            start += len(glo)
-            want = oracles.bisect(glo, ghi, k, pk)
-            assert np.array_equal(got_lo[cols], want[0]) and np.array_equal(got_hi[cols], want[1]), k
+    def test_roots_match_mpmath_roots(self):
+        # every branch of every size of two problems, against the roots that
+        # mpmath finds per size by bisection and a bracketing solver
+        for p in (1.0 / 138950, 1e-6):
+            (_, _, _, k, _, _), (root, value) = solver_columns([(10**7, p)])
+            for size in sorted(set(k.tolist())):
+                got = sorted(zip(root[k == size], value[k == size]))
+                want = oracles.mp_stationary_points(size, p)
+                assert len(got) == len(want), size
+                with mp.workdps(oracles.MP_DPS):
+                    want = sorted((e[0] / e[1], v) for v, e in want)
+                    for (a, v), (want_a, want_v) in zip(got, want):
+                        assert abs(oracles.mp_of(a) / want_a - 1) <= 4 * float(reduction._ROOT_STEP), size
+                        assert abs(oracles.mp_of(v) / want_v - 1) <= 1e-15, size
 
     def test_bit_identical_to_per_size_oracle(self):
+        """Against the backward per-size oracle: same support, values within
+        1e-13 and converged wherever the oracle is, on fixed cases, 80
+        random (N, p) and a seeded grid over 1e3..1e9."""
         rng = np.random.default_rng(31)
         cases = [(N, p) for N in range(1, 6) for p in (0.05, 0.3, 1.0 / N, 1.0, 1.7)]
-        while len(cases) < 80:
+        cases += [(1000, 1e-3), (372759, 1.0 / 372759), (40, 0.02), (3, 1.0 / 3.0)]
+        for _ in range(80):
             N = max(1, int(10 ** rng.uniform(0, 7)))
             cases.append((N, float(10 ** rng.uniform(-7, math.log10(2)))))
+        cases += [(n, 1.0 / n) for n in sorted(int(10 ** rng.uniform(3, 9)) for _ in range(12))]
         for N, p in cases:
-            got, ok = solve_or_best(minimize_chain, N, p)
-            want, want_ok = solve_or_best(oracles.minimize_by_support, N, p)
-            assert ok == want_ok, (N, p)
-            assert_bit_identical(got, want)
-
-    def test_doubling_chunks_give_the_same_solution(self, monkeypatch):
-        chunks = []
-
-        def recorded(problems):
-            (ks, _), = problems
-            chunks.append(list(ks))
-            return _solve_supports(problems)
-
-        monkeypatch.setattr(reduction, "_solve_supports", recorded)
-        monkeypatch.setattr(reduction, "_CHUNK_SLACK", -100)
-        for N, p in [(1000, 1e-3), (372759, 1.0 / 372759), (40, 0.02), (3, 1.0 / 3.0)]:
-            chunks.clear()
             got, _ = solve_or_best(minimize_chain, N, p)
             want, _ = solve_or_best(oracles.minimize_by_support, N, p)
-            assert_bit_identical(got, want)
-            assert chunks[0] == [2]
-            for a, b in zip(chunks, chunks[1:]):
-                assert b[0] == a[-1] + 1 and len(b) <= 2 * len(a)
-            if N == 372759:  # support 14: chunks [2], [3, 4], [5..8], [9..16]
-                assert [len(c) for c in chunks] == [1, 2, 4, 8]
+            assert_matches_backward_oracle(got, want)
 
     def test_far_range(self):
-        # the shoot freezes finished columns, so depth ~20 raises no overflow
+        # depth ~20 raises no overflow or underflow warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got, ok = solve_or_best(minimize_chain, 10**9, 1e-9)
         want, _ = solve_or_best(oracles.minimize_by_support, 10**9, 1e-9)
         assert ok and got.support == 21
-        assert_bit_identical(got, want)
+        assert_matches_backward_oracle(got, want)
 
         # the absolute residual certificate fails at 1e15, as before
         with pytest.raises(NonConvergence) as exc_info:
@@ -391,12 +383,72 @@ class TestBatchedSolve:
         with pytest.raises(NonConvergence) as oracle_info:
             oracles.minimize_by_support(10**15, 1e-15)
         assert exc_info.value.best.support == 35
-        assert_bit_identical(exc_info.value.best, oracle_info.value.best)
+        assert_matches_backward_oracle(exc_info.value.best, oracle_info.value.best)
+
+    @pytest.mark.parametrize("n, support", [(3_170_000_000, 23), (10**15, 35), (10**30, 70), (10**100, 231)])
+    def test_far_range_supports_against_mpmath(self, n, support):
+        # the backward solve gave 22 at 3.17e9 and 224 at 1e100, missing a
+        # close pair of roots; mpmath compares the sizes around the winner
+        got, _ = solve_or_best(minimize_chain, n, 1.0 / n)
+        k, value, entries = oracles.mp_minimize(1.0 / n, range(support - 1, support + 2))
+        assert got.support == k == support
+        with mp.workdps(oracles.MP_DPS):
+            assert abs(got.value / value - 1) <= 1e-15
+            assert max(abs(x / e - 1) for x, e in zip(got.entries, entries)) <= 1e-15
+
+
+class TestSizeTable:
+    """The shape of ln p_k in ln a that the size rule and the brackets rest on."""
+
+    def test_peak_depth_rises_strictly(self):
+        m = _size_table(256)[1]
+        steps = np.diff(m[2:]).astype(float)
+        assert np.all(steps > 0)
+        assert 0.98 < steps.min() and steps.max() < 1.39  # measured: 0.9836 to 1.3863
+
+    def test_derivative_changes_sign_at_most_once(self):
+        # on a fine ln a grid from the bracket floor to a = 1e4, sizes up to 64
+        grid = np.exp(np.linspace(np.log(_A_MIN), np.log(LD(1e4)), 2000, dtype=LD))
+        ks = np.arange(64, 1, -1)
+        rising = _forward(np.tile(grid, len(ks)), np.repeat(ks, len(grid)))[1].reshape(len(ks), -1) > 0
+        changes = (rising[:, 1:] != rising[:, :-1]).sum(axis=1)
+        assert changes.max() <= 1
+        # where it changes, it rises first: an interior maximum, not a minimum
+        assert not np.any(rising[:, -1])
+        monotone = sorted(int(k) for k, row in zip(ks, rising) if not row.any())
+        assert monotone == [2, 3, 4, 5, 6]  # measured; k = 7 peaks at a ~ 0.052
+
+    def test_every_peak_lies_below_one(self):
+        # the table searches for a*_k on [_A_MIN, 1]
+        ks = np.arange(512, 1, -1)
+        assert np.all(_forward(np.ones(len(ks), dtype=LD), ks)[1] < 0)
+
+    def test_table_matches_mpmath(self):
+        a_star, m, floor = _size_table(64)
+        for k in (2, 6, 7, 12, 40):
+            log_peak, top = oracles.mp_peak(k)
+            with mp.workdps(oracles.MP_DPS):
+                assert abs(oracles.mp_of(m[k]) + top) <= 1e-17 * max(1.0, float(m[k])), k
+                if k <= 6:
+                    assert a_star[k] == _A_MIN and floor[k] == -m[k], k
+                else:
+                    assert abs(oracles.mp_of(np.log(a_star[k])) - log_peak) <= 1e-8, k
+
+    def test_size_reads_the_same_in_every_table(self):
+        for small, big in zip(_size_table(16), _size_table(64)):
+            assert np.array_equal(small, big[:17])
+
+    def test_a_size_has_a_root_iff_it_peaks_above_the_price(self):
+        m = _size_table(16)[1]
+        for k in (5, 12):
+            top = math.exp(-float(m[k]))
+            assert oracles.mp_stationary_points(k, top * (1 - 1e-9))
+            assert not oracles.mp_stationary_points(k, top * (1 + 1e-9))
 
 
 class TestShootingSolve:
     # values and supports pinned from the multi-start BFGS solver, which
-    # the shooting solve reproduces
+    # the forward solve reproduces
     FROZEN = [
         (1000, 17.087634580130477, 8),
         (2683, 19.767942584702439, 9),
@@ -409,11 +461,12 @@ class TestShootingSolve:
     ]
 
     def test_early_stop_matches_full_scan(self):
-        # the scan costs ~min(N, 1/p)^2 shooting steps, so the random cases
-        # keep min(N, 1/p) moderate; the fixed ones reach both ends of the range
+        # the per-size oracle costs ~64 min(N, 1/p)^2 shooting steps, so the
+        # random cases keep min(N, 1/p) moderate; the fixed ones reach both
+        # ends of the range
         rng = np.random.default_rng(8)
         cases = [(200, 0.01), (60, 1e-3), (37, 0.05), (5, 0.3), (2, 1.0), (1, 0.5)]
-        while len(cases) < 30:
+        while len(cases) < 18:
             N, p = int(rng.integers(1, 201)), float(10 ** rng.uniform(-3, 0))
             if min(N, 1.0 / p) <= 40:
                 cases.append((N, p))
@@ -421,7 +474,7 @@ class TestShootingSolve:
             sol = minimize_chain(N, p)
             value, k = full_scan(N, p)
             assert sol.support == k, (N, p)
-            assert sol.value == pytest.approx(value, rel=1e-12), (N, p)
+            assert abs(sol.value - value) <= 1e-13 * value, (N, p)
 
     @pytest.mark.parametrize("N, steps", [(2, 1000), (3, 300), (4, 80), (5, 40)])
     def test_agrees_with_grid_oracle(self, N, steps):
