@@ -33,7 +33,6 @@ oracles at small N.
 from __future__ import annotations
 
 import decimal
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -244,42 +243,50 @@ def _forward(a: np.ndarray, k: np.ndarray):
     return u / (q * q), U - 2 * Q, V
 
 
-@functools.cache
-def _size_table(K: int):
-    """a*_k, m_k and ln p_k(_A_MIN), as arrays indexed by k = 0..K.
+# Bisection steps that take ln a*_k from [ln _A_MIN, 0], 45 wide, to within
+# 1e-12; ln p_k is flat at its peak, so m_k is then exact to rounding.
+_PEAK_HALVINGS = 46
 
-    a*_k is where ln p_k peaks on [_A_MIN, oo), found by bisection in ln a
-    over [_A_MIN, 1] on the sign of the derivative; it is _A_MIN where
-    ln p_k only falls.  Sizes 0 and 1 carry m = oo, so that no price
-    selects them.  Each column is solved on its own, so a size reads the
-    same in every table.
+
+def _size_table(K: int, first: int = 2):
+    """a*_k, m_k and ln p_k(_A_MIN), as arrays indexed by k - first, k = first..K.
+
+    a*_k is where ln p_k peaks on [_A_MIN, oo), found by _PEAK_HALVINGS
+    bisection steps in ln a over [_A_MIN, 1] on the sign of the derivative;
+    it is _A_MIN where ln p_k only falls.  Each column is solved on its own,
+    so a size reads the same in every table.
     """
-    k = np.arange(K, 1, -1)
+    k = np.arange(K, first - 1, -1)
     lo = np.full(len(k), _A_MIN)
     hi = np.ones(len(k), dtype=LD)
-    while True:
+    for _ in range(_PEAK_HALVINGS):
         mid = np.sqrt(lo * hi)
-        if np.all((mid <= lo) | (mid >= hi)):
-            break
         rising = _forward(mid, k)[1] > 0
         lo = np.where(rising, mid, lo)
         hi = np.where(rising, hi, mid)
-    pad = np.array([np.inf, np.inf], dtype=LD)
     peak = np.log(_forward(lo, k)[0])
     floor = np.log(_forward(np.full(len(k), _A_MIN), k)[0])
-    return np.r_[pad, lo[::-1]], np.r_[pad, -peak[::-1]], np.r_[-pad, floor[::-1]]
+    return lo[::-1], -peak[::-1], floor[::-1]
+
+
+# The size table of every size tabulated so far, indexed by k.  Sizes 0 and
+# 1 carry m = oo, so that no price selects them; ``_table_for`` appends.
+_table = (np.full(2, np.inf, dtype=LD), np.full(2, np.inf, dtype=LD), np.full(2, -np.inf, dtype=LD))
 
 
 def _table_for(N: int, log_p) -> tuple:
-    """A size table that reaches every size up to N with a root at ln p = log_p.
+    """The size table, grown to reach every size up to N with a root at ln p = log_p.
 
-    m_k rises by at least 0.98 a size (measured), so sizes past
-    2 + ln(1/p) / 0.98 have no root; no smaller table is built on the way.
+    m_k rises by at least 0.98 a size from m_2 = 0 (measured to k = 1024,
+    past the 727 sizes a float price can reach), so sizes past
+    2 + ln(1/p) / 0.98 have no root; only the sizes not yet tabulated are
+    solved, and never fewer than 16 at once.
     """
-    K = 16
-    while K < N and (K < 2 - log_p / 0.98 or _size_table(K)[1][K] < -log_p):
-        K *= 2
-    return _size_table(K)
+    global _table
+    K = max(16, min(N, int(2 - log_p / 0.98) + 1))
+    if K >= len(_table[1]):
+        _table = tuple(np.r_[old, new] for old, new in zip(_table, _size_table(K, len(_table[1]))))
+    return _table
 
 
 def _roots(lo, hi, a, k, p, sign):

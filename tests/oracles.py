@@ -249,14 +249,31 @@ def shoot(s, k: int, p):
     return x, np.where(reached, q, early), reached
 
 
+def positive(s, k: int, p):
+    """Whether ``shoot`` reads q_0 > 0, without keeping the entries.
+
+    A q_j <= 0 at j >= 1 is clamped to 0, which keeps every later q_j at 0,
+    so the column reads as ``shoot``'s early stop does.
+    """
+    lam = s / p
+    q = s * (1 - s) / p
+    x = s.copy()
+    for j in range(k - 1, 0, -1):
+        x *= q
+        q -= lam * x
+        if j > 1:
+            np.maximum(q, 0, out=q)
+    return q > 0
+
+
 def bisect(lo, hi, k: int, p):
     """Shrink sign-change brackets of q_0 until their ends are adjacent."""
-    lo_positive = shoot(lo, k, p)[1] > 0
+    lo_positive = positive(lo, k, p)
     while True:
         mid = (lo + hi) / 2
         if np.all((mid <= lo) | (mid >= hi)):
             return lo, hi
-        same = (shoot(mid, k, p)[1] > 0) == lo_positive
+        same = positive(mid, k, p) == lo_positive
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
 

@@ -281,9 +281,10 @@ def solve_or_best(solve, N, p):
 
 
 def assert_matches_backward_oracle(got, want):
-    """Same support, values within 1e-13, and converged wherever the oracle is."""
+    """Same support, values and entries within 1e-13, and converged wherever the oracle is."""
     assert got.support == want.support
     assert abs(got.value - want.value) <= 1e-13 * abs(want.value)
+    assert np.allclose(got.entries, want.entries, rtol=1e-13, atol=0)
     if want.converged:
         assert got.converged and got.stationarity_residual <= reduction.STATIONARITY_TOL
 
@@ -353,9 +354,13 @@ class TestBatchedSolve:
                         assert abs(oracles.mp_of(v) / want_v - 1) <= 1e-15, size
 
     def test_bit_identical_to_per_size_oracle(self):
-        """Against the backward per-size oracle: same support, values within
-        1e-13 and converged wherever the oracle is, on fixed cases, 80
-        random (N, p) and a seeded grid over 1e3..1e9."""
+        """Against the backward per-size oracle: same support, values and
+        entries within 1e-13 and converged wherever the oracle is, on fixed
+        cases, 80 random (N, p) and a seeded grid over 1e3..1e9.
+
+        The name is historical: the backward solve, now the oracle, was
+        once the solver, and bit identical to it.
+        """
         rng = np.random.default_rng(31)
         cases = [(N, p) for N in range(1, 6) for p in (0.05, 0.3, 1.0 / N, 1.0, 1.7)]
         cases += [(1000, 1e-3), (372759, 1.0 / 372759), (40, 0.02), (3, 1.0 / 3.0)]
@@ -402,8 +407,8 @@ class TestSizeTable:
 
     def test_peak_depth_rises_strictly(self):
         m = _size_table(256)[1]
-        steps = np.diff(m[2:]).astype(float)
-        assert np.all(steps > 0)
+        steps = np.diff(m).astype(float)
+        assert m[0] == 0 and np.all(steps > 0)  # m_2 = 0: p_2(a) = (1 + a)^-2
         assert 0.98 < steps.min() and steps.max() < 1.39  # measured: 0.9836 to 1.3863
 
     def test_derivative_changes_sign_at_most_once(self):
@@ -424,24 +429,28 @@ class TestSizeTable:
         assert np.all(_forward(np.ones(len(ks), dtype=LD), ks)[1] < 0)
 
     def test_table_matches_mpmath(self):
-        a_star, m, floor = _size_table(64)
+        table = _size_table(64)
         for k in (2, 6, 7, 12, 40):
+            a_star, m, floor = (column[k - 2] for column in table)
             log_peak, top = oracles.mp_peak(k)
             with mp.workdps(oracles.MP_DPS):
-                assert abs(oracles.mp_of(m[k]) + top) <= 1e-17 * max(1.0, float(m[k])), k
+                assert abs(oracles.mp_of(m) + top) <= 1e-17 * max(1.0, float(m)), k
                 if k <= 6:
-                    assert a_star[k] == _A_MIN and floor[k] == -m[k], k
+                    assert a_star == _A_MIN and floor == -m, k
                 else:
-                    assert abs(oracles.mp_of(np.log(a_star[k])) - log_peak) <= 1e-8, k
+                    assert abs(oracles.mp_of(np.log(a_star)) - log_peak) <= 1e-8, k
 
     def test_size_reads_the_same_in_every_table(self):
-        for small, big in zip(_size_table(16), _size_table(64)):
-            assert np.array_equal(small, big[:17])
+        # so a table grown in steps equals one built at once
+        for small, rest, big in zip(_size_table(16), _size_table(64, 17), _size_table(64)):
+            assert np.array_equal(np.r_[small, rest], big)
+        grown = reduction._table_for(10**6, np.log(LD(1e-30)))
+        assert all(np.array_equal(column[2:65], whole) for column, whole in zip(grown, _size_table(64)))
 
     def test_a_size_has_a_root_iff_it_peaks_above_the_price(self):
         m = _size_table(16)[1]
         for k in (5, 12):
-            top = math.exp(-float(m[k]))
+            top = math.exp(-float(m[k - 2]))
             assert oracles.mp_stationary_points(k, top * (1 - 1e-9))
             assert not oracles.mp_stationary_points(k, top * (1 + 1e-9))
 
@@ -461,12 +470,18 @@ class TestShootingSolve:
     ]
 
     def test_early_stop_matches_full_scan(self):
+        """The solve of all sizes at once finds the support and value that
+        the per-size oracle finds over every size up to min(N, ceil(1/p)).
+
+        The name is historical: the solver once walked the sizes and
+        stopped early, and this checked the stop rule.
+        """
         # the per-size oracle costs ~64 min(N, 1/p)^2 shooting steps, so the
         # random cases keep min(N, 1/p) moderate; the fixed ones reach both
         # ends of the range
         rng = np.random.default_rng(8)
         cases = [(200, 0.01), (60, 1e-3), (37, 0.05), (5, 0.3), (2, 1.0), (1, 0.5)]
-        while len(cases) < 18:
+        while len(cases) < 30:
             N, p = int(rng.integers(1, 201)), float(10 ** rng.uniform(-3, 0))
             if min(N, 1.0 / p) <= 40:
                 cases.append((N, p))
