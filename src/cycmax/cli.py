@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 from .asymptotics import estimate_constant_a, geometric_grid, records_to_csv, sweep
@@ -302,6 +303,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``cycmax ... | head``); Python
+        # flushes stdout again at exit, so point it at devnull first
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_INPUT
+    return code
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

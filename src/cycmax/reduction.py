@@ -20,12 +20,15 @@ first-order conditions run front to back as a forward recurrence of
 sums and quotients of positive numbers, which makes size k stationary at
 one price p_k(a); each k thus reduces to the scalar equation p_k(a) = p.
 The recurrence depends on neither k nor p, so one longdouble pass serves
-every size of many problems (N, p) at once.  A table of where each
-p_k peaks, independent of p, tells which sizes have a root and splits
-each into monotone branches; every branch of every size of every
-problem is then solved in one batched Newton iteration, the lowest value
-wins, and its entries are taken in 40-digit decimals.  The projected
-stationarity residual in extended precision certifies each solve.
+many sizes of many problems (N, p) at once.  A per-process record of
+each size, independent of p and computed the first time a call needs
+it, tells where p_k peaks, hence whether the size has a root, splits it
+into monotone branches and samples them.  Each problem solves both
+branches of four sizes just below min(N, ceil(ln(1/p)) + 2), the winner
+lies among them; all these are solved in one batched Newton iteration
+started from the samples, the lowest value wins, and its entries are
+taken in 40-digit decimals.  The projected stationarity residual in
+extended precision certifies each solve.
 Independent nested grid searches over the simplex serve as cross-check
 oracles at small N.
 """
@@ -35,6 +38,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -171,7 +175,7 @@ def _residual_ld(x: np.ndarray, p) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Forward recurrence for the first-order system, every support size at once
+# Forward recurrence for the first-order system, many support sizes at once
 #
 # On a support x_0, ..., x_{k-1}, stationarity under the sum constraint asks
 # that every partial derivative of the chain sum equal one multiplier lam.
@@ -192,10 +196,13 @@ def _residual_ld(x: np.ndarray, p) -> float:
 # (tests/test_reduction.py pins it), it is decreasing for k <= 6 and has
 # one interior maximum, at a*_k < 1, for k >= 7; its top, -m_k, falls
 # strictly with k.  So size k has a root iff m_k < ln(1/p), and each of its
-# two monotone branches, left and right of a*_k, holds at most one.  a*_k
-# and m_k depend on no price and are tabulated once per size.  The roots of
-# every branch of every size of every problem of a call are then solved
-# together by safeguarded Newton in ln a, and the lowest value wins.
+# two monotone branches, left and right of a*_k, holds at most one.  a*_k,
+# m_k and samples of both branches depend on no price and are computed once
+# per size, the first time a call needs the size.  Each problem of a call
+# takes a window of four sizes around ln(1/p), where its winner lies; the
+# roots of both branches of every size of every window are then solved
+# together by safeguarded Newton in ln a, each started where its size's
+# samples put it, and the lowest value wins.
 
 # Lower end of every bracket in a.  At and below it a is under half an ulp
 # of 1 in longdouble, so q_2 = a + 1 rounds to 1 and p_k no longer moves:
@@ -247,16 +254,34 @@ def _forward(a: np.ndarray, k: np.ndarray):
 # 1e-12; ln p_k is flat at its peak, so m_k is then exact to rounding.
 _PEAK_HALVINGS = 46
 
+# The largest ln(1/p) of a float price whose inverse is finite.
+_LOG_MAX = LD(math.log(sys.float_info.max))
 
-def _size_table(K: int, first: int = 2):
-    """a*_k, m_k and ln p_k(_A_MIN), as arrays indexed by k - first, k = first..K.
+# Where each size samples ln p_k: _GRID points evenly over ln a in [-10, 2],
+# where the roots of the window sizes lie (on 6300 seeded (N, p), all but
+# those of windows cut by N and of size 2 below n = 110), and _TAIL points
+# out to the bracket top at the smallest float price.
+# Measured as Newton passes per solve (12 benchmark sweeps, n = 1e9..1e300
+# and 80 seeded (N, p)): 24 grid points take 5, 48 take 4, 96 take 4 (one
+# N-bound case in 80 takes 5 at 48); 8, 16 or 32 tail points make no
+# difference.  Started at the bracket ends, the solve took 11 to 13.
+_GRID = 48
+_TAIL = 16
+_SAMPLES = _GRID + _TAIL + 2
+
+
+def _size_records(k: np.ndarray) -> np.ndarray:
+    """One record per size k: a*_k, m_k, ln p_k(_A_MIN), then _SAMPLES values of z and of ln a.
 
     a*_k is where ln p_k peaks on [_A_MIN, oo), found by _PEAK_HALVINGS
     bisection steps in ln a over [_A_MIN, 1] on the sign of the derivative;
-    it is _A_MIN where ln p_k only falls.  Each column is solved on its own,
-    so a size reads the same in every table.
+    it is _A_MIN where ln p_k only falls.  The samples are taken at ln _A_MIN,
+    ln a*_k and the _GRID and _TAIL points, in increasing ln a, and
+    z = +-sqrt(-m_k - ln p_k), signed as ln a - ln a*_k, rises with them
+    through both branches.  Each size is solved on its own, so a record
+    reads the same whatever sizes it is computed with.
     """
-    k = np.arange(K, first - 1, -1)
+    k = np.sort(k)[::-1]
     lo = np.full(len(k), _A_MIN)
     hi = np.ones(len(k), dtype=LD)
     for _ in range(_PEAK_HALVINGS):
@@ -264,29 +289,52 @@ def _size_table(K: int, first: int = 2):
         rising = _forward(mid, k)[1] > 0
         lo = np.where(rising, mid, lo)
         hi = np.where(rising, hi, mid)
-    peak = np.log(_forward(lo, k)[0])
+    m = -np.log(_forward(lo, k)[0])
     floor = np.log(_forward(np.full(len(k), _A_MIN), k)[0])
-    return lo[::-1], -peak[::-1], floor[::-1]
+    peak, end = np.log(lo), np.log(LD(2)) + _LOG_MAX / k
+    tail = 2 + (end[:, None] - 2) * np.linspace(0, 1, _TAIL + 1, dtype=LD)[1:] ** 2
+    grid = np.broadcast_to(np.linspace(-10, 2, _GRID, dtype=LD), (len(k), _GRID))
+    log_a = np.column_stack([np.full(len(k), np.log(_A_MIN)), peak, grid, tail])
+    log_a = np.sort(np.minimum(log_a, end[:, None]), axis=1)
+    level = np.log(_forward(np.exp(log_a).ravel(), np.repeat(k, _SAMPLES))[0]).reshape(log_a.shape)
+    z = np.sign(log_a - peak[:, None]) * np.sqrt(np.maximum(-m[:, None] - level, 0))
+    z[:, 0] = -np.sqrt(-m - floor)
+    return np.column_stack([lo, m, floor, z, log_a])[::-1]
 
 
-# The size table of every size tabulated so far, indexed by k.  Sizes 0 and
-# 1 carry m = oo, so that no price selects them; ``_table_for`` appends.
-_table = (np.full(2, np.inf, dtype=LD), np.full(2, np.inf, dtype=LD), np.full(2, -np.inf, dtype=LD))
+# The records of the sizes computed so far, row k for size k; rows of sizes
+# not yet computed read nan.  ``_records`` fills them as calls need them.
+_table = np.full((0, 3 + 2 * _SAMPLES), np.nan, dtype=LD)
 
 
-def _table_for(N: int, log_p) -> tuple:
-    """The size table, grown to reach every size up to N with a root at ln p = log_p.
-
-    m_k rises by at least 0.98 a size from m_2 = 0 (measured to k = 1024,
-    past the 727 sizes a float price can reach), so sizes past
-    2 + ln(1/p) / 0.98 have no root; only the sizes not yet tabulated are
-    solved, and never fewer than 16 at once.
-    """
+def _records(k: np.ndarray) -> np.ndarray:
+    """The table, with the records of sizes k >= 2 that it lacked computed in one batch."""
     global _table
-    K = max(16, min(N, int(2 - log_p / 0.98) + 1))
-    if K >= len(_table[1]):
-        _table = tuple(np.r_[old, new] for old, new in zip(_table, _size_table(K, len(_table[1]))))
+    size = k.max(initial=1) + 1
+    if size > len(_table):
+        grown = np.full((size, _table.shape[1]), np.nan, dtype=LD)
+        grown[: len(_table)] = _table
+        _table = grown
+    new = np.zeros(len(_table), dtype=bool)
+    new[k] = True
+    new = np.flatnonzero(new & np.isnan(_table[:, 1]))
+    if len(new):
+        _table[new] = _size_records(new)
     return _table
+
+
+def _start(table: np.ndarray, k: np.ndarray, log_p: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Newton start a of the root of size k at ln p on branch sign (+1 right, -1 left).
+
+    The root has z = sign sqrt(-m_k - ln p), which lies above the first
+    sample (the floor) and at most at the last (the bracket top at the
+    smallest float price) wherever the branch has a root; ln a is
+    interpolated linearly in z between the samples on either side.
+    """
+    z = sign * np.sqrt(-table[k, 1] - log_p)
+    j = 3 + (table[k, 3 : 3 + _SAMPLES] < z[:, None]).sum(axis=1)
+    z0, z1, x0, x1 = (table[k, c] for c in (j - 1, j, j + _SAMPLES - 1, j + _SAMPLES))
+    return np.exp(x0 + (x1 - x0) * (z - z0) / (z1 - z0))
 
 
 def _roots(lo, hi, a, k, p, sign):
@@ -407,48 +455,76 @@ def _solution(N: int, p: float, x: np.ndarray, value) -> ReducedSolution:
     )
 
 
+# Sizes solved per problem: both branches of the _WINDOW sizes up to the
+# window's top, the largest size with a root that is at most N and at most
+# ceil(ln(1/p)) + _ABOVE_LOG_N.  Measured on the 1200 ln n in [7, 400], the
+# winner is ceil(ln n) (958 cases) or ceil(ln n) + 1 (242); on 6300 seeded
+# (N, p), N < ln(1/p) and p down to 1e-300 included, it is the top, one
+# below it or two below it, never three.  tests/test_reduction.py checks the
+# window against every size on 900 more.  Anchored at the largest size with
+# a root instead, the window misses the winner from n ~ 1e100 on (233 for
+# 231 there), where m_k has fallen more than 4 below k.
+_WINDOW = 4
+_ABOVE_LOG_N = 2
+
+
 def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
     """Minimize the chain sum for every (N, p) of ``problems`` together.
 
-    Each branch of each size with a root, of each problem, is one column
-    of a single batched root solve; each problem then keeps its lowest
-    value.  Gives, per problem, its ReducedSolution or the NonConvergence
-    that ``minimize_chain`` raises.
+    Each branch of each size of each problem's window is one column of a
+    single batched root solve; each problem then keeps its lowest value.
+    Gives, per problem, its ReducedSolution or the NonConvergence that
+    ``minimize_chain`` raises.
     """
-    fields = {name: [] for name in ("owner", "k", "sign", "lo", "hi", "start", "p")}
-
-    def add(**columns):
-        for name, values in columns.items():
-            fields[name].append(np.broadcast_to(values, len(columns["k"])))
-
-    for i, (N, p) in enumerate(problems):
+    for N, p in problems:
         if N < 1:
             raise ValueError("N must be a positive integer")
         if not (p > 0) or not math.isfinite(p):
             raise ValueError("p must be positive and finite")
         if not math.isfinite(1.0 / p):
             raise ValueError(f"p = {p!r} is too small: 1/p overflows")
-        log_p = np.log(LD(p))
-        a_star, m, floor = _table_for(N, log_p)
-        sizes = np.arange(2, min(N, len(m) - 1) + 1)
-        sizes = sizes[m[sizes] < -log_p]
-        # p_k(a) <= a^-k for a >= 1, so p_k < p at a = 2 p^(-1/k)
-        top = 2 * np.exp(-log_p / sizes)
-        add(owner=i, k=sizes, sign=LD(1), lo=a_star[sizes], hi=top, start=top, p=LD(p))
-        left = sizes[floor[sizes] < log_p]
-        start = np.sqrt(_A_MIN * a_star[left])
-        add(owner=i, k=left, sign=LD(-1), lo=_A_MIN, hi=a_star[left], start=start, p=LD(p))
-    order = np.argsort(-np.concatenate(fields["k"]), kind="stable")
-    owner, k, sign, lo, hi, start, price = (np.concatenate(fields[name])[order] for name in fields)
+    price = np.array([p for _, p in problems], dtype=LD)
+    log_p = np.log(price)
+    # ceil(ln(1/p)) + 2 is at most 712 for a float price, so the cap on N
+    # changes no bound; it only keeps N inside int64
+    bound = np.minimum([min(N, 10**6) for N, _ in problems], np.ceil(-log_p) + _ABOVE_LOG_N).astype(int)
+    # the window's top lies at most 2 below the bound, as k - m_k >= 1.29
+    # (measured to k = 729, least at k = 10), so one fill of the table takes
+    # every window
+    k = (bound[:, None] - np.arange(_WINDOW + 2)).ravel()
+    _records(k[k >= 2])
+    last = bound.copy()
+    while True:
+        above = last >= 2
+        table = _records(last[above])
+        above[above] = table[last[above], 1] >= -log_p[above]
+        if not above.any():
+            break
+        last[above] -= 1
+    owner = np.repeat(np.arange(len(problems)), _WINDOW)
+    k = (last[:, None] - np.arange(_WINDOW)).ravel()
+    owner, k = owner[k >= 2], k[k >= 2]
+    table = _records(k)
+    root = table[k, 1] < -log_p[owner]
+    owner, k = owner[root], k[root]
+    # the right branch of every size, then the left branch where it has a root
+    left = table[k, 2] < log_p[owner]
+    owner, k = np.concatenate([owner, owner[left]]), np.concatenate([k, k[left]])
+    sign = np.repeat(np.array([1, -1], dtype=LD), [len(left), left.sum()])
+    # p_k(a) <= a^-k for a >= 1, so p_k < p at a = 2 p^(-1/k)
+    lo = np.where(sign > 0, table[k, 0], _A_MIN)
+    hi = np.where(sign > 0, 2 * np.exp(-log_p[owner] / k), table[k, 0])
+    start = np.clip(_start(table, k, log_p[owner], sign), lo, hi)
+    order = np.argsort(-k, kind="stable")
+    owner, k, sign, lo, hi, start = (c[order] for c in (owner, k, sign, lo, hi, start))
+    price = price[owner]
     a, V = _roots(lo, hi, start, k, price, sign)
 
     # per problem, the lowest value, the smallest size on a tie; a problem
     # without columns (p >= 1 or N = 1) keeps the point mass, which size 2
     # beats wherever it has a root
-    best = {}
-    for c in np.lexsort((k, V, owner)).tolist():
-        best.setdefault(owner[c], c)
-    cols = np.sort(list(best.values())).astype(int)  # k descending, as columns are
+    ranked = np.lexsort((k, V, owner))
+    cols = np.sort(ranked[np.diff(owner[ranked], prepend=-1) != 0])  # k descending, as columns are
     winners = dict(zip(owner[cols].tolist(), _entries(a[cols], k[cols], price[cols])))
 
     out = []
@@ -468,12 +544,14 @@ def minimize_chain(N: int, p: float) -> ReducedSolution:
     """Minimize the chain sum over the N-simplex at price p.
 
     The candidates are the point mass and the positive stationary points
-    of the support sizes 2..N: every branch of every size with a root is
-    solved in longdouble, the lowest value wins, and its entries and value
-    are rounded from 40-digit decimals.  The certificate is the projected stationarity residual of the winner in
+    of the four support sizes just below min(N, ceil(ln(1/p)) + 2) that
+    have a root, where the minimum lies (measured; see ``_WINDOW``): both
+    branches of each are solved in longdouble, the lowest value wins, and
+    its entries and value are rounded from 40-digit decimals.  The
+    certificate is the projected stationarity residual of the winner in
     extended precision; raises NonConvergence (carrying the winner) if it
-    exceeds ``STATIONARITY_TOL``.  Rejects a p so small that 1/p overflows
-    a float; ``_minimize_many`` solves many at once.
+    exceeds ``STATIONARITY_TOL``.  Rejects a p so small that 1/p
+    overflows a float; ``_minimize_many`` solves many at once.
     """
     result = _minimize_many([(N, p)])[0]
     if isinstance(result, NonConvergence):

@@ -2,14 +2,15 @@
 
 The package derives values, shortest maximizing lengths and Hasse parents
 from one O(n) stack pass (``cycmax.periodic.right_maximal_profile``), and
-solves every support size of the chain problem by one batched Newton
-iteration on a forward recurrence (``cycmax.reduction.minimize_chain``).
-These are the direct definitions and two per-size chain solvers: the
-backward shooting solve the forward one replaced, with its own grid
-brackets and bisection, and the forward recurrence in mpmath.  The
-rational backend compares averages by cross-multiplying integer prefix
-sums; the ``Fraction`` versions below sum ``x.values`` themselves and
-never read that table.
+solves a window of four support sizes of the chain problem by one batched
+Newton iteration on a forward recurrence
+(``cycmax.reduction.minimize_chain``).  These are the direct definitions
+and three chain solvers: the same batched solve over every size with a
+root, from the bracket ends; the backward shooting solve the forward one
+replaced, with its own grid brackets and bisection; and the forward
+recurrence in mpmath.  The rational backend compares averages by
+cross-multiplying integer prefix sums; the ``Fraction`` versions below
+sum ``x.values`` themselves and never read that table.
 """
 
 import math
@@ -205,6 +206,56 @@ def compositions(total: int, parts: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Chain minimization over every support size with a root, in one batch.
+#
+# ``cycmax.reduction`` solves only a window of four sizes around ln(1/p),
+# each root from a start interpolated in its size's samples.  Here
+# every branch of every size with m_k < ln(1/p), up to N, is a column of
+# the same batched root solve, started at the bracket end (right branches)
+# or at the middle of the bracket in ln a (left branches), and the lowest
+# value wins.
+
+
+def minimize_all_sizes(problems) -> list:
+    """``reduction._minimize_many`` over every branch of every size with a root.
+
+    Gives, per problem, its ReducedSolution or a NonConvergence carrying it.
+    """
+    price = np.array([p for _, p in problems], dtype=LD)
+    log_p = np.log(price)
+    # m_k rises by more than 0.98 a size from m_2 = 0, so no size past K has a root
+    K = int(max(2, min(max(min(N, 10**6) for N, _ in problems), 3 - log_p.min() / 0.98)))
+    table = np.full((K + 1, 3), np.inf, dtype=LD)
+    table[2:] = reduction._records(np.arange(2, K + 1))[2 : K + 1, :3]
+    assert table[K, 1] >= -log_p.min() or K >= max(N for N, _ in problems)
+    a_star, m, floor = table.T
+    columns = []
+    for i, (N, p) in enumerate(problems):
+        k = np.arange(2, min(N, K) + 1)
+        k = k[m[k] < -log_p[i]]
+        top = 2 * np.exp(-log_p[i] / k)
+        columns.append((np.full(len(k), i), k, np.ones(len(k), dtype=LD), a_star[k], top, top))
+        k = k[floor[k] < log_p[i]]
+        start = np.sqrt(reduction._A_MIN * a_star[k])
+        columns.append((np.full(len(k), i), k, -np.ones(len(k), dtype=LD), np.full(len(k), reduction._A_MIN), a_star[k], start))
+    owner, k, sign, lo, hi, start = (np.concatenate(c) for c in zip(*columns))
+    order = np.argsort(-k, kind="stable")
+    owner, k, sign, lo, hi, start = (c[order] for c in (owner, k, sign, lo, hi, start))
+    a, V = reduction._roots(lo, hi, start, k, price[owner], sign)
+
+    best = {}
+    for c in np.lexsort((k, V, owner)).tolist():
+        best.setdefault(owner[c], c)
+    cols = np.sort(list(best.values())).astype(int)
+    winners = dict(zip(owner[cols].tolist(), reduction._entries(a[cols], k[cols], price[owner][cols])))
+    out = []
+    for i, (N, p) in enumerate(problems):
+        sol = reduction._solution(N, p, *winners.get(i, (np.ones(1, dtype=LD), 1.0 / p)))
+        out.append(sol if sol.converged else NonConvergence("not stationary", best=sol))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Chain minimization one support size at a time, by backward shooting.
 #
 # Fixing the last entry s of the support, the first-order conditions run
@@ -355,25 +406,30 @@ def mp_of(x):
         return mp.mpf(num) / den
 
 
-def mp_forward(a, k: int, slope: bool = True):
+def mp_forward(a, k: int, slope: bool = True, values: bool = True):
     """p_k(a), d ln p_k / d ln a, V_k(a) and the entries of size k, as mpf.
 
-    Without ``slope`` the derivative is skipped and reads None.
+    Without ``slope`` the derivative is skipped and reads None; without
+    ``values`` the value and the entries are, and read None.
     """
     q, u, Q, U = mp.mpf(0), mp.mpf(a), mp.mpf(0), mp.mpf(1)
     value, us = mp.mpf(0), []
     for j in range(1, k + 1):
-        us.append(u)
+        if values:
+            us.append(u)
         if slope:
             qQ = q * Q + u * U
         q += u
-        value += q
+        if values:
+            value += q
         if slope:
             Q = qQ / q
         if j < k:
             if slope:
                 U -= Q
             u /= q
+    if not values:
+        return u / q**2, U - 2 * Q if slope else None, None, None
     return u / q**2, U - 2 * Q if slope else None, value, [v / q for v in us]
 
 
@@ -383,11 +439,11 @@ def mp_peak(k: int):
         lo, hi = mp.log(MP_A_MIN), mp.mpf(0)
         while hi - lo > mp.mpf(10) ** -12:
             mid = (lo + hi) / 2
-            if mp_forward(mp.exp(mid), k)[1] > 0:
+            if mp_forward(mp.exp(mid), k, values=False)[1] > 0:
                 lo = mid
             else:
                 hi = mid
-        return lo, mp.log(mp_forward(mp.exp(lo), k, slope=False)[0])
+        return lo, mp.log(mp_forward(mp.exp(lo), k, slope=False, values=False)[0])
 
 
 def mp_stationary_points(k: int, p: float) -> list:
@@ -402,7 +458,7 @@ def mp_stationary_points(k: int, p: float) -> list:
         peak, top = mp_peak(k)
 
         def level(t, slope=False):
-            price, dlevel, _, _ = mp_forward(mp.exp(t), k, slope)
+            price, dlevel, _, _ = mp_forward(mp.exp(t), k, slope, values=False)
             return mp.log(price / p), dlevel
 
         brackets = []

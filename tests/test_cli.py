@@ -433,6 +433,33 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["radii"] == [2, 1, 5, 4, 3, 2, 1, 10, 1, 8]
 
+    @pytest.mark.parametrize("command", ["analyze", "minimize"])
+    def test_closed_stdout_exits_1_without_a_traceback(self, command, tmp_path):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import cycmax
+
+        # analyze fails inside its print (a 200 x 200 table outgrows the
+        # buffer), minimize (non-convergent at 1e10) in the flush after the
+        # JSON that its error handler prints
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"values": [1.0 + (i * 7919 % 1000) / 1000 for i in range(200)]}))
+        argv = {"analyze": ["analyze", str(path), "--format", "csv"], "minimize": ["minimize", "--n", "10000000000"]}
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cycmax.__file__).parents[1])}
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first write
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cycmax", *argv[command]], stdout=write, stderr=subprocess.PIPE, text=True, env=env
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+
 
 class TestPublicSurface:
     def test_every_exported_name_resolves(self):

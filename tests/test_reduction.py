@@ -26,7 +26,7 @@ from cycmax.reduction import (
     _grad_ld,
     _residual_ld,
     _roots,
-    _size_table,
+    _size_records,
     chain_gradient_fd,
     gradient_agreement,
     max_sum_values,
@@ -290,7 +290,8 @@ def assert_matches_backward_oracle(got, want):
 
 
 def solver_columns(problems):
-    """The inputs and outputs of the one batched root solve of ``problems``."""
+    """The inputs and outputs of the one batched root solve of ``problems``
+    over every branch of every size with a root (the all-sizes oracle)."""
     calls = []
 
     def recorded(*args):
@@ -300,7 +301,7 @@ def solver_columns(problems):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reduction, "_roots", recorded)
-        reduction._minimize_many(problems)
+        oracles.minimize_all_sizes(problems)
     (inputs, outputs), = calls
     return inputs, outputs
 
@@ -390,7 +391,10 @@ class TestBatchedSolve:
         assert exc_info.value.best.support == 35
         assert_matches_backward_oracle(exc_info.value.best, oracle_info.value.best)
 
-    @pytest.mark.parametrize("n, support", [(3_170_000_000, 23), (10**15, 35), (10**30, 70), (10**100, 231)])
+    @pytest.mark.parametrize(
+        "n, support",
+        [(3_170_000_000, 23), (10**15, 35), (10**30, 70), (10**100, 231), (10**200, 461), (10**300, 691)],
+    )
     def test_far_range_supports_against_mpmath(self, n, support):
         # the backward solve gave 22 at 3.17e9 and 224 at 1e100, missing a
         # close pair of roots; mpmath compares the sizes around the winner
@@ -401,12 +405,53 @@ class TestBatchedSolve:
             assert abs(got.value / value - 1) <= 1e-15
             assert max(abs(x / e - 1) for x, e in zip(got.entries, entries)) <= 1e-15
 
+    def test_window_matches_all_sizes(self):
+        """The window of four sizes below min(N, ceil(ln(1/p)) + 2) gives the
+        support, value, residual and entries, bit for bit, that every branch
+        of every size with a root gives, solved from the bracket ends.
+
+        n = 1/p over 2..1e9 with N = n, N <= 60 with p over 1e-12..2, and
+        N = 10**12 with p down to 1e-300: 900 seeded cases, one batch each way.
+        """
+        rng = np.random.default_rng(12)
+        cases = [(n, 1.0 / n) for n in (int(10 ** rng.uniform(math.log10(2), 9)) for _ in range(420))]
+        cases += [(int(rng.integers(1, 61)), float(10 ** rng.uniform(-12, math.log10(2)))) for _ in range(420)]
+        cases += [(10**12, float(10 ** -rng.uniform(0, 300))) for _ in range(60)]
+        wants = oracles.minimize_all_sizes(cases)
+        for (N, p), got, want in zip(cases, reduction._minimize_many(cases), wants):
+            assert isinstance(got, NonConvergence) == isinstance(want, NonConvergence), (N, p)
+            got, want = (getattr(sol, "best", sol) for sol in (got, want))
+            assert (got.support, got.value, got.stationarity_residual) == (
+                want.support,
+                want.value,
+                want.stationarity_residual,
+            ), (N, p)
+            assert np.array_equal(got.entries, want.entries), (N, p)
+
+    def test_warm_solve_takes_few_newton_passes(self):
+        # starts interpolated in each size's samples; from the bracket top the
+        # root solve took 11 passes on the benchmark grid and at 1e30, 13 at 1e300
+        for problems in ([(n, 1.0 / n) for n in geometric_grid(1e3, 1e6, 8)], [(10**12, 1e-30)], [(10**12, 1e-300)]):
+            reduction._minimize_many(problems)  # the sizes' records are cached
+            passes = []
+            forward = reduction._forward
+
+            def counted(a, k):
+                passes.append(len(a))
+                return forward(a, k)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(reduction, "_forward", counted)
+                reduction._minimize_many(problems)
+            assert len(passes) - 1 <= 5, problems  # measured: 4, then one for the winners
+            assert passes[0] <= 2 * 4 * len(problems)
+
 
 class TestSizeTable:
     """The shape of ln p_k in ln a that the size rule and the brackets rest on."""
 
     def test_peak_depth_rises_strictly(self):
-        m = _size_table(256)[1]
+        m = _size_records(np.arange(2, 257))[:, 1]
         steps = np.diff(m).astype(float)
         assert m[0] == 0 and np.all(steps > 0)  # m_2 = 0: p_2(a) = (1 + a)^-2
         assert 0.98 < steps.min() and steps.max() < 1.39  # measured: 0.9836 to 1.3863
@@ -429,9 +474,9 @@ class TestSizeTable:
         assert np.all(_forward(np.ones(len(ks), dtype=LD), ks)[1] < 0)
 
     def test_table_matches_mpmath(self):
-        table = _size_table(64)
+        table = _size_records(np.arange(2, 65))
         for k in (2, 6, 7, 12, 40):
-            a_star, m, floor = (column[k - 2] for column in table)
+            a_star, m, floor = table[k - 2, :3]
             log_peak, top = oracles.mp_peak(k)
             with mp.workdps(oracles.MP_DPS):
                 assert abs(oracles.mp_of(m) + top) <= 1e-17 * max(1.0, float(m)), k
@@ -440,15 +485,21 @@ class TestSizeTable:
                 else:
                     assert abs(oracles.mp_of(np.log(a_star)) - log_peak) <= 1e-8, k
 
-    def test_size_reads_the_same_in_every_table(self):
-        # so a table grown in steps equals one built at once
-        for small, rest, big in zip(_size_table(16), _size_table(64, 17), _size_table(64)):
-            assert np.array_equal(np.r_[small, rest], big)
-        grown = reduction._table_for(10**6, np.log(LD(1e-30)))
-        assert all(np.array_equal(column[2:65], whole) for column, whole in zip(grown, _size_table(64)))
+    def test_size_reads_the_same_in_every_table(self, monkeypatch):
+        # a size reads the same whether cached alone or with others, and the
+        # cache computes only the sizes asked for
+        batch = _size_records(np.arange(2, 65))
+        for k in (2, 7, 40, 64):
+            assert np.array_equal(_size_records(np.array([k]))[0], batch[k - 2]), k
+        monkeypatch.setattr(reduction, "_table", reduction._table[:0])
+        assert minimize_chain(7, 4.0).support == 1  # ceil(ln(1/p)) + 2 < 2: no size to compute
+        alone = reduction._records(np.array([40]))[40].copy()
+        assert np.flatnonzero(~np.isnan(reduction._table[:, 1])).tolist() == [40]
+        assert np.array_equal(alone, batch[38])
+        assert np.array_equal(reduction._records(np.arange(64, 1, -1))[2:], batch)
 
     def test_a_size_has_a_root_iff_it_peaks_above_the_price(self):
-        m = _size_table(16)[1]
+        m = _size_records(np.arange(2, 17))[:, 1]
         for k in (5, 12):
             top = math.exp(-float(m[k - 2]))
             assert oracles.mp_stationary_points(k, top * (1 - 1e-9))
