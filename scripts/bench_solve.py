@@ -5,13 +5,13 @@
 
 Each run is a fresh Python process that imports ``cycmax`` from a tree's
 ``src`` directory and solves one point: the first solve is timed as cold
-(the per-process size records are computed then), then ``--repeats`` more
+(the per-process size records are computed then), then ``REPEATS`` more
 are timed and their median is the warm time.  The points are n = 1e3, 1e6,
 1e30, 1e100 and 1e300, each solved as ``reduction._minimize_many([(n,
 1/n)])``, and the 8-point benchmark grid ``geometric_grid(1e3, 1e6, 8)``
 solved as one batch.  With ``--parent`` the two trees run alternately,
 point by point.  Prints one JSON object: per tree and point the median over
-``--runs`` runs of both times and every run, and the parent-to-change
+``RUNS`` runs of both times and every run, and the parent-to-change
 ratios of the medians.
 """
 
@@ -27,6 +27,8 @@ import sys
 from pathlib import Path
 
 POINTS = ["1e3", "1e6", "1e30", "1e100", "1e300", "grid8"]
+RUNS = 5  # fresh processes per tree and point
+REPEATS = 20  # warm solves timed per run
 
 CHILD = """
 import json, statistics, sys, time
@@ -52,9 +54,9 @@ print(json.dumps({"cold_s": cold, "warm_s": statistics.median(warm)}))
 """
 
 
-def run(src: str, point: str, repeats: int) -> dict:
+def run(src: str, point: str) -> dict:
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, src, point, str(repeats)], capture_output=True, text=True, check=True
+        [sys.executable, "-c", CHILD, src, point, str(REPEATS)], capture_output=True, text=True, check=True
     )
     return json.loads(out.stdout)
 
@@ -75,18 +77,14 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"), help="the tree measured as the change")
     parser.add_argument("--parent", help="src directory of a second tree, measured alternately")
-    parser.add_argument("--runs", type=int, default=5, help="fresh processes per tree and point (at least 5)")
-    parser.add_argument("--repeats", type=int, default=20, help="warm solves timed per run")
     args = parser.parse_args()
-    if args.runs < 5:
-        parser.error("--runs must be at least 5")
     trees = {"change": args.src} | ({"parent": args.parent} if args.parent else {})
     runs = {name: {point: [] for point in POINTS} for name in trees}
     for point in POINTS:
-        for i in range(args.runs):
+        for i in range(RUNS):
             for name in sorted(trees, reverse=i % 2 == 1):
-                runs[name][point].append(run(trees[name], point, args.repeats))
-    record = {"machine": machine(), "runs": args.runs, "repeats": args.repeats, "trees": {}}
+                runs[name][point].append(run(trees[name], point))
+    record = {"machine": machine(), "runs": RUNS, "repeats": REPEATS, "trees": {}}
     for name, points in runs.items():
         record["trees"][name] = {
             point: {

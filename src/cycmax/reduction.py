@@ -459,9 +459,10 @@ def _solution(N: int, p: float, x: np.ndarray, value) -> ReducedSolution:
 # window's top, the largest size with a root that is at most N and at most
 # ceil(ln(1/p)) + _ABOVE_LOG_N.  Measured on the 1200 ln n in [7, 400], the
 # winner is ceil(ln n) (958 cases) or ceil(ln n) + 1 (242); on 6300 seeded
-# (N, p), N < ln(1/p) and p down to 1e-300 included, it is the top, one
-# below it or two below it, never three.  tests/test_reduction.py checks the
-# window against every size on 900 more.  Anchored at the largest size with
+# (N, p), N < ln(1/p) and p down to 1e-300 included, and on 600 with N in
+# [30, 689] and ln(1/p) in [N, 690], it is the top, one below it or two
+# below it, never three.  tests/test_reduction.py checks the window against
+# every size on 924 more, 24 of them with N cutting it at large sizes.  Anchored at the largest size with
 # a root instead, the window misses the winner from n ~ 1e100 on (233 for
 # 231 there), where m_k has fallen more than 4 below k.
 _WINDOW = 4

@@ -410,13 +410,16 @@ class TestBatchedSolve:
         support, value, residual and entries, bit for bit, that every branch
         of every size with a root gives, solved from the bracket ends.
 
-        n = 1/p over 2..1e9 with N = n, N <= 60 with p over 1e-12..2, and
-        N = 10**12 with p down to 1e-300: 900 seeded cases, one batch each way.
+        n = 1/p over 2..1e9 with N = n, N <= 60 with p over 1e-12..2,
+        N = 10**12 with p down to 1e-300, and N over 30..689 with ln(1/p)
+        over N..690, where N cuts the window at large sizes: 924 seeded
+        cases, one batch each way.
         """
         rng = np.random.default_rng(12)
         cases = [(n, 1.0 / n) for n in (int(10 ** rng.uniform(math.log10(2), 9)) for _ in range(420))]
         cases += [(int(rng.integers(1, 61)), float(10 ** rng.uniform(-12, math.log10(2)))) for _ in range(420)]
         cases += [(10**12, float(10 ** -rng.uniform(0, 300))) for _ in range(60)]
+        cases += [(N, float(np.exp(-rng.uniform(N, 690)))) for N in rng.integers(30, 690, 24).tolist()]
         wants = oracles.minimize_all_sizes(cases)
         for (N, p), got, want in zip(cases, reduction._minimize_many(cases), wants):
             assert isinstance(got, NonConvergence) == isinstance(want, NonConvergence), (N, p)
