@@ -59,12 +59,12 @@ def _price(n: int) -> float:
 def sweep(n_values: Sequence[int]) -> list[SweepRecord]:
     """Solve a sorted list of n values at price 1/n each.
 
-    All n are solved together: both branches of the four support sizes
-    around ln n of every n are columns of a single batched root solve, and
-    each n keeps its own lowest value, the same result as
-    ``minimize_chain(n, 1/n)``.  A non-convergent solve (residual above
-    ``STATIONARITY_TOL``) is recorded with its best solution and flagged
-    rather than aborting.
+    All n are solved together: the right branch of each of the four
+    support sizes around ln n of every n is a column of a single batched
+    root solve (the left branch never wins), and each n keeps its own
+    lowest value, the same result as ``minimize_chain(n, 1/n)``.  A
+    non-convergent solve (residual above ``STATIONARITY_TOL``) is recorded
+    with its best solution and flagged rather than aborting.
     """
     values = list(n_values)
     if not values:

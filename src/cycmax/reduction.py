@@ -22,13 +22,13 @@ one price p_k(a); each k thus reduces to the scalar equation p_k(a) = p.
 The recurrence depends on neither k nor p, so one longdouble pass serves
 many sizes of many problems (N, p) at once.  A per-process record of
 each size, independent of p and computed the first time a call needs
-it, tells where p_k peaks, hence whether the size has a root, splits it
-into monotone branches and samples them.  Each problem solves both
-branches of four sizes just below min(N, ceil(ln(1/p)) + 2), the winner
-lies among them; all these are solved in one batched Newton iteration
-started from the samples, the lowest value wins, and its entries are
-taken in 40-digit decimals.  The projected stationarity residual in
-extended precision certifies each solve.
+it, tells where p_k peaks, hence whether the size has a root, and samples
+the branch right of the peak.  Each problem solves that branch of four
+sizes just below min(N, ceil(ln(1/p)) + 2), the winner lies among them;
+the root left of the peak never wins (measured).  All these are solved in
+one batched Newton iteration started from the samples, the lowest value
+wins, and its entries are taken in 40-digit decimals.  The projected
+stationarity residual in extended precision certifies each solve.
 Independent nested grid searches over the simplex serve as cross-check
 oracles at small N.
 """
@@ -196,17 +196,22 @@ def _residual_ld(x: np.ndarray, p) -> float:
 # (tests/test_reduction.py pins it), it is decreasing for k <= 6 and has
 # one interior maximum, at a*_k < 1, for k >= 7; its top, -m_k, falls
 # strictly with k.  So size k has a root iff m_k < ln(1/p), and each of its
-# two monotone branches, left and right of a*_k, holds at most one.  a*_k,
-# m_k and samples of both branches depend on no price and are computed once
-# per size, the first time a call needs the size.  Each problem of a call
-# takes a window of four sizes around ln(1/p), where its winner lies; the
-# roots of both branches of every size of every window are then solved
-# together by safeguarded Newton in ln a, each started where its size's
-# samples put it, and the lowest value wins.
+# two monotone branches, left and right of a*_k, holds at most one.  Only
+# the right branch is solved: on 3500 seeded (N, p) the 11148 left-branch
+# roots each lay above the right root of their size (least relative gap
+# 3e-13, at the fold) and at least 5.7e-6 above the problem's winner.  The
+# branches meet at the fold, where dV/dp = -x_last/p^2 along each, and the
+# left root has the larger last entry.  a*_k, m_k and samples of the right
+# branch depend on no price and are computed once per size, the first time
+# a call needs the size.  Each problem of a call takes a window of four
+# sizes around ln(1/p), where its winner lies; their right roots are then
+# solved together by safeguarded Newton in ln a, each started where its
+# size's samples put it, and the lowest value wins.
 
-# Lower end of every bracket in a.  At and below it a is under half an ulp
-# of 1 in longdouble, so q_2 = a + 1 rounds to 1 and p_k no longer moves:
-# the column runs exactly as size k - 1 at a = 1, its a -> 0 limit.
+# Lower end of the search for a*_k, where it stays for sizes whose ln p_k
+# only falls.  At and below it a is under half an ulp of 1 in longdouble,
+# so q_2 = a + 1 rounds to 1 and p_k no longer moves: the column runs
+# exactly as size k - 1 at a = 1, its a -> 0 limit.
 _A_MIN = LD(2.0**-65)
 
 # Newton step in ln a below which a root is taken as found.  It sits well
@@ -267,19 +272,20 @@ _LOG_MAX = LD(math.log(sys.float_info.max))
 # difference.  Started at the bracket ends, the solve took 11 to 13.
 _GRID = 48
 _TAIL = 16
-_SAMPLES = _GRID + _TAIL + 2
+_SAMPLES = _GRID + _TAIL + 1
 
 
 def _size_records(k: np.ndarray) -> np.ndarray:
-    """One record per size k: a*_k, m_k, ln p_k(_A_MIN), then _SAMPLES values of z and of ln a.
+    """One record per size k: a*_k, m_k, then _SAMPLES values of z and of ln a.
 
     a*_k is where ln p_k peaks on [_A_MIN, oo), found by _PEAK_HALVINGS
     bisection steps in ln a over [_A_MIN, 1] on the sign of the derivative;
-    it is _A_MIN where ln p_k only falls.  The samples are taken at ln _A_MIN,
-    ln a*_k and the _GRID and _TAIL points, in increasing ln a, and
-    z = +-sqrt(-m_k - ln p_k), signed as ln a - ln a*_k, rises with them
-    through both branches.  Each size is solved on its own, so a record
-    reads the same whatever sizes it is computed with.
+    it is _A_MIN where ln p_k only falls.  The samples of the right branch
+    are taken at ln a*_k and the _GRID and _TAIL points, in increasing ln a,
+    a grid point below ln a*_k reading as ln a*_k, and
+    z = sqrt(-m_k - ln p_k), 0 at ln a*_k, rises with them.  Each size is
+    solved on its own, so a record reads the same whatever sizes it is
+    computed with.
     """
     k = np.sort(k)[::-1]
     lo = np.full(len(k), _A_MIN)
@@ -290,21 +296,18 @@ def _size_records(k: np.ndarray) -> np.ndarray:
         lo = np.where(rising, mid, lo)
         hi = np.where(rising, hi, mid)
     m = -np.log(_forward(lo, k)[0])
-    floor = np.log(_forward(np.full(len(k), _A_MIN), k)[0])
-    peak, end = np.log(lo), np.log(LD(2)) + _LOG_MAX / k
-    tail = 2 + (end[:, None] - 2) * np.linspace(0, 1, _TAIL + 1, dtype=LD)[1:] ** 2
+    peak, end = np.log(lo)[:, None], np.log(LD(2)) + _LOG_MAX / k[:, None]
+    tail = 2 + (end - 2) * np.linspace(0, 1, _TAIL + 1, dtype=LD)[1:] ** 2
     grid = np.broadcast_to(np.linspace(-10, 2, _GRID, dtype=LD), (len(k), _GRID))
-    log_a = np.column_stack([np.full(len(k), np.log(_A_MIN)), peak, grid, tail])
-    log_a = np.sort(np.minimum(log_a, end[:, None]), axis=1)
+    log_a = np.sort(np.clip(np.column_stack([peak, grid, tail]), peak, end), axis=1)
     level = np.log(_forward(np.exp(log_a).ravel(), np.repeat(k, _SAMPLES))[0]).reshape(log_a.shape)
-    z = np.sign(log_a - peak[:, None]) * np.sqrt(np.maximum(-m[:, None] - level, 0))
-    z[:, 0] = -np.sqrt(-m - floor)
-    return np.column_stack([lo, m, floor, z, log_a])[::-1]
+    z = np.where(log_a > peak, np.sqrt(np.maximum(-m[:, None] - level, 0)), 0)
+    return np.column_stack([lo, m, z, log_a])[::-1]
 
 
 # The records of the sizes computed so far, row k for size k; rows of sizes
 # not yet computed read nan.  ``_records`` fills them as calls need them.
-_table = np.full((0, 3 + 2 * _SAMPLES), np.nan, dtype=LD)
+_table = np.full((0, 2 + 2 * _SAMPLES), np.nan, dtype=LD)
 
 
 def _records(k: np.ndarray) -> np.ndarray:
@@ -323,31 +326,31 @@ def _records(k: np.ndarray) -> np.ndarray:
     return _table
 
 
-def _start(table: np.ndarray, k: np.ndarray, log_p: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """Newton start a of the root of size k at ln p on branch sign (+1 right, -1 left).
+def _start(table: np.ndarray, k: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """Newton start a of the right-branch root of size k at ln p.
 
-    The root has z = sign sqrt(-m_k - ln p), which lies above the first
-    sample (the floor) and at most at the last (the bracket top at the
-    smallest float price) wherever the branch has a root; ln a is
+    The root has z = sqrt(-m_k - ln p) > 0, which lies above the first
+    sample (the peak, z = 0) and at most at the last (the bracket top at
+    the smallest float price) wherever the size has a root; ln a is
     interpolated linearly in z between the samples on either side.
     """
-    z = sign * np.sqrt(-table[k, 1] - log_p)
-    j = 3 + (table[k, 3 : 3 + _SAMPLES] < z[:, None]).sum(axis=1)
+    z = np.sqrt(-table[k, 1] - log_p)
+    j = 2 + (table[k, 2 : 2 + _SAMPLES] < z[:, None]).sum(axis=1)
     z0, z1, x0, x1 = (table[k, c] for c in (j - 1, j, j + _SAMPLES - 1, j + _SAMPLES))
     return np.exp(x0 + (x1 - x0) * (z - z0) / (z1 - z0))
 
 
-def _roots(lo, hi, a, k, p, sign):
-    """Roots of p_k(a) = p on brackets [lo, hi], one per column.
+def _roots(lo, hi, a, k, p):
+    """Roots of p_k(a) = p on right-branch brackets [lo, hi], one per column.
 
     Columns come sorted by k, descending, each with its own price, bracket
-    and start a; sign is +1 where p_k falls across the bracket and -1 where
-    it rises, so that h = sign ln(p_k / p) falls from h(lo) > 0 to
-    h(hi) < 0.  h is the log of a ratio near 1, not a difference of logs
-    near ln p, so its rounding stays at the ulps of p_k.  Newton steps in
-    ln a are replaced by bisection in ln a when they leave the bracket or
-    do not halve the step before last (rtsafe).  A column stops once its Newton
-    step falls to _ROOT_STEP or its bracket ends are adjacent floats.
+    and start a; p_k falls across the bracket, so h = ln(p_k / p) falls
+    from h(lo) > 0 to h(hi) < 0.  h is the log of a ratio near 1, not a
+    difference of logs near ln p, so its rounding stays at the ulps of p_k.
+    Newton steps in ln a are replaced by bisection in ln a when they leave
+    the bracket or do not halve the step before last (rtsafe).  A column
+    stops once its Newton step falls to _ROOT_STEP or its bracket ends are
+    adjacent floats.
     Gives a and V_k at the roots.
     """
     V = np.empty_like(a)
@@ -355,9 +358,9 @@ def _roots(lo, hi, a, k, p, sign):
     step_old = step.copy()
     run = np.arange(len(a))
     while len(run):
-        price, g, V[run] = _forward(a[run], k[run])
+        price, dh, V[run] = _forward(a[run], k[run])
         ar, lor, hir = a[run], lo[run], hi[run]
-        h, dh = sign[run] * np.log(price / p[run]), sign[run] * g
+        h = np.log(price / p[run])
         lor = lo[run] = np.where(h > 0, ar, lor)
         hir = hi[run] = np.where(h < 0, ar, hir)
         s = -h / np.where(dh < 0, dh, -1)
@@ -455,16 +458,17 @@ def _solution(N: int, p: float, x: np.ndarray, value) -> ReducedSolution:
     )
 
 
-# Sizes solved per problem: both branches of the _WINDOW sizes up to the
+# Sizes solved per problem: the right branch of the _WINDOW sizes up to the
 # window's top, the largest size with a root that is at most N and at most
 # ceil(ln(1/p)) + _ABOVE_LOG_N.  Measured on the 1200 ln n in [7, 400], the
 # winner is ceil(ln n) (958 cases) or ceil(ln n) + 1 (242); on 6300 seeded
 # (N, p), N < ln(1/p) and p down to 1e-300 included, and on 600 with N in
 # [30, 689] and ln(1/p) in [N, 690], it is the top, one below it or two
 # below it, never three.  tests/test_reduction.py checks the window against
-# every size on 924 more, 24 of them with N cutting it at large sizes.  Anchored at the largest size with
-# a root instead, the window misses the winner from n ~ 1e100 on (233 for
-# 231 there), where m_k has fallen more than 4 below k.
+# both branches of every size on 924 more, 24 of them with N cutting it at
+# large sizes.  Anchored at the largest size with a root instead, the
+# window misses the winner from n ~ 1e100 on (233 for 231 there), where
+# m_k has fallen more than 4 below k.
 _WINDOW = 4
 _ABOVE_LOG_N = 2
 
@@ -472,10 +476,10 @@ _ABOVE_LOG_N = 2
 def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
     """Minimize the chain sum for every (N, p) of ``problems`` together.
 
-    Each branch of each size of each problem's window is one column of a
-    single batched root solve; each problem then keeps its lowest value.
-    Gives, per problem, its ReducedSolution or the NonConvergence that
-    ``minimize_chain`` raises.
+    The right branch of each size of each problem's window is one column
+    of a single batched root solve; each problem then keeps its lowest
+    value.  Gives, per problem, its ReducedSolution or the NonConvergence
+    that ``minimize_chain`` raises.
     """
     for N, p in problems:
         if N < 1:
@@ -489,37 +493,23 @@ def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
     # ceil(ln(1/p)) + 2 is at most 712 for a float price, so the cap on N
     # changes no bound; it only keeps N inside int64
     bound = np.minimum([min(N, 10**6) for N, _ in problems], np.ceil(-log_p) + _ABOVE_LOG_N).astype(int)
-    # the window's top lies at most 2 below the bound, as k - m_k >= 1.29
-    # (measured to k = 729, least at k = 10), so one fill of the table takes
-    # every window
-    k = (bound[:, None] - np.arange(_WINDOW + 2)).ravel()
-    _records(k[k >= 2])
-    last = bound.copy()
-    while True:
-        above = last >= 2
-        table = _records(last[above])
-        above[above] = table[last[above], 1] >= -log_p[above]
-        if not above.any():
-            break
-        last[above] -= 1
-    owner = np.repeat(np.arange(len(problems)), _WINDOW)
-    k = (last[:, None] - np.arange(_WINDOW)).ravel()
-    owner, k = owner[k >= 2], k[k >= 2]
-    table = _records(k)
-    root = table[k, 1] < -log_p[owner]
-    owner, k = owner[root], k[root]
-    # the right branch of every size, then the left branch where it has a root
-    left = table[k, 2] < log_p[owner]
-    owner, k = np.concatenate([owner, owner[left]]), np.concatenate([k, k[left]])
-    sign = np.repeat(np.array([1, -1], dtype=LD), [len(left), left.sum()])
+    # m_k rises with k and k - m_k > 1.28 (measured to k = 712, least at
+    # k = 10), so the top of the window, the largest size with a root, lies
+    # at most 2 below the bound, and the window is the four largest sizes
+    # with a root among the six up to it; rows 0 and 1 of the table read
+    # nan, which has no root
+    k = bound[:, None] - np.arange(_WINDOW + 2)
+    table = _records(k[k >= 2])
+    root = table[np.maximum(k, 0), 1] < -log_p[:, None]
+    root &= np.cumsum(root, axis=1) <= _WINDOW
+    owner, k = np.nonzero(root)[0], k[root]
     # p_k(a) <= a^-k for a >= 1, so p_k < p at a = 2 p^(-1/k)
-    lo = np.where(sign > 0, table[k, 0], _A_MIN)
-    hi = np.where(sign > 0, 2 * np.exp(-log_p[owner] / k), table[k, 0])
-    start = np.clip(_start(table, k, log_p[owner], sign), lo, hi)
+    lo, hi = table[k, 0], 2 * np.exp(-log_p[owner] / k)
+    start = np.clip(_start(table, k, log_p[owner]), lo, hi)
     order = np.argsort(-k, kind="stable")
-    owner, k, sign, lo, hi, start = (c[order] for c in (owner, k, sign, lo, hi, start))
+    owner, k, lo, hi, start = (c[order] for c in (owner, k, lo, hi, start))
     price = price[owner]
-    a, V = _roots(lo, hi, start, k, price, sign)
+    a, V = _roots(lo, hi, start, k, price)
 
     # per problem, the lowest value, the smallest size on a tie; a problem
     # without columns (p >= 1 or N = 1) keeps the point mass, which size 2
@@ -546,9 +536,10 @@ def minimize_chain(N: int, p: float) -> ReducedSolution:
 
     The candidates are the point mass and the positive stationary points
     of the four support sizes just below min(N, ceil(ln(1/p)) + 2) that
-    have a root, where the minimum lies (measured; see ``_WINDOW``): both
-    branches of each are solved in longdouble, the lowest value wins, and
-    its entries and value are rounded from 40-digit decimals.  The
+    have a root, where the minimum lies (measured; see ``_WINDOW``): the
+    right branch of each is solved in longdouble (its left-branch root
+    never wins; see the notes above ``_forward``), the lowest value wins,
+    and its entries and value are rounded from 40-digit decimals.  The
     certificate is the projected stationarity residual of the winner in
     extended precision; raises NonConvergence (carrying the winner) if it
     exceeds ``STATIONARITY_TOL``.  Rejects a p so small that 1/p
@@ -631,6 +622,25 @@ def _per_dim_budget(n_free: int) -> int:
     return max(9, min(m, 61))
 
 
+def _grid_search(X: np.ndarray, evaluate, grid_steps: int, refinements: int) -> float:
+    """Least value of ``evaluate`` over the grid rows X, then refined locally.
+
+    Each refinement searches a box around the incumbent, two cells of the
+    previous grid wide on each side.
+    """
+    vals = evaluate(X)
+    idx = int(np.argmin(vals))
+    center, best = X[idx], float(vals[idx])
+    width = 2.0 / grid_steps
+    per_dim = _per_dim_budget(X.shape[1] - 1)
+    for _ in range(refinements):
+        cand, val, cell = _refine_box(center, width, per_dim, evaluate)
+        if val < best:
+            best, center = val, cand
+        width = 2.0 * cell
+    return best
+
+
 def brute_force_oracle(N: int, p: float, grid_steps: int, refinements: int = 3) -> float:
     """Nested uniform grid search for the chain minimum over the simplex.
 
@@ -643,19 +653,8 @@ def brute_force_oracle(N: int, p: float, grid_steps: int, refinements: int = 3) 
         raise ValueError("grid oracle supports N <= 6")
     if N == 1:
         return 1.0 / p
-    comp = _compositions(grid_steps, N)
-    X = comp.astype(float) / grid_steps
-    vals = _chain_values(X, p)
-    idx = int(np.argmin(vals))
-    center, best = X[idx], float(vals[idx])
-    width = 2.0 / grid_steps
-    per_dim = _per_dim_budget(N - 1)
-    for _ in range(refinements):
-        cand, val, cell = _refine_box(center, width, per_dim, lambda Y: _chain_values(Y, p))
-        if val < best:
-            best, center = val, cand
-        width = 2.0 * cell
-    return best
+    X = _compositions(grid_steps, N).astype(float) / grid_steps
+    return _grid_search(X, lambda Y: _chain_values(Y, p), grid_steps, refinements)
 
 
 def max_sum_values(X: np.ndarray) -> np.ndarray:
@@ -691,14 +690,4 @@ def cyclic_bruteforce(n: int, grid_steps: int, refinements: int = 2) -> float:
     comp = _compositions(grid_steps, n)
     keep = comp[:, 0] == comp.max(axis=1)
     X = comp[keep].astype(float) / grid_steps
-    vals = max_sum_values(X)
-    idx = int(np.argmin(vals))
-    center, best = X[idx], float(vals[idx])
-    width = 2.0 / grid_steps
-    per_dim = _per_dim_budget(n - 1)
-    for _ in range(refinements):
-        cand, val, cell = _refine_box(center, width, per_dim, max_sum_values)
-        if val < best:
-            best, center = val, cand
-        width = 2.0 * cell
-    return best
+    return _grid_search(X, max_sum_values, grid_steps, refinements)

@@ -2,11 +2,12 @@
 
 The package derives values, shortest maximizing lengths and Hasse parents
 from one O(n) stack pass (``cycmax.periodic.right_maximal_profile``), and
-solves a window of four support sizes of the chain problem by one batched
-Newton iteration on a forward recurrence
+solves the right branch of a window of four support sizes of the chain
+problem by one batched Newton iteration on a forward recurrence
 (``cycmax.reduction.minimize_chain``).  These are the direct definitions
-and three chain solvers: the same batched solve over every size with a
-root, from the bracket ends; the backward shooting solve the forward one
+and three chain solvers: both branches of every size with a root, the
+right ones by the same batched solve from the bracket top and the left
+ones by bisection; the backward shooting solve the forward one
 replaced, with its own grid brackets and bisection; and the forward
 recurrence in mpmath.  The rational backend compares averages by
 cross-multiplying integer prefix sums; the ``Fraction`` versions below
@@ -206,48 +207,88 @@ def compositions(total: int, parts: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Chain minimization over every support size with a root, in one batch.
+# Chain minimization over every branch of every support size with a root.
 #
-# ``cycmax.reduction`` solves only a window of four sizes around ln(1/p),
-# each root from a start interpolated in its size's samples.  Here
-# every branch of every size with m_k < ln(1/p), up to N, is a column of
-# the same batched root solve, started at the bracket end (right branches)
-# or at the middle of the bracket in ln a (left branches), and the lowest
-# value wins.
+# ``cycmax.reduction`` solves only the right branch of a window of four
+# sizes around ln(1/p), each root from a start interpolated in its size's
+# samples.  Here every size with m_k < ln(1/p), up to N, is solved on both
+# branches: the right root by the same batched Newton solve, started at the
+# bracket top, and the left root, where p_k rises from p_k(_A_MIN) < p to
+# its peak, by bisection in ln a down to adjacent floats.  The lowest value
+# wins.
 
 
-def minimize_all_sizes(problems) -> list:
-    """``reduction._minimize_many`` over every branch of every size with a root.
+def left_roots(lo, hi, k, p):
+    """Roots of p_k(a) = p where p_k rises over [lo, hi], by bisection in ln a.
 
-    Gives, per problem, its ReducedSolution or a NonConvergence carrying it.
+    Columns come sorted by k, descending; gives a at the lower end of the
+    final bracket, whose ends are adjacent floats, and V_k there.
+    """
+    while True:
+        mid = np.sqrt(lo * hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            return lo, reduction._forward(lo, k)[2]
+        below = reduction._forward(mid, k)[0] < p
+        lo = np.where(inside & below, mid, lo)
+        hi = np.where(inside & ~below, mid, hi)
+
+
+def all_size_roots(problems) -> dict:
+    """Every root of every size with one, up to N, of each of ``problems``.
+
+    Gives columns sorted by k, descending: ``owner`` (the problem's index),
+    ``k``, ``left`` (whether the root lies left of a*_k), the root ``a``
+    and the value ``V`` there.
     """
     price = np.array([p for _, p in problems], dtype=LD)
     log_p = np.log(price)
     # m_k rises by more than 0.98 a size from m_2 = 0, so no size past K has a root
     K = int(max(2, min(max(min(N, 10**6) for N, _ in problems), 3 - log_p.min() / 0.98)))
+    sizes = np.arange(K, 1, -1)
     table = np.full((K + 1, 3), np.inf, dtype=LD)
-    table[2:] = reduction._records(np.arange(2, K + 1))[2 : K + 1, :3]
+    table[2:, :2] = reduction._records(sizes)[2 : K + 1, :2]
+    table[sizes, 2] = np.log(reduction._forward(np.full(len(sizes), reduction._A_MIN), sizes)[0])
     assert table[K, 1] >= -log_p.min() or K >= max(N for N, _ in problems)
     a_star, m, floor = table.T
-    columns = []
+    owner, k = [], []
     for i, (N, p) in enumerate(problems):
-        k = np.arange(2, min(N, K) + 1)
-        k = k[m[k] < -log_p[i]]
-        top = 2 * np.exp(-log_p[i] / k)
-        columns.append((np.full(len(k), i), k, np.ones(len(k), dtype=LD), a_star[k], top, top))
-        k = k[floor[k] < log_p[i]]
-        start = np.sqrt(reduction._A_MIN * a_star[k])
-        columns.append((np.full(len(k), i), k, -np.ones(len(k), dtype=LD), np.full(len(k), reduction._A_MIN), a_star[k], start))
-    owner, k, sign, lo, hi, start = (np.concatenate(c) for c in zip(*columns))
+        sizes = np.arange(2, min(N, K) + 1)
+        sizes = sizes[m[sizes] < -log_p[i]]
+        owner.append(np.full(len(sizes), i))
+        k.append(sizes)
+    owner, k = np.concatenate(owner), np.concatenate(k)
     order = np.argsort(-k, kind="stable")
-    owner, k, sign, lo, hi, start = (c[order] for c in (owner, k, sign, lo, hi, start))
-    a, V = reduction._roots(lo, hi, start, k, price[owner], sign)
+    owner, k = owner[order], k[order]
+    top = 2 * np.exp(-log_p[owner] / k)
+    a, V = reduction._roots(a_star[k], top, top.copy(), k, price[owner])
+    left = floor[k] < log_p[owner]
+    a_left, V_left = left_roots(np.full(left.sum(), reduction._A_MIN), a_star[k[left]], k[left], price[owner[left]])
+    owner, k = np.concatenate([owner, owner[left]]), np.concatenate([k, k[left]])
+    order = np.argsort(-k, kind="stable")
+    columns = {
+        "owner": owner,
+        "k": k,
+        "left": np.repeat([False, True], [len(a), len(a_left)]),
+        "a": np.concatenate([a, a_left]),
+        "V": np.concatenate([V, V_left]),
+    }
+    return {name: c[order] for name, c in columns.items()}
 
+
+def minimize_all_sizes(problems) -> list:
+    """The lowest of ``all_size_roots`` per problem, as ``reduction._minimize_many`` gives it.
+
+    Gives, per problem, its ReducedSolution or a NonConvergence carrying it.
+    """
+    roots = all_size_roots(problems)
+    owner, k, a, V = (roots[name] for name in ("owner", "k", "a", "V"))
+    price = np.array([p for _, p in problems], dtype=LD)[owner]
     best = {}
     for c in np.lexsort((k, V, owner)).tolist():
         best.setdefault(owner[c], c)
     cols = np.sort(list(best.values())).astype(int)
-    winners = dict(zip(owner[cols].tolist(), reduction._entries(a[cols], k[cols], price[owner][cols])))
+    winners = dict(zip(owner[cols].tolist(), reduction._entries(a[cols], k[cols], price[cols])))
     out = []
     for i, (N, p) in enumerate(problems):
         sol = reduction._solution(N, p, *winners.get(i, (np.ones(1, dtype=LD), 1.0 / p)))
@@ -389,9 +430,9 @@ def minimize_by_support(N: int, p: float) -> ReducedSolution:
 #
 # ``cycmax.reduction`` runs the recurrence in longdouble for every size of
 # every problem at once, takes the peak of ln p_k from a table and solves
-# all branches by one batched Newton iteration.  Here each size runs alone
-# at MP_DPS digits: the peak by bisection in ln a on the sign of the
-# derivative, each monotone branch's root by a bracketing solver.
+# the right branches by one batched Newton iteration.  Here each size runs
+# alone at MP_DPS digits: the peak by halvings and secant steps in ln a on
+# the derivative, each monotone branch's root by bisection and Newton steps.
 
 MP_DPS = 50
 
@@ -434,16 +475,40 @@ def mp_forward(a, k: int, slope: bool = True, values: bool = True):
 
 
 def mp_peak(k: int):
-    """(ln a*_k, ln p_k(a*_k)): where ln p_k peaks on [MP_A_MIN, oo), and its top."""
+    """(ln a*_k, ln p_k(a*_k)): where ln p_k peaks on [MP_A_MIN, oo), and its top.
+
+    Where the slope d ln p_k / d ln a is positive at MP_A_MIN, halvings on
+    its sign bracket its zero to within 1 in ln a, and secant steps, each
+    kept inside the bracket, take it on until they move less than 1e-30.
+    """
     with mp.workdps(MP_DPS):
+
+        def slope(t):
+            return mp_forward(mp.exp(t), k, values=False)[1]
+
         lo, hi = mp.log(MP_A_MIN), mp.mpf(0)
-        while hi - lo > mp.mpf(10) ** -12:
-            mid = (lo + hi) / 2
-            if mp_forward(mp.exp(mid), k, values=False)[1] > 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo, mp.log(mp_forward(mp.exp(lo), k, slope=False, values=False)[0])
+        t, s_lo = lo, slope(lo)
+        if s_lo > 0:
+            s_hi = slope(hi)
+            while hi - lo > 1:
+                mid = (lo + hi) / 2
+                s = slope(mid)
+                if s > 0:
+                    lo, s_lo = mid, s
+                else:
+                    hi, s_hi = mid, s
+            prev, s_prev, t, s = lo, s_lo, hi, s_hi
+            while abs(t - prev) > mp.mpf(10) ** -30 and s != 0:
+                new = t - s * (t - prev) / (s - s_prev)
+                if not lo < new < hi:
+                    new = (lo + hi) / 2
+                prev, s_prev, t = t, s, new
+                s = slope(t)
+                if s > 0:
+                    lo = t
+                else:
+                    hi = t
+        return t, mp.log(mp_forward(mp.exp(t), k, slope=False, values=False)[0])
 
 
 def mp_stationary_points(k: int, p: float) -> list:

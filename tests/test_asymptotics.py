@@ -205,10 +205,10 @@ class TestBatchedSweep:
         monkeypatch.setattr(reduction, "_entries", counted("entries", entries))
         ns = geometric_grid(1e3, 1e6, 8)
         sweep(ns)
-        # both branches of at most four sizes of every n in one root solve,
-        # then the entries of the eight winners
+        # the right branch of at most four sizes of every n in one root
+        # solve, then the entries of the eight winners
         assert [name for name, _ in calls] == ["roots", "entries"]
-        assert 8 <= calls[0][1] <= 8 * 4 * 2 and calls[1][1] == 8
+        assert 8 <= calls[0][1] <= 8 * 4 and calls[1][1] == 8
 
 
 class TestGeometricGrid:

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -291,7 +292,8 @@ def assert_matches_backward_oracle(got, want):
 
 def solver_columns(problems):
     """The inputs and outputs of the one batched root solve of ``problems``
-    over every branch of every size with a root (the all-sizes oracle)."""
+    over the right branch of every size with a root, and every root of
+    every size (the all-sizes oracle)."""
     calls = []
 
     def recorded(*args):
@@ -301,9 +303,9 @@ def solver_columns(problems):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reduction, "_roots", recorded)
-        oracles.minimize_all_sizes(problems)
+        roots = oracles.all_size_roots(problems)
     (inputs, outputs), = calls
-    return inputs, outputs
+    return inputs, outputs, roots
 
 
 class TestBatchedSolve:
@@ -327,23 +329,40 @@ class TestBatchedSolve:
 
     def test_kernel_columns_of_different_sizes_and_prices_match_separate_calls(self):
         # the columns of one sweep-like batch, run again one at a time
-        (lo, hi, a, k, p, sign), (root, value) = solver_columns(
-            [(1000, 1e-3), (372759, 1.0 / 372759), (40, 0.02), (10**9, 1e-9), (3, 1.0 / 3.0)]
-        )
-        assert len(set(k.tolist())) > 10 and len(set(p.tolist())) == 5 and set(sign.tolist()) == {-1, 1}
+        problems = [(1000, 1e-3), (372759, 1.0 / 372759), (40, 0.02), (10**9, 1e-9), (3, 1.0 / 3.0)]
+        (lo, hi, start, k, p), (root, value), roots = solver_columns(problems)
+        assert len(set(k.tolist())) > 10 and len(set(p.tolist())) == 5
+        for i in range(len(start)):
+            cols = slice(i, i + 1)
+            alone = _roots(lo[cols].copy(), hi[cols].copy(), start[cols].copy(), k[cols], p[cols])
+            assert np.array_equal(alone[0], root[cols]) and np.array_equal(alone[1], value[cols]), i
+        # the kernel at the starts and at the roots on both sides of a*_k
+        left = roots["left"]
+        assert left.any() and not left.all()
+        a, k = np.concatenate([start, roots["a"]]), np.concatenate([k, roots["k"]])
+        order = np.argsort(-k, kind="stable")
+        a, k = a[order], k[order]
         batch = _forward(a, k)
         for i in range(len(a)):
             alone = _forward(a[i : i + 1], k[i : i + 1])
             assert all(np.array_equal(b[i : i + 1], c) for b, c in zip(batch, alone)), i
+        # the left roots' bisection, one column at a time
+        k = roots["k"][left]
+        hi = reduction._records(k)[k, 0]
+        price = np.array([p for _, p in problems], dtype=LD)[roots["owner"][left]]
+        for i, want in enumerate(zip(roots["a"][left], roots["V"][left])):
             cols = slice(i, i + 1)
-            alone = _roots(lo[cols].copy(), hi[cols].copy(), a[cols].copy(), k[cols], p[cols], sign[cols])
-            assert np.array_equal(alone[0], root[cols]) and np.array_equal(alone[1], value[cols]), i
+            alone = oracles.left_roots(np.full(1, _A_MIN), hi[cols], k[cols], price[cols])
+            assert (alone[0][0], alone[1][0]) == want, i
 
     def test_roots_match_mpmath_roots(self):
-        # every branch of every size of two problems, against the roots that
-        # mpmath finds per size by bisection and a bracketing solver
+        # every branch of every size of two problems, the right roots from
+        # ``_roots`` and the left ones from the oracle's bisection, against
+        # the roots that mpmath finds per size by bisection and Newton steps
         for p in (1.0 / 138950, 1e-6):
-            (_, _, _, k, _, _), (root, value) = solver_columns([(10**7, p)])
+            roots = oracles.all_size_roots([(10**7, p)])
+            k, root, value = roots["k"], roots["a"], roots["V"]
+            assert roots["left"].any()
             for size in sorted(set(k.tolist())):
                 got = sorted(zip(root[k == size], value[k == size]))
                 want = oracles.mp_stationary_points(size, p)
@@ -431,6 +450,27 @@ class TestBatchedSolve:
             ), (N, p)
             assert np.array_equal(got.entries, want.entries), (N, p)
 
+    def test_left_roots_never_beat_the_right_root_of_their_size(self):
+        """Every left-branch root is worth at least the right-branch root of
+        its size, so the solver takes the right branch alone.
+
+        Both branches meet at the fold, and along a branch dV/dp = -x_last/p^2;
+        the left root's last entry is the larger.  Checked on N <= 60 with
+        p over 1e-12..0.1, n = 1/p over 10..1e9, N = 10**12 with p down to
+        1e-300, and N over 30..689 with ln(1/p) over N..690.
+        """
+        rng = np.random.default_rng(13)
+        cases = [(int(rng.integers(2, 61)), float(10 ** rng.uniform(-12, -1))) for _ in range(150)]
+        cases += [(n, 1.0 / n) for n in (int(10 ** rng.uniform(1, 9)) for _ in range(150))]
+        cases += [(10**12, float(10 ** -rng.uniform(0, 300))) for _ in range(30)]
+        cases += [(N, float(np.exp(-rng.uniform(N, 690)))) for N in rng.integers(30, 690, 12).tolist()]
+        roots = oracles.all_size_roots(cases)
+        left = roots["left"]
+        right = {(o, k): v for o, k, v in zip(roots["owner"][~left], roots["k"][~left], roots["V"][~left])}
+        assert left.sum() > 300
+        for o, k, v in zip(roots["owner"][left], roots["k"][left], roots["V"][left]):
+            assert v >= right[o, k], (cases[o], k)
+
     def test_warm_solve_takes_few_newton_passes(self):
         # starts interpolated in each size's samples; from the bracket top the
         # root solve took 11 passes on the benchmark grid and at 1e30, 13 at 1e300
@@ -447,7 +487,7 @@ class TestBatchedSolve:
                 patch.setattr(reduction, "_forward", counted)
                 reduction._minimize_many(problems)
             assert len(passes) - 1 <= 5, problems  # measured: 4, then one for the winners
-            assert passes[0] <= 2 * 4 * len(problems)
+            assert passes[0] <= 4 * len(problems)
 
 
 class TestSizeTable:
@@ -458,6 +498,16 @@ class TestSizeTable:
         steps = np.diff(m).astype(float)
         assert m[0] == 0 and np.all(steps > 0)  # m_2 = 0: p_2(a) = (1 + a)^-2
         assert 0.98 < steps.min() and steps.max() < 1.39  # measured: 0.9836 to 1.3863
+
+    def test_every_size_peaks_more_than_one_below_its_size(self):
+        # the window takes the four largest sizes with a root among the six
+        # up to min(N, ceil(ln(1/p)) + 2); that they hold the four largest
+        # below it needs k - m_k >= 1, so that size ceil(ln(1/p)) has a root
+        top = math.ceil(math.log(sys.float_info.max)) + 2
+        assert top == 712  # the largest bound a float price with a finite 1/p reaches
+        k = np.arange(2, top + 1)
+        gap = (k - reduction._records(k)[k, 1]).astype(float)
+        assert gap.min() > 1.2899 and k[gap.argmin()] == 10  # measured: 1.28996 at k = 10
 
     def test_derivative_changes_sign_at_most_once(self):
         # on a fine ln a grid from the bracket floor to a = 1e4, sizes up to 64
@@ -479,11 +529,12 @@ class TestSizeTable:
     def test_table_matches_mpmath(self):
         table = _size_records(np.arange(2, 65))
         for k in (2, 6, 7, 12, 40):
-            a_star, m, floor = table[k - 2, :3]
+            a_star, m = table[k - 2, :2]
             log_peak, top = oracles.mp_peak(k)
             with mp.workdps(oracles.MP_DPS):
                 assert abs(oracles.mp_of(m) + top) <= 1e-17 * max(1.0, float(m)), k
                 if k <= 6:
+                    floor = np.log(_forward(np.array([_A_MIN]), np.array([k]))[0][0])
                     assert a_star == _A_MIN and floor == -m, k
                 else:
                     assert abs(oracles.mp_of(np.log(a_star)) - log_peak) <= 1e-8, k
