@@ -6,13 +6,15 @@
 Each run is a fresh Python process that imports ``cycmax`` from a tree's
 ``src`` directory and solves one point: the first solve is timed as cold
 (the per-process size records are computed then), then ``REPEATS`` more
-are timed and their median is the warm time.  The points are n = 1e3, 1e6,
-1e30, 1e100 and 1e300, each solved as ``reduction._minimize_many([(n,
-1/n)])``, and the 8-point benchmark grid ``geometric_grid(1e3, 1e6, 8)``
-solved as one batch.  With ``--parent`` the two trees run alternately,
-point by point.  Prints one JSON object: per tree and point the median over
-``RUNS`` runs of both times and every run, and the parent-to-change
-ratios of the medians.
+are timed and the least of them is the warm time.  On a shared machine
+the warm solves of one process split into modes far apart, so a median
+picks one of them at random; the least is stable to a few percent.  The
+points are n = 1e3, 1e6, 1e30, 1e100 and 1e300, each solved as
+``reduction._minimize_many([(n, 1/n)])``, and the 8-point benchmark grid
+``geometric_grid(1e3, 1e6, 8)`` solved as one batch.  With ``--parent``
+the two trees run alternately, point by point.  Prints one JSON object:
+per tree and point the median over ``RUNS`` runs of both times and every
+run, and the parent-to-change ratios of the medians.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ RUNS = 5  # fresh processes per tree and point
 REPEATS = 20  # warm solves timed per run
 
 CHILD = """
-import json, statistics, sys, time
+import json, sys, time
 sys.path.insert(0, sys.argv[1])
 from cycmax import reduction
 from cycmax.asymptotics import geometric_grid
@@ -50,7 +52,7 @@ for _ in range(repeats):
     t = time.perf_counter()
     reduction._minimize_many(problems)
     warm.append(time.perf_counter() - t)
-print(json.dumps({"cold_s": cold, "warm_s": statistics.median(warm)}))
+print(json.dumps({"cold_s": cold, "warm_s": min(warm)}))
 """
 
 

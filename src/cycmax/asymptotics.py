@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import IllConditionedFit, NonConvergence
+from .errors import IllConditionedFit
 from .reduction import _minimize_many
 
 A_REFERENCE = 1.70465603718
@@ -76,8 +76,6 @@ def sweep(n_values: Sequence[int]) -> list[SweepRecord]:
 
     records = []
     for n, sol in zip(values, _minimize_many([(n, _price(n)) for n in values])):
-        if isinstance(sol, NonConvergence):
-            sol = sol.best
         records.append(
             SweepRecord(
                 n=n,
@@ -91,9 +89,16 @@ def sweep(n_values: Sequence[int]) -> list[SweepRecord]:
     return records
 
 
+# The most points a grid takes: a sweep holds about 10 KB per point at its
+# peak (README), so this is about 1 GB.
+MAX_GRID_POINTS = 100_000
+
+
 def geometric_grid(lo: float, hi: float, points: int) -> list[int]:
     """Distinct integers, geometrically spaced between lo and hi inclusive."""
-    if points < 1 or not 1 <= lo <= hi < math.inf:
+    if not 1 <= points <= MAX_GRID_POINTS:
+        raise ValueError(f"points must lie in 1..{MAX_GRID_POINTS}")
+    if not 1 <= lo <= hi < math.inf:
         raise ValueError("invalid range")
     raw = np.geomspace(lo, hi, points)
     out: list[int] = []

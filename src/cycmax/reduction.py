@@ -23,12 +23,13 @@ The recurrence depends on neither k nor p, so one longdouble pass serves
 many sizes of many problems (N, p) at once.  A per-process record of
 each size, independent of p and computed the first time a call needs
 it, tells where p_k peaks, hence whether the size has a root, and samples
-the branch right of the peak.  Each problem solves that branch of four
-sizes just below min(N, ceil(ln(1/p)) + 2), the winner lies among them;
-the root left of the peak never wins (measured).  All these are solved in
-one batched Newton iteration started from the samples, the lowest value
-wins, and its entries are taken in 40-digit decimals.  The projected
-stationarity residual in extended precision certifies each solve.
+the branch right of the peak from the peak on.  Each problem solves that
+branch of four sizes just below min(N, ceil(ln(1/p)) + 2), the winner lies
+among them; the root left of the peak never wins (measured).  All these
+are solved in one batched Newton iteration started from the samples, the
+lowest value wins, and its entries are taken in 40-digit decimals, one
+Newton step past the root with the slope of the iteration's last pass.
+The projected stationarity residual in extended precision certifies the winner.
 Independent nested grid searches over the simplex serve as cross-check
 oracles at small N.
 """
@@ -206,7 +207,8 @@ def _residual_ld(x: np.ndarray, p) -> float:
 # a call needs the size.  Each problem of a call takes a window of four
 # sizes around ln(1/p), where its winner lies; their right roots are then
 # solved together by safeguarded Newton in ln a, each started where its
-# size's samples put it, and the lowest value wins.
+# size's samples put it, and the lowest value wins.  The root pass carries
+# the slope at each root to the winner's 40-digit Newton step.
 
 # Lower end of the search for a*_k, where it stays for sizes whose ln p_k
 # only falls.  At and below it a is under half an ulp of 1 in longdouble,
@@ -262,14 +264,14 @@ _PEAK_HALVINGS = 46
 # The largest ln(1/p) of a float price whose inverse is finite.
 _LOG_MAX = LD(math.log(sys.float_info.max))
 
-# Where each size samples ln p_k: _GRID points evenly over ln a in [-10, 2],
-# where the roots of the window sizes lie (on 6300 seeded (N, p), all but
-# those of windows cut by N and of size 2 below n = 110), and _TAIL points
-# out to the bracket top at the smallest float price.
-# Measured as Newton passes per solve (12 benchmark sweeps, n = 1e9..1e300
-# and 80 seeded (N, p)): 24 grid points take 5, 48 take 4, 96 take 4 (one
-# N-bound case in 80 takes 5 at 48); 8, 16 or 32 tail points make no
-# difference.  Started at the bracket ends, the solve took 11 to 13.
+# Where each size samples ln p_k past its peak: _GRID points evenly over
+# ln a in (max(ln a*_k, -10), 2], where the roots of the window sizes lie
+# (on 6300 seeded (N, p), all but those of windows cut by N and of size 2
+# below n = 110), and _TAIL points out to the bracket top at the smallest
+# float price.  Newton passes per solve (12 benchmark sweeps, n = 1e9..1e300
+# and 80 seeded (N, p)): 24 grid points take 4 (one case 5), 48 take 4 (21
+# seeded cases 3), 96 take 3 (one sweep and 13 seeded cases 4); 8, 16 or 32
+# tail points make no difference.  From the bracket ends it took 11 to 13.
 _GRID = 48
 _TAIL = 16
 _SAMPLES = _GRID + _TAIL + 1
@@ -281,11 +283,11 @@ def _size_records(k: np.ndarray) -> np.ndarray:
     a*_k is where ln p_k peaks on [_A_MIN, oo), found by _PEAK_HALVINGS
     bisection steps in ln a over [_A_MIN, 1] on the sign of the derivative;
     it is _A_MIN where ln p_k only falls.  The samples of the right branch
-    are taken at ln a*_k and the _GRID and _TAIL points, in increasing ln a,
-    a grid point below ln a*_k reading as ln a*_k, and
-    z = sqrt(-m_k - ln p_k), 0 at ln a*_k, rises with them.  Each size is
-    solved on its own, so a record reads the same whatever sizes it is
-    computed with.
+    start at the peak, a*_k itself, whose level gives m_k, and go on at the
+    _GRID and _TAIL points, all right of it and capped at the bracket top,
+    so ln a never falls, and z = sqrt(-m_k - ln p_k), 0 at the peak, rises.
+    Each size is solved on its own, so a record reads the same whatever
+    sizes it is computed with.
     """
     k = np.sort(k)[::-1]
     lo = np.full(len(k), _A_MIN)
@@ -295,14 +297,14 @@ def _size_records(k: np.ndarray) -> np.ndarray:
         rising = _forward(mid, k)[1] > 0
         lo = np.where(rising, mid, lo)
         hi = np.where(rising, hi, mid)
-    m = -np.log(_forward(lo, k)[0])
-    peak, end = np.log(lo)[:, None], np.log(LD(2)) + _LOG_MAX / k[:, None]
-    tail = 2 + (end - 2) * np.linspace(0, 1, _TAIL + 1, dtype=LD)[1:] ** 2
-    grid = np.broadcast_to(np.linspace(-10, 2, _GRID, dtype=LD), (len(k), _GRID))
-    log_a = np.sort(np.clip(np.column_stack([peak, grid, tail]), peak, end), axis=1)
-    level = np.log(_forward(np.exp(log_a).ravel(), np.repeat(k, _SAMPLES))[0]).reshape(log_a.shape)
-    z = np.where(log_a > peak, np.sqrt(np.maximum(-m[:, None] - level, 0)), 0)
-    return np.column_stack([lo, m, z, log_a])[::-1]
+    peak, end = np.log(lo), np.log(LD(2)) + _LOG_MAX / k
+    grid = np.linspace(np.maximum(peak, -10), 2, _GRID + 1, axis=1)[:, 1:]
+    tail = 2 + (end[:, None] - 2) * np.linspace(0, 1, _TAIL + 1, dtype=LD)[1:] ** 2
+    log_a = np.minimum(np.column_stack([peak, grid, tail]), end[:, None])
+    a = np.column_stack([lo, np.exp(log_a[:, 1:])])
+    level = np.log(_forward(a.ravel(), np.repeat(k, _SAMPLES))[0]).reshape(log_a.shape)
+    z = np.sqrt(np.maximum(level[:, :1] - level, 0))
+    return np.column_stack([lo, -level[:, 0], z, log_a])[::-1]
 
 
 # The records of the sizes computed so far, row k for size k; rows of sizes
@@ -350,15 +352,16 @@ def _roots(lo, hi, a, k, p):
     Newton steps in ln a are replaced by bisection in ln a when they leave
     the bracket or do not halve the step before last (rtsafe).  A column
     stops once its Newton step falls to _ROOT_STEP or its bracket ends are
-    adjacent floats.
-    Gives a and V_k at the roots.
+    adjacent floats, keeping the a of its last pass.
+    Gives a, V_k and d ln p_k / d ln a at the roots, all from that pass.
     """
-    V = np.empty_like(a)
+    V, slope = np.empty_like(a), np.empty_like(a)
     step = np.log(hi / lo)
     step_old = step.copy()
     run = np.arange(len(a))
     while len(run):
         price, dh, V[run] = _forward(a[run], k[run])
+        slope[run] = dh
         ar, lor, hir = a[run], lo[run], hi[run]
         h = np.log(price / p[run])
         lor = lo[run] = np.where(h > 0, ar, lor)
@@ -374,18 +377,18 @@ def _roots(lo, hi, a, k, p):
         step[run] = np.where(newton, s, np.log(new / ar))
         run = run[~done]
         a[run] = new[~done]
-    return a, V
+    return a, V, slope
 
 
-def _entries(a: np.ndarray, k: np.ndarray, p: np.ndarray) -> list:
+def _entries(a: np.ndarray, slope: np.ndarray, k: np.ndarray, p: np.ndarray) -> list:
     """Support entries and value of each root, rounded once from 40 digits.
 
     Item i holds the longdouble entries of size k[i] at root a[i] and
     price p[i], and the value.  The longdouble recurrence leaves p_k and
     the entries a few ulps off, and the gradient at the last entry reads
     that error times 1/p.  So the recurrence runs again in 40-digit
-    decimals, and one Newton step in ln a, with the longdouble
-    derivative, takes a from where ``_roots`` stopped to the root.
+    decimals, and one Newton step in ln a, with the longdouble slope[i]
+    that ``_roots`` gave at a[i], takes a from there to the root.
     """
 
     def run(a, k):
@@ -397,7 +400,6 @@ def _entries(a: np.ndarray, k: np.ndarray, p: np.ndarray) -> list:
             u /= q
         return x, q, value
 
-    slope = _forward(a, k)[1]
     out = []
     with decimal.localcontext() as context:
         context.prec = 40
@@ -478,8 +480,8 @@ def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
 
     The right branch of each size of each problem's window is one column
     of a single batched root solve; each problem then keeps its lowest
-    value.  Gives, per problem, its ReducedSolution or the NonConvergence
-    that ``minimize_chain`` raises.
+    value.  Gives one ReducedSolution per problem, certified or not:
+    ``converged`` tells, and ``minimize_chain`` raises on a False.
     """
     for N, p in problems:
         if N < 1:
@@ -509,26 +511,15 @@ def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
     order = np.argsort(-k, kind="stable")
     owner, k, lo, hi, start = (c[order] for c in (owner, k, lo, hi, start))
     price = price[owner]
-    a, V = _roots(lo, hi, start, k, price)
+    a, V, slope = _roots(lo, hi, start, k, price)
 
     # per problem, the lowest value, the smallest size on a tie; a problem
     # without columns (p >= 1 or N = 1) keeps the point mass, which size 2
     # beats wherever it has a root
     ranked = np.lexsort((k, V, owner))
-    cols = np.sort(ranked[np.diff(owner[ranked], prepend=-1) != 0])  # k descending, as columns are
-    winners = dict(zip(owner[cols].tolist(), _entries(a[cols], k[cols], price[cols])))
-
-    out = []
-    for i, (N, p) in enumerate(problems):
-        sol = _solution(N, p, *winners.get(i, (np.ones(1, dtype=LD), 1.0 / p)))
-        if not sol.converged:
-            sol = NonConvergence(
-                f"the best stationary point (support {sol.support}, value {sol.value:.12g}) "
-                f"has stationarity residual {sol.stationarity_residual:.3g} above {STATIONARITY_TOL:g}",
-                best=sol,
-            )
-        out.append(sol)
-    return out
+    cols = ranked[np.diff(owner[ranked], prepend=-1) != 0]
+    winners = dict(zip(owner[cols].tolist(), _entries(a[cols], slope[cols], k[cols], price[cols])))
+    return [_solution(N, p, *winners.get(i, (np.ones(1, dtype=LD), 1.0 / p))) for i, (N, p) in enumerate(problems)]
 
 
 def minimize_chain(N: int, p: float) -> ReducedSolution:
@@ -541,14 +532,19 @@ def minimize_chain(N: int, p: float) -> ReducedSolution:
     never wins; see the notes above ``_forward``), the lowest value wins,
     and its entries and value are rounded from 40-digit decimals.  The
     certificate is the projected stationarity residual of the winner in
-    extended precision; raises NonConvergence (carrying the winner) if it
-    exceeds ``STATIONARITY_TOL``.  Rejects a p so small that 1/p
-    overflows a float; ``_minimize_many`` solves many at once.
+    extended precision; ``_minimize_many``, which solves many at once,
+    returns the winner with its verdict, and this raises NonConvergence,
+    carrying the winner, if the residual exceeds ``STATIONARITY_TOL``.
+    Rejects a p so small that 1/p overflows a float.
     """
-    result = _minimize_many([(N, p)])[0]
-    if isinstance(result, NonConvergence):
-        raise result
-    return result
+    sol = _minimize_many([(N, p)])[0]
+    if not sol.converged:
+        raise NonConvergence(
+            f"the best stationary point (support {sol.support}, value {sol.value:.12g}) "
+            f"has stationarity residual {sol.stationarity_residual:.3g} above {STATIONARITY_TOL:g}",
+            best=sol,
+        )
+    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 Each suite draws its own randomness from a seeded generator and returns
 a list of check results, so a run is reproducible byte for byte given
 the seed.  The CLI ``verify`` command prints one line per check; the
-acceptance tests call the same functions with their default trial
-counts.
+acceptance tests call the same functions, so both run the same trials.
 """
 
 from __future__ import annotations
@@ -101,8 +100,9 @@ def _brute_right_maximal(x: PeriodicTuple, i: int, r_max: int):
 # ---------------------------------------------------------------------------
 
 
-def suite_periodic(rng: np.random.Generator, trials: int = 200) -> list[CheckResult]:
+def suite_periodic(rng: np.random.Generator) -> list[CheckResult]:
     results = []
+    trials = 200
 
     bad = 0
     for _ in range(trials):
@@ -170,29 +170,27 @@ def suite_periodic(rng: np.random.Generator, trials: int = 200) -> list[CheckRes
     return results
 
 
-def suite_prop4(
-    rng: np.random.Generator, float_trials: int = 1000, rational_trials: int = 200
-) -> list[CheckResult]:
+def suite_prop4(rng: np.random.Generator) -> list[CheckResult]:
     """Minimum of the right maximal values equals the period mean."""
     results = []
     worst = 0.0
-    for _ in range(float_trials):
+    for _ in range(1000):
         x = _random_float_tuple(rng, max_n=50)
         values = right_maximal_profile(x).values
         gap = abs(min(values) - x.average) / max(abs(x.average), 1.0)
         worst = max(worst, gap)
     results.append(
-        CheckResult("prop4", "min-maximal-equals-mean-float", worst <= 1e-12, f"{float_trials} tuples, worst relative gap {worst:.2e}")
+        CheckResult("prop4", "min-maximal-equals-mean-float", worst <= 1e-12, f"1000 tuples, worst relative gap {worst:.2e}")
     )
 
     bad = 0
-    for _ in range(rational_trials):
+    for _ in range(200):
         x = _random_rational_tuple(rng, generic=False)
         values = right_maximal_profile(x).values
         if min(values) != x.average:
             bad += 1
     results.append(
-        CheckResult("prop4", "min-maximal-equals-mean-exact", bad == 0, f"{rational_trials} rational tuples, {bad} failures")
+        CheckResult("prop4", "min-maximal-equals-mean-exact", bad == 0, f"200 rational tuples, {bad} failures")
     )
     return results
 
@@ -235,7 +233,7 @@ def _poset_checks_one(x: PeriodicTuple) -> list[str]:
     return defects
 
 
-def suite_poset(rng: np.random.Generator, trials: int = 200) -> list[CheckResult]:
+def suite_poset(rng: np.random.Generator) -> list[CheckResult]:
     results = []
 
     x0 = PeriodicTuple(list(REFERENCE_TUPLE))
@@ -256,26 +254,26 @@ def suite_poset(rng: np.random.Generator, trials: int = 200) -> list[CheckResult
     )
 
     defect_count = 0
-    for _ in range(trials):
+    for _ in range(200):
         x = _random_rational_tuple(rng)
         defects = _poset_checks_one(x)
         if defects:
             defect_count += 1
     results.append(
-        CheckResult("poset", "generic-rational-structure", defect_count == 0, f"{trials} generic tuples, {defect_count} with defects")
+        CheckResult("poset", "generic-rational-structure", defect_count == 0, f"200 generic tuples, {defect_count} with defects")
     )
     return results
 
 
-def suite_rotation(rng: np.random.Generator, trials: int = 200) -> list[CheckResult]:
+def suite_rotation(rng: np.random.Generator) -> list[CheckResult]:
     bad = 0
-    for _ in range(trials):
+    for _ in range(200):
         x = _random_rational_tuple(rng)
         hits = [i for i in range(1, x.n + 1) if has_majorizing_prefixes(x, i, strict=True)]
         if len(hits) != 1 or hits[0] != full_maximal_start(x):
             bad += 1
     return [
-        CheckResult("rotation", "unique-majorizing-rotation", bad == 0, f"{trials} generic tuples, {bad} failures")
+        CheckResult("rotation", "unique-majorizing-rotation", bad == 0, f"200 generic tuples, {bad} failures")
     ]
 
 
@@ -294,11 +292,11 @@ def _random_hypothesis_system(rng: np.random.Generator, n: int) -> SubsetCollect
     return SubsetCollectionSystem(collections)
 
 
-def suite_prop5(rng: np.random.Generator, trials: int = 100) -> list[CheckResult]:
+def suite_prop5(rng: np.random.Generator) -> list[CheckResult]:
     results = []
     bad_upper = 0
     bad_lower = 0
-    for _ in range(trials):
+    for _ in range(100):
         n = int(rng.integers(4, 11))
         system = _random_hypothesis_system(rng, n)
         for eps in (Fraction(1, 1000), Fraction(1, 10**6)):
@@ -309,7 +307,7 @@ def suite_prop5(rng: np.random.Generator, trials: int = 100) -> list[CheckResult
             if value < 1:
                 bad_lower += 1
     results.append(
-        CheckResult("prop5", "spiked-tuple-upper-bound", bad_upper == 0, f"{trials} systems x 2 epsilons, {bad_upper} bound violations")
+        CheckResult("prop5", "spiked-tuple-upper-bound", bad_upper == 0, f"100 systems x 2 epsilons, {bad_upper} bound violations")
     )
     results.append(
         CheckResult("prop5", "lower-bound-one", bad_lower == 0, f"{bad_lower} values below 1")
@@ -317,7 +315,7 @@ def suite_prop5(rng: np.random.Generator, trials: int = 100) -> list[CheckResult
     return results
 
 
-def suite_reduced(rng: np.random.Generator, p_values=(0.5, 0.2, 0.1, 0.05, 0.01)) -> list[CheckResult]:
+def suite_reduced(rng: np.random.Generator) -> list[CheckResult]:
     results = []
     solve = functools.cache(minimize_chain)  # the checks share their solves
 
@@ -343,7 +341,7 @@ def suite_reduced(rng: np.random.Generator, p_values=(0.5, 0.2, 0.1, 0.05, 0.01)
     stab_worst = 0.0
     struct_bad = 0
     agree_worst = 0.0
-    for p in p_values:
+    for p in (0.5, 0.2, 0.1, 0.05, 0.01):
         cap = math.ceil(1.0 / p)
         samples = sorted(set([1, 2, 3, max(1, cap // 2), cap, cap + 5]))
         prev = math.inf
@@ -400,23 +398,23 @@ def suite_reduction(rng: np.random.Generator) -> list[CheckResult]:
     return results
 
 
-def suite_gradient(rng: np.random.Generator, trials: int = 100) -> list[CheckResult]:
+def suite_gradient(rng: np.random.Generator) -> list[CheckResult]:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(100):
         N = int(rng.integers(2, 9))
         x = 0.7 * rng.dirichlet(np.ones(N)) + 0.3 / N
         x = x / x.sum()
         p = float(rng.uniform(0.05, 1.5))
         worst = max(worst, gradient_agreement(x, p))
     return [
-        CheckResult("gradient", "analytic-vs-central-difference", worst <= 1e-6, f"{trials} interior points, worst normalized error {worst:.2e}")
+        CheckResult("gradient", "analytic-vs-central-difference", worst <= 1e-6, f"100 interior points, worst normalized error {worst:.2e}")
     ]
 
 
-def suite_envelope(rng: np.random.Generator, trials: int = 200) -> list[CheckResult]:
+def suite_envelope(rng: np.random.Generator) -> list[CheckResult]:
     """The maximal-average sum is the infimum of the radii sums."""
     bad = 0
-    for _ in range(trials):
+    for _ in range(200):
         x = _random_float_tuple(rng, max_n=20)
         radii = RadiusTuple(tuple(int(r) for r in rng.integers(1, x.n + 1, size=x.n)))
         res = max_avg_sum(x)
@@ -425,7 +423,7 @@ def suite_envelope(rng: np.random.Generator, trials: int = 200) -> list[CheckRes
         if abs(sum_with_radii(x, res.radii) - res.value) > 1e-12 * max(res.value, 1.0):
             bad += 1
     return [
-        CheckResult("envelope", "radii-sums-dominate-max-sum", bad == 0, f"{trials} random pairs, {bad} violations")
+        CheckResult("envelope", "radii-sums-dominate-max-sum", bad == 0, f"200 random pairs, {bad} violations")
     ]
 
 

@@ -222,13 +222,15 @@ def left_roots(lo, hi, k, p):
     """Roots of p_k(a) = p where p_k rises over [lo, hi], by bisection in ln a.
 
     Columns come sorted by k, descending; gives a at the lower end of the
-    final bracket, whose ends are adjacent floats, and V_k there.
+    final bracket, whose ends are adjacent floats, and V_k and
+    d ln p_k / d ln a there, as ``reduction._roots`` gives its roots.
     """
     while True:
         mid = np.sqrt(lo * hi)
         inside = (lo < mid) & (mid < hi)
         if not inside.any():
-            return lo, reduction._forward(lo, k)[2]
+            _, slope, V = reduction._forward(lo, k)
+            return lo, V, slope
         below = reduction._forward(mid, k)[0] < p
         lo = np.where(inside & below, mid, lo)
         hi = np.where(inside & ~below, mid, hi)
@@ -238,8 +240,8 @@ def all_size_roots(problems) -> dict:
     """Every root of every size with one, up to N, of each of ``problems``.
 
     Gives columns sorted by k, descending: ``owner`` (the problem's index),
-    ``k``, ``left`` (whether the root lies left of a*_k), the root ``a``
-    and the value ``V`` there.
+    ``k``, ``left`` (whether the root lies left of a*_k), the root ``a``,
+    the value ``V`` and the slope d ln p_k / d ln a there.
     """
     price = np.array([p for _, p in problems], dtype=LD)
     log_p = np.log(price)
@@ -261,9 +263,11 @@ def all_size_roots(problems) -> dict:
     order = np.argsort(-k, kind="stable")
     owner, k = owner[order], k[order]
     top = 2 * np.exp(-log_p[owner] / k)
-    a, V = reduction._roots(a_star[k], top, top.copy(), k, price[owner])
+    a, V, slope = reduction._roots(a_star[k], top, top.copy(), k, price[owner])
     left = floor[k] < log_p[owner]
-    a_left, V_left = left_roots(np.full(left.sum(), reduction._A_MIN), a_star[k[left]], k[left], price[owner[left]])
+    a_left, V_left, slope_left = left_roots(
+        np.full(left.sum(), reduction._A_MIN), a_star[k[left]], k[left], price[owner[left]]
+    )
     owner, k = np.concatenate([owner, owner[left]]), np.concatenate([k, k[left]])
     order = np.argsort(-k, kind="stable")
     columns = {
@@ -272,6 +276,7 @@ def all_size_roots(problems) -> dict:
         "left": np.repeat([False, True], [len(a), len(a_left)]),
         "a": np.concatenate([a, a_left]),
         "V": np.concatenate([V, V_left]),
+        "slope": np.concatenate([slope, slope_left]),
     }
     return {name: c[order] for name, c in columns.items()}
 
@@ -279,21 +284,17 @@ def all_size_roots(problems) -> dict:
 def minimize_all_sizes(problems) -> list:
     """The lowest of ``all_size_roots`` per problem, as ``reduction._minimize_many`` gives it.
 
-    Gives, per problem, its ReducedSolution or a NonConvergence carrying it.
+    Gives, per problem, its ReducedSolution, converged or not.
     """
     roots = all_size_roots(problems)
-    owner, k, a, V = (roots[name] for name in ("owner", "k", "a", "V"))
+    owner, k, a, V, slope = (roots[name] for name in ("owner", "k", "a", "V", "slope"))
     price = np.array([p for _, p in problems], dtype=LD)[owner]
     best = {}
     for c in np.lexsort((k, V, owner)).tolist():
         best.setdefault(owner[c], c)
-    cols = np.sort(list(best.values())).astype(int)
-    winners = dict(zip(owner[cols].tolist(), reduction._entries(a[cols], k[cols], price[cols])))
-    out = []
-    for i, (N, p) in enumerate(problems):
-        sol = reduction._solution(N, p, *winners.get(i, (np.ones(1, dtype=LD), 1.0 / p)))
-        out.append(sol if sol.converged else NonConvergence("not stationary", best=sol))
-    return out
+    cols = np.array(list(best.values()), dtype=int)
+    winners = dict(zip(owner[cols].tolist(), reduction._entries(a[cols], slope[cols], k[cols], price[cols])))
+    return [reduction._solution(N, p, *winners.get(i, (np.ones(1, dtype=LD), 1.0 / p))) for i, (N, p) in enumerate(problems)]
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +515,10 @@ def mp_peak(k: int):
 def mp_stationary_points(k: int, p: float) -> list:
     """(value, entries) of each stationary point of size k >= 2 at price p.
 
-    Each monotone branch that changes sign is bisected in ln a down to a
-    bracket 1e-6 wide, and Newton steps from its middle take the root to
-    MP_DPS digits.
+    Each monotone branch that changes sign is bracketed by halvings in
+    ln a to within 1, and Newton steps from its middle, each kept inside
+    the bracket, take the root on until a step is less than 1e-30; that
+    last step is taken too.
     """
     with mp.workdps(MP_DPS):
         p = mp.mpf(p)
@@ -534,16 +536,24 @@ def mp_stationary_points(k: int, p: float) -> list:
         points = []
         for lo, hi in brackets:
             low_negative = level(lo)[0] < 0
-            while hi - lo > mp.mpf(10) ** -6:
+            while hi - lo > 1:
                 mid = (lo + hi) / 2
                 if (level(mid)[0] < 0) == low_negative:
                     lo = mid
                 else:
                     hi = mid
             t = (lo + hi) / 2
-            for _ in range(4):  # 1e-6 -> 1e-12 -> 1e-24 -> 1e-48 -> past MP_DPS
+            while True:
                 h, dh = level(t, slope=True)
-                t -= h / dh
+                step = h / dh
+                if abs(step) < mp.mpf(10) ** -30:
+                    break
+                if (h < 0) == low_negative:
+                    lo = t
+                else:
+                    hi = t
+                t = t - step if lo < t - step < hi else (lo + hi) / 2
+            t -= step
             assert abs(level(t)[0]) < mp.mpf(10) ** (5 - MP_DPS)
             _, _, value, entries = mp_forward(mp.exp(t), k, slope=False)
             points.append((value, entries))

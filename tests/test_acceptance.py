@@ -105,7 +105,7 @@ def test_criterion_01_golden_reference_analysis(capsys, tmp_path):
 
 def test_criterion_02_min_maximal_equals_mean(capsys):
     t0 = time.perf_counter()
-    results = suite_prop4(np.random.default_rng(0), float_trials=1000, rational_trials=200)
+    results = suite_prop4(np.random.default_rng(0))
     _finish(
         "min-right-maximal-equals-mean", 10.0, t0, _suite_failures(results),
         "1000 float tuples (n<=50), 200 rational tuples",
@@ -114,7 +114,7 @@ def test_criterion_02_min_maximal_equals_mean(capsys):
 
 def test_criterion_03_maximal_interval_structure(capsys):
     t0 = time.perf_counter()
-    results = suite_poset(np.random.default_rng(0), trials=200)
+    results = suite_poset(np.random.default_rng(0))
     _finish(
         "maximal-interval-structure", 30.0, t0, _suite_failures(results),
         "200 generic rational tuples: nesting, tree, order reversal, unique full class",
@@ -123,7 +123,7 @@ def test_criterion_03_maximal_interval_structure(capsys):
 
 def test_criterion_04_majorizing_rotation(capsys):
     t0 = time.perf_counter()
-    results = suite_rotation(np.random.default_rng(0), trials=200)
+    results = suite_rotation(np.random.default_rng(0))
     _finish(
         "unique-majorizing-rotation", 10.0, t0, _suite_failures(results),
         "200 generic rational tuples",
@@ -132,7 +132,7 @@ def test_criterion_04_majorizing_rotation(capsys):
 
 def test_criterion_05_subset_collection_bounds(capsys):
     t0 = time.perf_counter()
-    results = suite_prop5(np.random.default_rng(0), trials=100)
+    results = suite_prop5(np.random.default_rng(0))
     _finish(
         "subset-collection-bounds", 5.0, t0, _suite_failures(results),
         "spiked tuples, eps in {1e-3, 1e-6}: 1 <= value <= 1 + (n-1)n*eps",
@@ -235,7 +235,7 @@ def test_criterion_09_growth_constant(capsys):
 
 def test_criterion_10_gradient_oracle(capsys):
     t0 = time.perf_counter()
-    results = suite_gradient(np.random.default_rng(0), trials=100)
+    results = suite_gradient(np.random.default_rng(0))
     _finish(
         "gradient-finite-difference-oracle", 5.0, t0, _suite_failures(results),
         "100 random interior simplex points, relative error <= 1e-6",

@@ -16,6 +16,7 @@ from cycmax import (
 from cycmax.asymptotics import (
     A_REFERENCE,
     CSV_HEADER,
+    MAX_GRID_POINTS,
     SweepRecord,
     geometric_grid,
     records_to_csv,
@@ -228,6 +229,13 @@ class TestGeometricGrid:
         for args in [(0, 10, 3), (10, 5, 3), (1, 10, 0), (1, math.inf, 3), (math.nan, 10, 3)]:
             with pytest.raises(ValueError):
                 geometric_grid(*args)
+
+    def test_bounds_the_points(self):
+        # the bound itself is taken; past it nothing is allocated
+        assert geometric_grid(1, 10, MAX_GRID_POINTS) == list(range(1, 11))
+        for points in (MAX_GRID_POINTS + 1, 10**9):
+            with pytest.raises(ValueError, match=f"points must lie in 1..{MAX_GRID_POINTS}"):
+                geometric_grid(1e3, 1e6, points)
 
 
 class TestEstimateConstant:

@@ -391,6 +391,11 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "--from", "1000", "--to", stop, "--points", "3")
         assert code == 1 and out == "" and err.startswith("error: ")
 
+    def test_too_many_points_exits_1(self, capsys):
+        # rejected before any grid is allocated
+        code, out, err = run_cli(capsys, "sweep", "--from", "1e3", "--to", "1e6", "--points", "1000000000")
+        assert code == 1 and out == "" and err.startswith("error: points must lie in 1..")
+
 
 class TestVerify:
     def test_single_suite_passes(self, capsys):
