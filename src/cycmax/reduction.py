@@ -268,11 +268,13 @@ _LOG_MAX = LD(math.log(sys.float_info.max))
 # ln a in (max(ln a*_k, -10), 2], where the roots of the window sizes lie
 # (on 6300 seeded (N, p), all but those of windows cut by N and of size 2
 # below n = 110), and _TAIL points out to the bracket top at the smallest
-# float price.  Newton passes per solve (12 benchmark sweeps, n = 1e9..1e300
-# and 80 seeded (N, p)): 24 grid points take 4 (one case 5), 48 take 4 (21
-# seeded cases 3), 96 take 3 (one sweep and 13 seeded cases 4); 8, 16 or 32
-# tail points make no difference.  From the bracket ends it took 11 to 13.
-_GRID = 48
+# float price.  Kernel passes per warm solve, on 48 benchmark sweeps and at
+# n = 1e9, 1e30, 1e100 and 1e300: 96 grid points take 3 (4 of the sweeps 4)
+# and 48 take 4 on all 52; 24 took 4 (once 5) on 12 sweeps, far points and
+# 80 seeded (N, p), and 8, 16 or 32 tail points made no difference there.  From the bracket ends it took 11 to 13.  A record is then 228
+# longdoubles, 2.6 MB for all sizes 2..712, and its z samples never fall
+# (every size 2..712; tests pin it), which ``_start``'s binary search needs.
+_GRID = 96
 _TAIL = 16
 _SAMPLES = _GRID + _TAIL + 1
 
@@ -331,13 +333,21 @@ def _records(k: np.ndarray) -> np.ndarray:
 def _start(table: np.ndarray, k: np.ndarray, log_p: np.ndarray) -> np.ndarray:
     """Newton start a of the right-branch root of size k at ln p.
 
-    The root has z = sqrt(-m_k - ln p) > 0, which lies above the first
-    sample (the peak, z = 0) and at most at the last (the bracket top at
-    the smallest float price) wherever the size has a root; ln a is
-    interpolated linearly in z between the samples on either side.
+    Columns come grouped by k.  The root has z = sqrt(-m_k - ln p) > 0,
+    which lies above the first sample (the peak, z = 0) and at most at the
+    last (the bracket top at the smallest float price) wherever the size
+    has a root; one binary search per size finds the samples on either
+    side, since a size's z samples never fall, and ln a is interpolated
+    linearly in z between them.
     """
     z = np.sqrt(-table[k, 1] - log_p)
-    j = 2 + (table[k, 2 : 2 + _SAMPLES] < z[:, None]).sum(axis=1)
+    j = np.empty(len(k), dtype=np.intp)
+    first = 0
+    for size, group in itertools.groupby(k.tolist()):
+        end = first + len(list(group))
+        j[first:end] = np.searchsorted(table[size, 2 : 2 + _SAMPLES], z[first:end])
+        first = end
+    j += 2
     z0, z1, x0, x1 = (table[k, c] for c in (j - 1, j, j + _SAMPLES - 1, j + _SAMPLES))
     return np.exp(x0 + (x1 - x0) * (z - z0) / (z1 - z0))
 
@@ -380,15 +390,17 @@ def _roots(lo, hi, a, k, p):
     return a, V, slope
 
 
-def _entries(a: np.ndarray, slope: np.ndarray, k: np.ndarray, p: np.ndarray) -> list:
+def _entries(a: np.ndarray, slope: np.ndarray, k: np.ndarray, p: np.ndarray):
     """Support entries and value of each root, rounded once from 40 digits.
 
-    Item i holds the longdouble entries of size k[i] at root a[i] and
-    price p[i], and the value.  The longdouble recurrence leaves p_k and
-    the entries a few ulps off, and the gradient at the last entry reads
-    that error times 1/p.  So the recurrence runs again in 40-digit
-    decimals, and one Newton step in ln a, with the longdouble slope[i]
-    that ``_roots`` gave at a[i], takes a from there to the root.
+    Yields, root by root, the longdouble entries of size k[i] at root a[i]
+    and price p[i], and the value, so a caller that keeps only what it
+    makes of them holds one root's entries at a time.  The longdouble
+    recurrence leaves p_k and the entries a few ulps off, and the gradient
+    at the last entry reads that error times 1/p.  So the recurrence runs
+    again in 40-digit decimals, and one Newton step in ln a, with the
+    longdouble slope[i] that ``_roots`` gave at a[i], takes a from there to
+    the root.
     """
 
     def run(a, k):
@@ -400,17 +412,17 @@ def _entries(a: np.ndarray, slope: np.ndarray, k: np.ndarray, p: np.ndarray) -> 
             u /= q
         return x, q, value
 
-    out = []
-    with decimal.localcontext() as context:
-        context.prec = 40
-        for a_i, g_i, k_i, p_i in zip(a, slope, k.tolist(), p):
+    for a_i, g_i, k_i, p_i in zip(a, slope, k.tolist(), p):
+        # the 40 digits hold inside this block only, never across a yield
+        with decimal.localcontext() as context:
+            context.prec = 40
             num, den = a_i.as_integer_ratio()
             root = decimal.Decimal(num) / den
             x, q, _ = run(root, k_i)
             mismatch = x[-1] / (q * q * decimal.Decimal(float(p_i))) - 1  # p_k(a) / p - 1
             x, q, value = run(root * (1 - mismatch / decimal.Decimal(float(g_i))), k_i)
-            out.append((np.array([str(v / q) for v in x], dtype=LD), float(value)))
-    return out
+            item = np.array([str(v / q) for v in x], dtype=LD), float(value)
+        yield item
 
 
 @dataclass
@@ -505,21 +517,27 @@ def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
     root = table[np.maximum(k, 0), 1] < -log_p[:, None]
     root &= np.cumsum(root, axis=1) <= _WINDOW
     owner, k = np.nonzero(root)[0], k[root]
+    order = np.argsort(-k, kind="stable")
+    owner, k = owner[order], k[order]
     # p_k(a) <= a^-k for a >= 1, so p_k < p at a = 2 p^(-1/k)
     lo, hi = table[k, 0], 2 * np.exp(-log_p[owner] / k)
     start = np.clip(_start(table, k, log_p[owner]), lo, hi)
-    order = np.argsort(-k, kind="stable")
-    owner, k, lo, hi, start = (c[order] for c in (owner, k, lo, hi, start))
     price = price[owner]
     a, V, slope = _roots(lo, hi, start, k, price)
 
     # per problem, the lowest value, the smallest size on a tie; a problem
     # without columns (p >= 1 or N = 1) keeps the point mass, which size 2
-    # beats wherever it has a root
+    # beats wherever it has a root.  The winners come in problem order, and
+    # each one's entries are made into its solution as they are taken.
     ranked = np.lexsort((k, V, owner))
     cols = ranked[np.diff(owner[ranked], prepend=-1) != 0]
-    winners = dict(zip(owner[cols].tolist(), _entries(a[cols], slope[cols], k[cols], price[cols])))
-    return [_solution(N, p, *winners.get(i, (np.ones(1, dtype=LD), 1.0 / p))) for i, (N, p) in enumerate(problems)]
+    solved = np.zeros(len(problems), dtype=bool)
+    solved[owner[cols]] = True
+    winners = _entries(a[cols], slope[cols], k[cols], price[cols])
+    return [
+        _solution(N, p, *(next(winners) if won else (np.ones(1, dtype=LD), 1.0 / p)))
+        for (N, p), won in zip(problems, solved.tolist())
+    ]
 
 
 def minimize_chain(N: int, p: float) -> ReducedSolution:

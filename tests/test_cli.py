@@ -288,6 +288,29 @@ def test_readme_flag_table_matches_the_parser():
     assert documented == declared
 
 
+class TestParserReuse:
+    """``main`` builds the parser once per process and each call reads its own arguments."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_each_call_prints_what_it_prints_alone(self, capsys):
+        calls = [
+            ("verify", "--suite", "rotation", "--points", "3"),  # a flag verify does not read
+            ("verify", "--suite", "rotation", "--suite", "poset"),
+            ("verify", "--suite", "rotation"),
+        ]
+        in_turn = [run_cli(capsys, *argv) for argv in calls]
+        alone = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            alone.append(run_cli(capsys, *argv))
+        assert in_turn == alone
+        assert [code for code, _, _ in in_turn] == [1, 0, 0]
+        # the repeatable --suite starts empty on every call
+        assert "PASS poset." in in_turn[1][1] and in_turn[2][1].endswith("1/1 checks passed\n")
+
+
 class TestBooleanEntries:
     @pytest.mark.parametrize("backend", ["float", "rational"])
     def test_maxsum_rejects_booleans(self, capsys, tmp_path, backend):
@@ -405,8 +428,10 @@ class TestVerify:
         assert out.strip().endswith("1/1 checks passed")
 
     def test_unknown_suite_exits_1(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "--suite", "bogus")
-        assert code == 1
+        # run_suites names it: the parser declares no fixed list of suites
+        code, out, err = run_cli(capsys, "verify", "--suite", "bogus")
+        assert code == 1 and out == ""
+        assert err == "error: unknown suite(s): bogus\n"
 
     def test_failure_exits_3(self, capsys, monkeypatch):
         def failing(rng):
