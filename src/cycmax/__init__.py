@@ -12,12 +12,7 @@ Library layout:
                   sweep, verify)
 """
 
-from .errors import (
-    CycmaxError,
-    IllConditionedFit,
-    InadmissiblePair,
-    NonConvergence,
-)
+from .errors import CycmaxError, IllConditionedFit, InadmissiblePair
 from .periodic import (
     IndexInterval,
     PeriodicTuple,
@@ -65,7 +60,6 @@ __all__ = [
     "IntervalPoset",
     "MIntervalRecord",
     "MaxSumResult",
-    "NonConvergence",
     "PeriodicTuple",
     "RadiusTuple",
     "ReducedSolution",

@@ -89,8 +89,8 @@ def sweep(n_values: Sequence[int]) -> list[SweepRecord]:
     return records
 
 
-# The most points a grid takes: a sweep holds about 10 KB per point at its
-# peak (README), so this is about 1 GB.
+# The most points a grid takes: a sweep holds about 4 KB per point at its
+# peak (README), so this is about 0.4 GB.
 MAX_GRID_POINTS = 100_000
 
 

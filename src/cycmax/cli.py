@@ -25,7 +25,8 @@ import os
 import sys
 
 from .asymptotics import estimate_constant_a, geometric_grid, records_to_csv, sweep
-from .errors import CycmaxError, NonConvergence
+from . import reduction
+from .errors import CycmaxError
 from .periodic import FLOAT, RATIONAL, PeriodicTuple, tuple_from_json
 from .reduction import brute_force_oracle, minimize_chain
 from .structure import IntervalPoset, average_table, build_poset
@@ -211,13 +212,19 @@ def cmd_minimize(args) -> int:
         p = args.p
         N = max(1, math.ceil(1.0 / p))
     sol = minimize_chain(N, p)
-    if args.oracle:
+    gap = None
+    if not sol.converged:
+        print(
+            f"error: the best stationary point (support {sol.support}, value {sol.value:.12g}) "
+            f"has stationarity residual {sol.stationarity_residual:.3g} above {reduction.STATIONARITY_TOL:g}",
+            file=sys.stderr,
+        )
+    elif args.oracle:
         if N > 5:
             raise InputError("--oracle supports N <= 5")
-        oracle = brute_force_oracle(N, p, ORACLE_STEPS[N])
-        sol.oracle_gap = abs(sol.value - oracle)
-    print(json.dumps(sol.to_dict()))
-    return EXIT_OK
+        gap = abs(sol.value - brute_force_oracle(N, p, ORACLE_STEPS[N]))
+    print(json.dumps({**sol.to_dict(), "oracle_gap": gap}))
+    return EXIT_OK if sol.converged else EXIT_NONCONVERGENCE
 
 
 def cmd_sweep(args) -> int:
@@ -326,15 +333,7 @@ def _run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.best is not None:
-            print(json.dumps(exc.best.to_dict()))
-        return EXIT_NONCONVERGENCE
-    except CycmaxError as exc:
+    except (InputError, CycmaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

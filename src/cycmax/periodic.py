@@ -83,7 +83,7 @@ class PeriodicTuple:
     maximal average strictly positive.
     """
 
-    __slots__ = ("n", "values", "backend", "_prefix3", "_den", "_profile")
+    __slots__ = ("n", "values", "backend", "_prefix3", "_den", "_profile", "_twin")
 
     def __init__(self, values: Sequence[Number], backend: str | None = None):
         vals = list(values)
@@ -140,8 +140,9 @@ class PeriodicTuple:
         )
         if backend == FLOAT and not math.isfinite(self._prefix3[-1]):
             raise ValueError("entries too large: their sum over three periods overflows")
-        # Filled by the first ``right_maximal_profile`` call.
+        # Filled by the first ``right_maximal_profile`` and ``_exact`` calls.
         self._profile: Optional[Profile] = None
+        self._twin: Optional[PeriodicTuple] = None
 
     def _table(self, k: int):
         """Prefix sum at any integer k, in table units."""
@@ -154,7 +155,9 @@ class PeriodicTuple:
         """The rational twin: the same entries, exactly, on the rational backend."""
         if self.backend == RATIONAL:
             return self
-        return PeriodicTuple(self.values, backend=RATIONAL)
+        if self._twin is None:
+            self._twin = PeriodicTuple(self.values, backend=RATIONAL)
+        return self._twin
 
     def _ratio(self, s, r: int) -> Number:
         """The average s / r of a table-unit sum s over r entries."""

@@ -41,11 +41,11 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InadmissiblePair, NonConvergence
+from .errors import InadmissiblePair
 
 LD = np.longdouble
 
@@ -268,12 +268,10 @@ _LOG_MAX = LD(math.log(sys.float_info.max))
 # ln a in (max(ln a*_k, -10), 2], where the roots of the window sizes lie
 # (on 6300 seeded (N, p), all but those of windows cut by N and of size 2
 # below n = 110), and _TAIL points out to the bracket top at the smallest
-# float price.  Kernel passes per warm solve, on 48 benchmark sweeps and at
-# n = 1e9, 1e30, 1e100 and 1e300: 96 grid points take 3 (4 of the sweeps 4)
-# and 48 take 4 on all 52; 24 took 4 (once 5) on 12 sweeps, far points and
-# 80 seeded (N, p), and 8, 16 or 32 tail points made no difference there.  From the bracket ends it took 11 to 13.  A record is then 228
-# longdoubles, 2.6 MB for all sizes 2..712, and its z samples never fall
-# (every size 2..712; tests pin it), which ``_start``'s binary search needs.
+# float price.  96 grid points bring a warm solve to 3 Newton passes, where
+# 48 take 4; 8, 16 and 32 tail points took the same passes.  ``_start``'s
+# binary search needs a size's z samples never to fall, which holds for
+# every size 2..712 (tests pin it).
 _GRID = 96
 _TAIL = 16
 _SAMPLES = _GRID + _TAIL + 1
@@ -430,6 +428,8 @@ class ReducedSolution:
     """Outcome of a simplex minimization of the chain sum.
 
     Only the trailing support is stored; every entry before it is zero.
+    ``stationarity_residual`` is that of the longdouble entries these were
+    rounded from (see ``_solution``); ``converged`` tells if it passed.
     """
 
     N: int
@@ -437,8 +437,7 @@ class ReducedSolution:
     value: float
     entries: np.ndarray
     stationarity_residual: float
-    oracle_gap: Optional[float] = None
-    converged: bool = True
+    converged: bool
 
     @property
     def support(self) -> int:
@@ -453,12 +452,15 @@ class ReducedSolution:
             "entries": [float(v) for v in self.entries],
             "residual": self.stationarity_residual,
             "converged": self.converged,
-            "oracle_gap": self.oracle_gap,
         }
 
 
 def _solution(N: int, p: float, x: np.ndarray, value) -> ReducedSolution:
-    """The solution with longdouble support entries x, certified against ``STATIONARITY_TOL``."""
+    """The solution with longdouble support entries x, certified against ``STATIONARITY_TOL``.
+
+    The residual is the projected residual of x, the entries as rounded
+    once from 40 digits, before they are rounded to doubles and renormalized.
+    """
     entries = np.asarray(x, dtype=float)
     entries /= entries.sum()
     residual = _residual_ld(x, LD(p))
@@ -493,7 +495,7 @@ def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
     The right branch of each size of each problem's window is one column
     of a single batched root solve; each problem then keeps its lowest
     value.  Gives one ReducedSolution per problem, certified or not:
-    ``converged`` tells, and ``minimize_chain`` raises on a False.
+    ``converged`` tells.
     """
     for N, p in problems:
         if N < 1:
@@ -550,19 +552,11 @@ def minimize_chain(N: int, p: float) -> ReducedSolution:
     never wins; see the notes above ``_forward``), the lowest value wins,
     and its entries and value are rounded from 40-digit decimals.  The
     certificate is the projected stationarity residual of the winner in
-    extended precision; ``_minimize_many``, which solves many at once,
-    returns the winner with its verdict, and this raises NonConvergence,
-    carrying the winner, if the residual exceeds ``STATIONARITY_TOL``.
+    extended precision.  The winner comes back certified or not:
+    ``converged`` is False if its residual exceeds ``STATIONARITY_TOL``.
     Rejects a p so small that 1/p overflows a float.
     """
-    sol = _minimize_many([(N, p)])[0]
-    if not sol.converged:
-        raise NonConvergence(
-            f"the best stationary point (support {sol.support}, value {sol.value:.12g}) "
-            f"has stationarity residual {sol.stationarity_residual:.3g} above {STATIONARITY_TOL:g}",
-            best=sol,
-        )
-    return sol
+    return _minimize_many([(N, p)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ ones by bisection; the backward shooting solve the forward one
 replaced, with its own grid brackets and bisection; and the forward
 recurrence in mpmath.  The rational backend compares averages by
 cross-multiplying integer prefix sums; the ``Fraction`` versions below
-sum ``x.values`` themselves and never read that table.
+sum ``x.values`` themselves and never read that table.  ``certified`` is
+the solver itself, for tests that read a solution only when it passed
+its certificate.
 """
 
 import math
@@ -22,7 +24,6 @@ import mpmath as mp
 import numpy as np
 
 from cycmax import reduction
-from cycmax.errors import NonConvergence
 from cycmax.reduction import LD, ReducedSolution, _residual_ld, _value_ld
 from cycmax.periodic import Profile
 from cycmax.structure import MIntervalRecord
@@ -394,6 +395,13 @@ def solve_support(k: int, p: float):
     return x[:, best], values[best]
 
 
+def certified(N: int, p: float) -> ReducedSolution:
+    """``minimize_chain(N, p)``, asserted to have passed its stationarity certificate."""
+    sol = reduction.minimize_chain(N, p)
+    assert sol.converged, f"uncertified solve at N={N}, p={p!r}: residual {sol.stationarity_residual:.3g}"
+    return sol
+
+
 def minimize_by_support(N: int, p: float) -> ReducedSolution:
     """``minimize_chain`` walking k = 2, 3, ... with ``solve_support``."""
     kmax = min(N, max(1, math.ceil(1.0 / p)))
@@ -421,9 +429,7 @@ def minimize_by_support(N: int, p: float) -> ReducedSolution:
             best_conv = best
 
     slack = abs(best.value) * VALUE_RTOL + 1e-15
-    if best_conv.value <= best.value + slack:
-        return best_conv
-    raise NonConvergence("no support size reached stationarity", best=best)
+    return best_conv if best_conv.value <= best.value + slack else best
 
 
 # ---------------------------------------------------------------------------

