@@ -10,6 +10,7 @@ Library layout:
 * ``verify``      seeded self-check suites behind the CLI verify command
 * ``cli``         command-line front end (analyze, sum, maxsum, minimize,
                   sweep, verify)
+* ``errors``      ``CycmaxError``, the ``ValueError`` raised on bad input
 """
 
 from .errors import CycmaxError, IllConditionedFit, InadmissiblePair

@@ -13,15 +13,14 @@ Reference value for the constant: A = 1.70465603718...
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from io import StringIO
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import IllConditionedFit
-from .reduction import _minimize_many
+from .errors import CycmaxError, IllConditionedFit
+from .reduction import _minimize_many, cyclic_price
 
 A_REFERENCE = 1.70465603718
 
@@ -30,30 +29,24 @@ CSV_HEADER = "n,s_star,deficit,support,residual"
 
 @dataclass
 class SweepRecord:
-    """One n-point of the sweep: minimum value, deficit, and diagnostics."""
+    """One n-point of the sweep: minimum value, deficit, and diagnostics.
+
+    ``converged`` is the solve's verdict.  It has no default, so a record
+    built without one does not read as certified.
+    """
 
     n: int
     s_star: float
     deficit: float
     support: int
     residual: float
-    converged: bool = True
+    converged: bool
 
     def csv_row(self) -> str:
         return (
             f"{self.n},{self.s_star:.17g},{self.deficit:.17g},"
             f"{self.support},{self.residual:.17g}"
         )
-
-
-def _price(n: int) -> float:
-    """The price 1/n as a float; n must lie inside the float range."""
-    try:
-        return 1.0 / n
-    except OverflowError:
-        raise ValueError(
-            f"n is too large: it must lie within the float range (at most {sys.float_info.max:.6g})"
-        ) from None
 
 
 def sweep(n_values: Sequence[int]) -> list[SweepRecord]:
@@ -68,14 +61,12 @@ def sweep(n_values: Sequence[int]) -> list[SweepRecord]:
     """
     values = list(n_values)
     if not values:
-        raise ValueError("n_values must be nonempty")
-    if any(n < 1 for n in values):
-        raise ValueError("n values must be positive")
+        raise CycmaxError("n_values must be nonempty")
     if values != sorted(values):
-        raise ValueError("n values must be sorted ascending")
+        raise CycmaxError("n values must be sorted ascending")
 
     records = []
-    for n, sol in zip(values, _minimize_many([(n, _price(n)) for n in values])):
+    for n, sol in zip(values, _minimize_many([(n, cyclic_price(n)) for n in values])):
         records.append(
             SweepRecord(
                 n=n,
@@ -97,9 +88,9 @@ MAX_GRID_POINTS = 100_000
 def geometric_grid(lo: float, hi: float, points: int) -> list[int]:
     """Distinct integers, geometrically spaced between lo and hi inclusive."""
     if not 1 <= points <= MAX_GRID_POINTS:
-        raise ValueError(f"points must lie in 1..{MAX_GRID_POINTS}")
+        raise CycmaxError(f"points must lie in 1..{MAX_GRID_POINTS}")
     if not 1 <= lo <= hi < math.inf:
-        raise ValueError("invalid range")
+        raise CycmaxError("invalid range")
     raw = np.geomspace(lo, hi, points)
     out: list[int] = []
     for v in raw:
@@ -133,7 +124,7 @@ def estimate_constant_a(records: Iterable[SweepRecord]) -> tuple[float, FitDiagn
     """
     pts = [r for r in records if r.n >= FIT_MIN_N]
     if len(pts) < 4:
-        raise ValueError("need at least four records with n >= %d" % FIT_MIN_N)
+        raise CycmaxError("need at least four records with n >= %d" % FIT_MIN_N)
     regressor = np.array([1.0 / math.log(r.n) for r in pts])
     deficits = np.array([r.deficit for r in pts])
     spread = float(regressor.max() - regressor.min())

@@ -11,7 +11,9 @@ Subcommands:
 * ``verify``    seeded self-check suites
 
 Exit codes: 0 success, 1 input error, 2 optimizer non-convergence,
-3 verification failure.
+3 verification failure.  The library rejects bad input as it reads it,
+with ``CycmaxError``; this module only maps that error, and no other, to
+one ``error:`` line on stderr and exit code 1.
 """
 
 from __future__ import annotations
@@ -41,39 +43,26 @@ EXIT_VERIFY = 3
 ORACLE_STEPS = {1: 1, 2: 1000, 3: 300, 4: 80, 5: 40}
 
 
-class InputError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors follow the exit-code contract."""
 
     def error(self, message):
-        raise InputError(message)
+        raise CycmaxError(message)
 
 
-def _read_tuple(path: str, backend: str) -> PeriodicTuple:
+def _load(kind: str, path: str, parse, *args):
+    """``parse(contents, *args)`` of the file at path, naming the file on error.
+
+    The contents stay bytes: ``json.loads`` decodes them, so the parser
+    reports a file that is not UTF-8 as it reports any malformed file.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return tuple_from_json(text, backend)
-    except FileNotFoundError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except (CycmaxError, ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"malformed tuple file {path}: {exc}") from exc
-
-
-def _read_radii(path: str, n: int) -> RadiusTuple:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            radii = radii_from_json(fh.read())
-        if len(radii) != n:
-            raise InputError(f"expected {n} radii, got {len(radii)}")
-        return radii
-    except FileNotFoundError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        with open(path, "rb") as fh:
+            return parse(fh.read(), *args)
+    except OSError as exc:
+        raise CycmaxError(f"cannot read {path}: {exc}") from exc
     except CycmaxError as exc:
-        raise InputError(f"malformed radii file {path}: {exc}") from exc
+        raise CycmaxError(f"malformed {kind} file {path}: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -82,7 +71,7 @@ def _printable():
     try:
         yield
     except OverflowError as exc:
-        raise InputError(f"a result lies outside the float range and cannot be printed: {exc}") from None
+        raise CycmaxError(f"a result lies outside the float range and cannot be printed: {exc}") from None
 
 
 def format_cell(value) -> str:
@@ -148,7 +137,7 @@ def analyze_table_csv(x: PeriodicTuple, poset: IntervalPoset) -> str:
 
 
 def cmd_analyze(args) -> int:
-    x = _read_tuple(args.tuple, args.backend)
+    x = _load("tuple", args.tuple, tuple_from_json, args.backend)
     poset = build_poset(x)
     for w in analyze_warnings(poset):
         print(f"warning: {w}", file=sys.stderr)
@@ -164,18 +153,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sum(args) -> int:
-    x = _read_tuple(args.tuple, args.backend)
-    if (args.radii is None) == (args.k is None):
-        raise InputError("provide exactly one of --radii FILE or --k INT")
+    x = _load("tuple", args.tuple, tuple_from_json, args.backend)
     if args.radii is not None:
-        radii = _read_radii(args.radii, x.n)
+        radii = _load("radii", args.radii, radii_from_json)
         if args.normalized:
-            raise InputError("--normalized applies only with --k")
+            raise CycmaxError("--normalized applies only with --k")
         value = sum_with_radii(x, radii)
         details = {"radii": list(radii.radii)}
     else:
-        if args.k < 1:
-            raise InputError("--k must be a positive integer")
         if args.normalized:
             value = diananda_sum(x, args.k)
         else:
@@ -188,28 +173,17 @@ def cmd_sum(args) -> int:
 
 
 def cmd_maxsum(args) -> int:
-    x = _read_tuple(args.tuple, args.backend)
+    x = _load("tuple", args.tuple, tuple_from_json, args.backend)
     res = max_avg_sum(x)
     print(json.dumps({"value": float(res.value), "radii": list(res.radii.radii)}))
     return EXIT_OK
 
 
 def cmd_minimize(args) -> int:
-    if (args.n is None) == (args.p is None):
-        raise InputError("provide exactly one of --n or --p")
     if args.n is not None:
-        if args.n < 1:
-            raise InputError("--n must be a positive integer")
-        try:
-            N, p = args.n, 1.0 / args.n
-        except OverflowError as exc:
-            raise InputError(f"--n is too large: {exc}") from exc
+        N, p = args.n, reduction.cyclic_price(args.n)
     else:
-        if not (0 < args.p < math.inf):
-            raise InputError("--p must be positive and finite")
-        if not math.isfinite(1.0 / args.p):
-            raise InputError(f"--p {args.p!r} is too small: 1/p overflows")
-        p = args.p
+        p = reduction.check_price(args.p)
         N = max(1, math.ceil(1.0 / p))
     sol = minimize_chain(N, p)
     gap = None
@@ -221,34 +195,21 @@ def cmd_minimize(args) -> int:
         )
     elif args.oracle:
         if N > 5:
-            raise InputError("--oracle supports N <= 5")
+            raise CycmaxError("--oracle supports N <= 5")
         gap = abs(sol.value - brute_force_oracle(N, p, ORACLE_STEPS[N]))
     print(json.dumps({**sol.to_dict(), "oracle_gap": gap}))
     return EXIT_OK if sol.converged else EXIT_NONCONVERGENCE
 
 
 def cmd_sweep(args) -> int:
-    try:
-        grid = geometric_grid(args.start, args.stop, args.points)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    records = sweep(grid)
-    a_hat = None
-    if args.estimate_a:
-        try:
-            a_hat = estimate_constant_a(records)[0]
-        except ValueError as exc:
-            raise InputError(f"--estimate-a: {exc}") from exc
+    records = sweep(geometric_grid(args.start, args.stop, args.points))
+    a_hat = estimate_constant_a(records)[0] if args.estimate_a else None
     sys.stdout.write(records_to_csv(records, a_hat))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    names = args.suite if args.suite else None
-    try:
-        results = run_suites(names, args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    results = run_suites(args.suite, args.seed)
     for res in results:
         print(res.line())
     failed = [r for r in results if not r.passed]
@@ -283,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum = sub.add_parser("sum", help="cyclic sum for given radii")
     p_sum.add_argument("tuple")
     add_backend(p_sum)
-    p_sum.add_argument("--radii", help="radii JSON file")
-    p_sum.add_argument("--k", type=int, help="constant radius")
+    mode = p_sum.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--radii", help="radii JSON file")
+    mode.add_argument("--k", type=int, help="constant radius")
     p_sum.add_argument(
         "--normalized", action="store_true", help="divide by k (with --k only)"
     )
@@ -296,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_maxsum.set_defaults(func=cmd_maxsum)
 
     p_min = sub.add_parser("minimize", help="minimize the chain objective")
-    p_min.add_argument("--n", type=int, help="cyclic length (sets p = 1/n)")
-    p_min.add_argument("--p", type=float, help="boundary price")
+    price = p_min.add_mutually_exclusive_group(required=True)
+    price.add_argument("--n", type=int, help="cyclic length (sets p = 1/n)")
+    price.add_argument("--p", type=float, help="boundary price")
     p_min.add_argument("--oracle", action="store_true", help="grid cross-check (N <= 5)")
     p_min.set_defaults(func=cmd_minimize)
 
@@ -333,7 +296,7 @@ def _run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (InputError, CycmaxError) as exc:
+    except CycmaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -59,7 +59,7 @@ class IndexInterval:
 
     def __post_init__(self):
         if self.b < self.a:
-            raise ValueError(f"empty interval [{self.a}:{self.b}]")
+            raise CycmaxError(f"empty interval [{self.a}:{self.b}]")
 
     @property
     def cardinality(self) -> int:
@@ -88,10 +88,10 @@ class PeriodicTuple:
     def __init__(self, values: Sequence[Number], backend: str | None = None):
         vals = list(values)
         if not vals:
-            raise ValueError("tuple must have at least one entry")
+            raise CycmaxError("tuple must have at least one entry")
         for v in vals:
             if isinstance(v, (float, np.floating)) and not math.isfinite(v):
-                raise ValueError(f"entries must be finite, got {v!r}")
+                raise CycmaxError(f"entries must be finite, got {v!r}")
         if backend is None:
             backend = RATIONAL if any(isinstance(v, Fraction) for v in vals) else FLOAT
         if backend == RATIONAL:
@@ -100,15 +100,15 @@ class PeriodicTuple:
             try:
                 vals = [float(v) for v in vals]
             except OverflowError:
-                raise ValueError(
+                raise CycmaxError(
                     "entries must lie within the float range (the rational backend reads them exactly)"
                 ) from None
         else:
-            raise ValueError(f"unknown backend {backend!r}")
+            raise CycmaxError(f"unknown backend {backend!r}")
         if any(v < 0 for v in vals):
-            raise ValueError("entries must be nonnegative")
+            raise CycmaxError("entries must be nonnegative")
         if all(v == 0 for v in vals):
-            raise ValueError("at least one entry must be positive")
+            raise CycmaxError("at least one entry must be positive")
 
         self.n = len(vals)
         self.values = tuple(vals)
@@ -139,7 +139,7 @@ class PeriodicTuple:
             + [twice + s for s in prefix[1:]]
         )
         if backend == FLOAT and not math.isfinite(self._prefix3[-1]):
-            raise ValueError("entries too large: their sum over three periods overflows")
+            raise CycmaxError("entries too large: their sum over three periods overflows")
         # Filled by the first ``right_maximal_profile`` and ``_exact`` calls.
         self._profile: Optional[Profile] = None
         self._twin: Optional[PeriodicTuple] = None
@@ -301,7 +301,13 @@ def parse_number(token, backend: str) -> Number:
     if isinstance(token, bool):
         raise CycmaxError(f"cannot interpret {json.dumps(token)} as a number")
     if isinstance(token, (str, int, Fraction)):
-        return Fraction(token)
+        try:
+            return Fraction(token)
+        except ZeroDivisionError:
+            raise CycmaxError(f"zero denominator in {token!r}") from None
+        except ValueError as exc:
+            # not a number, or more digits than int conversion allows
+            raise CycmaxError(str(exc)) from None
     if isinstance(token, float):
         if not math.isfinite(token):
             raise CycmaxError(f"entries must be finite, got {token!r}")
@@ -315,10 +321,12 @@ def tuple_from_json(text: str, backend: str = FLOAT) -> PeriodicTuple:
     Under the rational backend, decimal literals are read exactly
     (1.2 becomes 6/5) and strings "p/q" are accepted on both backends.
     """
-    if backend == RATIONAL:
-        doc = json.loads(text, parse_float=Fraction)
-    else:
-        doc = json.loads(text)
+    try:
+        doc = json.loads(text, parse_float=Fraction if backend == RATIONAL else None)
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, arrays nested too deep, or an integer literal
+        # past the digit limit
+        raise CycmaxError(str(exc)) from exc
     if not isinstance(doc, dict) or "values" not in doc:
         raise CycmaxError('tuple JSON must be an object with a "values" array')
     values = doc["values"]

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InadmissiblePair
+from .errors import CycmaxError, InadmissiblePair
 
 LD = np.longdouble
 
@@ -62,7 +62,7 @@ def t_chain(x: Sequence, p) -> float:
     Fractions, or numpy scalars alike.
     """
     if p <= 0:
-        raise ValueError("p must be positive")
+        raise CycmaxError("p must be positive")
     n = len(x)
     total = 0 * x[-1]
     for i in range(n - 1):
@@ -84,7 +84,7 @@ def t_noncyclic(x: Sequence, p) -> float:
     a tiny window next to a large one to cancellation.
     """
     if p <= 0:
-        raise ValueError("p must be positive")
+        raise CycmaxError("p must be positive")
     n = len(x)
     total = 0 * x[-1]
     for i in range(n - 1):
@@ -118,7 +118,7 @@ def chain_gradient_fd(x: np.ndarray, p: float) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
-        raise ValueError("finite differences require a strictly positive vector")
+        raise CycmaxError("finite differences require a strictly positive vector")
     x = x.astype(LD)
     pld = LD(p)
     g = np.zeros(len(x), dtype=LD)
@@ -474,6 +474,34 @@ def _solution(N: int, p: float, x: np.ndarray, value) -> ReducedSolution:
     )
 
 
+def check_price(p: float) -> float:
+    """p itself, if the solver takes it as a price: positive, with 1/p finite."""
+    if not 0 < p < math.inf:
+        raise CycmaxError("p must be positive and finite")
+    if not math.isfinite(1.0 / p):
+        raise CycmaxError(f"p = {p!r} is too small: 1/p overflows")
+    return p
+
+
+def check_problem(N: int, p: float) -> None:
+    """Reject a chain problem (N, p) that the solver does not take."""
+    if N < 1:
+        raise CycmaxError("N must be a positive integer")
+    check_price(p)
+
+
+def cyclic_price(n: int) -> float:
+    """The price 1/n of the cyclic length n, which must lie in the float range."""
+    if n < 1:
+        raise CycmaxError("n must be a positive integer")
+    try:
+        return 1.0 / n
+    except OverflowError:
+        raise CycmaxError(
+            f"n is too large: it must lie within the float range (at most {sys.float_info.max:.6g})"
+        ) from None
+
+
 # Sizes solved per problem: the right branch of the _WINDOW sizes up to the
 # window's top, the largest size with a root that is at most N and at most
 # ceil(ln(1/p)) + _ABOVE_LOG_N.  Measured on the 1200 ln n in [7, 400], the
@@ -498,12 +526,7 @@ def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
     ``converged`` tells.
     """
     for N, p in problems:
-        if N < 1:
-            raise ValueError("N must be a positive integer")
-        if not (p > 0) or not math.isfinite(p):
-            raise ValueError("p must be positive and finite")
-        if not math.isfinite(1.0 / p):
-            raise ValueError(f"p = {p!r} is too small: 1/p overflows")
+        check_problem(N, p)
     price = np.array([p for _, p in problems], dtype=LD)
     log_p = np.log(price)
     # ceil(ln(1/p)) + 2 is at most 712 for a float price, so the cap on N
@@ -656,9 +679,9 @@ def brute_force_oracle(N: int, p: float, grid_steps: int, refinements: int = 3) 
     grid_steps^(N-1), so this is a small-N verification tool.
     """
     if N < 1:
-        raise ValueError("N must be positive")
+        raise CycmaxError("N must be positive")
     if N > 6:
-        raise ValueError("grid oracle supports N <= 6")
+        raise CycmaxError("grid oracle supports N <= 6")
     if N == 1:
         return 1.0 / p
     X = _compositions(grid_steps, N).astype(float) / grid_steps
@@ -690,9 +713,9 @@ def cyclic_bruteforce(n: int, grid_steps: int, refinements: int = 2) -> float:
     the true infimum.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise CycmaxError("n must be positive")
     if n > 4:
-        raise ValueError("cyclic grid search supports n <= 4")
+        raise CycmaxError("cyclic grid search supports n <= 4")
     if n == 1:
         return 1.0
     comp = _compositions(grid_steps, n)

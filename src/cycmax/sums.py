@@ -31,15 +31,15 @@ from .periodic import (
 
 @dataclass(frozen=True)
 class RadiusTuple:
-    """Per-index window lengths r_1..r_n, each at least 1."""
+    """Per-index window lengths r_1..r_n, each an ``int`` (not a bool) at least 1."""
 
     radii: tuple[int, ...]
 
     def __post_init__(self):
         if not self.radii:
-            raise ValueError("radii must be nonempty")
-        if any((not isinstance(r, int)) or r < 1 for r in self.radii):
-            raise ValueError("radii must be positive integers")
+            raise CycmaxError("radii must be nonempty")
+        if any(type(r) is not int or r < 1 for r in self.radii):
+            raise CycmaxError("radii must be positive integers")
 
     @classmethod
     def constant(cls, n: int, k: int) -> "RadiusTuple":
@@ -62,19 +62,19 @@ class SubsetCollectionSystem:
 
     def __init__(self, collections: Sequence[Sequence[Sequence[int]]]):
         if not collections:
-            raise ValueError("system must cover at least one index")
+            raise CycmaxError("system must cover at least one index")
         self.n = len(collections)
         canon: list[tuple[tuple[int, ...], ...]] = []
         for i, subsets in enumerate(collections, start=1):
             if not subsets:
-                raise ValueError(f"collection at index {i} is empty")
+                raise CycmaxError(f"collection at index {i} is empty")
             cleaned = {}  # ordered set of canonical subsets
             for subset in subsets:
                 idx = tuple(sorted(set(int(j) for j in subset)))
                 if not idx:
-                    raise ValueError(f"empty subset in collection {i}")
+                    raise CycmaxError(f"empty subset in collection {i}")
                 if idx[0] < 1 or idx[-1] > self.n:
-                    raise ValueError(
+                    raise CycmaxError(
                         f"subset {idx} at index {i} leaves the range 1..{self.n}"
                     )
                 cleaned[idx] = None
@@ -122,7 +122,7 @@ def sum_with_radii(x: PeriodicTuple, r: RadiusTuple) -> Number:
     entry to cancellation.  The rational backend reads its exact table.
     """
     if len(r) != x.n:
-        raise ValueError("radii length must match tuple length")
+        raise CycmaxError(f"expected {x.n} radii, got {len(r)}")
     n = x.n
     period = math.fsum(x.values) if x.backend == FLOAT else None
     total = 0 * x.values[0]
@@ -144,7 +144,7 @@ def sum_with_radii(x: PeriodicTuple, r: RadiusTuple) -> Number:
 def diananda_sum(x: PeriodicTuple, k: int) -> Number:
     """sum_i x_i / (x_{i+1} + ... + x_{i+k}), the equal-radius sum over k."""
     if k < 1:
-        raise ValueError("k must be a positive integer")
+        raise CycmaxError("k must be a positive integer")
     return sum_with_radii(x, RadiusTuple.constant(x.n, k)) / k
 
 
@@ -179,7 +179,7 @@ def max_avg_sum(x: PeriodicTuple) -> MaxSumResult:
 def generalized_max_sum(x: PeriodicTuple, system: SubsetCollectionSystem) -> Number:
     """sum_i x_i / (largest subset average in the i-th collection)."""
     if system.n != x.n:
-        raise ValueError("system size must match tuple length")
+        raise CycmaxError("system size must match tuple length")
     total = 0 * x.values[0]
     for i in range(1, x.n + 1):
         m = system.max_subset_average(x, i)
@@ -190,10 +190,12 @@ def generalized_max_sum(x: PeriodicTuple, system: SubsetCollectionSystem) -> Num
 
 
 def radii_from_json(text: str) -> RadiusTuple:
-    """Parse {"radii": [int, ...]}."""
+    """Parse {"radii": [int, ...]}: a JSON array of JSON integers, no bools."""
     try:
         doc = json.loads(text)
-        radii = doc["radii"]
-        return RadiusTuple(tuple(int(r) for r in radii))
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CycmaxError(f"malformed radii JSON: {exc}") from exc
+    radii = doc.get("radii") if isinstance(doc, dict) else None
+    if not isinstance(radii, list):
+        raise CycmaxError('radii JSON must be an object with a "radii" array')
+    return RadiusTuple(tuple(radii))

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import CycmaxError
 from .periodic import (
     IndexInterval,
     PeriodicTuple,
@@ -458,7 +459,9 @@ def run_suites(names: list[str] | None, seed: int) -> list[CheckResult]:
     chosen = list(SUITES) if not names else names
     unknown = [s for s in chosen if s not in SUITES]
     if unknown:
-        raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
+        raise CycmaxError(f"unknown suite(s): {', '.join(unknown)}")
+    if seed < 0:
+        raise CycmaxError(f"seed must be a nonnegative integer, got {seed}")
     results = []
     for name in chosen:
         rng = np.random.default_rng(seed)

@@ -211,6 +211,7 @@ def test_criterion_09_growth_constant(capsys):
                 deficit=math.e * math.log(n) - sol.value,
                 support=sol.support,
                 residual=sol.stationarity_residual,
+                converged=sol.converged,
             )
         )
         grad_worst = max(grad_worst, gradient_agreement(sol.entries, 1.0 / n))

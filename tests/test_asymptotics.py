@@ -33,7 +33,9 @@ def synthetic_records(n_values, a, c, wobble=0.0):
     for i, n in enumerate(n_values):
         deficit = a - c / math.log(n) + (wobble if i % 2 else -wobble)
         out.append(
-            SweepRecord(n=n, s_star=math.e * math.log(n) - deficit, deficit=deficit, support=0, residual=0.0)
+            SweepRecord(
+                n=n, s_star=math.e * math.log(n) - deficit, deficit=deficit, support=0, residual=0.0, converged=True
+            )
         )
     return out
 

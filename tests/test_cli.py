@@ -174,6 +174,16 @@ class TestSumCommands:
         code, _, _ = run_cli(capsys, "sum", ref_path, "--radii", str(radii))
         assert code == 1
 
+    @pytest.mark.parametrize("radii", ['"12"', "[1.7, 2.2]", "[true, 2]", '["1", "2"]'])
+    def test_radii_file_holds_json_integers_only(self, capsys, tmp_path, radii):
+        pair = tmp_path / "pair.json"
+        pair.write_text('{"values": [1, 2]}')
+        path = tmp_path / "radii.json"
+        path.write_text('{"radii": %s}' % radii)
+        code, out, err = run_cli(capsys, "sum", str(pair), "--radii", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: malformed radii file {path}: ")
+
     def test_maxsum(self, capsys, ref_path):
         code, out, _ = run_cli(capsys, "maxsum", ref_path)
         assert code == 0
@@ -269,6 +279,54 @@ class TestFlagSlots:
     def test_before_the_subcommand_exits_1(self, capsys, ref_path, flag):
         code, out, err = run_cli(capsys, flag, self.FLAGS[flag], *self.argv("maxsum", ref_path))
         assert code == 1 and out == "" and err.startswith("error: ")
+
+
+# Bad input of every kind, by subcommand.  The placeholders name what the
+# test passes: "{dir}" a directory, "{ref}" the reference tuple, "{radii}"
+# radii that fit it, "{zero}" a tuple holding "1/0", "{digits}" one holding
+# a 5000-digit integer literal, "{nested}" arrays nested 100000 deep, and
+# "{latin1}" a radii file not in UTF-8.
+BAD_INPUT = {
+    "analyze-directory": ["analyze", "{dir}"],
+    "sum-radii-directory": ["sum", "{ref}", "--radii", "{dir}"],
+    "sum-radii-not-utf-8": ["sum", "{ref}", "--radii", "{latin1}"],
+    "analyze-zero-denominator": ["analyze", "{zero}"],
+    "analyze-5000-digits": ["analyze", "{digits}"],
+    "analyze-nested": ["analyze", "{nested}"],
+    "sum-radii-nested": ["sum", "{ref}", "--radii", "{nested}"],
+    "verify-negative-seed": ["verify", "--seed", "-1"],
+    "verify-unknown-suite": ["verify", "--suite", "bogus"],
+    "minimize-n-0": ["minimize", "--n", "0"],
+    "minimize-n-1e400": ["minimize", "--n", "1e400"],
+    "minimize-p-0": ["minimize", "--p", "0"],
+    "minimize-p-nan": ["minimize", "--p", "nan"],
+    "minimize-p-1e-320": ["minimize", "--p", "1e-320"],
+    "minimize-neither": ["minimize"],
+    "minimize-both": ["minimize", "--n", "2", "--p", "0.5"],
+    "sum-k-0": ["sum", "{ref}", "--k", "0"],
+    "sum-neither": ["sum", "{ref}"],
+    "sum-both": ["sum", "{ref}", "--radii", "{radii}", "--k", "2"],
+    "sweep-points-0": ["sweep", "--from", "1", "--to", "3", "--points", "0"],
+    "sweep-to-inf": ["sweep", "--from", "1000", "--to", "inf", "--points", "3"],
+    "sweep-estimate-a-too-few": ["sweep", "--from", "10", "--to", "60", "--points", "4", "--estimate-a"],
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT)
+def test_bad_input_exits_1_with_one_error_line(capsys, tmp_path, ref_path, case):
+    files = {"dir": tmp_path, "ref": ref_path}
+    for name, contents in [
+        ("zero", b'{"values": ["1/0"]}'),
+        ("digits", b'{"values": [%s]}' % (b"7" * 5000)),
+        ("nested", b"[" * 10**5 + b"]" * 10**5),
+        ("radii", json.dumps({"radii": [1] * len(REFERENCE)}).encode()),
+        ("latin1", b'{"radii": [1], "note": "caf\xe9"}'),
+    ]:
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_bytes(contents)
+    code, out, err = run_cli(capsys, *(arg.format(**files) for arg in BAD_INPUT[case]))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def documented_exit_codes(text):
@@ -369,12 +427,12 @@ class TestMinimize:
         # 1/p is inf for a subnormal p; ceil(1/p) used to raise OverflowError
         code, out, err = run_cli(capsys, "minimize", "--p", p)
         assert code == 1 and out == ""
-        assert err.startswith("error: --p")
+        assert err.startswith("error: p ") and err.count("\n") == 1
 
     def test_rejects_an_n_too_large_for_a_float(self, capsys):
         code, out, err = run_cli(capsys, "minimize", "--n", "1" + "0" * 400)
         assert code == 1 and out == ""
-        assert err.startswith("error: --n is too large")
+        assert err.startswith("error: n is too large") and err.count("\n") == 1
 
     def test_oracle_refused_for_large_n(self, capsys):
         assert run_cli(capsys, "minimize", "--n", "6", "--oracle")[0] == 1

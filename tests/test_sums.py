@@ -94,6 +94,8 @@ class TestSumWithRadii:
             RadiusTuple((0, 1))
         with pytest.raises(ValueError):
             RadiusTuple(())
+        with pytest.raises(ValueError):
+            RadiusTuple((True, 2))
         x = PeriodicTuple([1.0, 2.0])
         with pytest.raises(ValueError):
             sum_with_radii(x, RadiusTuple((1, 1, 1)))
@@ -296,6 +298,9 @@ class TestJsonInterfaces:
         assert radii.radii == (1, 2, 3)
 
     def test_radii_malformed(self):
-        for text in ('{"radii": []}', '{"radii": [0]}', '{"x": 1}', "oops"):
+        for text in (
+            '{"radii": []}', '{"radii": [0]}', '{"x": 1}', "oops",
+            '{"radii": "12"}', '{"radii": [1.7, 2.2]}', '{"radii": [true, 2]}', '{"radii": ["1", "2"]}',
+        ):
             with pytest.raises(CycmaxError):
                 radii_from_json(text)
