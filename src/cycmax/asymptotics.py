@@ -29,18 +29,13 @@ CSV_HEADER = "n,s_star,deficit,support,residual"
 
 @dataclass
 class SweepRecord:
-    """One n-point of the sweep: minimum value, deficit, and diagnostics.
-
-    ``converged`` is the solve's verdict.  It has no default, so a record
-    built without one does not read as certified.
-    """
+    """One n-point of the sweep: minimum value, deficit, and diagnostics."""
 
     n: int
     s_star: float
     deficit: float
     support: int
     residual: float
-    converged: bool
 
     def csv_row(self) -> str:
         return (
@@ -55,9 +50,7 @@ def sweep(n_values: Sequence[int]) -> list[SweepRecord]:
     All n are solved together: the right branch of each of the four
     support sizes around ln n of every n is a column of a single batched
     root solve (the left branch never wins), and each n keeps its own
-    lowest value, the same result as ``minimize_chain(n, 1/n)``.  A
-    non-convergent solve (residual above ``STATIONARITY_TOL``) is recorded
-    with its best solution and flagged rather than aborting.
+    lowest value, the same result as ``minimize_chain(n, 1/n)``.
     """
     values = list(n_values)
     if not values:
@@ -74,7 +67,6 @@ def sweep(n_values: Sequence[int]) -> list[SweepRecord]:
                 deficit=math.e * math.log(n) - sol.value,
                 support=sol.support,
                 residual=sol.stationarity_residual,
-                converged=sol.converged,
             )
         )
     return records

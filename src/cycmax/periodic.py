@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
@@ -292,6 +294,32 @@ def right_maximal(x: PeriodicTuple, i: int) -> Number:
     return right_maximal_profile(x).values[(i - 1) % x.n]
 
 
+# The digits of the decimal exponent of a numeric string, 7 in '1.5e-7'.
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
+
+
+def _exact_number(text: str) -> Fraction:
+    """The exact value of a decimal literal or of a string like '7/3'.
+
+    ``Fraction`` reads '1e1000000' as 10**1000000, which takes time that
+    grows faster than the exponent, so an exponent whose magnitude exceeds
+    ``sys.get_int_max_str_digits()``, the limit Python sets on integer
+    literals, is rejected.
+    """
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT.search(text)
+    try:
+        if limit and exponent and int(exponent[1]) > limit:
+            raise CycmaxError(f"the decimal exponent of {text!r} exceeds {limit} in magnitude")
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise CycmaxError(f"zero denominator in {text!r}") from None
+    except ValueError as exc:
+        # not a number, an exponent past the limit, or more digits than
+        # int conversion allows
+        raise CycmaxError(str(exc)) from None
+
+
 def parse_number(token, backend: str) -> Number:
     """One tuple entry from JSON: a number, or a string like '7/3'.
 
@@ -300,14 +328,10 @@ def parse_number(token, backend: str) -> Number:
     """
     if isinstance(token, bool):
         raise CycmaxError(f"cannot interpret {json.dumps(token)} as a number")
-    if isinstance(token, (str, int, Fraction)):
-        try:
-            return Fraction(token)
-        except ZeroDivisionError:
-            raise CycmaxError(f"zero denominator in {token!r}") from None
-        except ValueError as exc:
-            # not a number, or more digits than int conversion allows
-            raise CycmaxError(str(exc)) from None
+    if isinstance(token, str):
+        return _exact_number(token)
+    if isinstance(token, (int, Fraction)):
+        return Fraction(token)
     if isinstance(token, float):
         if not math.isfinite(token):
             raise CycmaxError(f"entries must be finite, got {token!r}")
@@ -322,10 +346,10 @@ def tuple_from_json(text: str, backend: str = FLOAT) -> PeriodicTuple:
     (1.2 becomes 6/5) and strings "p/q" are accepted on both backends.
     """
     try:
-        doc = json.loads(text, parse_float=Fraction if backend == RATIONAL else None)
+        doc = json.loads(text, parse_float=_exact_number if backend == RATIONAL else None)
     except (ValueError, RecursionError) as exc:
-        # malformed JSON, arrays nested too deep, or an integer literal
-        # past the digit limit
+        # malformed JSON, arrays nested too deep, or an integer literal or
+        # a decimal exponent past the digit limit
         raise CycmaxError(str(exc)) from exc
     if not isinstance(doc, dict) or "values" not in doc:
         raise CycmaxError('tuple JSON must be an object with a "values" array')

@@ -11,9 +11,7 @@ ones by bisection; the backward shooting solve the forward one
 replaced, with its own grid brackets and bisection; and the forward
 recurrence in mpmath.  The rational backend compares averages by
 cross-multiplying integer prefix sums; the ``Fraction`` versions below
-sum ``x.values`` themselves and never read that table.  ``certified`` is
-the solver itself, for tests that read a solution only when it passed
-its certificate.
+sum ``x.values`` themselves and never read that table.
 """
 
 import math
@@ -24,7 +22,7 @@ import mpmath as mp
 import numpy as np
 
 from cycmax import reduction
-from cycmax.reduction import LD, ReducedSolution, _residual_ld, _value_ld
+from cycmax.reduction import LD, ReducedSolution, _value_ld
 from cycmax.periodic import Profile
 from cycmax.structure import MIntervalRecord
 
@@ -285,7 +283,7 @@ def all_size_roots(problems) -> dict:
 def minimize_all_sizes(problems) -> list:
     """The lowest of ``all_size_roots`` per problem, as ``reduction._minimize_many`` gives it.
 
-    Gives, per problem, its ReducedSolution, converged or not.
+    Gives, per problem, its ReducedSolution.
     """
     roots = all_size_roots(problems)
     owner, k, a, V, slope = (roots[name] for name in ("owner", "k", "a", "V", "slope"))
@@ -316,10 +314,6 @@ def minimize_all_sizes(problems) -> list:
 # 120 points missed the k = 14 root at n = 372759; 400 split every pair on
 # the reference cases below n ~ 2.9e9.
 BRACKET_POINTS = 400
-
-# Relative change below which a value does not count as an improvement
-# when deciding whether a non-convergent solve is the best one.
-VALUE_RTOL = 1e-12
 
 
 def shoot(s, k: int, p):
@@ -395,41 +389,16 @@ def solve_support(k: int, p: float):
     return x[:, best], values[best]
 
 
-def certified(N: int, p: float) -> ReducedSolution:
-    """``minimize_chain(N, p)``, asserted to have passed its stationarity certificate."""
-    sol = reduction.minimize_chain(N, p)
-    assert sol.converged, f"uncertified solve at N={N}, p={p!r}: residual {sol.stationarity_residual:.3g}"
-    return sol
-
-
 def minimize_by_support(N: int, p: float) -> ReducedSolution:
     """``minimize_chain`` walking k = 2, 3, ... with ``solve_support``."""
     kmax = min(N, max(1, math.ceil(1.0 / p)))
-
-    def solution(x, value):
-        entries = np.asarray(x, dtype=float)
-        entries /= entries.sum()
-        residual = _residual_ld(x, LD(p))
-        return ReducedSolution(
-            N=N,
-            p=p,
-            value=float(value),
-            entries=entries,
-            stationarity_residual=residual,
-            converged=residual <= reduction.STATIONARITY_TOL,
-        )
-
-    best = best_conv = solution(np.ones(1, dtype=LD), 1.0 / p)
+    best = reduction._solution(N, p, np.ones(1, dtype=LD), 1.0 / p)
     for k in range(2, kmax + 1):
         found = solve_support(k, p)
         if found is None or not found[1] < best.value:
             break
-        best = solution(*found)
-        if best.converged:
-            best_conv = best
-
-    slack = abs(best.value) * VALUE_RTOL + 1e-15
-    return best_conv if best_conv.value <= best.value + slack else best
+        best = reduction._solution(N, p, *found)
+    return best
 
 
 # ---------------------------------------------------------------------------

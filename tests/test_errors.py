@@ -41,3 +41,14 @@ def test_the_cli_catches_no_value_error():
         if isinstance(node, ast.ExceptHandler) and "ValueError" in exception_names(node.type)
     ]
     assert found == []
+
+
+def test_no_module_asserts():
+    # ``python -O`` strips assert statements, and with them any check made by one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

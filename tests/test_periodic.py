@@ -1,4 +1,5 @@
 from fractions import Fraction
+import sys
 
 import numpy as np
 import pytest
@@ -301,3 +302,17 @@ class TestJson:
             tuple_from_json('{"values": [1, %s]}' % entry, "float")
         x = tuple_from_json('{"values": [1, %s]}' % entry, "rational")
         assert x.values[1] > 10**300
+
+    def test_decimal_exponents_read_exactly_up_to_the_int_digit_limit(self):
+        # a literal and a string read the same, exactly, up to the limit
+        # Python sets on integer literals; one past it is rejected at once
+        limit = sys.get_int_max_str_digits()
+        assert tuple_from_json('{"values": [1e300, 1]}', "rational").values[0] == 10**300
+        assert periodic.parse_number("1e300", "float") == 10**300
+        assert periodic.parse_number("25e-%d" % limit, "rational") == Fraction(25, 10**limit)
+        # an exponent of more digits than the limit fails as the int literal would
+        for text, match in [("1e%d" % (limit + 1), "exponent"), ("1e-1000000", "exponent"), ("1e" + "9" * 5000, "limit")]:
+            with pytest.raises(CycmaxError, match=match):
+                periodic.parse_number(text, "rational")
+            with pytest.raises(CycmaxError, match=match):
+                tuple_from_json('{"values": [%s, 1]}' % text, "rational")

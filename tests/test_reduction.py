@@ -154,7 +154,7 @@ class TestGradient:
 class TestSupportHelpers:
     def test_projected_residual_zero_for_singleton(self):
         assert _residual_ld(np.ones(1, dtype=LD), LD(0.3)) == 0.0
-        assert oracles.certified(7, 1.5).stationarity_residual == 0.0
+        assert minimize_chain(7, 1.5).stationarity_residual == 0.0
 
 
 class TestMinimizeChain:
@@ -165,30 +165,30 @@ class TestMinimizeChain:
             (3, 1.0 / 3.0, 2.0 * SQRT3 - 1.0),
         ]
         for N, p, expected in cases:
-            sol = oracles.certified(N, p)
+            sol = minimize_chain(N, p)
             assert sol.value == pytest.approx(expected, rel=1e-9)
             assert sol.stationarity_residual <= 1e-10
 
     def test_two_entry_minimizer(self):
-        sol = oracles.certified(2, 0.5)
+        sol = minimize_chain(2, 0.5)
         assert sol.entries == pytest.approx([1.0 - 1.0 / SQRT2, 1.0 / SQRT2], rel=1e-9)
         assert sol.support == 2
 
     def test_three_entry_support_two(self):
-        sol = oracles.certified(3, 1.0 / 3.0)
+        sol = minimize_chain(3, 1.0 / 3.0)
         assert sol.support == 2
         assert sol.entries == pytest.approx([1.0 - 1.0 / SQRT3, 1.0 / SQRT3], rel=1e-9)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
     def test_price_at_least_one_collapses_to_point_mass(self, p):
-        sol = oracles.certified(7, p)
+        sol = minimize_chain(7, p)
         assert sol.value == pytest.approx(1.0 / p, rel=1e-12)
         assert sol.support == 1
         assert list(sol.entries) == [1.0]
 
     def test_value_matches_objective_at_minimizer(self):
         for N, p in [(2, 0.5), (5, 0.2), (12, 0.07)]:
-            sol = oracles.certified(N, p)
+            sol = minimize_chain(N, p)
             recomputed = t_chain(sol.entries, p)
             assert sol.value == pytest.approx(recomputed, rel=1e-12)
             assert sol.entries.sum() == pytest.approx(1.0, abs=1e-12)
@@ -196,7 +196,7 @@ class TestMinimizeChain:
     def test_minimizer_structure(self):
         for p in (0.5, 0.1, 0.01):
             N = math.ceil(1.0 / p) + 5
-            sol = oracles.certified(N, p)
+            sol = minimize_chain(N, p)
             s = sol.entries
             assert np.all(s > 0)
             assert len(s) == sol.support <= N
@@ -206,20 +206,20 @@ class TestMinimizeChain:
 
     def test_monotone_in_simplex_size(self):
         p = 0.2
-        values = [oracles.certified(N, p).value for N in range(1, 9)]
+        values = [minimize_chain(N, p).value for N in range(1, 9)]
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-10
 
     def test_stabilization(self):
         for p in (0.5, 0.11, 0.03):
             cap = math.ceil(1.0 / p)
-            v1 = oracles.certified(cap, p).value
-            v2 = oracles.certified(cap + 5, p).value
+            v1 = minimize_chain(cap, p).value
+            v2 = minimize_chain(cap + 5, p).value
             assert v2 == pytest.approx(v1, rel=1e-9)
 
     def test_residual_recomputable_from_solution(self):
         for N, p in [(5, 0.2), (14, 0.08)]:
-            sol = oracles.certified(N, p)
+            sol = minimize_chain(N, p)
             assert _residual_ld(sol.entries.astype(LD), LD(p)) <= 1e-10
 
     def test_input_validation(self):
@@ -238,20 +238,24 @@ class TestMinimizeChain:
         with pytest.raises(ValueError, match="1/p overflows"):
             reduction._minimize_many([(10, 1e-3), (10, p)])
 
-    def test_nonconvergence_carries_best_iterate(self, monkeypatch):
-        monkeypatch.setattr(reduction, "STATIONARITY_TOL", 1e-300)
-        best = minimize_chain(10, 0.01)
-        assert best.converged is False
-        assert best.value < 100.0  # better than the trivially convergent point mass
+    def test_an_uncertified_root_raises(self, moved_roots):
+        # a root that fails its certificate is a bug, not a solution: the
+        # solve raises alone and inside a batch, where the point mass of
+        # p >= 1, which has no root to certify, does not hide it
+        with pytest.raises(RuntimeError, match="backward error"):
+            minimize_chain(10, 0.01)
+        with pytest.raises(RuntimeError, match="backward error"):
+            reduction._minimize_many([(7, 1.5), (10**9, 1e-9), (10, 0.01)])
+        assert minimize_chain(7, 1.5).support == 1
 
     def test_solution_serialization(self):
-        sol = oracles.certified(3, 1.0 / 3.0)
+        sol = minimize_chain(3, 1.0 / 3.0)
         doc = sol.to_dict()
         assert doc["n"] == 3 and doc["support"] == 2
         assert doc["value"] == pytest.approx(2.0 * SQRT3 - 1.0)
         assert doc["entries"] == pytest.approx([1.0 - 1.0 / SQRT3, 1.0 / SQRT3], rel=1e-9)
         assert "minimizer" not in doc
-        assert doc["converged"] is True
+        assert "converged" not in doc
         assert "oracle_gap" not in doc
 
 
@@ -270,12 +274,12 @@ def full_scan(N, p):
 
 
 def assert_matches_backward_oracle(got, want):
-    """Same support, values and entries within 1e-13, and converged wherever the oracle is."""
+    """Same support, values and entries within 1e-13, and residual <= 1e-10 wherever the oracle's is."""
     assert got.support == want.support
     assert abs(got.value - want.value) <= 1e-13 * abs(want.value)
     assert np.allclose(got.entries, want.entries, rtol=1e-13, atol=0)
-    if want.converged:
-        assert got.converged and got.stationarity_residual <= reduction.STATIONARITY_TOL
+    if want.stationarity_residual <= 1e-10:
+        assert got.stationarity_residual <= 1e-10
 
 
 def solver_columns(problems):
@@ -383,7 +387,7 @@ class TestBatchedSolve:
 
     def test_bit_identical_to_per_size_oracle(self):
         """Against the backward per-size oracle: same support, values and
-        entries within 1e-13 and converged wherever the oracle is, on fixed
+        entries within 1e-13 and residual <= 1e-10 wherever the oracle's is, on fixed
         cases, 80 random (N, p) and a seeded grid over 1e3..1e9.
 
         The name is historical: the backward solve, now the oracle, was
@@ -404,14 +408,32 @@ class TestBatchedSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = minimize_chain(10**9, 1e-9)
-        assert got.converged and got.support == 21
+        assert got.stationarity_residual <= 1e-10 and got.support == 21
         assert_matches_backward_oracle(got, oracles.minimize_by_support(10**9, 1e-9))
 
-        # the absolute residual certificate fails at 1e15, as before
-        got, want = minimize_chain(10**15, 1e-15), oracles.minimize_by_support(10**15, 1e-15)
-        assert got.converged is False and want.converged is False
+        # at 1e15 the absolute residual sits above 1e-10 on both sides, a
+        # rounding floor of about eps/p, and the solve is certified all the same
+        got = minimize_chain(10**15, 1e-15)
         assert got.support == 35
-        assert_matches_backward_oracle(got, want)
+        assert_matches_backward_oracle(got, oracles.minimize_by_support(10**15, 1e-15))
+
+    def test_every_winner_is_certified(self):
+        # each batch solves without raising: a 400-point grid over the float
+        # range, and prices just below the peak of every 10th size, where the
+        # right root sits next to the fold, with N at that size or past it
+        grid = geometric_grid(1e3, 1e300, 400)
+        sols = reduction._minimize_many([(n, 1.0 / n) for n in grid])
+        k = np.arange(7, 713, 10)
+        m = reduction._records(k)[k, 1]
+        near = [
+            (N, float(np.exp(-m_k) * (1 - delta)))
+            for size, m_k in zip(k.tolist(), m)
+            for delta in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3)
+            for N in (size, 10**9)
+        ]
+        sols += reduction._minimize_many(near)
+        assert len(sols) == len(grid) + len(near) == 1110
+        assert min(sol.support for sol in sols) >= 2
 
     @pytest.mark.parametrize(
         "n, support",
@@ -444,11 +466,10 @@ class TestBatchedSolve:
         cases += [(N, float(np.exp(-rng.uniform(N, 690)))) for N in rng.integers(30, 690, 24).tolist()]
         wants = oracles.minimize_all_sizes(cases)
         for (N, p), got, want in zip(cases, reduction._minimize_many(cases), wants):
-            assert (got.support, got.value, got.stationarity_residual, got.converged) == (
+            assert (got.support, got.value, got.stationarity_residual) == (
                 want.support,
                 want.value,
                 want.stationarity_residual,
-                want.converged,
             ), (N, p)
             assert np.array_equal(got.entries, want.entries), (N, p)
 
@@ -577,7 +598,7 @@ class TestSizeTable:
         for k in (2, 7, 40, 64):
             assert np.array_equal(_size_records(np.array([k]))[0], batch[k - 2]), k
         monkeypatch.setattr(reduction, "_table", reduction._table[:0])
-        assert oracles.certified(7, 4.0).support == 1  # ceil(ln(1/p)) + 2 < 2: no size to compute
+        assert minimize_chain(7, 4.0).support == 1  # ceil(ln(1/p)) + 2 < 2: no size to compute
         alone = reduction._records(np.array([40]))[40].copy()
         assert np.flatnonzero(~np.isnan(reduction._table[:, 1])).tolist() == [40]
         assert np.array_equal(alone, batch[38])
@@ -622,7 +643,7 @@ class TestShootingSolve:
             if min(N, 1.0 / p) <= 40:
                 cases.append((N, p))
         for N, p in cases:
-            sol = oracles.certified(N, p)
+            sol = minimize_chain(N, p)
             value, k = full_scan(N, p)
             assert sol.support == k, (N, p)
             assert abs(sol.value - value) <= 1e-13 * value, (N, p)
@@ -630,7 +651,7 @@ class TestShootingSolve:
     @pytest.mark.parametrize("N, steps", [(2, 1000), (3, 300), (4, 80), (5, 40)])
     def test_agrees_with_grid_oracle(self, N, steps):
         for p in (0.9, 1.0 / N, 0.05):
-            opt = oracles.certified(N, p).value
+            opt = minimize_chain(N, p).value
             grid = brute_force_oracle(N, p, steps)
             assert grid >= opt - 1e-9
             assert grid - opt <= 1e-4 * opt
@@ -638,7 +659,7 @@ class TestShootingSolve:
     def test_frozen_values_on_the_sweep_grid(self):
         assert [n for n, _, _ in self.FROZEN] == geometric_grid(1e3, 1e6, 8)
         for n, value, support in self.FROZEN:
-            sol = oracles.certified(n, 1.0 / n)
+            sol = minimize_chain(n, 1.0 / n)
             assert sol.support == support
             assert sol.value == pytest.approx(value, rel=1e-12)
             assert sol.stationarity_residual <= 1e-10
@@ -646,9 +667,9 @@ class TestShootingSolve:
     def test_entries_sum_to_one_and_certify(self):
         # a dense length-N vector at N = 10**12 would need 8 TB
         for N, p in [(50, 0.02), (10**12, 1e-7)]:
-            sol = oracles.certified(N, p)
+            sol = minimize_chain(N, p)
             assert sol.entries.sum() == pytest.approx(1.0, abs=1e-12)
-            assert sol.converged and sol.stationarity_residual <= 1e-10
+            assert sol.stationarity_residual <= 1e-10
             assert len(sol.to_dict()["entries"]) == sol.support
 
 
@@ -657,14 +678,14 @@ class TestMinimizeNoncyclic:
 
     def test_agrees_with_chain_route(self):
         for N, p in [(2, 0.5), (4, 0.25), (10, 0.07)]:
-            sol = oracles.certified(N, p)
+            sol = minimize_chain(N, p)
             windowed = t_noncyclic(sol.entries, p)
             assert windowed == pytest.approx(sol.value, rel=1e-9)
             assert abs(windowed - sol.value) / max(abs(sol.value), 1.0) <= 1e-9
 
     def test_price_one(self):
         # at p >= 1 the minimizer is the point mass, worth 1/p
-        sol = oracles.certified(4, 1.0)
+        sol = minimize_chain(4, 1.0)
         assert sol.value == pytest.approx(1.0, rel=1e-12)
         assert t_noncyclic(sol.entries, 1.0) == pytest.approx(1.0, rel=1e-12)
 
@@ -712,7 +733,7 @@ class TestBruteForceOracle:
             N = int(rng.integers(2, 5))
             p = float(rng.uniform(0.15, 1.2))
             grid = brute_force_oracle(N, p, 60, refinements=2)
-            opt = oracles.certified(N, p).value
+            opt = minimize_chain(N, p).value
             assert grid >= opt - 1e-9
             assert grid - opt <= 5e-3
 
@@ -727,19 +748,19 @@ class TestCyclicBruteforce:
 
     def test_two_entries(self):
         val = cyclic_bruteforce(2, 2000, refinements=3)
-        assert val == pytest.approx(oracles.certified(2, 0.5).value, abs=1e-3)
+        assert val == pytest.approx(minimize_chain(2, 0.5).value, abs=1e-3)
 
     def test_three_entries(self):
         val = cyclic_bruteforce(3, 300, refinements=3)
-        assert val == pytest.approx(oracles.certified(3, 1.0 / 3.0).value, abs=1e-2)
+        assert val == pytest.approx(minimize_chain(3, 1.0 / 3.0).value, abs=1e-2)
 
     def test_four_entries_loose(self):
         val = cyclic_bruteforce(4, 60, refinements=3)
-        assert val == pytest.approx(oracles.certified(4, 0.25).value, abs=1e-2)
+        assert val == pytest.approx(minimize_chain(4, 0.25).value, abs=1e-2)
 
     def test_never_below_the_reduced_minimum(self):
         for n, steps in ((2, 500), (3, 120)):
-            assert cyclic_bruteforce(n, steps, refinements=1) >= oracles.certified(n, 1.0 / n).value - 1e-9
+            assert cyclic_bruteforce(n, steps, refinements=1) >= minimize_chain(n, 1.0 / n).value - 1e-9
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
