@@ -33,7 +33,7 @@ from . import reduction
 from .errors import CycmaxError
 from .periodic import FLOAT, RATIONAL, PeriodicTuple, tuple_from_json
 from .reduction import brute_force_oracle, minimize_chain
-from .structure import IntervalPoset, average_table, build_poset
+from .structure import IntervalPoset, average_table, build_poset, full_maximal_start
 from .sums import RadiusTuple, diananda_sum, max_avg_sum, radii_from_json, sum_with_radii
 from .verify import run_suites
 
@@ -87,20 +87,17 @@ def analyze_warnings(poset: IntervalPoset) -> list[str]:
     return []
 
 
-def analyze_report(x: PeriodicTuple, poset: IntervalPoset) -> dict:
-    star = poset.full_maximal_start()
-    warnings = analyze_warnings(poset)
+def analyze_report(x: PeriodicTuple, poset: IntervalPoset, warnings: list[str]) -> dict:
+    """The ``analyze`` JSON document; ``warnings`` are ``analyze_warnings(poset)``."""
+    graph = poset.to_dict()
     return {
         "n": x.n,
         "backend": x.backend,
         "average": float(x.average),
-        "table": [[float(v) for v in row] for row in average_table(x)],
-        "m_intervals": [
-            {"start": r.start, "kappa": r.kappa, "average": float(r.average)}
-            for r in (poset.nodes[i] for i in sorted(poset.nodes))
-        ],
-        "full_maximal_start": star,
-        "poset": poset.to_dict(),
+        "table": average_table(x),
+        "m_intervals": graph["nodes"],
+        "full_maximal_start": full_maximal_start(x),
+        "poset": graph,
         "degenerate": bool(warnings),
         "warnings": warnings,
     }
@@ -115,7 +112,7 @@ def analyze_table_csv(x: PeriodicTuple, poset: IntervalPoset) -> str:
     """
     records = [poset.nodes[i] for i in sorted(poset.nodes)]
     marks = {(r.kappa + 1, r.start) for r in records}
-    star = poset.full_maximal_start()
+    star = full_maximal_start(x)
     table = average_table(x)
     lines = []
     header = ["r\\i"] + [f"{i}*" if i == star else str(i) for i in range(1, x.n + 1)]
@@ -140,7 +137,8 @@ def analyze_table_csv(x: PeriodicTuple, poset: IntervalPoset) -> str:
 def cmd_analyze(args) -> int:
     x = _load("tuple", args.tuple, tuple_from_json, args.backend)
     poset = build_poset(x)
-    for w in analyze_warnings(poset):
+    warnings = analyze_warnings(poset)
+    for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     with _printable():
         if args.format == "dot":
@@ -148,7 +146,7 @@ def cmd_analyze(args) -> int:
         elif args.format == "csv":
             text = analyze_table_csv(x, poset)
         else:
-            text = json.dumps(analyze_report(x, poset))
+            text = json.dumps(analyze_report(x, poset, warnings))
     print(text)
     return EXIT_OK
 

@@ -30,6 +30,10 @@ the denominator of every ``Fraction`` prefix sum of the entries, so the
 numbers grow no faster than summing ``Fraction`` objects would make them.
 Float comparisons divide, as a per-start scan does.  Exact predicates
 read a float tuple through its rational twin (``Fraction(float)`` is exact).
+
+``PeriodicTuple`` is the one place that checks an entry: it accepts real
+numbers (ints, floats, ``Fraction``s, numpy scalars) and converts each
+to the backend once.  ``tuple_from_json`` only reads the strings.
 """
 
 from __future__ import annotations
@@ -50,6 +54,9 @@ Number = Union[int, float, Fraction]
 
 FLOAT = "float"
 RATIONAL = "rational"
+
+# The entry types a tuple accepts; bool, although an int, is not one.
+_REAL = (int, float, Fraction, np.integer, np.floating)
 
 
 @dataclass(frozen=True)
@@ -80,9 +87,10 @@ class IndexInterval:
 class PeriodicTuple:
     """Nonnegative n-tuple with implicit n-periodic extension.
 
-    Values are either all floats or all ``Fraction`` (the rational
-    backend).  At least one entry must be positive, which keeps every
-    maximal average strictly positive.
+    Entries are finite real numbers, a bool excepted; they are stored
+    either all as floats or all as ``Fraction`` (the rational backend).
+    At least one entry must be positive, which keeps every maximal
+    average strictly positive.
     """
 
     __slots__ = ("n", "values", "backend", "_prefix3", "_den", "_profile", "_twin")
@@ -92,6 +100,9 @@ class PeriodicTuple:
         if not vals:
             raise CycmaxError("tuple must have at least one entry")
         for v in vals:
+            if isinstance(v, bool) or not isinstance(v, _REAL):
+                shown = json.dumps(v) if isinstance(v, bool) else repr(v)
+                raise CycmaxError(f"cannot interpret {shown} as a number")
             if isinstance(v, (float, np.floating)) and not math.isfinite(v):
                 raise CycmaxError(f"entries must be finite, got {v!r}")
         if backend is None:
@@ -320,30 +331,12 @@ def _exact_number(text: str) -> Fraction:
         raise CycmaxError(str(exc)) from None
 
 
-def parse_number(token, backend: str) -> Number:
-    """One tuple entry from JSON: a number, or a string like '7/3'.
-
-    Float tokens stay floats on the float backend; every other entry is
-    read exactly, and ``PeriodicTuple`` converts it to the backend.
-    """
-    if isinstance(token, bool):
-        raise CycmaxError(f"cannot interpret {json.dumps(token)} as a number")
-    if isinstance(token, str):
-        return _exact_number(token)
-    if isinstance(token, (int, Fraction)):
-        return Fraction(token)
-    if isinstance(token, float):
-        if not math.isfinite(token):
-            raise CycmaxError(f"entries must be finite, got {token!r}")
-        return token if backend == FLOAT else Fraction(str(token))
-    raise CycmaxError(f"cannot interpret {token!r} as a number")
-
-
 def tuple_from_json(text: str, backend: str = FLOAT) -> PeriodicTuple:
     """Parse {"values": [...]} into a PeriodicTuple.
 
     Under the rational backend, decimal literals are read exactly
-    (1.2 becomes 6/5) and strings "p/q" are accepted on both backends.
+    (1.2 becomes 6/5) and strings "p/q" are accepted on both backends;
+    every other entry goes to ``PeriodicTuple`` as JSON gave it.
     """
     try:
         doc = json.loads(text, parse_float=_exact_number if backend == RATIONAL else None)
@@ -356,7 +349,9 @@ def tuple_from_json(text: str, backend: str = FLOAT) -> PeriodicTuple:
     values = doc["values"]
     if not isinstance(values, list) or not values:
         raise CycmaxError('"values" must be a nonempty array')
-    return PeriodicTuple([parse_number(v, backend) for v in values], backend=backend)
+    return PeriodicTuple(
+        [_exact_number(v) if isinstance(v, str) else v for v in values], backend=backend
+    )
 
 
 def tuple_to_json(x: PeriodicTuple) -> str:

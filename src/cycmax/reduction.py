@@ -268,7 +268,7 @@ _LOG_MAX = LD(math.log(sys.float_info.max))
 # below n = 110), and _TAIL points out to the bracket top at the smallest
 # float price.  96 grid points bring a warm solve to 3 Newton passes, where
 # 48 take 4; 8, 16 and 32 tail points took the same passes.  ``_start``'s
-# binary search needs a size's z samples never to fall, which holds for
+# sample count needs a size's z samples never to fall, which holds for
 # every size 2..712 (tests pin it).
 _GRID = 96
 _TAIL = 16
@@ -329,21 +329,15 @@ def _records(k: np.ndarray) -> np.ndarray:
 def _start(table: np.ndarray, k: np.ndarray, log_p: np.ndarray) -> np.ndarray:
     """Newton start a of the right-branch root of size k at ln p.
 
-    Columns come grouped by k.  The root has z = sqrt(-m_k - ln p) > 0,
-    which lies above the first sample (the peak, z = 0) and at most at the
-    last (the bracket top at the smallest float price) wherever the size
-    has a root; one binary search per size finds the samples on either
-    side, since a size's z samples never fall, and ln a is interpolated
-    linearly in z between them.
+    The root has z = sqrt(-m_k - ln p) > 0, which lies above the first
+    sample (the peak, z = 0) and at most at the last (the bracket top at
+    the smallest float price) wherever the size has a root.  Since a
+    size's z samples never fall, the count of its samples below z is the
+    index of the first sample at or above it, and ln a is interpolated
+    linearly in z between that sample and the one before.
     """
     z = np.sqrt(-table[k, 1] - log_p)
-    j = np.empty(len(k), dtype=np.intp)
-    first = 0
-    for size, group in itertools.groupby(k.tolist()):
-        end = first + len(list(group))
-        j[first:end] = np.searchsorted(table[size, 2 : 2 + _SAMPLES], z[first:end])
-        first = end
-    j += 2
+    j = (table[k, 2 : 2 + _SAMPLES] < z[:, None]).sum(axis=1) + 2
     z0, z1, x0, x1 = (table[k, c] for c in (j - 1, j, j + _SAMPLES - 1, j + _SAMPLES))
     return np.exp(x0 + (x1 - x0) * (z - z0) / (z1 - z0))
 

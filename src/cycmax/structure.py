@@ -13,14 +13,14 @@ is the unique full-length class, whose average equals the period mean.
 Every object here is a lookup into one ``right_maximal_profile`` pass:
 the classes are its lengths, the Hasse parents are the starts that pop
 each class off its stack, and the majorizing rotation is the first
-argmin of its values.
+argmin of its values.  The window-average table, which ``analyze``
+prints, is read in floats straight off the prefix table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -76,10 +76,6 @@ class IntervalPoset:
         while self.parent[chain[-1]] is not None:
             chain.append(self.parent[chain[-1]])
         return chain
-
-    def full_maximal_start(self) -> int:
-        """Smallest start whose class average is least (the period mean)."""
-        return min(self.nodes, key=lambda i: (self.nodes[i].average, i))
 
     def is_tree(self) -> bool:
         return self.root is not None and sum(
@@ -145,7 +141,8 @@ def full_maximal_start(x: PeriodicTuple) -> int:
     one rotation whose every proper prefix sum stays below k times the
     period mean, with equality exactly at k = n.
     """
-    return build_poset(x).full_maximal_start()
+    values = right_maximal_profile(x).values
+    return values.index(min(values)) + 1
 
 
 def has_majorizing_prefixes(x: PeriodicTuple, start: int, strict: bool = True) -> bool:
@@ -208,16 +205,18 @@ def distinct_short_averages(x: PeriodicTuple) -> bool:
     return True
 
 
-def average_table(x: PeriodicTuple) -> list[list[Number]]:
-    """Averages of [i : i+r-1] for r = 1..n-1 (rows) and i = 1..n (columns).
+def average_table(x: PeriodicTuple) -> list[list[float]]:
+    """Averages of [i : i+r-1] for r = 1..n-1 (rows) and i = 1..n (columns), as floats.
 
-    Each cell is the prefix-sum difference divided by r, the same
-    operations as ``interval_average``; float rows are computed in numpy,
-    rational cells straight from the integer table.
+    Float rows take the prefix-sum difference divided by r in numpy, the
+    same operations as ``interval_average``.  A rational cell divides the
+    integer table sum by r times the common denominator; Python's int
+    division rounds correctly, so the cell is ``float`` of the exact
+    average, and it raises ``OverflowError`` where that would.
     """
     n = x.n
     if x.backend == FLOAT:
         p = np.array(x._prefix3)
         return [((p[r : r + n] - p[:n]) / r).tolist() for r in range(1, n)]
     p, den = x._prefix3, x._den
-    return [[Fraction(p[i + r] - p[i], r * den) for i in range(n)] for r in range(1, n)]
+    return [[(p[i + r] - p[i]) / (r * den) for i in range(n)] for r in range(1, n)]

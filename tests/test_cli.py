@@ -116,22 +116,17 @@ class TestAnalyzeGolden:
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
     def test_one_profile_pass_per_format(self, capsys, ref_path, monkeypatch, fmt):
-        import sys
-
         from cycmax import periodic
 
-        original = periodic.right_maximal_profile
+        # the pass itself, which ``right_maximal_profile`` runs once per tuple
+        original = periodic._rising_sun
         calls = []
 
         def counted(x):
             calls.append(x.n)
             return original(x)
 
-        for name, module in list(sys.modules.items()):
-            if name == "cycmax" or name.startswith("cycmax."):
-                for key, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, key, counted)
+        monkeypatch.setattr(periodic, "_rising_sun", counted)
         code, _, _ = run_cli(capsys, "analyze", "--format", fmt, ref_path)
         assert code == 0
         assert calls == [10]
@@ -295,6 +290,12 @@ BAD_INPUT = {
     "analyze-rational-exponent-literal": ["analyze", "--backend", "rational", "{exponent}"],
     "analyze-exponent-string": ["analyze", "{exponent_string}"],
     "sum-radii-nested": ["sum", "{ref}", "--radii", "{nested}"],
+    "analyze-array-entry": ["analyze", "{array_entry}"],
+    "analyze-rational-array-entry": ["analyze", "--backend", "rational", "{array_entry}"],
+    "analyze-null-entry": ["analyze", "{null_entry}"],
+    "analyze-rational-null-entry": ["analyze", "--backend", "rational", "{null_entry}"],
+    "analyze-object-entry": ["analyze", "{object_entry}"],
+    "analyze-rational-object-entry": ["analyze", "--backend", "rational", "{object_entry}"],
     "verify-negative-seed": ["verify", "--seed", "-1"],
     "verify-unknown-suite": ["verify", "--suite", "bogus"],
     "minimize-n-0": ["minimize", "--n", "0"],
@@ -322,6 +323,9 @@ def test_bad_input_exits_1_with_one_error_line(capsys, tmp_path, ref_path, case)
         ("nested", b"[" * 10**5 + b"]" * 10**5),
         ("exponent", b'{"values": [1e-1000000, 1]}'),
         ("exponent_string", b'{"values": ["1e-1000000", 1]}'),
+        ("array_entry", b'{"values": [[1], 2]}'),
+        ("null_entry", b'{"values": [null, 1]}'),
+        ("object_entry", b'{"values": [{"a": 1}, 1]}'),
         ("radii", json.dumps({"radii": [1] * len(REFERENCE)}).encode()),
         ("latin1", b'{"radii": [1], "note": "caf\xe9"}'),
     ]:

@@ -57,6 +57,17 @@ class TestPeriodicTuple:
         with pytest.raises(ValueError):
             PeriodicTuple([0, 0, 0])
 
+    def test_rejects_entries_that_are_not_real_numbers(self):
+        # a bool is an int to Python, but not an entry
+        with pytest.raises(CycmaxError, match="cannot interpret true as a number"):
+            PeriodicTuple([True, 2])
+        for bad in ([1], None, "2", {"a": 1}):
+            with pytest.raises(CycmaxError, match="cannot interpret"):
+                PeriodicTuple([bad, 2], backend="rational")
+        mixed = [1, 2.5, Fraction(1, 3), np.int64(4), np.float64(0.5)]
+        assert PeriodicTuple(mixed, backend="float").values == tuple(float(v) for v in mixed)
+        assert PeriodicTuple(mixed, backend="rational").values == tuple(Fraction(v) for v in mixed)
+
     def test_periodic_indexing(self, ref_float):
         assert ref_float.value(1) == 1.2
         assert ref_float.value(11) == 1.2
@@ -291,8 +302,8 @@ class TestJson:
     def test_rejects_boolean_entries(self, backend):
         with pytest.raises(CycmaxError, match="true"):
             tuple_from_json('{"values": [true, 2, false]}', backend)
-        with pytest.raises(CycmaxError):
-            periodic.parse_number(False, backend)
+        with pytest.raises(CycmaxError, match="false"):
+            PeriodicTuple([False, 1], backend=backend)
 
     @pytest.mark.parametrize(
         "entry", [str(10**400), '"1e400"', '"%d/3"' % 10**400], ids=["integer", "exponent", "ratio"]
@@ -308,11 +319,11 @@ class TestJson:
         # Python sets on integer literals; one past it is rejected at once
         limit = sys.get_int_max_str_digits()
         assert tuple_from_json('{"values": [1e300, 1]}', "rational").values[0] == 10**300
-        assert periodic.parse_number("1e300", "float") == 10**300
-        assert periodic.parse_number("25e-%d" % limit, "rational") == Fraction(25, 10**limit)
+        assert periodic._exact_number("1e300") == 10**300
+        assert periodic._exact_number("25e-%d" % limit) == Fraction(25, 10**limit)
         # an exponent of more digits than the limit fails as the int literal would
         for text, match in [("1e%d" % (limit + 1), "exponent"), ("1e-1000000", "exponent"), ("1e" + "9" * 5000, "limit")]:
             with pytest.raises(CycmaxError, match=match):
-                periodic.parse_number(text, "rational")
+                periodic._exact_number(text)
             with pytest.raises(CycmaxError, match=match):
                 tuple_from_json('{"values": [%s, 1]}' % text, "rational")
