@@ -41,7 +41,7 @@ def main() -> int:
 
     i_star = full_maximal_start(x)
     print(f"\nmajorizing rotation starts at {i_star}; strict prefix domination:",
-          has_majorizing_prefixes(x, i_star, strict=True))
+          has_majorizing_prefixes(x, i_star))
 
     res = max_avg_sum(x)
     print(f"maximal-average sum = {res.value:.12f}")

@@ -13,7 +13,7 @@ Library layout:
 * ``errors``      ``CycmaxError``, the ``ValueError`` raised on bad input
 """
 
-from .errors import CycmaxError, IllConditionedFit, InadmissiblePair
+from .errors import CycmaxError
 from .periodic import (
     IndexInterval,
     PeriodicTuple,
@@ -55,8 +55,6 @@ from .asymptotics import (
 __all__ = [
     "A_REFERENCE",
     "CycmaxError",
-    "IllConditionedFit",
-    "InadmissiblePair",
     "IndexInterval",
     "IntervalPoset",
     "MIntervalRecord",

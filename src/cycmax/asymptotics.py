@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CycmaxError, IllConditionedFit
+from .errors import CycmaxError
 from .reduction import _minimize_many, cyclic_price
 
 A_REFERENCE = 1.70465603718
@@ -45,18 +45,17 @@ class SweepRecord:
 
 
 def sweep(n_values: Sequence[int]) -> list[SweepRecord]:
-    """Solve a sorted list of n values at price 1/n each.
+    """Solve a list of n values, in any order, at price 1/n each.
 
     All n are solved together: the right branch of each of the four
     support sizes around ln n of every n is a column of a single batched
     root solve (the left branch never wins), and each n keeps its own
-    lowest value, the same result as ``minimize_chain(n, 1/n)``.
+    lowest value, the same result as ``minimize_chain(n, 1/n)``.  No n
+    depends on another, so the records follow the order of ``n_values``.
     """
     values = list(n_values)
     if not values:
         raise CycmaxError("n_values must be nonempty")
-    if values != sorted(values):
-        raise CycmaxError("n values must be sorted ascending")
 
     records = []
     for n, sol in zip(values, _minimize_many([(n, cyclic_price(n)) for n in values])):
@@ -92,14 +91,6 @@ def geometric_grid(lo: float, hi: float, points: int) -> list[int]:
     return out
 
 
-@dataclass
-class FitDiagnostics:
-    slope: float
-    residual_norm: float
-    n_points: int
-    regressor_spread: float
-
-
 # Smallest n whose record enters the fit of the constant.
 FIT_MIN_N = 100
 
@@ -107,11 +98,11 @@ FIT_MIN_N = 100
 FIT_MIN_SPREAD = 1e-3
 
 
-def estimate_constant_a(records: Iterable[SweepRecord]) -> tuple[float, FitDiagnostics]:
-    """Intercept of the least-squares fit deficit = a - c / log(n).
+def estimate_constant_a(records: Iterable[SweepRecord]) -> float:
+    """Intercept a of the least-squares fit deficit = a - c / log(n).
 
     Uses records with n >= FIT_MIN_N (at least four are required).
-    Raises IllConditionedFit when the regressor 1/log(n) is too clustered
+    Raises ``CycmaxError`` when the regressor 1/log(n) is too clustered
     for the intercept to be trustworthy.
     """
     pts = [r for r in records if r.n >= FIT_MIN_N]
@@ -121,19 +112,11 @@ def estimate_constant_a(records: Iterable[SweepRecord]) -> tuple[float, FitDiagn
     deficits = np.array([r.deficit for r in pts])
     spread = float(regressor.max() - regressor.min())
     if spread < FIT_MIN_SPREAD:
-        raise IllConditionedFit(
+        raise CycmaxError(
             f"regressor spread {spread:.3e} below {FIT_MIN_SPREAD:.3e}"
         )
     design = np.column_stack([np.ones_like(regressor), -regressor])
-    coef, res, _, _ = np.linalg.lstsq(design, deficits, rcond=None)
-    a_hat, slope = float(coef[0]), float(coef[1])
-    residual_norm = float(np.linalg.norm(design @ coef - deficits))
-    return a_hat, FitDiagnostics(
-        slope=slope,
-        residual_norm=residual_norm,
-        n_points=len(pts),
-        regressor_spread=spread,
-    )
+    return float(np.linalg.lstsq(design, deficits, rcond=None)[0][0])
 
 
 def records_to_csv(records: Iterable[SweepRecord], a_hat: Optional[float] = None) -> str:

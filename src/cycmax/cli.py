@@ -196,7 +196,7 @@ def cmd_minimize(args) -> int:
 
 def cmd_sweep(args) -> int:
     records = sweep(geometric_grid(args.start, args.stop, args.points))
-    a_hat = estimate_constant_a(records)[0] if args.estimate_a else None
+    a_hat = estimate_constant_a(records) if args.estimate_a else None
     sys.stdout.write(records_to_csv(records, a_hat))
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""The one exception type of the package.
 
 Every input the package rejects raises ``CycmaxError``.  It subclasses
 ``ValueError``, so callers that catch ``ValueError`` keep working.  The
@@ -10,10 +10,3 @@ with exit code 1.
 class CycmaxError(ValueError):
     """Bad input: a value, tuple, file or option that the package rejects."""
 
-
-class InadmissiblePair(CycmaxError):
-    """A sum was requested whose denominator vanishes."""
-
-
-class IllConditionedFit(CycmaxError):
-    """Regression abscissas too clustered to extract an intercept."""

@@ -179,42 +179,11 @@ class PeriodicTuple:
         return Fraction(s, r * self._den)
 
     @property
-    def total(self) -> Number:
-        return self._ratio(self._prefix3[self.n], 1)
-
-    @property
     def average(self) -> Number:
         return self._ratio(self._prefix3[self.n], self.n)
 
-    def value(self, i: int) -> Number:
-        """Entry at any integer index, via periodic extension."""
-        return self.values[(i - 1) % self.n]
-
-    def prefix(self, k: int) -> Number:
-        """Sum of entries at indices 1..k for any integer k (0 for k=0)."""
-        return self._ratio(self._table(k), 1)
-
-    def rotated(self, start: int) -> "PeriodicTuple":
-        """The rotation beginning at index ``start``."""
-        return PeriodicTuple(
-            [self.value(start + j) for j in range(self.n)], backend=self.backend
-        )
-
-    def scaled(self, t: Number) -> "PeriodicTuple":
-        return PeriodicTuple([v * t for v in self.values], backend=self.backend)
-
     def __repr__(self) -> str:
         return f"PeriodicTuple({list(self.values)!r}, backend={self.backend!r})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PeriodicTuple)
-            and self.backend == other.backend
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.backend, self.values))
 
 
 def interval_average(x: PeriodicTuple, interval: IndexInterval) -> Number:
@@ -353,10 +322,3 @@ def tuple_from_json(text: str, backend: str = FLOAT) -> PeriodicTuple:
         [_exact_number(v) if isinstance(v, str) else v for v in values], backend=backend
     )
 
-
-def tuple_to_json(x: PeriodicTuple) -> str:
-    if x.backend == RATIONAL:
-        vals = [str(v) if v.denominator != 1 else int(v) for v in x.values]
-    else:
-        vals = list(x.values)
-    return json.dumps({"values": vals})

@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CycmaxError, InadmissiblePair
+from .errors import CycmaxError
 
 LD = np.longdouble
 
@@ -71,7 +71,7 @@ def t_chain(x: Sequence, p) -> float:
         if x[i] == 0:
             continue
         if x[i + 1] == 0:
-            raise InadmissiblePair(f"positive entry at {i} followed by zero")
+            raise CycmaxError(f"positive entry at {i} followed by zero")
         total += x[i] / x[i + 1]
     return total + x[-1] / p
 
@@ -100,7 +100,7 @@ def t_noncyclic(x: Sequence, p) -> float:
             if best is None or avg > best:
                 best = avg
         if best == 0:
-            raise InadmissiblePair(f"positive entry at {i} with zero forward window")
+            raise CycmaxError(f"positive entry at {i} with zero forward window")
         total += x[i] / best
     return total + x[-1] / p
 
@@ -462,15 +462,15 @@ def _solution(N: int, p: float, x: np.ndarray, value) -> ReducedSolution:
     """The solution with longdouble support entries x.
 
     The residual is the projected residual of x, the entries as rounded
-    once from 40 digits, before they are rounded to doubles and renormalized.
+    once from 40 digits.  Each entry is then rounded once more, to the
+    nearest double, and not renormalized: the doubles sum to 1 within a
+    few units of the last place.
     """
-    entries = np.asarray(x, dtype=float)
-    entries /= entries.sum()
     return ReducedSolution(
         N=N,
         p=p,
         value=float(value),
-        entries=entries,
+        entries=np.asarray(x, dtype=float),
         stationarity_residual=_residual_ld(x, LD(p)),
     )
 
@@ -646,6 +646,9 @@ def _refine_box(center: np.ndarray, width: float, per_dim: int, evaluate) -> tup
 # Grid points per local refinement box of the grid oracles.
 _BOX_BUDGET = 200_000
 
+# Local refinements of the grid oracles after their first grid.
+_REFINEMENTS = 3
+
 
 def _per_dim_budget(n_free: int) -> int:
     if n_free <= 0:
@@ -654,18 +657,18 @@ def _per_dim_budget(n_free: int) -> int:
     return max(9, min(m, 61))
 
 
-def _grid_search(X: np.ndarray, evaluate, grid_steps: int, refinements: int) -> float:
+def _grid_search(X: np.ndarray, evaluate, grid_steps: int) -> float:
     """Least value of ``evaluate`` over the grid rows X, then refined locally.
 
-    Each refinement searches a box around the incumbent, two cells of the
-    previous grid wide on each side.
+    Each of the ``_REFINEMENTS`` refinements searches a box around the
+    incumbent, two cells of the previous grid wide on each side.
     """
     vals = evaluate(X)
     idx = int(np.argmin(vals))
     center, best = X[idx], float(vals[idx])
     width = 2.0 / grid_steps
     per_dim = _per_dim_budget(X.shape[1] - 1)
-    for _ in range(refinements):
+    for _ in range(_REFINEMENTS):
         cand, val, cell = _refine_box(center, width, per_dim, evaluate)
         if val < best:
             best, center = val, cand
@@ -673,9 +676,10 @@ def _grid_search(X: np.ndarray, evaluate, grid_steps: int, refinements: int) -> 
     return best
 
 
-def brute_force_oracle(N: int, p: float, grid_steps: int, refinements: int = 3) -> float:
+def brute_force_oracle(N: int, p: float, grid_steps: int) -> float:
     """Nested uniform grid search for the chain minimum over the simplex.
 
+    A grid of step 1/grid_steps, then ``_REFINEMENTS`` local refinements.
     Independent of the log-coordinate optimizer; cost grows like
     grid_steps^(N-1), so this is a small-N verification tool.
     """
@@ -686,7 +690,7 @@ def brute_force_oracle(N: int, p: float, grid_steps: int, refinements: int = 3) 
     if N == 1:
         return 1.0 / p
     X = _compositions(grid_steps, N).astype(float) / grid_steps
-    return _grid_search(X, lambda Y: _chain_values(Y, p), grid_steps, refinements)
+    return _grid_search(X, lambda Y: _chain_values(Y, p), grid_steps)
 
 
 def max_sum_values(X: np.ndarray) -> np.ndarray:
@@ -705,13 +709,13 @@ def max_sum_values(X: np.ndarray) -> np.ndarray:
     return total
 
 
-def cyclic_bruteforce(n: int, grid_steps: int, refinements: int = 2) -> float:
+def cyclic_bruteforce(n: int, grid_steps: int) -> float:
     """Grid lower-envelope search for the cyclic maximal-average minimum.
 
     Enumerates simplex grid points with the largest coordinate first
     (each rotation orbit contributes one such representative), then
-    refines locally.  Returns the best value found, an upper bound on
-    the true infimum.
+    refines locally ``_REFINEMENTS`` times.  Returns the best value found,
+    an upper bound on the true infimum.
     """
     if n < 1:
         raise CycmaxError("n must be positive")
@@ -722,4 +726,4 @@ def cyclic_bruteforce(n: int, grid_steps: int, refinements: int = 2) -> float:
     comp = _compositions(grid_steps, n)
     keep = comp[:, 0] == comp.max(axis=1)
     X = comp[keep].astype(float) / grid_steps
-    return _grid_search(X, max_sum_values, grid_steps, refinements)
+    return _grid_search(X, max_sum_values, grid_steps)

@@ -145,8 +145,8 @@ def full_maximal_start(x: PeriodicTuple) -> int:
     return values.index(min(values)) + 1
 
 
-def has_majorizing_prefixes(x: PeriodicTuple, start: int, strict: bool = True) -> bool:
-    """Check the prefix-sum domination property for one rotation.
+def has_majorizing_prefixes(x: PeriodicTuple, start: int) -> bool:
+    """Whether each proper prefix sum of the rotation at ``start`` is below k times the mean.
 
     ``partial < k * mean`` is tested exactly as ``partial * n < k * total``
     on the integer prefix table of the rational twin.
@@ -156,7 +156,7 @@ def has_majorizing_prefixes(x: PeriodicTuple, start: int, strict: bool = True) -
     left = x._table(start - 1)
     for k in range(1, n):
         partial = (x._table(start + k - 1) - left) * n
-        if partial > k * total or (strict and partial == k * total):
+        if partial >= k * total:
             return False
     return True
 

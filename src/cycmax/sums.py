@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CycmaxError, InadmissiblePair
+from .errors import CycmaxError
 from .periodic import (
     FLOAT,
     IndexInterval,
@@ -44,10 +44,6 @@ class RadiusTuple:
     @classmethod
     def constant(cls, n: int, k: int) -> "RadiusTuple":
         return cls(tuple([k] * n))
-
-    def rotated(self, start: int) -> "RadiusTuple":
-        n = len(self.radii)
-        return RadiusTuple(tuple(self.radii[(start - 1 + j) % n] for j in range(n)))
 
     def __len__(self) -> int:
         return len(self.radii)
@@ -80,22 +76,6 @@ class SubsetCollectionSystem:
                 cleaned[idx] = None
             canon.append(tuple(cleaned))
         self.collections = tuple(canon)
-
-    @classmethod
-    def right_windows(cls, n: int) -> "SubsetCollectionSystem":
-        """The system whose i-th collection holds the windows starting at i.
-
-        Windows [i : i+r-1] mod n for r = 1..n; the full window is the
-        whole index set.  With this system the generalized sum uses the
-        right maximal value at i itself (no forward shift).
-        """
-        collections = []
-        for i in range(1, n + 1):
-            subsets = []
-            for r in range(1, n + 1):
-                subsets.append([(i - 1 + j) % n + 1 for j in range(r)])
-            collections.append(subsets)
-        return cls(collections)
 
     def max_subset_average(self, x: PeriodicTuple, i: int) -> Fraction:
         """Largest subset average in the i-th collection (the first on ties).
@@ -134,7 +114,7 @@ def sum_with_radii(x: PeriodicTuple, r: RadiusTuple) -> Number:
             q, rest = divmod(length, n)
             denom = math.fsum([q * period, *(x.values[(i + j) % n] for j in range(rest))]) / length
         if denom == 0:
-            raise InadmissiblePair(
+            raise CycmaxError(
                 f"window of length {length} after index {i} sums to zero"
             )
         total += x.values[i - 1] / denom
@@ -184,7 +164,7 @@ def generalized_max_sum(x: PeriodicTuple, system: SubsetCollectionSystem) -> Num
     for i in range(1, x.n + 1):
         m = system.max_subset_average(x, i)
         if m == 0:
-            raise InadmissiblePair(f"all subset averages at index {i} are zero")
+            raise CycmaxError(f"all subset averages at index {i} are zero")
         total += x.values[i - 1] / m
     return total
 

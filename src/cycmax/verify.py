@@ -270,7 +270,7 @@ def suite_rotation(rng: np.random.Generator) -> list[CheckResult]:
     bad = 0
     for _ in range(200):
         x = _random_rational_tuple(rng)
-        hits = [i for i in range(1, x.n + 1) if has_majorizing_prefixes(x, i, strict=True)]
+        hits = [i for i in range(1, x.n + 1) if has_majorizing_prefixes(x, i)]
         if len(hits) != 1 or hits[0] != full_maximal_start(x):
             bad += 1
     return [
@@ -384,8 +384,8 @@ def suite_reduced(rng: np.random.Generator) -> list[CheckResult]:
 def suite_reduction(rng: np.random.Generator) -> list[CheckResult]:
     results = []
     gaps = []
-    for n, steps, refinements in ((1, 10, 0), (2, 2000, 3), (3, 300, 3)):
-        grid_val = cyclic_bruteforce(n, steps, refinements)
+    for n, steps in ((1, 10), (2, 2000), (3, 300)):
+        grid_val = cyclic_bruteforce(n, steps)
         chain_val = minimize_chain(n, 1.0 / n).value
         gaps.append(abs(grid_val - chain_val))
         if grid_val < chain_val - 1e-9:

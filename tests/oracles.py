@@ -25,20 +25,27 @@ from cycmax import reduction
 from cycmax.reduction import LD, ReducedSolution, _value_ld
 from cycmax.periodic import Profile
 from cycmax.structure import MIntervalRecord
+from cycmax.sums import SubsetCollectionSystem
 
 
 def scan_right_maximal(x, i: int):
     """Largest window average at left end i and the smallest length attaining it.
 
     Windows are [i : i+r-1] for r = 1..n; strict comparison keeps the
-    first (shortest) maximizer.  Window sums are the same prefix-table
-    differences the pass reads, so float results are comparable bit for bit.
+    first (shortest) maximizer.  Window sums are differences of prefix
+    sums of ``x.values``, added up here as the package adds up its table
+    (running sums over one period, then the period sum plus each), so
+    float results are comparable bit for bit.
     """
-    i0 = (i - 1) % x.n + 1
-    left = x.prefix(i0 - 1)
+    n = x.n
+    prefix = [0 * x.values[0]]
+    for v in x.values:
+        prefix.append(prefix[-1] + v)
+    prefix += [prefix[n] + s for s in prefix[1:]]
+    i0 = (i - 1) % n
     best, best_r = None, 0
-    for r in range(1, x.n + 1):
-        avg = (x.prefix(i0 + r - 1) - left) / r
+    for r in range(1, n + 1):
+        avg = (prefix[i0 + r] - prefix[i0]) / r
         if best is None or avg > best:
             best, best_r = avg, r
     return best, best_r
@@ -155,19 +162,26 @@ def fraction_distinct_short_averages(x) -> bool:
     return len(seen) == count
 
 
-def fraction_has_majorizing_prefixes(x, start: int, strict: bool = True) -> bool:
-    """Every proper prefix sum of the rotation at ``start`` below (or at) k times the mean."""
+def fraction_has_majorizing_prefixes(x, start: int) -> bool:
+    """Every proper prefix sum of the rotation at ``start`` below k times the mean."""
     p = fraction_prefix3(x)
     mean = p[x.n] / x.n
     left = _fraction_prefix(x, p, start - 1)
     for k in range(1, x.n):
-        partial = _fraction_prefix(x, p, start + k - 1) - left
-        if strict:
-            if partial >= k * mean:
-                return False
-        elif partial > k * mean:
+        if _fraction_prefix(x, p, start + k - 1) - left >= k * mean:
             return False
     return True
+
+
+def right_window_system(n: int):
+    """The system whose i-th collection holds the windows [i : i+r-1] mod n, r = 1..n.
+
+    With it the generalized sum divides by the right maximal value at i
+    itself, not at i + 1.
+    """
+    return SubsetCollectionSystem(
+        [[[(i - 1 + j) % n + 1 for j in range(r)] for r in range(1, n + 1)] for i in range(1, n + 1)]
+    )
 
 
 def fraction_max_subset_average(system, x, i: int) -> Fraction:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cycmax import (
-    IllConditionedFit,
+    CycmaxError,
     PeriodicTuple,
     estimate_constant_a,
     max_avg_sum,
@@ -89,13 +89,22 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([])
         with pytest.raises(ValueError):
-            sweep([3, 2])
-        with pytest.raises(ValueError):
             sweep([0, 2])
         with pytest.raises(ValueError, match="float range"):
             sweep([10**400])
         with pytest.raises(ValueError, match="float range"):
             sweep([10, 10**400])
+
+    def test_any_order_gives_each_n_its_sorted_record(self):
+        ns = geometric_grid(1e3, 1e6, 20)
+        shuffled = list(ns)
+        random.Random(0).shuffle(shuffled)
+        assert shuffled != ns
+        by_n = {rec.n: rec for rec in sweep(ns)}
+        records = sweep(shuffled)
+        assert [rec.n for rec in records] == shuffled
+        for rec in records:
+            assert rec == by_n[rec.n], rec.n
 
     def test_warm_start_keeps_results_deterministic(self):
         a = sweep([50, 100, 200])
@@ -230,20 +239,24 @@ class TestGeometricGrid:
 
 class TestEstimateConstant:
     def test_exact_model_recovery(self):
+        # the data lie on the model, so the intercept is exact and the
+        # fitted line passes through every point
         recs = synthetic_records([100, 1000, 10**4, 10**5, 10**6], A_REFERENCE, 2.7)
-        a_hat, diag = estimate_constant_a(recs)
+        a_hat = estimate_constant_a(recs)
         assert a_hat == pytest.approx(A_REFERENCE, abs=1e-12)
-        assert diag.slope == pytest.approx(2.7, abs=1e-10)
-        assert diag.residual_norm <= 1e-12
-        assert diag.n_points == 5
+        for rec in recs:
+            assert a_hat - 2.7 / math.log(rec.n) == pytest.approx(rec.deficit, abs=1e-12)
 
     def test_small_n_records_are_ignored(self):
-        recs = synthetic_records([10, 50, 1000, 10**4, 10**5, 10**6], 1.5, 1.0)
-        recs[0].deficit = 99.0
-        recs[1].deficit = -99.0
-        a_hat, diag = estimate_constant_a(recs)
-        assert diag.n_points == 4
+        # records below FIT_MIN_N = 100 leave the fit; n = 100 enters it
+        recs = synthetic_records([10, 50, 99, 100, 1000, 10**4, 10**5, 10**6], 1.5, 1.0)
+        a_hat = estimate_constant_a(recs)
         assert a_hat == pytest.approx(1.5, abs=1e-10)
+        for rec, poison in zip(recs[:3], (99.0, -99.0, 1e6)):
+            rec.deficit = poison
+        assert estimate_constant_a(recs) == a_hat
+        recs[3].deficit = 99.0
+        assert estimate_constant_a(recs) != pytest.approx(a_hat, abs=1e-3)
 
     def test_requires_four_points(self):
         recs = synthetic_records([1000, 10**4, 10**5], 1.7, 1.0)
@@ -252,7 +265,7 @@ class TestEstimateConstant:
 
     def test_ill_conditioned_when_clustered(self):
         recs = synthetic_records([10**6, 10**6 + 1, 10**6 + 2, 10**6 + 3], 1.7, 1.0)
-        with pytest.raises(IllConditionedFit):
+        with pytest.raises(CycmaxError, match="regressor spread .* below 1.000e-03"):
             estimate_constant_a(recs)
 
     def test_two_point_extrapolation_consistency(self):

@@ -43,6 +43,18 @@ def test_the_cli_catches_no_value_error():
     assert found == []
 
 
+def test_no_module_subclasses_the_package_error():
+    # one error type: a caller catches CycmaxError and the CLI reports it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).rsplit(".", 1)[-1] == "CycmaxError" for base in node.bases)
+    ]
+    assert found == []
+
+
 def test_no_module_asserts():
     # ``python -O`` strips assert statements, and with them any check made by one
     found = [

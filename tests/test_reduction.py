@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cycmax import (
-    InadmissiblePair,
+    CycmaxError,
     brute_force_oracle,
     cyclic_bruteforce,
     minimize_chain,
@@ -63,7 +63,7 @@ class TestChainObjective:
         assert t_chain([0.0, 0.0, 0.5, 0.5], 0.5) == pytest.approx(1.0 + 1.0)
 
     def test_positive_followed_by_zero_raises(self):
-        with pytest.raises(InadmissiblePair):
+        with pytest.raises(CycmaxError, match="positive entry at 0 followed by zero"):
             t_chain([0.5, 0.0, 0.5], 1.0)
 
     def test_rejects_nonpositive_p(self):
@@ -94,7 +94,7 @@ class TestWindowedObjective:
         assert t_noncyclic(x, 1.0) == pytest.approx(expected, rel=1e-14)
 
     def test_positive_entry_with_zero_window(self):
-        with pytest.raises(InadmissiblePair):
+        with pytest.raises(CycmaxError, match="positive entry at 0 with zero forward window"):
             t_noncyclic([0.5, 0.0, 0.0], 1.0)  # nonzero then zeros
 
     @given(simplex_points(), st.floats(0.05, 2.0))
@@ -720,11 +720,11 @@ class TestBruteForceOracle:
         assert brute_force_oracle(1, 0.7, 100) == pytest.approx(1.0 / 0.7)
 
     def test_two_coordinates_match_closed_form(self):
-        val = brute_force_oracle(2, 0.5, 1000, refinements=3)
+        val = brute_force_oracle(2, 0.5, 1000)
         assert val == pytest.approx(2.0 * SQRT2 - 1.0, abs=1e-4)
 
     def test_three_coordinates_match_closed_form(self):
-        val = brute_force_oracle(3, 1.0 / 3.0, 300, refinements=3)
+        val = brute_force_oracle(3, 1.0 / 3.0, 300)
         assert val == pytest.approx(2.0 * SQRT3 - 1.0, abs=1e-4)
 
     def test_upper_bounds_the_optimizer(self):
@@ -732,7 +732,7 @@ class TestBruteForceOracle:
         for _ in range(6):
             N = int(rng.integers(2, 5))
             p = float(rng.uniform(0.15, 1.2))
-            grid = brute_force_oracle(N, p, 60, refinements=2)
+            grid = brute_force_oracle(N, p, 60)
             opt = minimize_chain(N, p).value
             assert grid >= opt - 1e-9
             assert grid - opt <= 5e-3
@@ -747,20 +747,20 @@ class TestCyclicBruteforce:
         assert cyclic_bruteforce(1, 50) == 1.0
 
     def test_two_entries(self):
-        val = cyclic_bruteforce(2, 2000, refinements=3)
+        val = cyclic_bruteforce(2, 2000)
         assert val == pytest.approx(minimize_chain(2, 0.5).value, abs=1e-3)
 
     def test_three_entries(self):
-        val = cyclic_bruteforce(3, 300, refinements=3)
+        val = cyclic_bruteforce(3, 300)
         assert val == pytest.approx(minimize_chain(3, 1.0 / 3.0).value, abs=1e-2)
 
     def test_four_entries_loose(self):
-        val = cyclic_bruteforce(4, 60, refinements=3)
+        val = cyclic_bruteforce(4, 60)
         assert val == pytest.approx(minimize_chain(4, 0.25).value, abs=1e-2)
 
     def test_never_below_the_reduced_minimum(self):
         for n, steps in ((2, 500), (3, 120)):
-            assert cyclic_bruteforce(n, steps, refinements=1) >= minimize_chain(n, 1.0 / n).value - 1e-9
+            assert cyclic_bruteforce(n, steps) >= minimize_chain(n, 1.0 / n).value - 1e-9
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
@@ -783,9 +783,9 @@ class TestVectorizedEvaluators:
 
     def test_grid_oracles_frozen(self):
         # The row order decides the argmin, hence the refinement centre.
-        assert cyclic_bruteforce(2, 2000, 3) == 1.8284271247461936
-        assert cyclic_bruteforce(3, 300, 3) == 2.464101615137865
-        assert brute_force_oracle(5, 0.3, 12, 2) == 2.651490514905149
+        assert cyclic_bruteforce(2, 2000) == 1.8284271247461936
+        assert cyclic_bruteforce(3, 300) == 2.464101615137865
+        assert brute_force_oracle(5, 0.3, 12) == 2.6514841849148416
 
     def test_max_sum_values_match_scalar_evaluator(self):
         rng = np.random.default_rng(21)

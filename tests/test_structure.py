@@ -53,7 +53,7 @@ def random_generic_rational(rng, min_n=3, max_n=12):
 
 def brute_majorizing_starts(x):
     """All rotation starts whose proper prefix sums stay strictly below the mean line."""
-    return [i for i in range(1, x.n + 1) if has_majorizing_prefixes(x, i, strict=True)]
+    return [i for i in range(1, x.n + 1) if has_majorizing_prefixes(x, i)]
 
 
 class TestMInterval:
@@ -106,7 +106,7 @@ class TestMajorizingRotation:
         i_star = full_maximal_start(ref_rational)
         assert i_star == 9
         mean = ref_rational.average
-        rotation = [ref_rational.value(9 + j) for j in range(10)]
+        rotation = [ref_rational.values[(8 + j) % 10] for j in range(10)]
         assert rotation == [
             Fraction(11, 10), Fraction(5, 2), Fraction(6, 5), Fraction(23, 10),
             Fraction(7, 2), Fraction(9, 5), Fraction(8, 5), Fraction(12, 5),
@@ -121,8 +121,8 @@ class TestMajorizingRotation:
     def test_constant_boundary_case(self):
         x = PeriodicTuple([2.0] * 5)
         assert full_maximal_start(x) == 1
-        assert not has_majorizing_prefixes(x, 1, strict=True)
-        assert all(has_majorizing_prefixes(x, i, strict=False) for i in range(1, 6))
+        # every proper prefix sum meets the mean line, so no start qualifies
+        assert not any(has_majorizing_prefixes(x, i) for i in range(1, 6))
 
     def test_exactly_one_strict_rotation(self):
         rng = np.random.default_rng(23)
@@ -355,12 +355,11 @@ class TestExactKernel:
             n = y.n
             assert distinct_short_averages(y) == oracles.fraction_distinct_short_averages(y)
             for start in range(1 - n, 2 * n + 1):
-                for strict in (True, False):
-                    assert has_majorizing_prefixes(y, start, strict) == (
-                        oracles.fraction_has_majorizing_prefixes(y, start, strict)
-                    )
+                assert has_majorizing_prefixes(y, start) == (
+                    oracles.fraction_has_majorizing_prefixes(y, start)
+                )
 
-            for system in (SubsetCollectionSystem.right_windows(n), data.draw(subset_systems(n))):
+            for system in (oracles.right_window_system(n), data.draw(subset_systems(n))):
                 for i in range(1, n + 1):
                     got = system.max_subset_average(y, i)
                     assert type(got) is Fraction
@@ -372,7 +371,7 @@ class TestExactKernel:
         # rounded float averages collide; the binary values themselves do not
         x = PeriodicTuple(values)
         assert distinct_short_averages(x) is True
-        system = SubsetCollectionSystem.right_windows(x.n)
+        system = oracles.right_window_system(x.n)
         got = system.max_subset_average(x, 1)
         assert got == oracles.fraction_max_subset_average(system, x, 1)
         assert float(got) == first_max
@@ -396,7 +395,8 @@ class TestExactKernel:
         assert x._den == 12
         assert x._prefix3[:5] == [0, 2, 11, 11, 35]
         assert all(type(v) is int for v in x._prefix3)
-        assert x.total == Fraction(35, 12) and x.average == Fraction(35, 48)
-        assert [x.prefix(k) for k in (-1, 0, 5, 13)] == [
-            Fraction(-2), 0, Fraction(35, 12) + Fraction(1, 6), Fraction(35, 4) + Fraction(1, 6)
+        assert x.average * x.n == Fraction(35, 12) and x.average == Fraction(35, 48)
+        # window sums across the period start, into the second period and past the third
+        assert [interval_average(x, IndexInterval(a, b)) * (b - a + 1) for a, b in ((0, 0), (1, 5), (1, 13))] == [
+            Fraction(2), Fraction(35, 12) + Fraction(1, 6), Fraction(35, 4) + Fraction(1, 6)
         ]
