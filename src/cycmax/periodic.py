@@ -44,6 +44,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -84,6 +85,20 @@ class IndexInterval:
         return f"[{self.a}:{self.b}]"
 
 
+def _entry(v):
+    """An entry checked as a real number.
+
+    A numpy integer comes back as an int, since a fixed-width one would
+    wrap around in the rational prefix sums.
+    """
+    if isinstance(v, bool) or not isinstance(v, _REAL):
+        shown = json.dumps(v) if isinstance(v, bool) else repr(v)
+        raise CycmaxError(f"cannot interpret {shown} as a number")
+    if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+        raise CycmaxError(f"entries must be finite, got {v!r}")
+    return int(v) if isinstance(v, np.integer) else v
+
+
 class PeriodicTuple:
     """Nonnegative n-tuple with implicit n-periodic extension.
 
@@ -99,16 +114,31 @@ class PeriodicTuple:
         vals = list(values)
         if not vals:
             raise CycmaxError("tuple must have at least one entry")
+        # A float only has its finiteness tested and an int or a Fraction
+        # passes at once.  At the first other entry every entry goes
+        # through ``_entry``, in order, so the first bad one decides.
         for v in vals:
-            if isinstance(v, bool) or not isinstance(v, _REAL):
-                shown = json.dumps(v) if isinstance(v, bool) else repr(v)
-                raise CycmaxError(f"cannot interpret {shown} as a number")
-            if isinstance(v, (float, np.floating)) and not math.isfinite(v):
-                raise CycmaxError(f"entries must be finite, got {v!r}")
+            kind = type(v)
+            if not (kind is float and math.isfinite(v) or kind is int or kind is Fraction):
+                vals = [_entry(v) for v in vals]
+                break
         if backend is None:
-            backend = RATIONAL if any(isinstance(v, Fraction) for v in vals) else FLOAT
+            kinds = set(map(type, vals))
+            backend = RATIONAL if any(issubclass(kind, Fraction) for kind in kinds) else FLOAT
+        # The prefix table holds floats, or for rationals the integer
+        # numerators over the common denominator ``_den``.
         if backend == RATIONAL:
-            vals = [Fraction(v) for v in vals]
+            # a Fraction is kept as it is; Fraction() reads an int or a
+            # float, and a numpy float of another width by its exact ratio
+            vals = [
+                v if type(v) is Fraction
+                else Fraction(v) if isinstance(v, (int, float))
+                else Fraction(*v.as_integer_ratio())
+                for v in vals
+            ]
+            self._den = math.lcm(*(v.denominator for v in vals))
+            entries = [v.numerator * (self._den // v.denominator) for v in vals]
+            zero = 0
         elif backend == FLOAT:
             try:
                 vals = [float(v) for v in vals]
@@ -116,31 +146,22 @@ class PeriodicTuple:
                 raise CycmaxError(
                     "entries must lie within the float range (the rational backend reads them exactly)"
                 ) from None
+            self._den = None
+            entries = vals
+            zero = 0.0
         else:
             raise CycmaxError(f"unknown backend {backend!r}")
-        if any(v < 0 for v in vals):
+        if any(v < 0 for v in entries):
             raise CycmaxError("entries must be nonnegative")
-        if all(v == 0 for v in vals):
+        if not any(entries):
             raise CycmaxError("at least one entry must be positive")
 
         self.n = len(vals)
         self.values = tuple(vals)
         self.backend = backend
 
-        # The prefix table holds floats, or for rationals the integer
-        # numerators over the common denominator ``_den``.
-        if backend == RATIONAL:
-            self._den = math.lcm(*(v.denominator for v in vals))
-            entries = [v.numerator * (self._den // v.denominator) for v in vals]
-            zero = 0
-        else:
-            self._den = None
-            entries = vals
-            zero = 0.0
         # One-period running sums; prefix[k] = x_1 + ... + x_k.
-        prefix = [zero]
-        for v in entries:
-            prefix.append(prefix[-1] + v)
+        prefix = list(accumulate(entries, initial=zero))
         total = prefix[-1]
         # Three-period table for the maximal-average pass: starts 1..n read
         # their windows from the first two periods, and the third lets the
@@ -223,9 +244,17 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
     strictly greater than the average to the top; strict ``>`` keeps the
     shortest window on ties.  The top left after popping ends the maximal
     window starting at k+1, and the point that pops an entry starts the
-    smallest window containing that entry's window.  Rational averages
-    are compared exactly on the integer table, a/b > c/d as a*d > c*b;
-    float averages as quotients, the operations of a per-start scan.
+    smallest window containing that entry's window.
+
+    The stack is kept as links: the top at point k is always k+1, the
+    point pushed last, and the entry below a point is the top it was
+    pushed on, ``ends`` of that point.  So ``ends`` and ``poppers`` are
+    indexed by point over all 3n points, and popping stops at the
+    stack-bottom sentinel 3n.  Each backend has its own loop, so the
+    backend is tested once per call: rational averages are compared
+    exactly on the integer table, a/b > c/d as a*d > c*b; the float loop
+    carries the top's average and divides once per comparison, the same
+    quotients as a per-start scan.
 
     Starts 1..n are read from the first period, so their window sums are
     the same differences of the same table entries as a per-start scan.
@@ -237,34 +266,43 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
     n = x.n
     p = x._prefix3
     den = x._den
-    exact = den is not None
-    ends = [0] * n
-    poppers: list[Optional[int]] = [None] * n  # for the points n..2n-1
-    stack = [3 * n]
-    for k in range(3 * n - 1, -1, -1):
-        pk = p[k]
-        top = stack[-1]
-        rise, run = p[top] - pk, top - k
-        while len(stack) > 1:
-            nxt = stack[-2]
-            nrise, nrun = p[nxt] - pk, nxt - k
-            if not (nrise * run > rise * nrun if exact else nrise / nrun > rise / run):
-                break
-            if n <= top < 2 * n:
-                poppers[top - n] = k
-            stack.pop()
-            top, rise, run = nxt, nrise, nrun
-        if k < n:
+    last = 3 * n
+    ends = [0] * last
+    poppers: list[Optional[int]] = [None] * last
+    if den is None:
+        for k in range(last - 1, -1, -1):
+            pk = p[k]
+            top = k + 1
+            avg = p[top] - pk
+            while top != last:
+                nxt = ends[top]
+                navg = (p[nxt] - pk) / (nxt - k)
+                if not navg > avg:
+                    break
+                poppers[top] = k
+                top, avg = nxt, navg
             ends[k] = top
-        stack.append(k)
+    else:
+        for k in range(last - 1, -1, -1):
+            pk = p[k]
+            top = k + 1
+            rise, run = p[top] - pk, 1
+            while top != last:
+                nxt = ends[top]
+                nrise, nrun = p[nxt] - pk, nxt - k
+                if not nrise * run > rise * nrun:
+                    break
+                poppers[top] = k
+                top, rise, run = nxt, nrise, nrun
+            ends[k] = top
 
     values, lengths, parents = [], [], []
     for k in range(n):
         r = min(ends[k] - k, n)
         s = p[k + r] - p[k]
-        values.append(Fraction(s, r * den) if exact else s / r)
+        values.append(s / r if den is None else Fraction(s, r * den))
         lengths.append(r)
-        popper = poppers[k]
+        popper = poppers[n + k]
         parents.append(None if r == n or popper is None else popper % n + 1)
     return Profile(values, lengths, parents)
 

@@ -8,7 +8,6 @@ acceptance tests call the same functions, so both run the same trials.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +37,7 @@ from .sums import (
     sum_with_radii,
 )
 from .reduction import (
+    _minimize_many,
     cyclic_bruteforce,
     gradient_agreement,
     minimize_chain,
@@ -318,19 +318,28 @@ def suite_prop5(rng: np.random.Generator) -> list[CheckResult]:
 
 def suite_reduced(rng: np.random.Generator) -> list[CheckResult]:
     results = []
-    solve = functools.cache(minimize_chain)  # the checks share their solves
-
     exact = [
         (1, 1.0, 1.0),
         (2, 0.5, 2.0 * math.sqrt(2.0) - 1.0),
         (3, 1.0 / 3.0, 2.0 * math.sqrt(3.0) - 1.0),
     ]
+    trivial = (1.0, 1.5, 4.0)
+    caps = {p: math.ceil(1.0 / p) for p in (0.5, 0.2, 0.1, 0.05, 0.01)}
+    samples = {p: sorted(set([1, 2, 3, max(1, cap // 2), cap, cap + 5])) for p, cap in caps.items()}
+    # every distinct (N, p) the checks read, solved together once
+    problems = list(dict.fromkeys(
+        [(N, p) for N, p, _ in exact]
+        + [(6, p) for p in trivial]
+        + [(N, p) for p, sizes in samples.items() for N in sizes]
+    ))
+    solved = dict(zip(problems, _minimize_many(problems)))
+
     worst = 0.0
     for N, p, target in exact:
-        sol = solve(N, p)
+        sol = solved[N, p]
         worst = max(worst, abs(sol.value - target) / target)
-    for p in (1.0, 1.5, 4.0):
-        sol = solve(6, p)
+    for p in trivial:
+        sol = solved[6, p]
         worst = max(worst, abs(sol.value - 1.0 / p) * p)
         if not (sol.support == 1 and sol.entries[-1] == 1.0):
             worst = max(worst, 1.0)
@@ -340,16 +349,14 @@ def suite_reduced(rng: np.random.Generator) -> list[CheckResult]:
     stab_worst = 0.0
     struct_bad = 0
     agree_worst = 0.0
-    for p in (0.5, 0.2, 0.1, 0.05, 0.01):
-        cap = math.ceil(1.0 / p)
-        samples = sorted(set([1, 2, 3, max(1, cap // 2), cap, cap + 5]))
+    for p, cap in caps.items():
         prev = math.inf
-        for N in samples:
-            val = solve(N, p).value
+        for N in samples[p]:
+            val = solved[N, p].value
             if val > prev + 1e-10:
                 mono_bad += 1
             prev = val
-        at_cap, sol = solve(cap, p), solve(cap + 5, p)
+        at_cap, sol = solved[cap, p], solved[cap + 5, p]
         stab_worst = max(stab_worst, abs(at_cap.value - sol.value) / max(abs(at_cap.value), 1.0))
 
         # uncycling: at the chain minimizer the windowed sum takes the same value

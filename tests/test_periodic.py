@@ -115,6 +115,99 @@ class TestPeriodicTuple:
         assert PeriodicTuple([Fraction(10) ** 400, 1], backend="rational").n == 2
 
 
+NOT_FINITE = "entries must be finite, got "
+NOT_A_NUMBER = "cannot interpret "
+FLOAT_RANGE = "entries must lie within the float range (the rational backend reads them exactly)"
+
+# entries -> the error each backend raises (None: the tuple is accepted)
+CONSTRUCTOR_ERRORS = {
+    "nan": ([1, float("nan")], NOT_FINITE + "nan"),
+    "inf": ([1, float("inf")], NOT_FINITE + "inf"),
+    "-inf": ([1, -float("inf")], NOT_FINITE + "-inf"),
+    "np-nan": ([1, np.float64("nan")], NOT_FINITE + "np.float64(nan)"),
+    "np-inf": ([1, np.float64("inf")], NOT_FINITE + "np.float64(inf)"),
+    "np-minus-inf": ([1, np.float64("-inf")], NOT_FINITE + "np.float64(-inf)"),
+    "np32-nan": ([1.0, np.float32("nan")], NOT_FINITE + "np.float32(nan)"),
+    "bool": ([1, True], NOT_A_NUMBER + "true as a number"),
+    "none": ([1.0, None], NOT_A_NUMBER + "None as a number"),
+    "string": ([Fraction(1), "1"], NOT_A_NUMBER + "'1' as a number"),
+    "np-bool": ([1, np.True_], NOT_A_NUMBER + "np.True_ as a number"),
+    "negative-int": ([1, -1], "entries must be nonnegative"),
+    "negative-np-int": ([1.0, np.int64(-1)], "entries must be nonnegative"),
+    "negative-fraction": ([1, Fraction(-1, 2)], "entries must be nonnegative"),
+    "negative-zero": ([-0.0, 0], "at least one entry must be positive"),
+    "all-zero": ([0, 0.0, Fraction(0), np.int64(0)], "at least one entry must be positive"),
+    # the first bad entry decides, and a type is checked before any sign
+    "nan-then-string": ([float("nan"), "1"], NOT_FINITE + "nan"),
+    "string-then-nan": (["1", float("nan")], NOT_A_NUMBER + "'1' as a number"),
+    "negative-then-inf": ([-1, float("inf")], NOT_FINITE + "inf"),
+    "three-period-overflow": (
+        [1e308] * 3,
+        {"float": "entries too large: their sum over three periods overflows", "rational": None},
+    ),
+    "past-float-range": ([1, 10**400], {"float": FLOAT_RANGE, "rational": None}),
+}
+
+
+def _expected(outcome, backend, values):
+    if not isinstance(outcome, dict):
+        return outcome
+    if backend is None:
+        backend = "rational" if any(isinstance(v, Fraction) for v in values) else "float"
+    return outcome[backend]
+
+
+class TestConstructorContract:
+    """The messages, order of checks and stored tables of ``PeriodicTuple``."""
+
+    @pytest.mark.parametrize("case", list(CONSTRUCTOR_ERRORS))
+    @pytest.mark.parametrize("backend", ["float", "rational", None])
+    def test_error_messages(self, case, backend):
+        values, outcome = CONSTRUCTOR_ERRORS[case]
+        message = _expected(outcome, backend, values)
+        if message is None:
+            assert PeriodicTuple(values, backend=backend).n == len(values)
+            return
+        with pytest.raises(CycmaxError) as info:
+            PeriodicTuple(values, backend=backend)
+        assert str(info.value) == message
+
+    def test_unknown_backend_is_checked_after_the_entries(self):
+        with pytest.raises(CycmaxError, match="^unknown backend 'decimal'$"):
+            PeriodicTuple([1, 2], backend="decimal")
+        with pytest.raises(CycmaxError, match="^cannot interpret"):
+            PeriodicTuple([None], backend="decimal")
+
+    @pytest.mark.parametrize("backend", ["float", "rational", None])
+    def test_mixed_entries_tables(self, backend):
+        mixed = [1, np.int64(4), np.float32(0.5), Fraction(1, 3), 2.5]
+        x = PeriodicTuple(mixed, backend=backend)
+        if backend == "float":
+            values = [1.0, 4.0, 0.5, 1 / 3, 2.5]
+            # running sums over one period, then the period sum plus each
+            prefix = [0.0]
+            for v in values:
+                prefix.append(prefix[-1] + v)
+            total, one = prefix[-1], prefix[1:]
+            prefix += [total + s for s in one] + [(total + total) + s for s in one]
+            assert x.values == tuple(values) and x._den is None
+            assert all(type(v) is float for v in x.values + tuple(x._prefix3))
+        else:
+            values = [Fraction(1), Fraction(4), Fraction(1, 2), Fraction(1, 3), Fraction(5, 2)]
+            # numerators over the common denominator 6
+            prefix = [0, 6, 30, 33, 35, 50, 56, 80, 83, 85, 100, 106, 130, 133, 135, 150]
+            assert x.values == tuple(values) and x._den == 6
+            assert all(type(v) is Fraction for v in x.values)
+            assert all(type(s) is int for s in x._prefix3)
+        assert x.backend == ("rational" if backend is None else backend)
+        assert x._prefix3 == prefix
+
+    def test_numpy_integers_are_summed_exactly(self):
+        x = PeriodicTuple([np.int64(2**62), np.int64(2**62)], backend="rational")
+        assert x._prefix3[-1] == 6 * 2**62
+        assert right_maximal_profile(x).values == [Fraction(2**62)] * 2
+
+
 class TestIntervalAverage:
     def test_full_period_average(self, ref_float, ref_rational):
         assert interval_average(ref_float, IndexInterval(1, 10)) == pytest.approx(2.26, abs=1e-12)
@@ -234,6 +327,27 @@ class TestRightMaximal:
         assert (prof.values, prof.lengths) == scan_profile(x)
         parents = link_parents(all_m_intervals(x), x.n)
         assert prof.parents == [parents[i] for i in range(1, x.n + 1)]
+
+    def test_float_parents_match_oracle(self):
+        rng = np.random.default_rng(21)
+        tuples = [rng.uniform(0.05, 10.0, int(rng.integers(1, 41))).tolist() for _ in range(300)]
+        for values in tuples + [CLAMP_REGRESSION]:
+            x = PeriodicTuple(values)
+            parents = link_parents(all_m_intervals(x), x.n)
+            assert right_maximal_profile(x).parents == [parents[i] for i in range(1, x.n + 1)]
+
+    def test_float_pass_on_cancelling_entries(self):
+        # 1e16 + 1 rounds to 1e16, so the rounded prefix table is not the
+        # exact one, and the pass may stop at a window whose rounded
+        # average is one unit in the last place below the scan's maximum
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            x = PeriodicTuple(rng.choice([1e16, 1.0], int(rng.integers(1, 41))).tolist())
+            prof = right_maximal_profile(x)
+            p = x._prefix3
+            for k, (got, r, best) in enumerate(zip(prof.values, prof.lengths, scan_profile(x)[0])):
+                assert 1 <= r <= x.n and got == (p[k + r] - p[k]) / r
+                assert best - 2 * sys.float_info.epsilon * best <= got <= best
 
     @given(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=20))
     def test_float_values_agree_with_scan(self, values):

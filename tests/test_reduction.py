@@ -706,13 +706,22 @@ def test_reduced_suite_solves_each_problem_once(monkeypatch):
 
     calls = []
 
-    def counted(N, p):
-        calls.append((N, p))
-        return minimize_chain(N, p)
+    def spied(problems):
+        calls.append(list(problems))
+        return reduction._minimize_many(problems)
 
-    monkeypatch.setattr(verify, "minimize_chain", counted)
+    monkeypatch.setattr(verify, "_minimize_many", spied)
     verify.suite_reduced(np.random.default_rng(1))
-    assert calls and len(calls) == len(set(calls))
+    # the closed forms, the point-mass prices at N = 6, and for each price
+    # the sizes of the monotonicity walk, ceil(1/p) and ceil(1/p) + 5
+    read = {(1, 1.0), (2, 0.5), (3, 1.0 / 3.0)} | {(6, p) for p in (1.0, 1.5, 4.0)}
+    for p in (0.5, 0.2, 0.1, 0.05, 0.01):
+        cap = math.ceil(1.0 / p)
+        read |= {(N, p) for N in (1, 2, 3, max(1, cap // 2), cap, cap + 5)}
+    assert len(calls) == 1
+    (problems,) = calls
+    assert len(problems) == len(set(problems))
+    assert read <= set(problems)
 
 
 class TestBruteForceOracle:
