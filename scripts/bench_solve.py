@@ -6,18 +6,20 @@
 Each run is a fresh Python process that imports ``cycmax`` from a tree's
 ``src`` directory and solves one point: the first solve is timed as cold
 (the per-process size records are computed then), then ``REPEATS`` more
-are timed and the least of them is the warm time.  On a shared machine
-the warm solves of one process split into modes far apart, so a median
-picks one of them at random; the least is stable to a few percent.  The
-points are n = 1e3, 1e6, 1e30, 1e100 and 1e300, each solved as
-``reduction._minimize_many([(n, 1/n)])``, and the 8-point benchmark grid
-``geometric_grid(1e3, 1e6, 8)`` solved as one batch.  With ``--parent``
+are timed and the least of them is the warm time.  Each solve also
+counts its passes of the kernel ``reduction._forward``, cold and warm
+(the most over the warm solves); the count costs a call per pass.  On a
+shared machine the warm solves of one process split into modes far
+apart, so a median picks one of them at random; the least is stable to a
+few percent.  The points are n = 1e3, 1e6, 1e30, 1e100 and 1e300, each
+solved as ``reduction._minimize_many([(n, 1/n)])``, and the 8-point
+benchmark grid ``geometric_grid(1e3, 1e6, 8)`` solved as one batch.  With ``--parent``
 the two trees run alternately, point by point.  Cold solves, one per
 process, also split into modes far apart, so the least cold time over the
 runs is reported beside the median.  Prints one JSON object: per tree and
-point the median over ``RUNS`` runs of both times, the least cold time and
-every run, and the parent-to-change ratios of the medians and of the least
-cold times.
+point the median over ``RUNS`` runs of both times, the least cold time,
+the kernel passes cold and warm and every run, and the parent-to-change
+ratios of the medians and of the least cold times.
 """
 
 from __future__ import annotations
@@ -47,15 +49,24 @@ if point == "grid8":
 else:
     n = 10 ** int(point[2:])
     problems = [(n, 1.0 / n)]
+forward, passes = reduction._forward, [0]
+
+def counted(*args, **kwargs):
+    passes[0] += 1
+    return forward(*args, **kwargs)
+
+reduction._forward = counted
 t = time.perf_counter()
 reduction._minimize_many(problems)
 cold = time.perf_counter() - t
-warm = []
+cold_passes, warm, warm_passes = passes[0], [], 0
 for _ in range(repeats):
+    passes[0] = 0
     t = time.perf_counter()
     reduction._minimize_many(problems)
     warm.append(time.perf_counter() - t)
-print(json.dumps({"cold_s": cold, "warm_s": min(warm)}))
+    warm_passes = max(warm_passes, passes[0])
+print(json.dumps({"cold_s": cold, "warm_s": min(warm), "cold_passes": cold_passes, "warm_passes": warm_passes}))
 """
 
 
@@ -96,6 +107,8 @@ def main() -> None:
                 "cold_s": statistics.median(r["cold_s"] for r in rs),
                 "cold_min_s": min(r["cold_s"] for r in rs),
                 "warm_s": statistics.median(r["warm_s"] for r in rs),
+                "cold_passes": max(r["cold_passes"] for r in rs),
+                "warm_passes": max(r["warm_passes"] for r in rs),
                 "cold_runs": [r["cold_s"] for r in rs],
                 "warm_runs": [r["warm_s"] for r in rs],
             }

@@ -20,15 +20,19 @@ first-order conditions run front to back as a forward recurrence of
 sums and quotients of positive numbers, which makes size k stationary at
 one price p_k(a); each k thus reduces to the scalar equation p_k(a) = p.
 The recurrence depends on neither k nor p, so one longdouble pass serves
-many sizes of many problems (N, p) at once.  A per-process record of
-each size, independent of p and computed the first time a call needs
-it, tells where p_k peaks, hence whether the size has a root, and samples
-the branch right of the peak from the peak on.  Each problem solves that
-branch of four sizes just below min(N, ceil(ln(1/p)) + 2), the winner lies
-among them; the root left of the peak never wins (measured).  All these
-are solved in one batched Newton iteration started from the samples, the
-lowest value wins, and its entries are taken in 40-digit decimals, one
-Newton step past the root with the slope of the iteration's last pass.
+many sizes of many problems (N, p) at once, and the cost of a solve is
+counted in such passes.  A per-process record of each size, independent
+of p and computed the first time a call needs it, tells where p_k peaks
+(found by Newton on the slope, in 3 or 4 passes), hence whether the size
+has a root, and samples the branch right of the peak, with its slope,
+from the peak on (one more pass).  Each problem solves that branch of
+four sizes just below min(N, ceil(ln(1/p)) + 2), the winner lies among
+them; the root left of the peak never wins (measured).  All these are
+solved in one batched Newton iteration, each started from a cubic
+Hermite interpolant of its size's samples, in 2 passes on the measured
+grids; the lowest value wins, and its entries are taken in 40-digit
+decimals, one Newton step past the root with the slope of the
+iteration's last pass.
 That 40-digit run certifies the winner by its backward error: p_k at the
 corrected root is p to within the longdouble epsilon, or the solve raises
 RuntimeError, a bug rather than a verdict.
@@ -156,9 +160,9 @@ def _value_ld(x: np.ndarray, p) -> np.longdouble:
 
 def _grad_ld(x: np.ndarray, p) -> np.ndarray:
     """Gradient of the chain sum of one support, in the precision of x."""
-    g = np.zeros(len(x), dtype=x.dtype)
-    g[:-1] += 1 / x[1:]
-    g[-1] += 1 / p
+    g = np.empty(len(x), dtype=x.dtype)
+    g[:-1] = 1 / x[1:]
+    g[-1] = 1 / p
     g[1:] -= x[:-1] / x[1:] ** 2
     return g
 
@@ -173,7 +177,7 @@ def _residual_ld(x: np.ndarray, p) -> float:
     if len(x) == 1:
         return 0.0
     g = _grad_ld(x, p)
-    g = g - g.mean()
+    g -= g.sum() / len(g)  # the bits of g.mean(), without its dispatch
     return float(np.sqrt((g * g).sum()))
 
 
@@ -208,9 +212,10 @@ def _residual_ld(x: np.ndarray, p) -> float:
 # branch depend on no price and are computed once per size, the first time
 # a call needs the size.  Each problem of a call takes a window of four
 # sizes around ln(1/p), where its winner lies; their right roots are then
-# solved together by safeguarded Newton in ln a, each started where its
-# size's samples put it, and the lowest value wins.  The root pass carries
-# the slope at each root to the winner's 40-digit Newton step.
+# solved together by safeguarded Newton in ln a, each started where the
+# Hermite interpolant of its size's samples puts it, and the lowest value
+# wins.  The root pass carries the slope at each root to the winner's
+# 40-digit Newton step.
 
 # Lower end of the search for a*_k, where it stays for sizes whose ln p_k
 # only falls.  At and below it a is under half an ulp of 1 in longdouble,
@@ -224,7 +229,7 @@ _A_MIN = LD(2.0**-65)
 # its value at the root; ``_entries`` takes the step left.
 _ROOT_STEP = LD(2.0**-50)
 
-def _forward(a: np.ndarray, k: np.ndarray):
+def _forward(a: np.ndarray, k: np.ndarray, curvature: bool = False):
     """p_k(a), d ln p_k / d ln a and V_k(a) in longdouble, one column each.
 
     Column i runs k[i] steps from a[i]; the columns must come sorted by k,
@@ -232,6 +237,10 @@ def _forward(a: np.ndarray, k: np.ndarray):
     The derivative runs the logarithmic derivatives Q_j = d ln q_j / d ln a
     and U_j = d ln u_j / d ln a alongside the recurrence:
     Q_j = (q_{j-1} Q_{j-1} + u_{j-1} U_{j-1}) / q_j and U_j = U_{j-1} - Q_j.
+    With ``curvature``, a fourth column gives d^2 ln p_k / d(ln a)^2 from
+    their derivatives Q'_j and U'_j, run the same way:
+    Q'_j = (q_{j-1} (Q_{j-1}^2 + Q'_{j-1}) + u_{j-1} (U_{j-1}^2 + U'_{j-1})) / q_j - Q_j^2
+    and U'_j = U'_{j-1} - Q'_j.
     """
     steps = int(k[0]) if len(k) else 0
     # how many columns take steps 1, 2, ..., steps + 1
@@ -242,22 +251,67 @@ def _forward(a: np.ndarray, k: np.ndarray):
     U = np.ones_like(u)
     V = np.zeros_like(u)
     qQ = np.empty_like(u)
+    if curvature:
+        Q2, U2 = np.zeros_like(u), np.zeros_like(u)
     for n, m in zip(live, live[1:]):
         qn, Qn, qQn, un = q[:n], Q[:n], qQ[:n], u[:n]
+        if curvature:
+            # d^2 q_j / d(ln a)^2, from step j - 1's columns
+            qQ2 = qn * (Qn * Qn + Q2[:n]) + un * (U[:n] * U[:n] + U2[:n])
         np.multiply(qn, Qn, out=qQn)
         qQn += un * U[:n]
         qn += un
         np.divide(qQn, qn, out=Qn)
         V[:n] += qn
+        if curvature:
+            Q2[:n] = qQ2 / qn - Qn * Qn
+            U2[:m] -= Q2[:m]
         # u_{j+1} and U_{j+1} serve only the columns that take one more step
         U[:m] -= Q[:m]
         u[:m] /= q[:m]
-    return u / (q * q), U - 2 * Q, V
+    columns = u / (q * q), U - 2 * Q, V
+    return columns + (U2 - 2 * Q2,) if curvature else columns
 
 
-# Bisection steps that take ln a*_k from [ln _A_MIN, 0], 45 wide, to within
-# 1e-12; ln p_k is flat at its peak, so m_k is then exact to rounding.
-_PEAK_HALVINGS = 46
+# Sizes k >= _RISING_FROM have an interior peak; ln p_k only falls for the
+# smaller ones (tests pin both), whose a*_k stays _A_MIN.
+_RISING_FROM = 7
+
+# Newton step in ln a below which a peak is taken as found.  The step's
+# error is quadratic in the one before it, so the accepted ln a*_k lies
+# within ~1e-16 of the zero of the slope; ln p_k is flat there, so m_k is
+# exact to rounding.
+_PEAK_STEP = LD(2.0**-30)
+
+
+def _peaks(k: np.ndarray):
+    """ln a*_k and d^2 ln p_k / d(ln a)^2 there, for sizes k >= _RISING_FROM.
+
+    Safeguarded Newton on the slope d ln p_k / d ln a, which falls through
+    0 once on [ln _A_MIN, 0] (tests pin it): started on the measured curve
+    ln a*_k ~ -0.8033 - 5.29 / (k - 4.49), each pass narrows the bracket
+    to the sign change and takes the Newton step inside it, or halves the
+    bracket where the step leaves it.  Columns come sorted by k, descending.
+    """
+    lo, hi = np.full(len(k), np.log(_A_MIN)), np.zeros(len(k), dtype=LD)
+    x = LD(-0.8033) - LD(5.29) / (k - LD(4.49))
+    curvature = np.empty_like(x)
+    run = np.arange(len(k))
+    while len(run):
+        _, slope, _, curvature[run] = _forward(np.exp(x[run]), k[run], curvature=True)
+        xr, concave = x[run], curvature[run] < 0
+        lor = lo[run] = np.where(slope > 0, xr, lo[run])
+        hir = hi[run] = np.where(slope < 0, xr, hi[run])
+        step = -slope / curvature[run]
+        new = xr + step
+        newton = concave & (lor < new) & (new < hir)
+        # a step this short is taken even where rounding has moved a bracket
+        # end across the peak
+        found = concave & (abs(step) <= _PEAK_STEP)
+        x[run] = np.where(newton | found, new, (lor + hir) / 2)
+        run = run[~found]
+    return x, curvature
+
 
 # The largest ln(1/p) of a float price whose inverse is finite.
 _LOG_MAX = LD(math.log(sys.float_info.max))
@@ -266,48 +320,56 @@ _LOG_MAX = LD(math.log(sys.float_info.max))
 # ln a in (max(ln a*_k, -10), 2], where the roots of the window sizes lie
 # (on 6300 seeded (N, p), all but those of windows cut by N and of size 2
 # below n = 110), and _TAIL points out to the bracket top at the smallest
-# float price.  96 grid points bring a warm solve to 3 Newton passes, where
-# 48 take 4; 8, 16 and 32 tail points took the same passes.  ``_start``'s
-# sample count needs a size's z samples never to fall, which holds for
-# every size 2..712 (tests pin it).
-_GRID = 96
+# float price.  With the slope at each sample ``_start`` interpolates by
+# cubic Hermite, and 192 grid points bring every warm root to 2 Newton
+# passes on 3000 seeded n = 1/p over 664..1e6 and 3000 prices over
+# 1e-300..1e-6; roots of sizes 2, 5 and 6 below n = 664 and 3% of those
+# in windows cut by N take 3.  With 160 points roots take 3 up to
+# n = 1826, and with 96 points 17% of those over 1e2..1e6 do.  A record is
+# 2 + 3 * 209 longdoubles, 10 KB, so the table of the sizes 2..712 that a
+# float price reaches holds 7.2 MB.  ``_start``'s sample count needs a
+# size's z samples never to fall, which holds for every size 2..712
+# (tests pin it).
+_GRID = 192
 _TAIL = 16
 _SAMPLES = _GRID + _TAIL + 1
 
 
 def _size_records(k: np.ndarray) -> np.ndarray:
-    """One record per size k: a*_k, m_k, then _SAMPLES values of z and of ln a.
+    """One record per size k: a*_k, m_k, then _SAMPLES values each of z, ln a and d ln a / dz.
 
-    a*_k is where ln p_k peaks on [_A_MIN, oo), found by _PEAK_HALVINGS
-    bisection steps in ln a over [_A_MIN, 1] on the sign of the derivative;
-    it is _A_MIN where ln p_k only falls.  The samples of the right branch
-    start at the peak, a*_k itself, whose level gives m_k, and go on at the
+    a*_k is where ln p_k peaks on [_A_MIN, oo), found by ``_peaks``; it is
+    _A_MIN where ln p_k only falls.  The samples of the right branch start
+    at the peak, a*_k itself, whose level gives m_k, and go on at the
     _GRID and _TAIL points, all right of it and capped at the bracket top,
     so ln a never falls, and z = sqrt(-m_k - ln p_k), 0 at the peak, rises.
-    Each size is solved on its own, so a record reads the same whatever
-    sizes it is computed with.
+    The sample pass gives the slope s = d ln p_k / d ln a at each sample,
+    hence d ln a / dz = -2 z / s; at an interior peak it is the limit
+    sqrt(-2 / (d^2 ln p_k / d(ln a)^2)), and 0 at _A_MIN, where z grows
+    like the square root of the distance.  Each size is solved on its own,
+    so a record reads the same whatever sizes it is computed with.
     """
     k = np.sort(k)[::-1]
-    lo = np.full(len(k), _A_MIN)
-    hi = np.ones(len(k), dtype=LD)
-    for _ in range(_PEAK_HALVINGS):
-        mid = np.sqrt(lo * hi)
-        rising = _forward(mid, k)[1] > 0
-        lo = np.where(rising, mid, lo)
-        hi = np.where(rising, hi, mid)
-    peak, end = np.log(lo), np.log(LD(2)) + _LOG_MAX / k
+    a_star = np.full(len(k), _A_MIN)
+    peak_dxdz = np.zeros(len(k), dtype=LD)
+    rising = k >= _RISING_FROM
+    log_peak, curvature = _peaks(k[rising])
+    a_star[rising], peak_dxdz[rising] = np.exp(log_peak), np.sqrt(-2 / curvature)
+    peak, end = np.log(a_star), np.log(LD(2)) + _LOG_MAX / k
     grid = np.linspace(np.maximum(peak, -10), 2, _GRID + 1, axis=1)[:, 1:]
     tail = 2 + (end[:, None] - 2) * np.linspace(0, 1, _TAIL + 1, dtype=LD)[1:] ** 2
     log_a = np.minimum(np.column_stack([peak, grid, tail]), end[:, None])
-    a = np.column_stack([lo, np.exp(log_a[:, 1:])])
-    level = np.log(_forward(a.ravel(), np.repeat(k, _SAMPLES))[0]).reshape(log_a.shape)
+    a = np.column_stack([a_star, np.exp(log_a[:, 1:])])
+    price, slope, _ = _forward(a.ravel(), np.repeat(k, _SAMPLES))
+    level, slope = np.log(price).reshape(log_a.shape), slope.reshape(log_a.shape)
     z = np.sqrt(np.maximum(level[:, :1] - level, 0))
-    return np.column_stack([lo, -level[:, 0], z, log_a])[::-1]
+    dxdz = np.column_stack([peak_dxdz, -2 * z[:, 1:] / slope[:, 1:]])
+    return np.column_stack([a_star, -level[:, 0], z, log_a, dxdz])[::-1]
 
 
 # The records of the sizes computed so far, row k for size k; rows of sizes
 # not yet computed read nan.  ``_records`` fills them as calls need them.
-_table = np.full((0, 2 + 2 * _SAMPLES), np.nan, dtype=LD)
+_table = np.full((0, 2 + 3 * _SAMPLES), np.nan, dtype=LD)
 
 
 def _records(k: np.ndarray) -> np.ndarray:
@@ -326,6 +388,12 @@ def _records(k: np.ndarray) -> np.ndarray:
     return _table
 
 
+# Columns per block of ``_start``'s sample count.  The count gathers a
+# block's rows of z samples, 3.3 KB a column, so a block of 1024 columns
+# holds 3.4 MB however many columns a call solves.
+_START_BLOCK = 1024
+
+
 def _start(table: np.ndarray, k: np.ndarray, log_p: np.ndarray) -> np.ndarray:
     """Newton start a of the right-branch root of size k at ln p.
 
@@ -333,13 +401,21 @@ def _start(table: np.ndarray, k: np.ndarray, log_p: np.ndarray) -> np.ndarray:
     sample (the peak, z = 0) and at most at the last (the bracket top at
     the smallest float price) wherever the size has a root.  Since a
     size's z samples never fall, the count of its samples below z is the
-    index of the first sample at or above it, and ln a is interpolated
-    linearly in z between that sample and the one before.
+    index of the first sample at or above it, and ln a is interpolated in
+    z between that sample and the one before by the cubic Hermite
+    interpolant of their ln a and d ln a / dz.
     """
     z = np.sqrt(-table[k, 1] - log_p)
-    j = (table[k, 2 : 2 + _SAMPLES] < z[:, None]).sum(axis=1) + 2
-    z0, z1, x0, x1 = (table[k, c] for c in (j - 1, j, j + _SAMPLES - 1, j + _SAMPLES))
-    return np.exp(x0 + (x1 - x0) * (z - z0) / (z1 - z0))
+    j = np.empty(len(k), dtype=int)
+    for i in range(0, len(k), _START_BLOCK):
+        block = slice(i, i + _START_BLOCK)
+        j[block] = (table[k[block], 2 : 2 + _SAMPLES] < z[block, None]).sum(axis=1) + 2
+    z0, z1 = table[k, j - 1], table[k, j]
+    x0, x1 = table[k, j + _SAMPLES - 1], table[k, j + _SAMPLES]
+    d0, d1 = table[k, j + 2 * _SAMPLES - 1], table[k, j + 2 * _SAMPLES]
+    h = z1 - z0
+    t = (z - z0) / h
+    return np.exp(x0 + t * t * (3 - 2 * t) * (x1 - x0) + h * t * (1 - t) * ((1 - t) * d0 - t * d1))
 
 
 def _roots(lo, hi, a, k, p):
@@ -414,8 +490,13 @@ def _entries(a: np.ndarray, slope: np.ndarray, k: np.ndarray, p: np.ndarray):
             num, den = a_i.as_integer_ratio()
             root = decimal.Decimal(num) / den
             price = decimal.Decimal(float(p_i))
-            x, q, _ = run(root, k_i)
-            mismatch = x[-1] / (q * q * price) - 1  # p_k(a) / p - 1
+            # p_k(a) / p - 1 needs only u_{k-1} and q_k of a first run
+            u, q = root, 0
+            for _ in range(k_i - 1):
+                q += u
+                u /= q
+            q += u
+            mismatch = u / (q * q * price) - 1
             x, q, value = run(root * (1 - mismatch / decimal.Decimal(float(g_i))), k_i)
             error = abs(x[-1] / (q * q * price) - 1)
             if error > eps:

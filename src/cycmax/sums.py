@@ -43,6 +43,9 @@ class RadiusTuple:
 
     @classmethod
     def constant(cls, n: int, k: int) -> "RadiusTuple":
+        """The radius k at each of n indices."""
+        if type(k) is not int or k < 1:
+            raise CycmaxError("k must be a positive integer")
         return cls(tuple([k] * n))
 
     def __len__(self) -> int:
@@ -123,8 +126,6 @@ def sum_with_radii(x: PeriodicTuple, r: RadiusTuple) -> Number:
 
 def diananda_sum(x: PeriodicTuple, k: int) -> Number:
     """sum_i x_i / (x_{i+1} + ... + x_{i+k}), the equal-radius sum over k."""
-    if k < 1:
-        raise CycmaxError("k must be a positive integer")
     return sum_with_radii(x, RadiusTuple.constant(x.n, k)) / k
 
 

@@ -249,6 +249,28 @@ def left_roots(lo, hi, k, p):
         hi = np.where(inside & ~below, mid, hi)
 
 
+# Halvings that take ln a from [ln _A_MIN, 0], 45 wide, to within 1e-12.
+PEAK_HALVINGS = 46
+
+
+def bisect_peaks(k):
+    """a*_k and m_k of each size k by PEAK_HALVINGS bisection steps.
+
+    Bisects ln a over [ln _A_MIN, 0] on the sign of d ln p_k / d ln a,
+    keeping the lower end, so a*_k stays _A_MIN where ln p_k only falls;
+    m_k is -ln p_k there.  Columns come sorted by k, descending.  The
+    reference for ``reduction._peaks``, the Newton search that replaced it.
+    """
+    lo = np.full(len(k), reduction._A_MIN)
+    hi = np.ones(len(k), dtype=LD)
+    for _ in range(PEAK_HALVINGS):
+        mid = np.sqrt(lo * hi)
+        rising = reduction._forward(mid, k)[1] > 0
+        lo = np.where(rising, mid, lo)
+        hi = np.where(rising, hi, mid)
+    return lo, -np.log(reduction._forward(lo, k)[0])
+
+
 def all_size_roots(problems) -> dict:
     """Every root of every size with one, up to N, of each of ``problems``.
 

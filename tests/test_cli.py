@@ -162,6 +162,13 @@ class TestSumCommands:
         code, _, _ = run_cli(capsys, "sum", ref_path, "--radii", str(radii), "--k", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    @pytest.mark.parametrize("normalized", [(), ("--normalized",)])
+    def test_sum_names_a_bad_k(self, capsys, ref_path, k, normalized):
+        # the user gave k, not radii, so the error names k either way
+        code, out, err = run_cli(capsys, "sum", ref_path, "--k", k, *normalized)
+        assert (code, out, err) == (1, "", "error: k must be a positive integer\n")
+
     def test_sum_wrong_radii_length(self, capsys, ref_path, tmp_path):
         radii = tmp_path / "radii.json"
         radii.write_text(json.dumps({"radii": [1, 2]}))

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import warnings
 from fractions import Fraction
@@ -282,6 +283,29 @@ def assert_matches_backward_oracle(got, want):
         assert got.stationarity_residual <= 1e-10
 
 
+def kernel_passes(problems) -> list:
+    """The column count of each ``_forward`` pass of ``_minimize_many(problems)``."""
+    passes = []
+    forward = reduction._forward
+
+    def counted(a, k, **kwargs):
+        passes.append(len(a))
+        return forward(a, k, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "_forward", counted)
+        reduction._minimize_many(problems)
+    return passes
+
+
+def benchmark_factors(seeds: int) -> list:
+    """The scale factors f of the twelve ``sweep`` grids, f 1e3 to f 1e6, of each
+    benchmark seed below ``seeds`` (``perfbench/workloads.sweep_blocks``)."""
+    golden = (math.sqrt(5) - 1) / 2
+    u0 = [random.Random(seed).random() for seed in range(seeds)]
+    return [2.0 ** ((u + j * golden) % 1.0) for u in u0 for j in range(12)]
+
+
 def solver_columns(problems):
     """The inputs and outputs of the one batched root solve of ``problems``
     over the right branch of every size with a root, and every root of
@@ -318,6 +342,24 @@ class TestBatchedSolve:
                 assert abs(got_price / want_price - 1) <= 2 * k[i] * eps, (k[i], a[i])
                 assert abs(got_value / want_value - 1) <= 2 * k[i] * eps, (k[i], a[i])
                 assert abs(got_slope - want_slope) <= 2 * k[i] * eps * (1 + abs(want_slope)), (k[i], a[i])
+
+    def test_kernel_curvature_matches_mpmath(self):
+        # the curvature column against central differences of the 50-digit
+        # slope (steps of 1e-15 in ln a), on the same batch; the other
+        # columns are those of the plain kernel, bit for bit
+        spread = [2.0**-65, 1e-9, 0.05, 0.3, 1.0, 7.0, 1e6]
+        k = np.repeat(np.arange(40, 1, -1), len(spread))
+        a = np.tile(np.array(spread, dtype=LD), 39)
+        *columns, curvature = _forward(a, k, curvature=True)
+        assert all(np.array_equal(c, plain) for c, plain in zip(columns, _forward(a, k)))
+        eps = float(np.finfo(LD).eps)
+        with mp.workdps(oracles.MP_DPS):
+            h = mp.mpf(10) ** -15
+            for i in range(len(a)):
+                x = oracles.mp_of(a[i])
+                up, down = (oracles.mp_forward(x * mp.exp(t), int(k[i]), values=False)[1] for t in (h, -h))
+                want = (up - down) / (2 * h)
+                assert abs(oracles.mp_of(curvature[i]) - want) <= k[i] * eps * (1 + abs(want)), (k[i], a[i])  # measured: 0.47 of it
 
     def test_kernel_columns_of_different_sizes_and_prices_match_separate_calls(self):
         # the columns of one sweep-like batch, run again one at a time
@@ -495,22 +537,25 @@ class TestBatchedSolve:
             assert v >= right[o, k], (cases[o], k)
 
     def test_warm_solve_takes_few_newton_passes(self):
-        # starts interpolated in each size's samples; from the bracket top the
-        # root solve took 11 passes on the benchmark grid and at 1e30, 13 at 1e300
-        for problems in ([(n, 1.0 / n) for n in geometric_grid(1e3, 1e6, 8)], [(10**12, 1e-30)], [(10**12, 1e-300)]):
+        # starts from the Hermite interpolant of each size's samples; from the
+        # bracket top the root solve took 11 passes on the benchmark grid and
+        # at 1e30, 13 at 1e300, and from linear interpolation in 96 samples 3
+        grids = [[(n, 1.0 / n) for n in geometric_grid(1e3, 1e6, 8)]]
+        grids += [[(n, 1.0 / n) for n in geometric_grid(1e3 * f, 1e6 * f, 8)] for f in benchmark_factors(8)]
+        for problems in grids + [[(10**12, 1e-30)], [(10**12, 1e-100)], [(10**12, 1e-300)]]:
             reduction._minimize_many(problems)  # the sizes' records are cached
-            passes = []
-            forward = reduction._forward
-
-            def counted(a, k):
-                passes.append(len(a))
-                return forward(a, k)
-
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(reduction, "_forward", counted)
-                reduction._minimize_many(problems)
-            assert len(passes) <= 4, problems  # measured: 3, all in the root solve (4 on a few sweeps)
+            passes = kernel_passes(problems)
+            assert len(passes) <= 2, problems  # measured: 2, all in the root solve
             assert passes[0] <= 4 * len(problems)
+
+    def test_cold_solve_takes_few_passes(self, monkeypatch):
+        # a first call computes its sizes' records: a Newton peak search of
+        # 3 or 4 passes, one sample pass, then the root solve; the 46
+        # halvings of the bisection it replaced made that 50 passes
+        for n in (10**3, 10**30, 10**300):
+            monkeypatch.setattr(reduction, "_table", reduction._table[:0])
+            passes = kernel_passes([(n, 1.0 / n)])
+            assert len(passes) <= 12, n  # measured: 7 at 1e3, 6 at 1e30 and 1e300
 
 
 class TestSizeTable:
@@ -535,31 +580,57 @@ class TestSizeTable:
     def test_samples_start_at_the_peak_and_then_rise(self):
         # every size a float price reaches: the sampled ln a start at ln a*_k
         # and never fall, and every sample after the first lies below the
-        # peak, so none is a copy of it
+        # peak, so none is a copy of it; d ln a / dz is positive past the
+        # peak, and at the peak 0 exactly where ln p_k only falls
         k = np.arange(2, 713)
+        S = reduction._SAMPLES
         rows = reduction._records(k)[k]
-        z, log_a = rows[:, 2 : 2 + reduction._SAMPLES], rows[:, 2 + reduction._SAMPLES :]
+        z, log_a, dxdz = rows[:, 2 : 2 + S], rows[:, 2 + S : 2 + 2 * S], rows[:, 2 + 2 * S :]
+        assert rows.shape[1] == 2 + 3 * S
+        assert reduction._records(k).nbytes <= 8e6  # measured: 7.2 MB
         assert np.array_equal(log_a[:, 0], np.log(rows[:, 0])) and np.all(z[:, 0] == 0)
         assert np.all(np.diff(log_a, axis=1) >= 0)
         assert np.all(z[:, 1:] > 0)
+        assert np.all(np.isfinite(dxdz)) and np.all(dxdz[:, 1:] > 0)
+        assert np.array_equal(dxdz[:, 0] == 0, k < reduction._RISING_FROM)
 
     def test_z_samples_never_fall(self):
-        # ``_start`` finds the samples on either side of a root's z by binary
-        # search, which gives the count of samples below z only while a
-        # size's samples never fall: every size a float price reaches
+        # ``_start`` counts a size's samples below a root's z, which gives the
+        # index of the first sample at or above it only while a size's
+        # samples never fall: every size a float price reaches
         k = np.arange(2, 713)
+        S = reduction._SAMPLES
         table = reduction._records(k)
-        assert np.all(np.diff(table[k, 2 : 2 + reduction._SAMPLES], axis=1) >= 0)
-        # so the starts equal those from the count, on seeded sizes and
-        # prices from just past the peak out to the smallest float price
+        assert np.all(np.diff(table[k, 2 : 2 + S], axis=1) >= 0)
+        # so the starts equal the cubic Hermite interpolant in z between the
+        # samples around the count, on seeded sizes and prices from just
+        # past the peak out to the smallest float price
         rng = np.random.default_rng(15)
         k = np.sort(rng.integers(2, 701, 2000))[::-1]
         log_p = -np.minimum(table[k, 1] + LD(10) ** rng.uniform(-12, 3, len(k)), reduction._LOG_MAX)
         z = np.sqrt(-table[k, 1] - log_p)
-        j = 2 + (table[k, 2 : 2 + reduction._SAMPLES] < z[:, None]).sum(axis=1)
-        z0, z1, x0, x1 = (table[k, c] for c in (j - 1, j, j + reduction._SAMPLES - 1, j + reduction._SAMPLES))
-        want = np.exp(x0 + (x1 - x0) * (z - z0) / (z1 - z0))
+        j = 2 + (table[k, 2 : 2 + S] < z[:, None]).sum(axis=1)
+        z0, z1, x0, x1, d0, d1 = (table[k, c] for c in (j - 1, j, j + S - 1, j + S, j + 2 * S - 1, j + 2 * S))
+        h = z1 - z0
+        t = (z - z0) / h
+        want = np.exp(x0 + t * t * (3 - 2 * t) * (x1 - x0) + h * t * (1 - t) * ((1 - t) * d0 - t * d1))
         assert np.array_equal(reduction._start(table, k, log_p), want)
+
+    def test_peaks_match_bisection(self):
+        # the Newton search against the 46 halvings it replaced, on every size
+        # a float price reaches: ln a*_k within 1e-12 (the halvings leave
+        # 6.4e-13), m_k within the kernel's rounding at both points (2 k eps
+        # each, see the kernel test) and of both logs, and sizes whose ln p_k
+        # only falls keep a*_k = _A_MIN and m_k bit for bit
+        k = np.arange(712, 1, -1)
+        table = reduction._records(k)
+        a_star, m = oracles.bisect_peaks(k)
+        falls = k < reduction._RISING_FROM
+        assert np.array_equal(k[falls], [6, 5, 4, 3, 2])
+        assert np.all(table[k[falls], 0] == _A_MIN) and np.all(a_star[falls] == _A_MIN)
+        assert np.array_equal(table[k[falls], 1], m[falls])
+        assert np.all(abs(np.log(table[k, 0] / a_star)) <= 1e-12)  # measured: 6.4e-13
+        assert np.all(abs(table[k, 1] - m) <= 5 * k * np.finfo(LD).eps)  # measured: 4.4 k eps
 
     def test_derivative_changes_sign_at_most_once(self):
         # on a fine ln a grid from the bracket floor to a = 1e4, sizes up to 64
