@@ -59,6 +59,9 @@ RATIONAL = "rational"
 # The entry types a tuple accepts; bool, although an int, is not one.
 _REAL = (int, float, Fraction, np.integer, np.floating)
 
+# How an error names a float average that rounds a positive sum to 0.0.
+UNDERFLOW = "underflows to 0.0 in floats (the rational backend reads it exactly)"
+
 
 @dataclass(frozen=True)
 class IndexInterval:
@@ -228,10 +231,14 @@ class Profile(NamedTuple):
 def right_maximal_profile(x: PeriodicTuple) -> Profile:
     """Right maximal values, shortest maximizing lengths and Hasse parents.
 
-    The pass runs once per tuple; later calls return the same result.
+    The pass runs once per tuple; later calls return the same result.  A
+    float tuple whose right maximal value underflows to 0.0 is rejected.
     """
     if x._profile is None:
-        x._profile = _rising_sun(x)
+        profile = _rising_sun(x)
+        if x._den is None and 0.0 in profile.values:
+            raise CycmaxError(f"a right maximal value {UNDERFLOW}")
+        x._profile = profile
     return x._profile
 
 

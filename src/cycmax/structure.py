@@ -149,14 +149,14 @@ def has_majorizing_prefixes(x: PeriodicTuple, start: int) -> bool:
     """Whether each proper prefix sum of the rotation at ``start`` is below k times the mean.
 
     ``partial < k * mean`` is tested exactly as ``partial * n < k * total``
-    on the integer prefix table of the rational twin.
+    on the integer prefix table of the rational twin, from the first period.
     """
     x = x._exact()
-    n, total = x.n, x._prefix3[x.n]
-    left = x._table(start - 1)
+    n, p = x.n, x._prefix3
+    first = (start - 1) % n
+    left, total = p[first], p[n]
     for k in range(1, n):
-        partial = (x._table(start + k - 1) - left) * n
-        if partial >= k * total:
+        if (p[first + k] - left) * n >= k * total:
             return False
     return True
 
@@ -192,13 +192,14 @@ def distinct_short_averages(x: PeriodicTuple) -> bool:
     x = x._exact()
     n = x.n
     p = x._prefix3
-    def key(s, r):
-        g = math.gcd(s, r)
-        return s // g, r // g
-    seen = {key(p[n], n)}
+    g = math.gcd(p[n], n)
+    seen = {(p[n] // g, n // g)}
     for i in range(n):
+        left = p[i]
         for r in range(1, n):
-            avg = key(p[i + r] - p[i], r)
+            s = p[i + r] - left
+            g = math.gcd(s, r)
+            avg = (s // g, r // g)
             if avg in seen:
                 return False
             seen.add(avg)

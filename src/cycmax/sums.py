@@ -16,17 +16,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Sequence
 
 from .errors import CycmaxError
-from .periodic import (
-    FLOAT,
-    IndexInterval,
-    Number,
-    PeriodicTuple,
-    interval_average,
-    right_maximal_profile,
-)
+from .periodic import FLOAT, UNDERFLOW, Number, PeriodicTuple, right_maximal_profile
 
 
 @dataclass(frozen=True)
@@ -69,7 +63,7 @@ class SubsetCollectionSystem:
                 raise CycmaxError(f"collection at index {i} is empty")
             cleaned = {}  # ordered set of canonical subsets
             for subset in subsets:
-                idx = tuple(sorted(set(int(j) for j in subset)))
+                idx = tuple(sorted(set(map(int, subset))))
                 if not idx:
                     raise CycmaxError(f"empty subset in collection {i}")
                 if idx[0] < 1 or idx[-1] > self.n:
@@ -83,43 +77,53 @@ class SubsetCollectionSystem:
     def max_subset_average(self, x: PeriodicTuple, i: int) -> Fraction:
         """Largest subset average in the i-th collection (the first on ties).
 
-        Exact on both backends: subset sums are integer table differences
-        of the rational twin, and s / r > t / q is tested as s * q > t * r.
+        Exact on both backends: subset sums are integer table sums of the
+        rational twin, and s / r > t / q is tested as s * q > t * r.
         """
         x = x._exact()
-        p = x._prefix3
+        return x._ratio(*self._max_subset_sum(_table_entries(x), i))
+
+    def _max_subset_sum(self, entries: list[int], i: int) -> tuple[int, int]:
+        """Sum and size of that subset, over ``_table_entries``."""
         best_s, best_r = None, 1
         for idx in self.collections[i - 1]:
-            s, r = sum(p[j] - p[j - 1] for j in idx), len(idx)
+            s, r = sum(map(entries.__getitem__, idx)), len(idx)
             if best_s is None or s * best_r > best_s * r:
                 best_s, best_r = s, r
-        return x._ratio(best_s, best_r)
+        return best_s, best_r
+
+
+def _table_entries(x: PeriodicTuple) -> list[int]:
+    """A rational tuple's entries in table units, at positions 1..n."""
+    return [0, *map(sub, x._prefix3[1 : x.n + 1], x._prefix3[: x.n])]
 
 
 def sum_with_radii(x: PeriodicTuple, r: RadiusTuple) -> Number:
     """S(x, r) = sum_i x_i / mean of the r_i entries after i.
 
-    On the float backend each window is summed from its own entries
-    (whole periods as multiples of the period sum) with ``math.fsum``: a
-    difference of prefix sums would lose a small window after a large
+    On the float backend each window is summed from a slice of its own
+    entries (whole periods as multiples of the period sum) with ``math.fsum``:
+    a difference of prefix sums would lose a small window after a large
     entry to cancellation.  The rational backend reads its exact table.
     """
     if len(r) != x.n:
         raise CycmaxError(f"expected {x.n} radii, got {len(r)}")
     n = x.n
+    twice = x.values * 2
     period = math.fsum(x.values) if x.backend == FLOAT else None
     total = 0 * x.values[0]
     for i in range(1, n + 1):
         length = r.radii[i - 1]
         if period is None:
-            denom = interval_average(x, IndexInterval(i + 1, i + length))
+            s = x._table(i + length) - x._table(i)
         else:
             q, rest = divmod(length, n)
-            denom = math.fsum([q * period, *(x.values[(i + j) % n] for j in range(rest))]) / length
+            s = math.fsum((q * period, *twice[i : i + rest]))
+        denom = x._ratio(s, length)
         if denom == 0:
-            raise CycmaxError(
-                f"window of length {length} after index {i} sums to zero"
-            )
+            if s == 0:
+                raise CycmaxError(f"window of length {length} after index {i} sums to zero")
+            raise CycmaxError(f"the average of the window of length {length} after index {i} {UNDERFLOW}")
         total += x.values[i - 1] / denom
     return total
 
@@ -158,16 +162,29 @@ def max_avg_sum(x: PeriodicTuple) -> MaxSumResult:
 
 
 def generalized_max_sum(x: PeriodicTuple, system: SubsetCollectionSystem) -> Number:
-    """sum_i x_i / (largest subset average in the i-th collection)."""
+    """sum_i x_i / (largest subset average in the i-th collection).
+
+    A rational sum, of e_i r_i / s_i over table entries e_i and maxima
+    s_i / (r_i D), is one integer over the lcm of the s_i until the end.
+    """
     if system.n != x.n:
         raise CycmaxError("system size must match tuple length")
-    total = 0 * x.values[0]
-    for i in range(1, x.n + 1):
-        m = system.max_subset_average(x, i)
-        if m == 0:
-            raise CycmaxError(f"all subset averages at index {i} are zero")
-        total += x.values[i - 1] / m
-    return total
+    twin = x._exact()
+    entries = _table_entries(twin)
+    num, den, total = 0, 1, 0.0
+    try:
+        for i in range(1, x.n + 1):
+            s, r = system._max_subset_sum(entries, i)
+            if s == 0:
+                raise CycmaxError(f"all subset averages at index {i} are zero")
+            if x.backend == FLOAT:
+                total += x.values[i - 1] / twin._ratio(s, r)
+            else:
+                g = math.gcd(den, s)
+                num, den = num * (s // g) + entries[i] * r * (den // g), den // g * s
+    except ZeroDivisionError:
+        raise CycmaxError(f"a largest subset average {UNDERFLOW}") from None
+    return total if x.backend == FLOAT else Fraction(num, den)
 
 
 def radii_from_json(text: str) -> RadiusTuple:

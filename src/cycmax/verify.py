@@ -89,13 +89,20 @@ def _random_tied_tuple(rng: np.random.Generator, max_n: int = 16) -> PeriodicTup
 
 
 def _brute_right_maximal(x: PeriodicTuple, i: int, r_max: int):
-    """Largest average of [i : i+r-1] over r = 1..r_max and the shortest r attaining it."""
-    best, best_r = None, 0
-    for r in range(1, r_max + 1):
-        avg = interval_average(x, IndexInterval(i, i + r - 1))
-        if best is None or avg > best:
-            best, best_r = avg, r
-    return best, best_r
+    """Largest average of [i : i+r-1] over r = 1..r_max, i >= 1, and the shortest r attaining it.
+
+    Floats divide table differences as ``interval_average`` does; rational ones cross-multiply.
+    """
+    t = x._prefix3[i - 1 :] + [x._table(k) for k in range(3 * x.n + 1, i + r_max)]
+    if x._den is None:
+        averages = [(t[r] - t[0]) / r for r in range(1, r_max + 1)]
+        best = max(averages)  # the first of equal maxima
+        return best, averages.index(best) + 1
+    best, best_r = t[1] - t[0], 1
+    for r in range(2, r_max + 1):
+        if (t[r] - t[0]) * best_r > best * r:
+            best, best_r = t[r] - t[0], r
+    return x._ratio(best, best_r), best_r
 
 
 # ---------------------------------------------------------------------------
@@ -199,24 +206,20 @@ def suite_prop4(rng: np.random.Generator) -> list[CheckResult]:
 def _poset_checks_one(x: PeriodicTuple) -> list[str]:
     """Structural defects of the interval order for one generic tuple."""
     defects = []
-    records = all_m_intervals(x)
+    poset = build_poset(x)
     n = x.n
 
-    # representatives in one period window must be disjoint or nested
-    spans = [(rec.start, rec.start + rec.kappa) for rec in records]
-    for a, b in spans:
-        for c0, d0 in spans:
-            if a >= c0:
-                continue
-            for c, d in ((c0 - n, d0 - n), (c0, d0), (c0 + n, d0 + n)):
-                overlap = c <= b and a <= d
-                nested = (a <= c and d <= b) or (c <= a and b <= d)
-                if overlap and not nested:
-                    defects.append(
-                        f"{IndexInterval(a, b)} and {IndexInterval(c, d)} overlap without nesting"
-                    )
+    # representatives in one period window must be disjoint or nested; the
+    # spans are in start order, and for a < c only the shifts of [c:d] by
+    # -n and 0 can cross [a:b], as c + n > b
+    spans = [(rec.start, rec.start + rec.kappa) for rec in poset.nodes.values()]
+    for j, (a, b) in enumerate(spans):
+        for c, d in spans[j + 1 :]:
+            if a <= d - n < b:
+                defects.append(f"[{a}:{b}] and [{c - n}:{d - n}] overlap without nesting")
+            if c <= b < d:
+                defects.append(f"[{a}:{b}] and [{c}:{d}] overlap without nesting")
 
-    poset = build_poset(x)
     if not poset.is_tree():
         defects.append("inclusion order is not a tree")
     for child, parent in poset.parent.items():
@@ -228,7 +231,7 @@ def _poset_checks_one(x: PeriodicTuple) -> list[str]:
         root = poset.nodes[poset.root]
         if root.average != x.average:
             defects.append("root average differs from period mean")
-    full = [r for r in records if r.kappa == n - 1]
+    full = [r for r in poset.nodes.values() if r.kappa == n - 1]
     if len(full) != 1:
         defects.append(f"{len(full)} full-length classes")
     return defects
@@ -445,7 +448,7 @@ SUITES = {
 
 
 def run_suites(names: list[str] | None, seed: int) -> list[CheckResult]:
-    chosen = list(SUITES) if not names else names
+    chosen = list(dict.fromkeys(names)) if names else list(SUITES)
     unknown = [s for s in chosen if s not in SUITES]
     if unknown:
         raise CycmaxError(f"unknown suite(s): {', '.join(unknown)}")

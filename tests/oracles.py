@@ -11,7 +11,9 @@ ones by bisection; the backward shooting solve the forward one
 replaced, with its own grid brackets and bisection; and the forward
 recurrence in mpmath.  The rational backend compares averages by
 cross-multiplying integer prefix sums; the ``Fraction`` versions below
-sum ``x.values`` themselves and never read that table.
+sum ``x.values`` themselves and never read that table.  The per-window
+forms that the verify suites' scans and the cyclic sums replaced are
+kept as they were.
 """
 
 import math
@@ -22,8 +24,9 @@ import mpmath as mp
 import numpy as np
 
 from cycmax import reduction
+from cycmax.errors import CycmaxError
 from cycmax.reduction import LD, ReducedSolution, _value_ld
-from cycmax.periodic import Profile
+from cycmax.periodic import IndexInterval, Profile, interval_average
 from cycmax.structure import MIntervalRecord
 from cycmax.sums import SubsetCollectionSystem
 
@@ -199,6 +202,71 @@ def fraction_average_table(x) -> list[list[Fraction]]:
     n = x.n
     p = fraction_prefix3(x)
     return [[(p[i + r] - p[i]) / r for i in range(n)] for r in range(1, n)]
+
+
+# ---------------------------------------------------------------------------
+# The per-window forms that the verify suites and the sums replaced: one
+# ``IndexInterval`` per window, ``Fraction`` terms added one by one, and
+# each window's entries fed to ``math.fsum`` index by index.
+
+
+def interval_scan_right_maximal(x, i: int, r_max: int):
+    """Largest average of [i : i+r-1] over r = 1..r_max and the shortest r attaining it."""
+    best, best_r = None, 0
+    for r in range(1, r_max + 1):
+        avg = interval_average(x, IndexInterval(i, i + r - 1))
+        if best is None or avg > best:
+            best, best_r = avg, r
+    return best, best_r
+
+
+def fraction_generalized_max_sum(x, system):
+    """sum_i x_i / (largest subset average in the i-th collection), term by term."""
+    if system.n != x.n:
+        raise CycmaxError("system size must match tuple length")
+    total = 0 * x.values[0]
+    for i in range(1, x.n + 1):
+        m = system.max_subset_average(x, i)
+        if m == 0:
+            raise CycmaxError(f"all subset averages at index {i} are zero")
+        total += x.values[i - 1] / m
+    return total
+
+
+def fsum_sum_with_radii(x, r):
+    """S(x, r), each float window summed by ``math.fsum`` over its entries index by index."""
+    if len(r) != x.n:
+        raise CycmaxError(f"expected {x.n} radii, got {len(r)}")
+    n = x.n
+    period = math.fsum(x.values) if x.backend == "float" else None
+    total = 0 * x.values[0]
+    for i in range(1, n + 1):
+        length = r.radii[i - 1]
+        if period is None:
+            denom = interval_average(x, IndexInterval(i + 1, i + length))
+        else:
+            q, rest = divmod(length, n)
+            denom = math.fsum([q * period, *(x.values[(i + j) % n] for j in range(rest))]) / length
+        if denom == 0:
+            raise CycmaxError(f"window of length {length} after index {i} sums to zero")
+        total += x.values[i - 1] / denom
+    return total
+
+
+def crossing_defects(records, n: int) -> list[str]:
+    """The pairs of classes whose representatives, shifted by -n, 0 or n, overlap without nesting."""
+    defects = []
+    spans = [(rec.start, rec.start + rec.kappa) for rec in records]
+    for a, b in spans:
+        for c0, d0 in spans:
+            if a >= c0:
+                continue
+            for c, d in ((c0 - n, d0 - n), (c0, d0), (c0 + n, d0 + n)):
+                overlap = c <= b and a <= d
+                nested = (a <= c and d <= b) or (c <= a and b <= d)
+                if overlap and not nested:
+                    defects.append(f"{IndexInterval(a, b)} and {IndexInterval(c, d)} overlap without nesting")
+    return defects
 
 
 # ---------------------------------------------------------------------------

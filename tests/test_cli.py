@@ -202,6 +202,38 @@ class TestSumCommands:
         assert "overflow" in err
 
 
+class TestUnderflowingAverages:
+    """On [5e-324, 0, 0] the float averages 5e-324 / 3 round to 0.0."""
+
+    UNDERFLOW = "underflows to 0.0 in floats (the rational backend reads it exactly)\n"
+
+    @pytest.fixture
+    def tiny_path(self, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"values": [5e-324, 0, 0]}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", [["maxsum"], ["analyze"], ["analyze", "--format", "csv"], ["analyze", "--format", "dot"]])
+    def test_maximal_average(self, capsys, tiny_path, command):
+        code, out, err = run_cli(capsys, *command, tiny_path)
+        assert (code, out, err) == (1, "", "error: a right maximal value " + self.UNDERFLOW)
+        code, out, err = run_cli(capsys, *command, tiny_path, "--backend", "rational")
+        assert code == 0 and err == ""
+
+    def test_maxsum_reads_it_on_the_rational_backend(self, capsys, tiny_path):
+        code, out, _ = run_cli(capsys, "maxsum", tiny_path, "--backend", "rational")
+        assert (code, json.loads(out)) == (0, {"value": 3.0, "radii": [3, 2, 1]})
+
+    def test_sum_tells_underflow_from_a_zero_sum(self, capsys, tiny_path):
+        code, out, err = run_cli(capsys, "sum", tiny_path, "--k", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: the average of the window of length 3 after index 1 " + self.UNDERFLOW
+        code, out, err = run_cli(capsys, "sum", tiny_path, "--k", "1")
+        assert (code, out, err) == (1, "", "error: window of length 1 after index 1 sums to zero\n")
+        code, out, _ = run_cli(capsys, "sum", tiny_path, "--k", "3", "--backend", "rational")
+        assert (code, json.loads(out)["value"]) == (0, 3.0)
+
+
 class TestEntriesPastTheFloatRange:
     """A tuple holding 10**400: the float backend rejects it when parsed,
     and a rational result that no float can hold is an input error."""
@@ -512,6 +544,12 @@ class TestVerify:
         assert code == 0
         assert "PASS rotation.unique-majorizing-rotation" in out
         assert out.strip().endswith("1/1 checks passed")
+
+    def test_a_suite_named_twice_runs_once(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "gradient", "--suite", "rotation", "--suite", "gradient")
+        assert code == 0
+        assert [line.split(".")[0] for line in out.splitlines()[:-1]] == ["PASS gradient", "PASS rotation"]
+        assert out.endswith("\n2/2 checks passed\n")
 
     def test_unknown_suite_exits_1(self, capsys):
         # run_suites names it: the parser declares no fixed list of suites

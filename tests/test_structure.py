@@ -16,6 +16,7 @@ from cycmax import (
 from cycmax import verify
 from cycmax.periodic import right_maximal_profile
 from cycmax.structure import (
+    IntervalPoset,
     MIntervalRecord,
     all_m_intervals,
     average_table,
@@ -193,10 +194,12 @@ class TestPoset:
         # classes it must name both crossings, one of them across the period.
         x = PeriodicTuple([Fraction(v) for v in (5, 1, 7, 2)], backend="rational")
         crossing = [MIntervalRecord(1, 2, Fraction(13, 3)), MIntervalRecord(3, 2, Fraction(14, 3))]
-        monkeypatch.setattr(verify, "all_m_intervals", lambda x: crossing)
+        poset = IntervalPoset(4, {rec.start: rec for rec in crossing}, {1: None, 3: None}, None)
+        monkeypatch.setattr(verify, "build_poset", lambda x: poset)
         assert verify._poset_checks_one(x) == [
             "[1:3] and [-1:1] overlap without nesting",
             "[1:3] and [3:5] overlap without nesting",
+            "inclusion order is not a tree",
             "0 full-length classes",
         ]
 
@@ -354,7 +357,7 @@ class TestExactKernel:
         for y in (x, floats):
             n = y.n
             assert distinct_short_averages(y) == oracles.fraction_distinct_short_averages(y)
-            for start in range(1 - n, 2 * n + 1):
+            for start in range(1 - 3 * n, 4 * n + 1):
                 assert has_majorizing_prefixes(y, start) == (
                     oracles.fraction_has_majorizing_prefixes(y, start)
                 )
@@ -389,6 +392,21 @@ class TestExactKernel:
             assert verdict == oracles.fraction_distinct_short_averages(x)
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "values, distinct",
+        [
+            ([1, 3, 2], False),  # (1 + 3) / 2 equals the entry 2: the key is the reduced pair
+            ([2, 1, 3], False),  # the entry 2 equals the mean
+            ([1, 2, 8, 6], False),  # (2 + 8) / 2 equals (8 + 6 + 1) / 3 and nothing else
+            ([1, 2, 5], True),
+            ([Fraction(1, 3), Fraction(2, 9), 1], True),
+        ],
+    )
+    def test_genericity_key_is_the_reduced_pair(self, values, distinct):
+        for x in (PeriodicTuple(values, backend="rational"), PeriodicTuple([v * 7 for v in values], backend="rational")):
+            assert distinct_short_averages(x) is distinct
+            assert oracles.fraction_distinct_short_averages(x) is distinct
 
     def test_common_denominator_table(self):
         x = PeriodicTuple([Fraction(1, 6), Fraction(3, 4), Fraction(0), Fraction(2)], backend="rational")

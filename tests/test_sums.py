@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -293,6 +294,103 @@ class TestGeneralizedMaxSum:
         system = SubsetCollectionSystem([first] + [[[i]] for i in range(2, n + 1)])
         assert system.collections[0] == ((1, 65, 70), (2,), (69, 70))
         assert system.collections[1:] == tuple(((i,),) for i in range(2, n + 1))
+
+
+def seeded_tuples(seed: int, count: int = 80):
+    """Float tuples (uniform, and of mixed magnitudes), rational tuples
+    with mixed denominators, and tied tuples of small integers with zeros."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        n = int(rng.integers(1, 16))
+        kind = t % 4
+        if kind == 0:
+            values = rng.uniform(0.05, 10.0, n).tolist()
+        elif kind == 1:
+            values = rng.choice([1e16, 1.0, 3.0, 1e-5, 0.0], n).tolist()
+        elif kind == 2:
+            values = [Fraction(int(a), int(b)) for a, b in zip(rng.integers(0, 50, n), rng.integers(1, 12, n))]
+        else:
+            values = [Fraction(int(a)) for a in rng.integers(0, 4, n)]
+        if not any(values):
+            values[0] = values[0] + 1
+        yield rng, PeriodicTuple(values)
+
+
+def outcome(f, *args):
+    """The value with its type, or the message of the ``CycmaxError`` raised."""
+    try:
+        value = f(*args)
+    except CycmaxError as exc:
+        return str(exc)
+    return value, type(value)
+
+
+class TestReplacedForms:
+    """The table and slice forms against the per-window forms they replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sum_with_radii_matches_index_by_index_fsum(self, seed):
+        for rng, x in seeded_tuples(seed):
+            n = x.n
+            # radii up to one period, and past it, beyond 3n
+            for top in (n, 3 * n + 2):
+                radii = RadiusTuple(tuple(int(r) for r in rng.integers(1, top + 1, n)))
+                assert outcome(sum_with_radii, x, radii) == outcome(oracles.fsum_sum_with_radii, x, radii)
+            for k in (1, 2, n, n + 1, 2 * n + 3):
+                radii = RadiusTuple.constant(n, k)
+                assert outcome(sum_with_radii, x, radii) == outcome(oracles.fsum_sum_with_radii, x, radii)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generalized_max_sum_matches_fraction_terms(self, seed):
+        for rng, x in seeded_tuples(seed):
+            n = x.n
+            pool = [(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False) + 1).tolist() for _ in range(3)]
+            # subsets repeated within a collection and shared between collections
+            collections = [
+                [pool[int(rng.integers(0, 3))] for _ in range(int(rng.integers(1, 5)))] + [list(range(1, n + 1))]
+                for _ in range(n)
+            ]
+            for system in (SubsetCollectionSystem(collections), oracles.right_window_system(n)):
+                assert outcome(generalized_max_sum, x, system) == outcome(oracles.fraction_generalized_max_sum, x, system)
+
+    def test_zero_subset_average_named_by_both(self):
+        x = PeriodicTuple([Fraction(1), Fraction(0), Fraction(0)], backend="rational")
+        system = SubsetCollectionSystem([[[1, 2]], [[2, 3], [3]], [[1]]])
+        want = "all subset averages at index 2 are zero"
+        for y in (x, PeriodicTuple([1.0, 0.0, 0.0])):
+            assert outcome(generalized_max_sum, y, system) == want
+            assert outcome(oracles.fraction_generalized_max_sum, y, system) == want
+
+
+class TestUnderflow:
+    """A float average of a tiny positive sum can round to 0.0."""
+
+    UNDERFLOW = "underflows to 0.0 in floats (the rational backend reads it exactly)"
+
+    def test_max_avg_sum(self):
+        # 5e-324 / 3 rounds to 0.0: the right maximal value at 2 and 3
+        with pytest.raises(CycmaxError, match=re.escape("a right maximal value " + self.UNDERFLOW)):
+            max_avg_sum(PeriodicTuple([5e-324, 0.0, 0.0]))
+        exact = PeriodicTuple([Fraction(5e-324), Fraction(0), Fraction(0)], backend="rational")
+        assert max_avg_sum(exact).value == 3
+        # a subnormal average that does not round to 0.0 is kept
+        assert max_avg_sum(PeriodicTuple([1e-320, 0.0, 0.0])).value == pytest.approx(3.0, rel=1e-3)
+
+    def test_generalized_max_sum(self):
+        system = SubsetCollectionSystem([[[1, 2, 3]]] * 3)
+        with pytest.raises(CycmaxError, match=re.escape("a largest subset average " + self.UNDERFLOW)):
+            generalized_max_sum(PeriodicTuple([5e-324, 0.0, 0.0]), system)
+        exact = PeriodicTuple([Fraction(5e-324), Fraction(0), Fraction(0)], backend="rational")
+        assert generalized_max_sum(exact, system) == 3
+
+    def test_sum_with_radii_tells_underflow_from_zero_sum(self):
+        x = PeriodicTuple([5e-324, 0.0, 0.0])
+        with pytest.raises(CycmaxError, match=re.escape(
+            "the average of the window of length 3 after index 1 " + self.UNDERFLOW
+        )):
+            sum_with_radii(x, RadiusTuple.constant(3, 3))
+        with pytest.raises(CycmaxError, match="^window of length 1 after index 1 sums to zero$"):
+            sum_with_radii(x, RadiusTuple.constant(3, 1))
 
 
 class TestJsonInterfaces:

@@ -1,0 +1,94 @@
+"""The verify suites' table scans and checks against the per-window forms they replaced."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from cycmax import verify
+from cycmax.periodic import PeriodicTuple
+from cycmax.structure import IntervalPoset, MIntervalRecord
+from cycmax.verify import run_suites
+
+import oracles
+
+
+def seeded_tuples(seed: int, count: int = 90):
+    """Float tuples (uniform, and of mixed magnitudes), rational tuples
+    with mixed denominators, and tied tuples of small integers."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        n = int(rng.integers(1, 17))
+        kind = t % 4
+        if kind == 0:
+            values = rng.uniform(0.05, 10.0, n).tolist()
+        elif kind == 1:
+            values = rng.choice([1e16, 1.0, 3.0, 1e-5, 0.0], n).tolist()
+        elif kind == 2:
+            values = [Fraction(int(a), int(b)) for a, b in zip(rng.integers(0, 50, n), rng.integers(1, 12, n))]
+        else:
+            values = [Fraction(int(a)) for a in rng.integers(0, 4, n)]
+        if not any(values):
+            values[0] = values[0] + 1
+        yield PeriodicTuple(values)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scan_matches_interval_scan(seed):
+    # windows up to one period and up to three, from starts in the first two periods
+    for x in seeded_tuples(seed):
+        n = x.n
+        for i in range(1, 2 * n + 1):
+            for r_max in (1, n, 3 * n):
+                got = verify._brute_right_maximal(x, i, r_max)
+                want = oracles.interval_scan_right_maximal(x, i, r_max)
+                assert got == want and type(got[0]) is type(want[0]), (x, i, r_max)
+
+
+def test_scan_of_the_tied_check_matches_the_profile_scan():
+    # the shortest-window check compares the profile with this scan, start by start
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        x = verify._random_tied_tuple(rng)
+        scan = [verify._brute_right_maximal(x, i, x.n) for i in range(1, x.n + 1)]
+        values, lengths = oracles.scan_profile(x)
+        assert scan == list(zip(values, lengths))
+
+
+def test_crossing_check_matches_the_three_shift_loop(monkeypatch):
+    # records of any kappa in 0..n-1, so that classes cross, in both directions
+    rng = np.random.default_rng(8)
+    crossed = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        records = [MIntervalRecord(i, int(rng.integers(0, n)), Fraction(1)) for i in range(1, n + 1)]
+        poset = IntervalPoset(n, {rec.start: rec for rec in records}, dict.fromkeys(range(1, n + 1)), None)
+        monkeypatch.setattr(verify, "build_poset", lambda x: poset)
+        got = verify._poset_checks_one(PeriodicTuple([Fraction(1)] * n))
+        assert [d for d in got if "overlap" in d] == oracles.crossing_defects(records, n)
+        crossed += any("overlap" in d for d in got)
+    assert crossed > 100
+
+
+# the replaced implementations, under the names the suites call
+OLD = {
+    "_brute_right_maximal": oracles.interval_scan_right_maximal,
+    "generalized_max_sum": oracles.fraction_generalized_max_sum,
+    "sum_with_radii": oracles.fsum_sum_with_radii,
+    "has_majorizing_prefixes": oracles.fraction_has_majorizing_prefixes,
+    "distinct_short_averages": oracles.fraction_distinct_short_averages,
+}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_suites_print_what_the_replaced_forms_print(monkeypatch, seed):
+    lines = [res.line() for res in run_suites(None, seed)]
+    for name, old in OLD.items():
+        monkeypatch.setattr(verify, name, old)
+    assert [res.line() for res in run_suites(None, seed)] == lines
+
+
+def test_each_named_suite_runs_once_in_the_order_first_named():
+    once = run_suites(["gradient", "rotation"], 3)
+    assert [r.suite for r in once] == ["gradient", "rotation"]
+    assert run_suites(["gradient", "rotation", "gradient", "rotation"], 3) == once
