@@ -59,8 +59,9 @@ RATIONAL = "rational"
 # The entry types a tuple accepts; bool, although an int, is not one.
 _REAL = (int, float, Fraction, np.integer, np.floating)
 
-# How an error names a float average that rounds a positive sum to 0.0.
-UNDERFLOW = "underflows to 0.0 in floats (the rational backend reads it exactly)"
+# How an error names a float average of a positive sum below the normal
+# range, where it keeps fewer than 53 bits or rounds to 0.0.
+SUBNORMAL = "is below the normal float range (the rational backend reads it exactly)"
 
 
 @dataclass(frozen=True)
@@ -232,12 +233,12 @@ def right_maximal_profile(x: PeriodicTuple) -> Profile:
     """Right maximal values, shortest maximizing lengths and Hasse parents.
 
     The pass runs once per tuple; later calls return the same result.  A
-    float tuple whose right maximal value underflows to 0.0 is rejected.
+    float tuple with a right maximal value below the normal range is rejected.
     """
     if x._profile is None:
         profile = _rising_sun(x)
-        if x._den is None and 0.0 in profile.values:
-            raise CycmaxError(f"a right maximal value {UNDERFLOW}")
+        if x._den is None and min(profile.values) < sys.float_info.min:
+            raise CycmaxError(f"a right maximal value {SUBNORMAL}")
         x._profile = profile
     return x._profile
 

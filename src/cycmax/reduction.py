@@ -30,12 +30,12 @@ four sizes just below min(N, ceil(ln(1/p)) + 2), the winner lies among
 them; the root left of the peak never wins (measured).  All these are
 solved in one batched Newton iteration, each started from a cubic
 Hermite interpolant of its size's samples, in 2 passes on the measured
-grids; the lowest value wins, and its entries are taken in 40-digit
-decimals, one Newton step past the root with the slope of the
-iteration's last pass.
-That 40-digit run certifies the winner by its backward error: p_k at the
-corrected root is p to within the longdouble epsilon, or the solve raises
-RuntimeError, a bug rather than a verdict.
+grids; the lowest value wins.  ``_certified`` makes the winner's solution
+from ``_run``, the recurrence in 40-digit decimals, one Newton step past
+the root, with the slope of the iteration's last pass; that run certifies
+the winner by its backward error (p_k at the corrected root is p to within
+the longdouble epsilon) or raises RuntimeError, a bug, not a verdict.
+The finite-difference gradient takes its 2N points as rows of one call.
 Independent nested grid searches over the simplex serve as cross-check
 oracles at small N.
 """
@@ -109,6 +109,14 @@ def t_noncyclic(x: Sequence, p) -> float:
     return total + x[-1] / p
 
 
+def _chain_values(X: np.ndarray, p) -> np.ndarray:
+    """Vectorized chain sum over rows of X, in the precision of X; inadmissible rows get +inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = X[:, :-1] / X[:, 1:]
+    terms = np.where(X[:, :-1] == 0, 0.0, ratios)
+    return terms.sum(axis=1) + X[:, -1] / p
+
+
 # Step of the central differences, relative to each coordinate.
 FD_REL_STEP = 1e-6
 
@@ -121,21 +129,20 @@ def chain_gradient_fd(x: np.ndarray, p: float) -> np.ndarray:
     run in extended precision: near a constrained minimizer the objective
     moves by ~|g| * h against a background value many orders larger, and
     double precision would lose most of the quotient to cancellation.
+    The 2N moved points are the rows of one ``_chain_values`` call.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise CycmaxError("finite differences require a strictly positive vector")
     x = x.astype(LD)
-    pld = LD(p)
-    g = np.zeros(len(x), dtype=LD)
-    for j in range(len(x)):
-        h = LD(FD_REL_STEP) * x[j]
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        g[j] = (_value_ld(xp, pld) - _value_ld(xm, pld)) / (xp[j] - xm[j])
-    return g.astype(float)
+    n, j = len(x), np.arange(len(x))
+    h = LD(FD_REL_STEP) * x
+    # row j moves coordinate j up by its step, row n + j moves it down
+    moved = np.tile(x, (2 * n, 1))
+    moved[j, j] += h
+    moved[n + j, j] -= h
+    values = _chain_values(moved, LD(p))
+    return ((values[:n] - values[n:]) / (moved[j, j] - moved[n + j, j])).astype(float)
 
 
 def gradient_agreement(x: np.ndarray, p: float) -> float:
@@ -151,11 +158,6 @@ def gradient_agreement(x: np.ndarray, p: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Extended-precision internals (support coordinates, all entries positive)
-
-
-def _value_ld(x: np.ndarray, p) -> np.longdouble:
-    """Chain sum of one support (1-D) or of each column (2-D)."""
-    return (x[:-1] / x[1:]).sum(axis=0) + x[-1] / p
 
 
 def _grad_ld(x: np.ndarray, p) -> np.ndarray:
@@ -174,8 +176,6 @@ def _residual_ld(x: np.ndarray, p) -> float:
     components agree to many digits, and the cancellation would otherwise
     swamp the result for small p.
     """
-    if len(x) == 1:
-        return 0.0
     g = _grad_ld(x, p)
     g -= g.sum() / len(g)  # the bits of g.mean(), without its dispatch
     return float(np.sqrt((g * g).sum()))
@@ -226,7 +226,7 @@ _A_MIN = LD(2.0**-65)
 # Newton step in ln a below which a root is taken as found.  It sits well
 # above the rounding noise of a step (~1e-18 / |d ln p_k / d ln a|), so
 # noise never passes for slow progress, and V_k there is within ~1e-16 of
-# its value at the root; ``_entries`` takes the step left.
+# its value at the root; ``_certified`` takes the step left.
 _ROOT_STEP = LD(2.0**-50)
 
 def _forward(a: np.ndarray, k: np.ndarray, curvature: bool = False):
@@ -456,66 +456,14 @@ def _roots(lo, hi, a, k, p):
     return a, V, slope
 
 
-def _entries(a: np.ndarray, slope: np.ndarray, k: np.ndarray, p: np.ndarray):
-    """Support entries and value of each root, rounded once from 40 digits.
-
-    Yields, root by root, the longdouble entries of size k[i] at root a[i]
-    and price p[i], and the value, so a caller that keeps only what it
-    makes of them holds one root's entries at a time.  The longdouble
-    recurrence leaves p_k and the entries a few ulps off, and the gradient
-    at the last entry reads that error times 1/p.  So the recurrence runs
-    again in 40-digit decimals, and one Newton step in ln a, with the
-    longdouble slope[i] that ``_roots`` gave at a[i], takes a from there to
-    the root.  The run at the corrected root certifies it: its backward
-    error |p_k(a) / p - 1| must be at most the longdouble epsilon, the
-    precision the entries are rounded to next, or RuntimeError names the
-    root.  Measured, a root moved by 1e-8 relative reads at least 4e-18 at
-    p = 1/n over n in 3..1e300, and 8.6e-19 next to the fold.
-    """
-    eps = decimal.Decimal(float(np.finfo(LD).eps))
-
-    def run(a, k):
-        u, q, value, x = a, 0, 0, []
-        for _ in range(k):
-            x.append(u)
-            q += u
-            value += q
-            u /= q
-        return x, q, value
-
-    for a_i, g_i, k_i, p_i in zip(a, slope, k.tolist(), p):
-        # the 40 digits hold inside this block only, never across a yield
-        with decimal.localcontext() as context:
-            context.prec = 40
-            num, den = a_i.as_integer_ratio()
-            root = decimal.Decimal(num) / den
-            price = decimal.Decimal(float(p_i))
-            # p_k(a) / p - 1 needs only u_{k-1} and q_k of a first run
-            u, q = root, 0
-            for _ in range(k_i - 1):
-                q += u
-                u /= q
-            q += u
-            mismatch = u / (q * q * price) - 1
-            x, q, value = run(root * (1 - mismatch / decimal.Decimal(float(g_i))), k_i)
-            error = abs(x[-1] / (q * q * price) - 1)
-            if error > eps:
-                raise RuntimeError(
-                    f"uncertified root of size {k_i} at p = {float(p_i)!r}: "
-                    f"backward error {float(error):.3g} above {float(eps):.3g}"
-                )
-            item = np.array([str(v / q) for v in x], dtype=LD), float(value)
-        yield item
-
-
 @dataclass
 class ReducedSolution:
     """Outcome of a simplex minimization of the chain sum.
 
     Only the trailing support is stored; every entry before it is zero.
     ``stationarity_residual`` is that of the longdouble entries these were
-    rounded from (see ``_solution``), a diagnostic: the certificate is the
-    backward error that ``_entries`` checks.
+    rounded from, a diagnostic: the certificate is the backward error that
+    ``_certified`` checks.
     """
 
     N: int
@@ -539,21 +487,51 @@ class ReducedSolution:
         }
 
 
-def _solution(N: int, p: float, x: np.ndarray, value) -> ReducedSolution:
-    """The solution with longdouble support entries x.
+# The largest backward error |p_k(a) / p - 1| of a certified root, the
+# precision its entries are rounded to.  Measured, a root moved by 1e-8
+# reads at least 4e-18 at p = 1/n over n in 3..1e300, 8.6e-19 at the fold.
+_EPS = decimal.Decimal(float(np.finfo(LD).eps))
 
-    The residual is the projected residual of x, the entries as rounded
-    once from 40 digits.  Each entry is then rounded once more, to the
-    nearest double, and not renormalized: the doubles sum to 1 within a
-    few units of the last place.
+
+def _run(a, k: int):
+    """u_0, ..., u_{k-1}, q_k and V_k(a), in the arithmetic of a (a Decimal's: the context's)."""
+    u, q, value, x = a, 0, 0, []
+    for _ in range(k):
+        x.append(u)
+        q += u
+        value += q
+        u /= q
+    return x, q, value
+
+
+def _certified(N: int, p: float, a, slope, k: int) -> ReducedSolution:
+    """The solution of size k at the longdouble root a, certified in 40 digits.
+
+    The longdouble recurrence leaves p_k and the entries a few ulps off,
+    and the gradient at the last entry reads that error times 1/p.  So
+    ``_run`` runs it again in 40 digits, and one Newton step in ln a, with
+    the slope ``_roots`` gave at a, takes a to the root.  The run there
+    certifies it: a backward error above _EPS raises RuntimeError.  The
+    residual is that of the entries rounded once from 40 digits to
+    longdouble; each is then rounded to the nearest double, and not
+    renormalized: the doubles sum to 1 within a few ulps.
     """
-    return ReducedSolution(
-        N=N,
-        p=p,
-        value=float(value),
-        entries=np.asarray(x, dtype=float),
-        stationarity_residual=_residual_ld(x, LD(p)),
-    )
+    with decimal.localcontext() as context:
+        context.prec = 40
+        num, den = a.as_integer_ratio()
+        root = decimal.Decimal(num) / den
+        price = decimal.Decimal(float(p))
+        x, q, _ = _run(root, k)
+        mismatch = x[-1] / (q * q * price) - 1
+        x, q, value = _run(root * (1 - mismatch / decimal.Decimal(float(slope))), k)
+        error = abs(x[-1] / (q * q * price) - 1)
+        if error > _EPS:
+            raise RuntimeError(
+                f"uncertified root of size {k} at p = {float(p)!r}: "
+                f"backward error {float(error):.3g} above {float(_EPS):.3g}"
+            )
+        x = np.array([str(v / q) for v in x], dtype=LD)
+    return ReducedSolution(N, p, float(value), x.astype(float), _residual_ld(x, LD(p)))
 
 
 def check_price(p: float) -> float:
@@ -604,8 +582,9 @@ def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
 
     The right branch of each size of each problem's window is one column
     of a single batched root solve; each problem then keeps its lowest
-    value.  Gives one ReducedSolution per problem, each winner certified
-    by ``_entries``.
+    value.  Gives one ReducedSolution per problem, built in problem order,
+    each winner by ``_certified`` as the list is made, so one winner's
+    entries are held at a time.
     """
     for N, p in problems:
         check_problem(N, p)
@@ -629,21 +608,18 @@ def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
     # p_k(a) <= a^-k for a >= 1, so p_k < p at a = 2 p^(-1/k)
     lo, hi = table[k, 0], 2 * np.exp(-log_p[owner] / k)
     start = np.clip(_start(table, k, log_p[owner]), lo, hi)
-    price = price[owner]
-    a, V, slope = _roots(lo, hi, start, k, price)
+    a, V, slope = _roots(lo, hi, start, k, price[owner])
 
     # per problem, the lowest value, the smallest size on a tie; a problem
     # without columns (p >= 1 or N = 1) keeps the point mass, which size 2
-    # beats wherever it has a root.  The winners come in problem order, and
-    # each one's entries are made into its solution as they are taken.
+    # beats wherever it has a root
     ranked = np.lexsort((k, V, owner))
     cols = ranked[np.diff(owner[ranked], prepend=-1) != 0]
-    solved = np.zeros(len(problems), dtype=bool)
-    solved[owner[cols]] = True
-    winners = _entries(a[cols], slope[cols], k[cols], price[cols])
+    winner = np.full(len(problems), -1)
+    winner[owner[cols]] = cols
     return [
-        _solution(N, p, *(next(winners) if won else (np.ones(1, dtype=LD), 1.0 / p)))
-        for (N, p), won in zip(problems, solved.tolist())
+        _certified(N, p, a[c], slope[c], int(k[c])) if c >= 0 else ReducedSolution(N, p, 1.0 / p, np.ones(1), 0.0)
+        for (N, p), c in zip(problems, winner.tolist())
     ]
 
 
@@ -657,7 +633,7 @@ def minimize_chain(N: int, p: float) -> ReducedSolution:
     never wins; see the notes above ``_forward``), the lowest value wins,
     and its entries and value are rounded from 40-digit decimals.  The
     40-digit run certifies the winner by its backward error (see
-    ``_entries``); a root that fails it raises RuntimeError, since no
+    ``_certified``); a root that fails it raises RuntimeError, since no
     float input is known to.  Rejects a p so small that 1/p overflows a
     float.
     """
@@ -666,14 +642,6 @@ def minimize_chain(N: int, p: float) -> ReducedSolution:
 
 # ---------------------------------------------------------------------------
 # Grid-search oracles
-
-
-def _chain_values(X: np.ndarray, p: float) -> np.ndarray:
-    """Vectorized chain sum over rows of X; inadmissible rows get +inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = X[:, :-1] / X[:, 1:]
-    terms = np.where(X[:, :-1] == 0, 0.0, ratios)
-    return terms.sum(axis=1) + X[:, -1] / p
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:

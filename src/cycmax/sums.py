@@ -14,13 +14,17 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 from typing import Sequence
 
 from .errors import CycmaxError
-from .periodic import FLOAT, UNDERFLOW, Number, PeriodicTuple, right_maximal_profile
+from .periodic import FLOAT, RATIONAL, SUBNORMAL, Number, PeriodicTuple, right_maximal_profile
+
+# How an error names a float sum past the float range.
+OVERFLOW = "exceeds the float range (the rational backend sums it exactly)"
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,9 @@ def sum_with_radii(x: PeriodicTuple, r: RadiusTuple) -> Number:
     On the float backend each window is summed from a slice of its own
     entries (whole periods as multiples of the period sum) with ``math.fsum``:
     a difference of prefix sums would lose a small window after a large
-    entry to cancellation.  The rational backend reads its exact table.
+    entry to cancellation.  A float average below the normal range, or a
+    float sum past the float range, is rejected.  The rational backend
+    reads its exact table.
     """
     if len(r) != x.n:
         raise CycmaxError(f"expected {x.n} radii, got {len(r)}")
@@ -119,12 +125,14 @@ def sum_with_radii(x: PeriodicTuple, r: RadiusTuple) -> Number:
         else:
             q, rest = divmod(length, n)
             s = math.fsum((q * period, *twice[i : i + rest]))
+        if s == 0:
+            raise CycmaxError(f"window of length {length} after index {i} sums to zero")
         denom = x._ratio(s, length)
-        if denom == 0:
-            if s == 0:
-                raise CycmaxError(f"window of length {length} after index {i} sums to zero")
-            raise CycmaxError(f"the average of the window of length {length} after index {i} {UNDERFLOW}")
+        if period is not None and denom < sys.float_info.min:
+            raise CycmaxError(f"the average of the window of length {length} after index {i} {SUBNORMAL}")
         total += x.values[i - 1] / denom
+    if period is not None and not math.isfinite(total):
+        raise CycmaxError(f"the sum {OVERFLOW}")
     return total
 
 
@@ -164,27 +172,27 @@ def max_avg_sum(x: PeriodicTuple) -> MaxSumResult:
 def generalized_max_sum(x: PeriodicTuple, system: SubsetCollectionSystem) -> Number:
     """sum_i x_i / (largest subset average in the i-th collection).
 
-    A rational sum, of e_i r_i / s_i over table entries e_i and maxima
-    s_i / (r_i D), is one integer over the lcm of the s_i until the end.
+    Exact on both backends, over the rational twin's table: the sum of
+    e_i r_i / s_i over table entries e_i and maxima s_i / (r_i D) is one
+    integer over the lcm of the s_i until the end.  A float tuple gets
+    that sum rounded once to a float.
     """
     if system.n != x.n:
         raise CycmaxError("system size must match tuple length")
-    twin = x._exact()
-    entries = _table_entries(twin)
-    num, den, total = 0, 1, 0.0
+    entries = _table_entries(x._exact())
+    num, den = 0, 1
+    for i in range(1, x.n + 1):
+        s, r = system._max_subset_sum(entries, i)
+        if s == 0:
+            raise CycmaxError(f"all subset averages at index {i} are zero")
+        g = math.gcd(den, s)
+        num, den = num * (s // g) + entries[i] * r * (den // g), den // g * s
+    if x.backend == RATIONAL:
+        return Fraction(num, den)
     try:
-        for i in range(1, x.n + 1):
-            s, r = system._max_subset_sum(entries, i)
-            if s == 0:
-                raise CycmaxError(f"all subset averages at index {i} are zero")
-            if x.backend == FLOAT:
-                total += x.values[i - 1] / twin._ratio(s, r)
-            else:
-                g = math.gcd(den, s)
-                num, den = num * (s // g) + entries[i] * r * (den // g), den // g * s
-    except ZeroDivisionError:
-        raise CycmaxError(f"a largest subset average {UNDERFLOW}") from None
-    return total if x.backend == FLOAT else Fraction(num, den)
+        return num / den
+    except OverflowError:
+        raise CycmaxError(f"the sum {OVERFLOW}") from None
 
 
 def radii_from_json(text: str) -> RadiusTuple:

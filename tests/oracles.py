@@ -13,7 +13,8 @@ recurrence in mpmath.  The rational backend compares averages by
 cross-multiplying integer prefix sums; the ``Fraction`` versions below
 sum ``x.values`` themselves and never read that table.  The per-window
 forms that the verify suites' scans and the cyclic sums replaced are
-kept as they were.
+kept as they were, and so is the finite-difference gradient taken one
+coordinate at a time.
 """
 
 import math
@@ -25,7 +26,7 @@ import numpy as np
 
 from cycmax import reduction
 from cycmax.errors import CycmaxError
-from cycmax.reduction import LD, ReducedSolution, _value_ld
+from cycmax.reduction import FD_REL_STEP, LD, ReducedSolution
 from cycmax.periodic import IndexInterval, Profile, interval_average
 from cycmax.structure import MIntervalRecord
 from cycmax.sums import SubsetCollectionSystem
@@ -270,6 +271,28 @@ def crossing_defects(records, n: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# The finite-difference gradient one coordinate at a time, as
+# ``cycmax.reduction.chain_gradient_fd`` took it before it moved all its
+# points as the rows of one batched chain sum.
+
+
+def loop_chain_gradient_fd(x, p):
+    """Central differences of the chain sum, one coordinate per longdouble pass."""
+    x = np.asarray(x, dtype=float).astype(LD)
+    pld = LD(p)
+    g = np.zeros(len(x), dtype=LD)
+    for j in range(len(x)):
+        h = LD(FD_REL_STEP) * x[j]
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        up = (xp[:-1] / xp[1:]).sum() + xp[-1] / pld
+        down = (xm[:-1] / xm[1:]).sum() + xm[-1] / pld
+        g[j] = (up - down) / (xp[j] - xm[j])
+    return g.astype(float)
+
+
+# ---------------------------------------------------------------------------
 # Grid enumeration of the simplex, by recursion on the first coordinate.
 
 
@@ -391,13 +414,18 @@ def minimize_all_sizes(problems) -> list:
     """
     roots = all_size_roots(problems)
     owner, k, a, V, slope = (roots[name] for name in ("owner", "k", "a", "V", "slope"))
-    price = np.array([p for _, p in problems], dtype=LD)[owner]
     best = {}
     for c in np.lexsort((k, V, owner)).tolist():
-        best.setdefault(owner[c], c)
-    cols = np.array(list(best.values()), dtype=int)
-    winners = dict(zip(owner[cols].tolist(), reduction._entries(a[cols], slope[cols], k[cols], price[cols])))
-    return [reduction._solution(N, p, *winners.get(i, (np.ones(1, dtype=LD), 1.0 / p))) for i, (N, p) in enumerate(problems)]
+        best.setdefault(int(owner[c]), c)
+    return [
+        reduction._certified(N, p, a[best[i]], slope[best[i]], int(k[best[i]])) if i in best else point_mass(N, p)
+        for i, (N, p) in enumerate(problems)
+    ]
+
+
+def point_mass(N: int, p: float) -> ReducedSolution:
+    """The solution with all mass on the last entry, worth 1/p."""
+    return ReducedSolution(N, p, 1.0 / p, np.ones(1), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +516,7 @@ def solve_support(k: int, p: float):
         return None
     x = shoot(s_pos[genuine], k, pld)[0]
     x = x / x.sum(axis=0)
-    values = _value_ld(x, pld)
+    values = (x[:-1] / x[1:]).sum(axis=0) + x[-1] / pld
     best = int(np.argmin(values))
     return x[:, best], values[best]
 
@@ -496,12 +524,13 @@ def solve_support(k: int, p: float):
 def minimize_by_support(N: int, p: float) -> ReducedSolution:
     """``minimize_chain`` walking k = 2, 3, ... with ``solve_support``."""
     kmax = min(N, max(1, math.ceil(1.0 / p)))
-    best = reduction._solution(N, p, np.ones(1, dtype=LD), 1.0 / p)
+    best = point_mass(N, p)
     for k in range(2, kmax + 1):
         found = solve_support(k, p)
         if found is None or not found[1] < best.value:
             break
-        best = reduction._solution(N, p, *found)
+        x, value = found
+        best = ReducedSolution(N, p, float(value), x.astype(float), reduction._residual_ld(x, LD(p)))
     return best
 
 

@@ -192,23 +192,24 @@ class TestBatchedSweep:
 
     def test_one_batched_root_solve_per_sweep(self, monkeypatch):
         calls = []
-        roots, entries = reduction._roots, reduction._entries
+        roots, certified = reduction._roots, reduction._certified
 
         def counted(name, solve):
             def run(*args):
-                calls.append((name, len(args[0])))
+                calls.append((name, args))
                 return solve(*args)
 
             return run
 
         monkeypatch.setattr(reduction, "_roots", counted("roots", roots))
-        monkeypatch.setattr(reduction, "_entries", counted("entries", entries))
+        monkeypatch.setattr(reduction, "_certified", counted("certified", certified))
         ns = geometric_grid(1e3, 1e6, 8)
         sweep(ns)
         # the right branch of at most four sizes of every n in one root
-        # solve, then the entries of the eight winners
-        assert [name for name, _ in calls] == ["roots", "entries"]
-        assert 8 <= calls[0][1] <= 8 * 4 and calls[1][1] == 8
+        # solve, then the eight winners certified one by one, in order
+        assert [name for name, _ in calls] == ["roots"] + ["certified"] * 8
+        assert 8 <= len(calls[0][1][0]) <= 8 * 4
+        assert [args[:2] for _, args in calls[1:]] == [(n, 1.0 / n) for n in ns]
 
 
 class TestGeometricGrid:

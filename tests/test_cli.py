@@ -203,9 +203,10 @@ class TestSumCommands:
 
 
 class TestUnderflowingAverages:
-    """On [5e-324, 0, 0] the float averages 5e-324 / 3 round to 0.0."""
+    """On [5e-324, 0, 0] the float averages 5e-324 / 3 round to 0.0; any
+    float average below the normal range is rejected."""
 
-    UNDERFLOW = "underflows to 0.0 in floats (the rational backend reads it exactly)\n"
+    UNDERFLOW = "is below the normal float range (the rational backend reads it exactly)\n"
 
     @pytest.fixture
     def tiny_path(self, tmp_path):
@@ -232,6 +233,29 @@ class TestUnderflowingAverages:
         assert (code, out, err) == (1, "", "error: window of length 1 after index 1 sums to zero\n")
         code, out, _ = run_cli(capsys, "sum", tiny_path, "--k", "3", "--backend", "rational")
         assert (code, json.loads(out)["value"]) == (0, 3.0)
+
+    def test_maxsum_rejects_an_average_that_keeps_a_few_bits(self, capsys, tmp_path):
+        # 1e-322 / 7 keeps 5 bits, which once made maxsum 6.666666666666667
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps({"values": [1e-322] + [0] * 6}))
+        code, out, err = run_cli(capsys, "maxsum", str(path))
+        assert (code, out, err) == (1, "", "error: a right maximal value " + self.UNDERFLOW)
+        code, out, _ = run_cli(capsys, "maxsum", str(path), "--backend", "rational")
+        assert (code, json.loads(out)) == (0, {"value": 7.0, "radii": [7, 6, 5, 4, 3, 2, 1]})
+
+
+class TestOverflowingSum:
+    """On [1e300, 1e-300] the sum with radius 1 is about 1e600."""
+
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    def test_sum_exits_1_with_one_error_line(self, capsys, tmp_path, backend):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"values": [1e300, 1e-300]}))
+        code, out, err = run_cli(capsys, "sum", str(path), "--k", "1", "--backend", backend)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "float range" in err and err.count("\n") == 1
+        if backend == "float":
+            assert err == "error: the sum exceeds the float range (the rational backend sums it exactly)\n"
 
 
 class TestEntriesPastTheFloatRange:

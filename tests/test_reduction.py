@@ -144,6 +144,18 @@ class TestGradient:
         g_fd = chain_gradient_fd(x, 1e-4)
         assert np.linalg.norm(g_fd - g) / np.linalg.norm(g) <= 1e-6
 
+    def test_fd_rows_match_the_per_coordinate_loop(self):
+        # all 2N moved points in one batched chain sum give, bit for bit,
+        # what one pass per moved point gave, on entries spread over many
+        # orders of magnitude as well as on interior points
+        rng = np.random.default_rng(23)
+        for t in range(3000):
+            N = t % 40 + 1
+            x = rng.dirichlet(np.ones(N)) if t % 2 else np.exp(rng.uniform(-30, 0, N))
+            x = np.maximum(x, 1e-300)
+            p = float(rng.uniform(0.01, 2.0))
+            assert np.array_equal(chain_gradient_fd(x, p), oracles.loop_chain_gradient_fd(x, p)), (N, p)
+
     def test_requires_positive_entries(self):
         for x in ([0.0, 1.0], [0.5, -0.1, 0.6]):
             with pytest.raises(ValueError, match="strictly positive"):
@@ -390,7 +402,7 @@ class TestBatchedSolve:
             assert tuple(c[0] for c in alone) == want, i
 
     def test_roots_give_the_kernel_slope_at_their_roots(self):
-        # ``_entries`` takes its Newton step with the slope ``_roots`` gives:
+        # ``_certified`` takes its Newton step with the slope ``_roots`` gives:
         # the kernel's at the root it gives, bit for bit, in the solver's
         # solve from the samples and in the oracle's from the bracket tops
         # (every size up to 700 at 1e-300, so the solver's alone there)

@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -250,10 +251,10 @@ class TestGeneralizedMaxSum:
         system = SubsetCollectionSystem(
             [[(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False) + 1).tolist() for _ in range(2)] for _ in range(n)]
         )
-        # the value of every index read off a twin of its own
-        expected = 0.0
-        for i in range(1, n + 1):
-            expected += x.values[i - 1] / system.max_subset_average(PeriodicTuple(x.values), i)
+        # the exact sum, each index's term read off a twin of its own, rounded once
+        expected = float(sum(
+            Fraction(x.values[i - 1]) / system.max_subset_average(PeriodicTuple(x.values), i) for i in range(1, n + 1)
+        ))
         twins = []
         build = PeriodicTuple.__init__
 
@@ -351,7 +352,11 @@ class TestReplacedForms:
                 for _ in range(n)
             ]
             for system in (SubsetCollectionSystem(collections), oracles.right_window_system(n)):
-                assert outcome(generalized_max_sum, x, system) == outcome(oracles.fraction_generalized_max_sum, x, system)
+                # the exact sum over the rational twin, rounded once on a float tuple
+                want = outcome(oracles.fraction_generalized_max_sum, x._exact(), system)
+                if x.backend == "float" and type(want) is tuple:
+                    want = float(want[0]), float
+                assert outcome(generalized_max_sum, x, system) == want
 
     def test_zero_subset_average_named_by_both(self):
         x = PeriodicTuple([Fraction(1), Fraction(0), Fraction(0)], backend="rational")
@@ -363,34 +368,63 @@ class TestReplacedForms:
 
 
 class TestUnderflow:
-    """A float average of a tiny positive sum can round to 0.0."""
+    """A float average of a tiny positive sum can fall below the normal
+    range, where it keeps fewer than 53 bits or rounds to 0.0."""
 
-    UNDERFLOW = "underflows to 0.0 in floats (the rational backend reads it exactly)"
+    SUBNORMAL = "is below the normal float range (the rational backend reads it exactly)"
 
     def test_max_avg_sum(self):
-        # 5e-324 / 3 rounds to 0.0: the right maximal value at 2 and 3
-        with pytest.raises(CycmaxError, match=re.escape("a right maximal value " + self.UNDERFLOW)):
-            max_avg_sum(PeriodicTuple([5e-324, 0.0, 0.0]))
-        exact = PeriodicTuple([Fraction(5e-324), Fraction(0), Fraction(0)], backend="rational")
-        assert max_avg_sum(exact).value == 3
-        # a subnormal average that does not round to 0.0 is kept
-        assert max_avg_sum(PeriodicTuple([1e-320, 0.0, 0.0])).value == pytest.approx(3.0, rel=1e-3)
+        # 5e-324 / 3 rounds to 0.0, and 1e-322 / 7 keeps 5 bits: 6.67 for 7
+        for values in ([5e-324, 0.0, 0.0], [1e-320, 0.0, 0.0], [1e-322] + [0.0] * 6):
+            with pytest.raises(CycmaxError, match=re.escape("a right maximal value " + self.SUBNORMAL)):
+                max_avg_sum(PeriodicTuple(values))
+            exact = PeriodicTuple([Fraction(v) for v in values], backend="rational")
+            assert max_avg_sum(exact).value == len(values)
 
     def test_generalized_max_sum(self):
+        # summed exactly over the rational twin on both backends
         system = SubsetCollectionSystem([[[1, 2, 3]]] * 3)
-        with pytest.raises(CycmaxError, match=re.escape("a largest subset average " + self.UNDERFLOW)):
-            generalized_max_sum(PeriodicTuple([5e-324, 0.0, 0.0]), system)
+        assert generalized_max_sum(PeriodicTuple([5e-324, 0.0, 0.0]), system) == 3.0
         exact = PeriodicTuple([Fraction(5e-324), Fraction(0), Fraction(0)], backend="rational")
         assert generalized_max_sum(exact, system) == 3
 
     def test_sum_with_radii_tells_underflow_from_zero_sum(self):
-        x = PeriodicTuple([5e-324, 0.0, 0.0])
-        with pytest.raises(CycmaxError, match=re.escape(
-            "the average of the window of length 3 after index 1 " + self.UNDERFLOW
-        )):
-            sum_with_radii(x, RadiusTuple.constant(3, 3))
-        with pytest.raises(CycmaxError, match="^window of length 1 after index 1 sums to zero$"):
-            sum_with_radii(x, RadiusTuple.constant(3, 1))
+        for values in ([5e-324, 0.0, 0.0], [1e-320, 0.0, 0.0]):
+            x = PeriodicTuple(values)
+            with pytest.raises(CycmaxError, match=re.escape(
+                "the average of the window of length 3 after index 1 " + self.SUBNORMAL
+            )):
+                sum_with_radii(x, RadiusTuple.constant(3, 3))
+            with pytest.raises(CycmaxError, match="^window of length 1 after index 1 sums to zero$"):
+                sum_with_radii(x, RadiusTuple.constant(3, 1))
+        # the smallest normal average is kept
+        x = PeriodicTuple([3 * sys.float_info.min, 0.0, 0.0])
+        assert sum_with_radii(x, RadiusTuple.constant(3, 3)) == 3.0
+
+
+class TestOverflow:
+    """A float sum past the float range is an error, not inf."""
+
+    OVERFLOW = "the sum exceeds the float range (the rational backend sums it exactly)"
+
+    def test_sum_with_radii(self):
+        # 1e300 / 1e-300 is inf in floats
+        x = PeriodicTuple([1e300, 1e-300])
+        with pytest.raises(CycmaxError, match=re.escape(self.OVERFLOW)):
+            sum_with_radii(x, RadiusTuple.constant(2, 1))
+        with pytest.raises(CycmaxError, match=re.escape(self.OVERFLOW)):
+            diananda_sum(x, 1)
+        exact = PeriodicTuple([Fraction(1e300), Fraction(1e-300)], backend="rational")
+        a, b = exact.values
+        assert sum_with_radii(exact, RadiusTuple.constant(2, 1)) == a / b + b / a
+
+    def test_generalized_max_sum(self):
+        system = SubsetCollectionSystem([[[2]], [[1]]])
+        with pytest.raises(CycmaxError, match=re.escape(self.OVERFLOW)):
+            generalized_max_sum(PeriodicTuple([1e300, 1e-300]), system)
+        exact = PeriodicTuple([Fraction(1e300), Fraction(1e-300)], backend="rational")
+        a, b = exact.values
+        assert generalized_max_sum(exact, system) == a / b + b / a
 
 
 class TestJsonInterfaces:
