@@ -145,7 +145,7 @@ class PeriodicTuple:
             zero = 0
         elif backend == FLOAT:
             try:
-                vals = [float(v) for v in vals]
+                vals = list(map(float, vals))
             except OverflowError:
                 raise CycmaxError(
                     "entries must lie within the float range (the rational backend reads them exactly)"
@@ -155,7 +155,7 @@ class PeriodicTuple:
             zero = 0.0
         else:
             raise CycmaxError(f"unknown backend {backend!r}")
-        if any(v < 0 for v in entries):
+        if min(entries) < 0:
             raise CycmaxError("entries must be nonnegative")
         if not any(entries):
             raise CycmaxError("at least one entry must be positive")
@@ -171,11 +171,8 @@ class PeriodicTuple:
         # their windows from the first two periods, and the third lets the
         # pass see every window of the second period's starts.
         twice = total + total
-        self._prefix3 = (
-            prefix
-            + [total + s for s in prefix[1:]]
-            + [twice + s for s in prefix[1:]]
-        )
+        later = prefix[1:]
+        self._prefix3 = prefix + list(map(total.__add__, later)) + list(map(twice.__add__, later))
         if backend == FLOAT and not math.isfinite(self._prefix3[-1]):
             raise CycmaxError("entries too large: their sum over three periods overflows")
         # Filled by the first ``right_maximal_profile`` and ``_exact`` calls.
@@ -304,14 +301,14 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
                 top, rise, run = nxt, nrise, nrun
             ends[k] = top
 
-    values, lengths, parents = [], [], []
-    for k in range(n):
-        r = min(ends[k] - k, n)
-        s = p[k + r] - p[k]
-        values.append(s / r if den is None else Fraction(s, r * den))
-        lengths.append(r)
-        popper = poppers[n + k]
-        parents.append(None if r == n or popper is None else popper % n + 1)
+    lengths = [min(end - k, n) for k, end in enumerate(ends[:n])]
+    if den is None:
+        values = [(p[k + r] - p[k]) / r for k, r in enumerate(lengths)]
+    else:
+        values = [Fraction(p[k + r] - p[k], r * den) for k, r in enumerate(lengths)]
+    parents = [
+        None if r == n or popper is None else popper % n + 1 for r, popper in zip(lengths, poppers[n : 2 * n])
+    ]
     return Profile(values, lengths, parents)
 
 

@@ -29,12 +29,14 @@ from the peak on (one more pass).  Each problem solves that branch of
 four sizes just below min(N, ceil(ln(1/p)) + 2), the winner lies among
 them; the root left of the peak never wins (measured).  All these are
 solved in one batched Newton iteration, each started from a cubic
-Hermite interpolant of its size's samples, in 2 passes on the measured
-grids; the lowest value wins.  ``_certified`` makes the winner's solution
-from ``_run``, the recurrence in 40-digit decimals, one Newton step past
-the root, with the slope of the iteration's last pass; that run certifies
-the winner by its backward error (p_k at the corrected root is p to within
-the longdouble epsilon) or raises RuntimeError, a bug, not a verdict.
+Hermite interpolant of its size's samples, in 1 pass on the measured
+grids: a short enough Newton step is taken with no pass to confirm it,
+and V_k moves with it along dV_k / d ln p = -q_k.  The lowest value wins.
+``_certified`` makes the winner's solution from ``_run``, the recurrence
+in 40-digit decimals, one Newton step past the longdouble root, with the
+slope of the iteration's last pass; that run certifies the winner by its
+backward error (p_k at the corrected root is p to within the longdouble
+epsilon) or raises RuntimeError, a bug, not a verdict.
 The finite-difference gradient takes its 2N points as rows of one call.
 Independent nested grid searches over the simplex serve as cross-check
 oracles at small N.
@@ -214,8 +216,8 @@ def _residual_ld(x: np.ndarray, p) -> float:
 # sizes around ln(1/p), where its winner lies; their right roots are then
 # solved together by safeguarded Newton in ln a, each started where the
 # Hermite interpolant of its size's samples puts it, and the lowest value
-# wins.  The root pass carries the slope at each root to the winner's
-# 40-digit Newton step.
+# wins.  The last pass of each root's solve gives the slope that the
+# winner's 40-digit Newton step takes.
 
 # Lower end of the search for a*_k, where it stays for sizes whose ln p_k
 # only falls.  At and below it a is under half an ulp of 1 in longdouble,
@@ -223,21 +225,22 @@ def _residual_ld(x: np.ndarray, p) -> float:
 # exactly as size k - 1 at a = 1, its a -> 0 limit.
 _A_MIN = LD(2.0**-65)
 
-# Newton step in ln a below which a root is taken as found.  It sits well
-# above the rounding noise of a step (~1e-18 / |d ln p_k / d ln a|), so
-# noise never passes for slow progress, and V_k there is within ~1e-16 of
-# its value at the root; ``_certified`` takes the step left.
-_ROOT_STEP = LD(2.0**-50)
+# Newton step in ln a at most which ``_roots`` takes the step and stops,
+# with no pass to confirm it.  The step's error is quadratic in the step:
+# on the benchmark grids the first step from a Hermite start is at most
+# 3.6e-8 (median 3.4e-10), just below this, and the root it reaches lies
+# within ~1e-15 of the root; ``_certified``'s 40-digit step takes the rest.
+_ROOT_STEP = LD(2.0**-24)
 
 def _forward(a: np.ndarray, k: np.ndarray, curvature: bool = False):
-    """p_k(a), d ln p_k / d ln a and V_k(a) in longdouble, one column each.
+    """p_k(a), d ln p_k / d ln a, V_k(a) and q_k(a) in longdouble, one column each.
 
     Column i runs k[i] steps from a[i]; the columns must come sorted by k,
     descending, so that step j works on the prefix of columns with k >= j.
     The derivative runs the logarithmic derivatives Q_j = d ln q_j / d ln a
     and U_j = d ln u_j / d ln a alongside the recurrence:
     Q_j = (q_{j-1} Q_{j-1} + u_{j-1} U_{j-1}) / q_j and U_j = U_{j-1} - Q_j.
-    With ``curvature``, a fourth column gives d^2 ln p_k / d(ln a)^2 from
+    With ``curvature``, a fifth column gives d^2 ln p_k / d(ln a)^2 from
     their derivatives Q'_j and U'_j, run the same way:
     Q'_j = (q_{j-1} (Q_{j-1}^2 + Q'_{j-1}) + u_{j-1} (U_{j-1}^2 + U'_{j-1})) / q_j - Q_j^2
     and U'_j = U'_{j-1} - Q'_j.
@@ -269,7 +272,7 @@ def _forward(a: np.ndarray, k: np.ndarray, curvature: bool = False):
         # u_{j+1} and U_{j+1} serve only the columns that take one more step
         U[:m] -= Q[:m]
         u[:m] /= q[:m]
-    columns = u / (q * q), U - 2 * Q, V
+    columns = u / (q * q), U - 2 * Q, V, q
     return columns + (U2 - 2 * Q2,) if curvature else columns
 
 
@@ -298,7 +301,7 @@ def _peaks(k: np.ndarray):
     curvature = np.empty_like(x)
     run = np.arange(len(k))
     while len(run):
-        _, slope, _, curvature[run] = _forward(np.exp(x[run]), k[run], curvature=True)
+        _, slope, _, _, curvature[run] = _forward(np.exp(x[run]), k[run], curvature=True)
         xr, concave = x[run], curvature[run] < 0
         lor = lo[run] = np.where(slope > 0, xr, lo[run])
         hir = hi[run] = np.where(slope < 0, xr, hi[run])
@@ -321,11 +324,12 @@ _LOG_MAX = LD(math.log(sys.float_info.max))
 # (on 6300 seeded (N, p), all but those of windows cut by N and of size 2
 # below n = 110), and _TAIL points out to the bracket top at the smallest
 # float price.  With the slope at each sample ``_start`` interpolates by
-# cubic Hermite, and 192 grid points bring every warm root to 2 Newton
-# passes on 3000 seeded n = 1/p over 664..1e6 and 3000 prices over
-# 1e-300..1e-6; roots of sizes 2, 5 and 6 below n = 664 and 3% of those
-# in windows cut by N take 3.  With 160 points roots take 3 up to
-# n = 1826, and with 96 points 17% of those over 1e2..1e6 do.  A record is
+# cubic Hermite, and 192 grid points bring every warm root to 1 Newton
+# pass, a first step of at most _ROOT_STEP, on 3000 seeded n = 1/p over
+# 664..1e6 and 3000 prices over 1e-300..1e-6; 11% of the roots below
+# n = 664 and 12% of those in windows cut by N take 2.  With 160 points
+# 14 of the 3072 roots of the 96 benchmark grids take 2, and with 96
+# points 231 do.  A record is
 # 2 + 3 * 209 longdoubles, 10 KB, so the table of the sizes 2..712 that a
 # float price reaches holds 7.2 MB.  ``_start``'s sample count needs a
 # size's z samples never to fall, which holds for every size 2..712
@@ -360,7 +364,7 @@ def _size_records(k: np.ndarray) -> np.ndarray:
     tail = 2 + (end[:, None] - 2) * np.linspace(0, 1, _TAIL + 1, dtype=LD)[1:] ** 2
     log_a = np.minimum(np.column_stack([peak, grid, tail]), end[:, None])
     a = np.column_stack([a_star, np.exp(log_a[:, 1:])])
-    price, slope, _ = _forward(a.ravel(), np.repeat(k, _SAMPLES))
+    price, slope, _, _ = _forward(a.ravel(), np.repeat(k, _SAMPLES))
     level, slope = np.log(price).reshape(log_a.shape), slope.reshape(log_a.shape)
     z = np.sqrt(np.maximum(level[:, :1] - level, 0))
     dxdz = np.column_stack([peak_dxdz, -2 * z[:, 1:] / slope[:, 1:]])
@@ -427,16 +431,20 @@ def _roots(lo, hi, a, k, p):
     difference of logs near ln p, so its rounding stays at the ulps of p_k.
     Newton steps in ln a are replaced by bisection in ln a when they leave
     the bracket or do not halve the step before last (rtsafe).  A column
-    stops once its Newton step falls to _ROOT_STEP or its bracket ends are
-    adjacent floats, keeping the a of its last pass.
-    Gives a, V_k and d ln p_k / d ln a at the roots, all from that pass.
+    whose Newton step is at most _ROOT_STEP takes that step and stops, with
+    no pass to confirm it, and gives the a of the step, V_k of its last
+    pass moved there by dV_k / d ln p = -q_k, so V_k + q_k h, and the slope
+    d ln p_k / d ln a of that pass.  It takes it even where the step is too
+    short to move a off a bracket end, where bisection would take dozens
+    of passes more.  A column whose bracket ends are adjacent floats stops
+    at the a of its last pass, with V_k and the slope there.
     """
     V, slope = np.empty_like(a), np.empty_like(a)
     step = np.log(hi / lo)
     step_old = step.copy()
     run = np.arange(len(a))
     while len(run):
-        price, dh, V[run] = _forward(a[run], k[run])
+        price, dh, Vr, q = _forward(a[run], k[run])
         slope[run] = dh
         ar, lor, hir = a[run], lo[run], hi[run]
         h = np.log(price / p[run])
@@ -445,14 +453,15 @@ def _roots(lo, hi, a, k, p):
         s = -h / np.where(dh < 0, dh, -1)
         found = (h == 0) | ((dh < 0) & (abs(s) <= _ROOT_STEP))
         newton = (dh < 0) & (2 * abs(s) <= abs(step_old[run]))
-        new = ar + ar * np.expm1(np.where(newton, s, 0))
+        new = ar + ar * np.expm1(np.where(newton | found, s, 0))
         newton &= (lor < new) & (new < hir)
-        new = np.where(newton, new, np.sqrt(lor * hir))
+        V[run] = np.where(found, Vr + q * h, Vr)
+        new = np.where(newton | found, new, np.sqrt(lor * hir))
         done = found | (new == ar) | (new <= lor) | (new >= hir)
+        a[run] = np.where(found | ~done, new, ar)
         step_old[run] = step[run]
         step[run] = np.where(newton, s, np.log(new / ar))
         run = run[~done]
-        a[run] = new[~done]
     return a, V, slope
 
 
@@ -489,7 +498,7 @@ class ReducedSolution:
 
 # The largest backward error |p_k(a) / p - 1| of a certified root, the
 # precision its entries are rounded to.  Measured, a root moved by 1e-8
-# reads at least 4e-18 at p = 1/n over n in 3..1e300, 8.6e-19 at the fold.
+# reads at least 5e-18 at p = 1/n over n in 3..1e300, 1.9e-19 at the fold.
 _EPS = decimal.Decimal(float(np.finfo(LD).eps))
 
 
@@ -510,7 +519,8 @@ def _certified(N: int, p: float, a, slope, k: int) -> ReducedSolution:
     The longdouble recurrence leaves p_k and the entries a few ulps off,
     and the gradient at the last entry reads that error times 1/p.  So
     ``_run`` runs it again in 40 digits, and one Newton step in ln a, with
-    the slope ``_roots`` gave at a, takes a to the root.  The run there
+    the slope of the last kernel pass of ``_roots`` (taken just before a,
+    within _ROOT_STEP in ln a), takes a to the root.  The run there
     certifies it: a backward error above _EPS raises RuntimeError.  The
     residual is that of the entries rounded once from 40 digits to
     longdouble; each is then rounded to the nearest double, and not

@@ -34,9 +34,9 @@ def moved_roots(monkeypatch):
     """Every root the chain solver finds, moved by 1e-6 relative.
 
     The 40-digit Newton step corrects only part of such a move: measured,
-    the winner's backward error reads at least 4e-14 at p = 1/n over n in
-    3..1e300, and 8.6e-15 next to the fold, far above the certificate's
-    bound of about 1.1e-19.  A move of 1e-10 reads as little as 4e-22.
+    the winner's backward error reads at least 4.3e-14 at p = 1/n over n in
+    3..1e300, and 1.1e-14 next to the fold, far above the certificate's
+    bound of about 1.1e-19.  A move of 1e-10 reads as little as 1.5e-21.
     """
     roots = reduction._roots
 

@@ -6,7 +6,7 @@ solves the right branch of a window of four support sizes of the chain
 problem by one batched Newton iteration on a forward recurrence
 (``cycmax.reduction.minimize_chain``).  These are the direct definitions
 and three chain solvers: both branches of every size with a root, the
-right ones by the same batched solve from the bracket top and the left
+right ones by a batched Newton solve from the bracket top and the left
 ones by bisection; the backward shooting solve the forward one
 replaced, with its own grid brackets and bisection; and the forward
 recurrence in mpmath.  The rational backend compares averages by
@@ -14,7 +14,8 @@ cross-multiplying integer prefix sums; the ``Fraction`` versions below
 sum ``x.values`` themselves and never read that table.  The per-window
 forms that the verify suites' scans and the cyclic sums replaced are
 kept as they were, and so is the finite-difference gradient taken one
-coordinate at a time.
+coordinate at a time, and the root solve that confirmed each last Newton
+step with one more kernel pass.
 """
 
 import math
@@ -316,10 +317,10 @@ def compositions(total: int, parts: int) -> np.ndarray:
 # ``cycmax.reduction`` solves only the right branch of a window of four
 # sizes around ln(1/p), each root from a start interpolated in its size's
 # samples.  Here every size with m_k < ln(1/p), up to N, is solved on both
-# branches: the right root by the same batched Newton solve, started at the
-# bracket top, and the left root, where p_k rises from p_k(_A_MIN) < p to
-# its peak, by bisection in ln a down to adjacent floats.  The lowest value
-# wins.
+# branches: the right root by one batched Newton solve started at the
+# bracket top, ``two_pass_roots`` unless another is passed, and the left
+# root, where p_k rises from p_k(_A_MIN) < p to its peak, by bisection in
+# ln a down to adjacent floats.  The lowest value wins.
 
 
 def left_roots(lo, hi, k, p):
@@ -327,17 +328,56 @@ def left_roots(lo, hi, k, p):
 
     Columns come sorted by k, descending; gives a at the lower end of the
     final bracket, whose ends are adjacent floats, and V_k and
-    d ln p_k / d ln a there, as ``reduction._roots`` gives its roots.
+    d ln p_k / d ln a there, as ``two_pass_roots`` gives its roots.
     """
     while True:
         mid = np.sqrt(lo * hi)
         inside = (lo < mid) & (mid < hi)
         if not inside.any():
-            _, slope, V = reduction._forward(lo, k)
+            _, slope, V, _ = reduction._forward(lo, k)
             return lo, V, slope
         below = reduction._forward(mid, k)[0] < p
         lo = np.where(inside & below, mid, lo)
         hi = np.where(inside & ~below, mid, hi)
+
+
+# Newton step in ln a below which ``two_pass_roots`` takes a root as found.
+TWO_PASS_ROOT_STEP = LD(2.0**-50)
+
+
+def two_pass_roots(lo, hi, a, k, p):
+    """Roots of p_k(a) = p on right-branch brackets [lo, hi], as ``reduction._roots``.
+
+    The same safeguarded Newton iteration in ln a, but a column stops only
+    once its Newton step falls to TWO_PASS_ROOT_STEP, keeping the a of that
+    pass, so a warm root takes a second pass to confirm the first step.
+    Gives a, V_k and d ln p_k / d ln a at the roots, all from that pass.
+    The reference for ``reduction._roots``, which takes a short enough
+    step without that pass and moves V_k to the root along -q_k.
+    """
+    V, slope = np.empty_like(a), np.empty_like(a)
+    step = np.log(hi / lo)
+    step_old = step.copy()
+    run = np.arange(len(a))
+    while len(run):
+        price, dh, V[run], _ = reduction._forward(a[run], k[run])
+        slope[run] = dh
+        ar, lor, hir = a[run], lo[run], hi[run]
+        h = np.log(price / p[run])
+        lor = lo[run] = np.where(h > 0, ar, lor)
+        hir = hi[run] = np.where(h < 0, ar, hir)
+        s = -h / np.where(dh < 0, dh, -1)
+        found = (h == 0) | ((dh < 0) & (abs(s) <= TWO_PASS_ROOT_STEP))
+        newton = (dh < 0) & (2 * abs(s) <= abs(step_old[run]))
+        new = ar + ar * np.expm1(np.where(newton, s, 0))
+        newton &= (lor < new) & (new < hir)
+        new = np.where(newton, new, np.sqrt(lor * hir))
+        done = found | (new == ar) | (new <= lor) | (new >= hir)
+        step_old[run] = step[run]
+        step[run] = np.where(newton, s, np.log(new / ar))
+        run = run[~done]
+        a[run] = new[~done]
+    return a, V, slope
 
 
 # Halvings that take ln a from [ln _A_MIN, 0], 45 wide, to within 1e-12.
@@ -362,12 +402,15 @@ def bisect_peaks(k):
     return lo, -np.log(reduction._forward(lo, k)[0])
 
 
-def all_size_roots(problems) -> dict:
+def all_size_roots(problems, solve=two_pass_roots) -> dict:
     """Every root of every size with one, up to N, of each of ``problems``.
 
-    Gives columns sorted by k, descending: ``owner`` (the problem's index),
-    ``k``, ``left`` (whether the root lies left of a*_k), the root ``a``,
-    the value ``V`` and the slope d ln p_k / d ln a there.
+    The right roots come from ``solve``, a root solve with the arguments
+    and results of ``reduction._roots``, run once on every size of every
+    problem from the bracket tops.  Gives columns sorted by k, descending:
+    ``owner`` (the problem's index), ``k``, ``left`` (whether the root lies
+    left of a*_k), the root ``a``, the value ``V`` and the slope
+    d ln p_k / d ln a there.
     """
     price = np.array([p for _, p in problems], dtype=LD)
     log_p = np.log(price)
@@ -389,7 +432,7 @@ def all_size_roots(problems) -> dict:
     order = np.argsort(-k, kind="stable")
     owner, k = owner[order], k[order]
     top = 2 * np.exp(-log_p[owner] / k)
-    a, V, slope = reduction._roots(a_star[k], top, top.copy(), k, price[owner])
+    a, V, slope = solve(a_star[k], top, top.copy(), k, price[owner])
     left = floor[k] < log_p[owner]
     a_left, V_left, slope_left = left_roots(
         np.full(left.sum(), reduction._A_MIN), a_star[k[left]], k[left], price[owner[left]]
