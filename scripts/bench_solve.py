@@ -8,7 +8,8 @@ Each run is a fresh Python process that imports ``cycmax`` from a tree's
 (the per-process size records are computed then), then ``REPEATS`` more
 are timed and the least of them is the warm time.  Each solve also
 counts its passes of the kernel ``reduction._forward``, cold and warm
-(the most over the warm solves); the count costs a call per pass.  On a
+(the most over the warm solves); the count costs a call per pass.  The
+cold solve also times its calls of the peak search ``reduction._peaks``.  On a
 shared machine the warm solves of one process split into modes far
 apart, so a median picks one of them at random; the least is stable to a
 few percent.  The points are n = 1e3, 1e6, 1e30, 1e100 and 1e300, each
@@ -17,9 +18,10 @@ benchmark grid ``geometric_grid(1e3, 1e6, 8)`` solved as one batch.  With ``--pa
 the two trees run alternately, point by point.  Cold solves, one per
 process, also split into modes far apart, so the least cold time over the
 runs is reported beside the median.  Prints one JSON object: per tree and
-point the median over ``RUNS`` runs of both times, the least cold time,
-the kernel passes cold and warm and every run, and the parent-to-change
-ratios of the medians and of the least cold times.
+point the median over ``RUNS`` runs of both times and of the cold peak
+search, the least cold time, the kernel passes cold and warm and every
+run, and the parent-to-change ratios of the medians and of the least
+cold times.
 """
 
 from __future__ import annotations
@@ -50,12 +52,20 @@ else:
     n = 10 ** int(point[2:])
     problems = [(n, 1.0 / n)]
 forward, passes = reduction._forward, [0]
+peaks, peaks_s = reduction._peaks, [0.0]
 
 def counted(*args, **kwargs):
     passes[0] += 1
     return forward(*args, **kwargs)
 
-reduction._forward = counted
+def timed(*args, **kwargs):
+    t = time.perf_counter()
+    try:
+        return peaks(*args, **kwargs)
+    finally:
+        peaks_s[0] += time.perf_counter() - t
+
+reduction._forward, reduction._peaks = counted, timed
 t = time.perf_counter()
 reduction._minimize_many(problems)
 cold = time.perf_counter() - t
@@ -66,7 +76,7 @@ for _ in range(repeats):
     reduction._minimize_many(problems)
     warm.append(time.perf_counter() - t)
     warm_passes = max(warm_passes, passes[0])
-print(json.dumps({"cold_s": cold, "warm_s": min(warm), "cold_passes": cold_passes, "warm_passes": warm_passes}))
+print(json.dumps({"cold_s": cold, "cold_peaks_s": peaks_s[0], "warm_s": min(warm), "cold_passes": cold_passes, "warm_passes": warm_passes}))
 """
 
 
@@ -106,10 +116,12 @@ def main() -> None:
             point: {
                 "cold_s": statistics.median(r["cold_s"] for r in rs),
                 "cold_min_s": min(r["cold_s"] for r in rs),
+                "cold_peaks_s": statistics.median(r["cold_peaks_s"] for r in rs),
                 "warm_s": statistics.median(r["warm_s"] for r in rs),
                 "cold_passes": max(r["cold_passes"] for r in rs),
                 "warm_passes": max(r["warm_passes"] for r in rs),
                 "cold_runs": [r["cold_s"] for r in rs],
+                "cold_peaks_runs": [r["cold_peaks_s"] for r in rs],
                 "warm_runs": [r["warm_s"] for r in rs],
             }
             for point, rs in points.items()
@@ -117,7 +129,7 @@ def main() -> None:
     if args.parent:
         change, parent = record["trees"]["change"], record["trees"]["parent"]
         record["parent_over_change"] = {
-            point: {kind: parent[point][kind] / change[point][kind] for kind in ("cold_s", "cold_min_s", "warm_s")}
+            point: {kind: parent[point][kind] / change[point][kind] for kind in ("cold_s", "cold_min_s", "cold_peaks_s", "warm_s")}
             for point in POINTS
         }
     print(json.dumps(record, indent=1))

@@ -21,25 +21,25 @@ sums and quotients of positive numbers, which makes size k stationary at
 one price p_k(a); each k thus reduces to the scalar equation p_k(a) = p.
 The recurrence depends on neither k nor p, so one longdouble pass serves
 many sizes of many problems (N, p) at once, and the cost of a solve is
-counted in such passes.  A per-process record of each size, independent
-of p and computed the first time a call needs it, tells where p_k peaks
-(found by Newton on the slope, in 3 or 4 passes), hence whether the size
-has a root, and samples the branch right of the peak, with its slope,
-from the peak on (one more pass).  Each problem solves that branch of
-four sizes just below min(N, ceil(ln(1/p)) + 2), the winner lies among
-them; the root left of the peak never wins (measured).  All these are
-solved in one batched Newton iteration, each started from a cubic
-Hermite interpolant of its size's samples, in 1 pass on the measured
-grids: a short enough Newton step is taken with no pass to confirm it,
-and V_k moves with it along dV_k / d ln p = -q_k.  The lowest value wins.
-``_certified`` makes the winner's solution from ``_run``, the recurrence
-in 40-digit decimals, one Newton step past the longdouble root, with the
-slope of the iteration's last pass; that run certifies the winner by its
-backward error (p_k at the corrected root is p to within the longdouble
-epsilon) or raises RuntimeError, a bug, not a verdict.
-The finite-difference gradient takes its 2N points as rows of one call.
-Independent nested grid searches over the simplex serve as cross-check
-oracles at small N.
+counted in such passes; it gives p_k, V_k and the slope of ln p_k in ln a.
+A per-process record of each size, independent of p and computed the
+first time a call needs it, tells where p_k peaks (Newton on the slope,
+whose derivative is the difference quotient of two adjacent columns, in
+3 or 4 passes), hence whether the size has a root, and samples the
+branch right of the peak, with its slope (one more pass).  Each problem
+solves that branch of four sizes just below min(N, ceil(ln(1/p)) + 2),
+where the winner lies; the root left of the peak never wins (measured).
+All are solved in one batched Newton iteration, each started from a
+cubic Hermite interpolant of its size's samples, in 1 pass on the
+measured grids.  Both searches take a Newton step of at most 2^-24 in
+ln a with no pass to confirm it; V_k moves with a root's step along
+dV_k / d ln p = -q_k.  The lowest value wins.  ``_certified`` makes the
+winner's solution from ``_run``, the recurrence in 40-digit decimals,
+one Newton step past the longdouble root, and certifies it by its
+backward error (p_k there is p within 2^-63) or raises RuntimeError, a
+bug, not a verdict.  Solves refuse a longdouble without a 64-bit
+mantissa.  The finite-difference gradient takes its 2N points as rows
+of one call; nested grid searches are independent oracles at small N.
 """
 
 from __future__ import annotations
@@ -136,6 +136,7 @@ def chain_gradient_fd(x: np.ndarray, p: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise CycmaxError("finite differences require a strictly positive vector")
+    _check_longdouble()
     x = x.astype(LD)
     n, j = len(x), np.arange(len(x))
     h = LD(FD_REL_STEP) * x
@@ -212,12 +213,13 @@ def _residual_ld(x: np.ndarray, p) -> float:
 # branches meet at the fold, where dV/dp = -x_last/p^2 along each, and the
 # left root has the larger last entry.  a*_k, m_k and samples of the right
 # branch depend on no price and are computed once per size, the first time
-# a call needs the size.  Each problem of a call takes a window of four
-# sizes around ln(1/p), where its winner lies; their right roots are then
-# solved together by safeguarded Newton in ln a, each started where the
-# Hermite interpolant of its size's samples puts it, and the lowest value
-# wins.  The last pass of each root's solve gives the slope that the
-# winner's 40-digit Newton step takes.
+# a call needs the size; the peak search takes d^2 ln p_k / d(ln a)^2 as
+# the difference quotient of the slopes at ln a and ln a + 2^-26, so the
+# kernel carries the first derivative only.  Each problem takes a window of
+# four sizes around ln(1/p), where its winner lies; their right roots are
+# solved together by safeguarded Newton in ln a, each started at the Hermite
+# interpolant of its size's samples, and the lowest value wins.  The last
+# pass of each root gives the slope of the winner's 40-digit Newton step.
 
 # Lower end of the search for a*_k, where it stays for sizes whose ln p_k
 # only falls.  At and below it a is under half an ulp of 1 in longdouble,
@@ -225,66 +227,43 @@ def _residual_ld(x: np.ndarray, p) -> float:
 # exactly as size k - 1 at a = 1, its a -> 0 limit.
 _A_MIN = LD(2.0**-65)
 
-# Newton step in ln a at most which ``_roots`` takes the step and stops,
-# with no pass to confirm it.  The step's error is quadratic in the step:
-# on the benchmark grids the first step from a Hermite start is at most
-# 3.6e-8 (median 3.4e-10), just below this, and the root it reaches lies
-# within ~1e-15 of the root; ``_certified``'s 40-digit step takes the rest.
-_ROOT_STEP = LD(2.0**-24)
+# Newton step in ln a at most which ``_roots`` and ``_peaks`` take and then
+# stop, with no pass to confirm it; its error is quadratic in the step.  On
+# the benchmark grids a first root step from a Hermite start is at most
+# 3.6e-8 (median 3.4e-10), and ``_certified``'s 40-digit step takes the
+# ~1e-15 left; ln p_k is flat at a peak, so m_k is exact to rounding.
+_NEWTON_STEP = LD(2.0**-24)
 
-def _forward(a: np.ndarray, k: np.ndarray, curvature: bool = False):
+def _forward(a: np.ndarray, k: np.ndarray):
     """p_k(a), d ln p_k / d ln a, V_k(a) and q_k(a) in longdouble, one column each.
 
     Column i runs k[i] steps from a[i]; the columns must come sorted by k,
     descending, so that step j works on the prefix of columns with k >= j.
-    The derivative runs the logarithmic derivatives Q_j = d ln q_j / d ln a
-    and U_j = d ln u_j / d ln a alongside the recurrence:
+    The slope, the one derivative carried (``_peaks`` differences slopes),
+    runs Q_j = d ln q_j / d ln a and U_j = d ln u_j / d ln a alongside:
     Q_j = (q_{j-1} Q_{j-1} + u_{j-1} U_{j-1}) / q_j and U_j = U_{j-1} - Q_j.
-    With ``curvature``, a fifth column gives d^2 ln p_k / d(ln a)^2 from
-    their derivatives Q'_j and U'_j, run the same way:
-    Q'_j = (q_{j-1} (Q_{j-1}^2 + Q'_{j-1}) + u_{j-1} (U_{j-1}^2 + U'_{j-1})) / q_j - Q_j^2
-    and U'_j = U'_{j-1} - Q'_j.
     """
-    steps = int(k[0]) if len(k) else 0
-    # how many columns take steps 1, 2, ..., steps + 1
-    live = np.searchsorted(-k, -np.arange(1, steps + 2), side="right").tolist()
+    # how many columns take steps 1, 2, ..., k[0] + 1
+    live = np.searchsorted(-k, -np.arange(1, k.max(initial=0) + 2), side="right").tolist()
     u = np.array(a, dtype=LD)
-    q = np.zeros_like(u)
-    Q = np.zeros_like(u)
+    q, Q, V, qQ = np.zeros((4, len(u)), dtype=LD)
     U = np.ones_like(u)
-    V = np.zeros_like(u)
-    qQ = np.empty_like(u)
-    if curvature:
-        Q2, U2 = np.zeros_like(u), np.zeros_like(u)
     for n, m in zip(live, live[1:]):
         qn, Qn, qQn, un = q[:n], Q[:n], qQ[:n], u[:n]
-        if curvature:
-            # d^2 q_j / d(ln a)^2, from step j - 1's columns
-            qQ2 = qn * (Qn * Qn + Q2[:n]) + un * (U[:n] * U[:n] + U2[:n])
         np.multiply(qn, Qn, out=qQn)
         qQn += un * U[:n]
         qn += un
         np.divide(qQn, qn, out=Qn)
         V[:n] += qn
-        if curvature:
-            Q2[:n] = qQ2 / qn - Qn * Qn
-            U2[:m] -= Q2[:m]
         # u_{j+1} and U_{j+1} serve only the columns that take one more step
         U[:m] -= Q[:m]
         u[:m] /= q[:m]
-    columns = u / (q * q), U - 2 * Q, V, q
-    return columns + (U2 - 2 * Q2,) if curvature else columns
+    return u / (q * q), U - 2 * Q, V, q
 
 
 # Sizes k >= _RISING_FROM have an interior peak; ln p_k only falls for the
 # smaller ones (tests pin both), whose a*_k stays _A_MIN.
 _RISING_FROM = 7
-
-# Newton step in ln a below which a peak is taken as found.  The step's
-# error is quadratic in the one before it, so the accepted ln a*_k lies
-# within ~1e-16 of the zero of the slope; ln p_k is flat there, so m_k is
-# exact to rounding.
-_PEAK_STEP = LD(2.0**-30)
 
 
 def _peaks(k: np.ndarray):
@@ -294,23 +273,28 @@ def _peaks(k: np.ndarray):
     0 once on [ln _A_MIN, 0] (tests pin it): started on the measured curve
     ln a*_k ~ -0.8033 - 5.29 / (k - 4.49), each pass narrows the bracket
     to the sign change and takes the Newton step inside it, or halves the
-    bracket where the step leaves it.  Columns come sorted by k, descending.
+    bracket where the step leaves it.  A pass runs each size as two
+    adjacent columns, at ln a and ln a + 2^-26, and the difference quotient
+    of their slopes is the curvature, within ~1e-8 relative (tests pin
+    1e-7).  Columns come sorted by k, descending.
     """
     lo, hi = np.full(len(k), np.log(_A_MIN)), np.zeros(len(k), dtype=LD)
     x = LD(-0.8033) - LD(5.29) / (k - LD(4.49))
-    curvature = np.empty_like(x)
+    curvature, delta = np.empty_like(x), LD(2.0**-26)
     run = np.arange(len(k))
     while len(run):
-        _, slope, _, _, curvature[run] = _forward(np.exp(x[run]), k[run], curvature=True)
-        xr, concave = x[run], curvature[run] < 0
+        xr = x[run]
+        pair = np.exp(xr[:, None] + [0, delta]).ravel()
+        slope, ahead = _forward(pair, np.repeat(k[run], 2))[1].reshape(-1, 2).T
+        c = curvature[run] = (ahead - slope) / delta
         lor = lo[run] = np.where(slope > 0, xr, lo[run])
         hir = hi[run] = np.where(slope < 0, xr, hi[run])
-        step = -slope / curvature[run]
+        step = -slope / c
         new = xr + step
-        newton = concave & (lor < new) & (new < hir)
+        newton = (c < 0) & (lor < new) & (new < hir)
         # a step this short is taken even where rounding has moved a bracket
         # end across the peak
-        found = concave & (abs(step) <= _PEAK_STEP)
+        found = (c < 0) & (abs(step) <= _NEWTON_STEP)
         x[run] = np.where(newton | found, new, (lor + hir) / 2)
         run = run[~found]
     return x, curvature
@@ -325,7 +309,7 @@ _LOG_MAX = LD(math.log(sys.float_info.max))
 # below n = 110), and _TAIL points out to the bracket top at the smallest
 # float price.  With the slope at each sample ``_start`` interpolates by
 # cubic Hermite, and 192 grid points bring every warm root to 1 Newton
-# pass, a first step of at most _ROOT_STEP, on 3000 seeded n = 1/p over
+# pass, a first step of at most _NEWTON_STEP, on 3000 seeded n = 1/p over
 # 664..1e6 and 3000 prices over 1e-300..1e-6; 11% of the roots below
 # n = 664 and 12% of those in windows cut by N take 2.  With 160 points
 # 14 of the 3072 roots of the 96 benchmark grids take 2, and with 96
@@ -354,8 +338,7 @@ def _size_records(k: np.ndarray) -> np.ndarray:
     so a record reads the same whatever sizes it is computed with.
     """
     k = np.sort(k)[::-1]
-    a_star = np.full(len(k), _A_MIN)
-    peak_dxdz = np.zeros(len(k), dtype=LD)
+    a_star, peak_dxdz = np.full(len(k), _A_MIN), np.zeros(len(k), dtype=LD)
     rising = k >= _RISING_FROM
     log_peak, curvature = _peaks(k[rising])
     a_star[rising], peak_dxdz[rising] = np.exp(log_peak), np.sqrt(-2 / curvature)
@@ -431,7 +414,7 @@ def _roots(lo, hi, a, k, p):
     difference of logs near ln p, so its rounding stays at the ulps of p_k.
     Newton steps in ln a are replaced by bisection in ln a when they leave
     the bracket or do not halve the step before last (rtsafe).  A column
-    whose Newton step is at most _ROOT_STEP takes that step and stops, with
+    whose Newton step is at most _NEWTON_STEP takes that step and stops, with
     no pass to confirm it, and gives the a of the step, V_k of its last
     pass moved there by dV_k / d ln p = -q_k, so V_k + q_k h, and the slope
     d ln p_k / d ln a of that pass.  It takes it even where the step is too
@@ -451,7 +434,7 @@ def _roots(lo, hi, a, k, p):
         lor = lo[run] = np.where(h > 0, ar, lor)
         hir = hi[run] = np.where(h < 0, ar, hir)
         s = -h / np.where(dh < 0, dh, -1)
-        found = (h == 0) | ((dh < 0) & (abs(s) <= _ROOT_STEP))
+        found = (h == 0) | ((dh < 0) & (abs(s) <= _NEWTON_STEP))
         newton = (dh < 0) & (2 * abs(s) <= abs(step_old[run]))
         new = ar + ar * np.expm1(np.where(newton | found, s, 0))
         newton &= (lor < new) & (new < hir)
@@ -497,9 +480,17 @@ class ReducedSolution:
 
 
 # The largest backward error |p_k(a) / p - 1| of a certified root, the
-# precision its entries are rounded to.  Measured, a root moved by 1e-8
+# precision its entries are rounded to: the epsilon of a 64-bit mantissa,
+# which ``_check_longdouble`` asks of LD.  Measured, a root moved by 1e-8
 # reads at least 5e-18 at p = 1/n over n in 3..1e300, 1.9e-19 at the fold.
-_EPS = decimal.Decimal(float(np.finfo(LD).eps))
+_EPS = decimal.Decimal(2.0**-63)
+
+
+def _check_longdouble() -> None:
+    """Reject a platform whose longdouble lacks the 64-bit mantissa the solver is measured in."""
+    if np.finfo(LD).nmant < 63:
+        bits = np.finfo(LD).nmant + 1
+        raise CycmaxError(f"the chain solver needs an 80-bit long double (a 64-bit mantissa); numpy.longdouble has {bits} bits here")
 
 
 def _run(a, k: int):
@@ -520,7 +511,7 @@ def _certified(N: int, p: float, a, slope, k: int) -> ReducedSolution:
     and the gradient at the last entry reads that error times 1/p.  So
     ``_run`` runs it again in 40 digits, and one Newton step in ln a, with
     the slope of the last kernel pass of ``_roots`` (taken just before a,
-    within _ROOT_STEP in ln a), takes a to the root.  The run there
+    within _NEWTON_STEP in ln a), takes a to the root.  The run there
     certifies it: a backward error above _EPS raises RuntimeError.  The
     residual is that of the entries rounded once from 40 digits to
     longdouble; each is then rounded to the nearest double, and not
@@ -598,6 +589,7 @@ def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
     """
     for N, p in problems:
         check_problem(N, p)
+    _check_longdouble()
     price = np.array([p for _, p in problems], dtype=LD)
     log_p = np.log(price)
     # ceil(ln(1/p)) + 2 is at most 712 for a float price, so the cap on N

@@ -645,6 +645,29 @@ class TestModuleEntryPoint:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
+    def test_solver_refuses_a_long_double_without_a_64_bit_mantissa(self, ref_path):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import cycmax
+
+        # numpy.longdouble is plain float64 on some platforms; there a solve
+        # exits 1 with one error line, and commands that use no long double run
+        child = "import sys, numpy; numpy.longdouble = numpy.float64; from cycmax.cli import main; sys.exit(main())"
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cycmax.__file__).parents[1])}
+        for n in ("1000", "1" + "0" * 30):
+            proc = subprocess.run(
+                [sys.executable, "-c", child, "minimize", "--n", n], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 1 and proc.stdout == "", n
+            (line,) = proc.stderr.splitlines()
+            assert line.startswith("error: ") and "64-bit mantissa" in line, line
+        proc = subprocess.run([sys.executable, "-c", child, "analyze", ref_path], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)
+
 
 class TestPublicSurface:
     def test_every_exported_name_resolves(self):
