@@ -45,6 +45,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import sub
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -263,10 +264,11 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
 
     Starts 1..n are read from the first period, so their window sums are
     the same differences of the same table entries as a per-start scan.
-    Each length is clamped to n: in floats, rounding can lift a window of
-    two or three periods above the mean window it repeats.  Parents are
-    read from the second period's starts, whose containers may begin up
-    to n-1 places to their left, across the period boundary.
+    A length runs past n only when float rounding lifts a window of two
+    or three periods above the mean window it repeats; only then are the
+    lengths clamped to n.  Parents are read from the second period's
+    starts, whose containers may begin up to n-1 places to their left,
+    across the period boundary.
     """
     n = x.n
     p = x._prefix3
@@ -301,7 +303,9 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
                 top, rise, run = nxt, nrise, nrun
             ends[k] = top
 
-    lengths = [min(end - k, n) for k, end in enumerate(ends[:n])]
+    lengths = list(map(sub, ends[:n], range(n)))
+    if max(lengths) > n:
+        lengths = [min(r, n) for r in lengths]
     if den is None:
         values = [(p[k + r] - p[k]) / r for k, r in enumerate(lengths)]
     else:

@@ -45,7 +45,6 @@ of one call; nested grid searches are independent oracles at small N.
 from __future__ import annotations
 
 import decimal
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -649,23 +648,20 @@ def minimize_chain(N: int, p: float) -> ReducedSolution:
 def _compositions(total: int, parts: int) -> np.ndarray:
     """All nonnegative integer vectors of given length summing to total.
 
-    Rows are in lexicographic order, enumerated by stars and bars: the
-    positions of the parts - 1 bars among total + parts - 1 slots, taken in
-    lexicographic order, fix the row, and the gaps between bars are its
-    entries.
+    Rows are in lexicographic order.  Part by part, ``np.repeat`` expands
+    each row once per value of its next part, from 0 up to what the row
+    has left, in increasing order; the last part is what is left.
     """
-    slots = total + parts - 1
-    count = math.comb(slots, parts - 1)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
-        dtype=np.int64,
-        count=count * (parts - 1),
-    ).reshape(count, parts - 1)
-    edges = np.empty((count, parts + 1), dtype=np.int64)
-    edges[:, 0] = -1
-    edges[:, 1:-1] = bars
-    edges[:, -1] = slots
-    return np.diff(edges, axis=1) - 1
+    rest = np.full(1, total, dtype=np.int64)
+    columns = []
+    for _ in range(parts - 1):
+        counts = rest + 1
+        part = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        columns = [np.repeat(c, counts) for c in columns]
+        columns.append(part)
+        rest = np.repeat(rest, counts) - part
+    columns.append(rest)
+    return np.stack(columns, axis=1)
 
 
 def _refine_box(center: np.ndarray, width: float, per_dim: int, evaluate) -> tuple[np.ndarray, float, float]:

@@ -185,24 +185,23 @@ def distinct_short_averages(x: PeriodicTuple) -> bool:
 
     Collects the averages of [i : i+r-1] for i = 1..n, r = 1..n-1,
     together with the period mean, and checks for collisions.  Exact, on
-    the rational twin: an average s / (r D) is keyed by the reduced pair
-    (s, r) of its integer table sum; quadratically many values, so
+    the rational twin: an average s / (r D) of an integer table sum s is
+    keyed by the integer s * (L // r), with L = lcm(1..n), which is equal
+    for two averages exactly when they are; quadratically many values, so
     callers gate it.
     """
     x = x._exact()
     n = x.n
     p = x._prefix3
-    g = math.gcd(p[n], n)
-    seen = {(p[n] // g, n // g)}
+    lcm = math.lcm(*range(1, n + 1))
+    seen = {p[n] * (lcm // n)}
     for i in range(n):
         left = p[i]
         for r in range(1, n):
-            s = p[i + r] - left
-            g = math.gcd(s, r)
-            avg = (s // g, r // g)
-            if avg in seen:
+            key = (p[i + r] - left) * (lcm // r)
+            if key in seen:
                 return False
-            seen.add(avg)
+            seen.add(key)
     return True
 
 

@@ -159,14 +159,12 @@ def max_avg_sum(x: PeriodicTuple) -> MaxSumResult:
     as ``sum_with_radii`` sums each window with ``math.fsum``.
     """
     values, lengths, _ = right_maximal_profile(x)
+    # the profile rotated by one place: position i-1 holds index i+1
+    maxima = values[1:] + values[:1]
     total = 0 * x.values[0]
-    radii = []
-    for i in range(1, x.n + 1):
-        j = i % x.n  # 0-based position of index i+1
-        m = values[j]
-        radii.append(lengths[j])
-        total += x.values[i - 1] / m
-    return MaxSumResult(value=total, radii=RadiusTuple(tuple(radii)))
+    for v, m in zip(x.values, maxima):
+        total += v / m
+    return MaxSumResult(value=total, radii=RadiusTuple(tuple(lengths[1:] + lengths[:1])))
 
 
 def generalized_max_sum(x: PeriodicTuple, system: SubsetCollectionSystem) -> Number:

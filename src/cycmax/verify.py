@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -282,16 +283,22 @@ def suite_rotation(rng: np.random.Generator) -> list[CheckResult]:
 
 
 def _random_hypothesis_system(rng: np.random.Generator, n: int) -> SubsetCollectionSystem:
-    """Random system containing the full set everywhere and {1} at index 1."""
+    """Random system containing the full set everywhere and {1} at index 1.
+
+    Each index also gets 0 to 3 extra subsets, each of a size uniform in
+    1..n and uniform among the subsets of that size: the first entries of
+    a random permutation of 1..n, drawn as the argsort of uniform keys.
+    The whole system takes three generator calls.
+    """
+    extras = rng.integers(0, 4, size=n).tolist()
+    sizes = rng.integers(1, n + 1, size=sum(extras)).tolist()
+    orders = (np.argsort(rng.random((len(sizes), n)), axis=1) + 1).tolist()
+    drawn = iter([sorted(order[:size]) for order, size in zip(orders, sizes)])
     everything = list(range(1, n + 1))
     collections = []
-    for i in range(1, n + 1):
-        subsets = [everything]
-        if i == 1:
-            subsets.append([1])
-        for _ in range(int(rng.integers(0, 4))):
-            size = int(rng.integers(1, n + 1))
-            subsets.append(sorted(rng.choice(n, size=size, replace=False) + 1))
+    for i, extra in enumerate(extras, start=1):
+        subsets = [everything, [1]] if i == 1 else [everything]
+        subsets.extend(islice(drawn, extra))
         collections.append(subsets)
     return SubsetCollectionSystem(collections)
 

@@ -13,7 +13,8 @@ recurrence in mpmath.  The rational backend compares averages by
 cross-multiplying integer prefix sums; the ``Fraction`` versions below
 sum ``x.values`` themselves and never read that table.  The per-window
 forms that the verify suites' scans and the cyclic sums replaced are
-kept as they were, and so is the finite-difference gradient taken one
+kept as they were, with the prop5 suite's draw of one subset per
+generator call, and so is the finite-difference gradient taken one
 coordinate at a time, and the root solve that confirmed each last Newton
 step with one more kernel pass.
 """
@@ -269,6 +270,21 @@ def crossing_defects(records, n: int) -> list[str]:
                 if overlap and not nested:
                     defects.append(f"{IndexInterval(a, b)} and {IndexInterval(c, d)} overlap without nesting")
     return defects
+
+
+def choice_hypothesis_system(rng: np.random.Generator, n: int) -> SubsetCollectionSystem:
+    """The prop5 suite's random system drawn with one ``rng.choice`` call per extra subset."""
+    everything = list(range(1, n + 1))
+    collections = []
+    for i in range(1, n + 1):
+        subsets = [everything]
+        if i == 1:
+            subsets.append([1])
+        for _ in range(int(rng.integers(0, 4))):
+            size = int(rng.integers(1, n + 1))
+            subsets.append(sorted(rng.choice(n, size=size, replace=False) + 1))
+        collections.append(subsets)
+    return SubsetCollectionSystem(collections)
 
 
 # ---------------------------------------------------------------------------

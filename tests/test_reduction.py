@@ -974,7 +974,7 @@ class TestVectorizedEvaluators:
         assert (_compositions(7, 4).sum(axis=1) == 7).all()
 
     @pytest.mark.parametrize(
-        "total, parts", [(5, 1), (0, 3), (3, 3), (10, 4), (300, 3), (2000, 2), (12, 6)]
+        "total, parts", [(5, 1), (0, 3), (3, 3), (10, 4), (300, 3), (2000, 2), (12, 6), (40, 5), (1, 6)]
     )
     def test_compositions_match_recursion_row_for_row(self, total, parts):
         got, want = _compositions(total, parts), oracles.compositions(total, parts)

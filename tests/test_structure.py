@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -246,6 +247,30 @@ class TestDistinctShortAverages:
         # window [5:6] and window [10:12] both average 2, among others
         assert not distinct_short_averages(ref_rational)
 
+    # lcm(1..n), the key's scale, passes 2**64 from n = 47 on
+    @pytest.mark.parametrize("n", [4, 12, 30, 46, 47, 53, 60])
+    def test_verdicts_match_the_fraction_oracle_up_to_n_60(self, n):
+        rng = np.random.default_rng(n)
+        generic = [int(v) for v in rng.integers(1, 10**12, n)]
+        # (x_3 + x_4) / 2 equals the entry x_1: a tie across window lengths
+        planted = generic.copy()
+        planted[2], planted[3] = planted[0] - 7, planted[0] + 7
+        tied = [int(v) for v in rng.integers(0, 4, n)]
+        tied[0] += 1
+        cases = [
+            (PeriodicTuple([Fraction(v) for v in generic], backend="rational"), True),
+            (PeriodicTuple([Fraction(v) for v in planted], backend="rational"), False),
+            (PeriodicTuple([Fraction(v) for v in tied], backend="rational"), None),
+            (PeriodicTuple(rng.uniform(0.05, 10.0, n).tolist()), True),
+            (PeriodicTuple([float(v) for v in planted]), False),
+        ]
+        assert math.lcm(*range(1, n + 1)) >= 2**64 or n < 47
+        for x, distinct in cases:
+            verdict = distinct_short_averages(x)
+            assert verdict == oracles.fraction_distinct_short_averages(x)
+            if distinct is not None:
+                assert verdict is distinct
+
 
 class TestAverageTable:
     def test_shape_and_first_row(self, ref_float):
@@ -396,7 +421,7 @@ class TestExactKernel:
     @pytest.mark.parametrize(
         "values, distinct",
         [
-            ([1, 3, 2], False),  # (1 + 3) / 2 equals the entry 2: the key is the reduced pair
+            ([1, 3, 2], False),  # (1 + 3) / 2 equals the entry 2: the key tells averages, not pairs, apart
             ([2, 1, 3], False),  # the entry 2 equals the mean
             ([1, 2, 8, 6], False),  # (2 + 8) / 2 equals (8 + 6 + 1) / 3 and nothing else
             ([1, 2, 5], True),

@@ -1,13 +1,15 @@
-"""The verify suites' table scans and checks against the per-window forms they replaced."""
+"""The verify suites' table scans, checks and samplers against the forms they replaced."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cycmax import verify
+from cycmax import reduction, verify
 from cycmax.periodic import PeriodicTuple
 from cycmax.structure import IntervalPoset, MIntervalRecord
+from cycmax.sums import SubsetCollectionSystem
 from cycmax.verify import run_suites
 
 import oracles
@@ -70,22 +72,64 @@ def test_crossing_check_matches_the_three_shift_loop(monkeypatch):
     assert crossed > 100
 
 
-# the replaced implementations, under the names the suites call
+# the replaced implementations, under the modules and names the suites call
 OLD = {
-    "_brute_right_maximal": oracles.interval_scan_right_maximal,
-    "generalized_max_sum": oracles.fraction_generalized_max_sum,
-    "sum_with_radii": oracles.fsum_sum_with_radii,
-    "has_majorizing_prefixes": oracles.fraction_has_majorizing_prefixes,
-    "distinct_short_averages": oracles.fraction_distinct_short_averages,
+    (verify, "_brute_right_maximal"): oracles.interval_scan_right_maximal,
+    (verify, "generalized_max_sum"): oracles.fraction_generalized_max_sum,
+    (verify, "sum_with_radii"): oracles.fsum_sum_with_radii,
+    (verify, "has_majorizing_prefixes"): oracles.fraction_has_majorizing_prefixes,
+    (verify, "distinct_short_averages"): oracles.fraction_distinct_short_averages,
+    (verify, "_random_hypothesis_system"): oracles.choice_hypothesis_system,
+    (reduction, "_compositions"): oracles.compositions,
 }
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_suites_print_what_the_replaced_forms_print(monkeypatch, seed):
     lines = [res.line() for res in run_suites(None, seed)]
-    for name, old in OLD.items():
-        monkeypatch.setattr(verify, name, old)
+    for (module, name), old in OLD.items():
+        monkeypatch.setattr(module, name, old)
     assert [res.line() for res in run_suites(None, seed)] == lines
+
+
+def raw_hypothesis_systems(monkeypatch, n: int, count: int, seed: int):
+    """The collections prop5's sampler draws, as lists before canonicalization."""
+    monkeypatch.setattr(verify, "SubsetCollectionSystem", lambda collections: collections)
+    rng = np.random.default_rng(seed)
+    return [verify._random_hypothesis_system(rng, n) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 10])
+def test_hypothesis_system_invariants(monkeypatch, n):
+    everything = list(range(1, n + 1))
+    for collections in raw_hypothesis_systems(monkeypatch, n, 200, seed=n):
+        assert len(collections) == n
+        for i, subsets in enumerate(collections, start=1):
+            base = [everything, [1]] if i == 1 else [everything]
+            assert subsets[: len(base)] == base
+            extras = subsets[len(base) :]
+            assert 0 <= len(extras) <= 3
+            for subset in extras:
+                assert all(type(v) is int for v in subset)
+                assert subset == sorted(set(subset)) and 1 <= subset[0] and subset[-1] <= n
+        # the sampler's output is a valid system
+        SubsetCollectionSystem(collections)
+
+
+def test_hypothesis_systems_cover_every_size_and_element(monkeypatch):
+    n = 6
+    extra_counts, sizes, members = Counter(), Counter(), Counter()
+    for collections in raw_hypothesis_systems(monkeypatch, n, 2000, seed=11):
+        for i, subsets in enumerate(collections, start=1):
+            extras = subsets[2:] if i == 1 else subsets[1:]
+            extra_counts[len(extras)] += 1
+            for subset in extras:
+                sizes[len(subset)] += 1
+                members.update((len(subset), v) for v in subset)
+    assert set(extra_counts) == {0, 1, 2, 3}
+    assert set(sizes) == set(range(1, n + 1))
+    # at each size, every element occurs in some subset
+    assert set(members) == {(size, v) for size in range(1, n + 1) for v in range(1, n + 1)}
 
 
 def test_each_named_suite_runs_once_in_the_order_first_named():
