@@ -255,11 +255,18 @@ class TestDistinctShortAverages:
         # (x_3 + x_4) / 2 equals the entry x_1: a tie across window lengths
         planted = generic.copy()
         planted[2], planted[3] = planted[0] - 7, planted[0] + 7
+        # x_1 equals the average of the next q entries, q the largest prime below
+        # n - 1 (at q = n - 1, x_1 would be the mean too): a tie between lengths 1 and q
+        q = max(k for k in range(2, n - 1) if all(k % d for d in range(2, k)))
+        prime_tie = generic.copy()
+        prime_tie[q] += -sum(prime_tie[1 : q + 1]) % q
+        prime_tie[0] = sum(prime_tie[1 : q + 1]) // q
         tied = [int(v) for v in rng.integers(0, 4, n)]
         tied[0] += 1
         cases = [
             (PeriodicTuple([Fraction(v) for v in generic], backend="rational"), True),
             (PeriodicTuple([Fraction(v) for v in planted], backend="rational"), False),
+            (PeriodicTuple([Fraction(v) for v in prime_tie], backend="rational"), False),
             (PeriodicTuple([Fraction(v) for v in tied], backend="rational"), None),
             (PeriodicTuple(rng.uniform(0.05, 10.0, n).tolist()), True),
             (PeriodicTuple([float(v) for v in planted]), False),
