@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import random
 import re
 from pathlib import Path
 
@@ -140,6 +141,58 @@ class TestAnalyzeGolden:
         assert code == 1
 
 
+def _float_bits(doc):
+    """The document with each float replaced by its exact hex spelling."""
+    if isinstance(doc, float):
+        return ("float", doc.hex())
+    if isinstance(doc, dict):
+        return {key: _float_bits(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_float_bits(value) for value in doc]
+    return doc
+
+
+def _seeded_values(seed, n):
+    rng = random.Random(seed)
+    return [rng.choice([rng.randint(1, 10**6), rng.uniform(0.1, 1e3)]) for _ in range(n)]
+
+
+class TestAnalyzeJsonEncoding:
+    """``analyze`` JSON parses to the document the standard encoder writes, bit for bit."""
+
+    CASES = {
+        **{f"seeded-{n}": _seeded_values(n, n) for n in (1, 2, 79, 416)},
+        "degenerate": [2, 2, 2],
+        "wide": [1e16, 3, 1],
+        "near-1e300": [1e300, 2.5e300, 7e299, 1.3e300],
+        "near-1e-300": [1e-300, 3e-300, 2e-300, 7.5e-301],
+    }
+
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_document_as_the_standard_encoder(self, capsys, tmp_path, backend, case):
+        from cycmax.periodic import tuple_from_json
+        from cycmax.structure import build_poset
+
+        text = json.dumps({"values": self.CASES[case]})
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "analyze", "--backend", backend, str(path))
+        assert code == 0
+        x = tuple_from_json(text, backend)
+        poset = build_poset(x)
+        report = cli.analyze_report(x, poset, cli.analyze_warnings(poset))
+        want = json.loads(json.dumps(report))
+        got = json.loads(out)
+        assert _float_bits(got) == _float_bits(want)
+        # orjson writes NaN as null, so every average must come back a float
+        averages = [got["average"], *(cell for row in got["table"] for cell in row)]
+        averages += [node["average"] for node in got["m_intervals"] + got["poset"]["nodes"]]
+        assert all(isinstance(a, float) and math.isfinite(a) for a in averages)
+        if case == "degenerate":
+            assert got["poset"]["root"] is None and got["degenerate"]
+
+
 class TestSumCommands:
     def test_sum_with_radii_file(self, capsys, ref_path, tmp_path):
         radii = tmp_path / "radii.json"
@@ -153,6 +206,13 @@ class TestSumCommands:
         plain = json.loads(out)["value"]
         code, out, _ = run_cli(capsys, "sum", ref_path, "--k", "2", "--normalized")
         assert json.loads(out)["value"] == pytest.approx(plain / 2.0, rel=1e-12)
+
+    def test_sum_prints_a_k_past_64_bits_exactly(self, capsys, ref_path):
+        # the reason sum keeps the json encoder: orjson rejects such an int
+        code, out, _ = run_cli(capsys, "sum", ref_path, "--k", str(10**24))
+        assert code == 0
+        assert json.loads(out)["k"] == 10**24
+        assert '"k": 1000000000000000000000000,' in out
 
     def test_sum_requires_exactly_one_mode(self, capsys, ref_path, tmp_path):
         code, _, _ = run_cli(capsys, "sum", ref_path)
