@@ -115,7 +115,7 @@ def analyze_table_csv(x: PeriodicTuple, poset: IntervalPoset) -> str:
     records = [poset.nodes[i] for i in sorted(poset.nodes)]
     marks = {(r.kappa + 1, r.start) for r in records}
     star = full_maximal_start(x)
-    table = average_table(x)
+    table = average_table(x).tolist()
     lines = []
     header = ["r\\i"] + [f"{i}*" if i == star else str(i) for i in range(1, x.n + 1)]
     lines.append(",".join(header))
@@ -148,10 +148,12 @@ def cmd_analyze(args) -> int:
         elif args.format == "csv":
             text = analyze_table_csv(x, poset)
         else:
-            # orjson formats the (n-1) x n float table many times faster than
-            # json; the other commands keep json because they print unbounded
-            # user integers, and orjson rejects integers past 64 bits
-            text = orjson.dumps(analyze_report(x, poset, warnings)).decode()
+            # orjson writes the (n-1) x n float table straight from the array,
+            # with no Python float per cell; the other commands keep json
+            # because they print unbounded user integers, and orjson rejects
+            # integers past 64 bits
+            report = analyze_report(x, poset, warnings)
+            text = orjson.dumps(report, option=orjson.OPT_SERIALIZE_NUMPY).decode()
     print(text)
     return EXIT_OK
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .periodic import (
     FLOAT,
@@ -208,18 +209,25 @@ def distinct_short_averages(x: PeriodicTuple) -> bool:
     return True
 
 
-def average_table(x: PeriodicTuple) -> list[list[float]]:
-    """Averages of [i : i+r-1] for r = 1..n-1 (rows) and i = 1..n (columns), as floats.
+def average_table(x: PeriodicTuple) -> np.ndarray:
+    """Averages of [i : i+r-1] for r = 1..n-1 (rows) and i = 1..n (columns).
 
-    Float rows take the prefix-sum difference divided by r in numpy, the
-    same operations as ``interval_average``.  A rational cell divides the
-    integer table sum by r times the common denominator; Python's int
-    division rounds correctly, so the cell is ``float`` of the exact
-    average, and it raises ``OverflowError`` where that would.
+    One C-contiguous float64 array of shape (n-1, n), built the same way
+    on both backends: the windows of the first two periods of the prefix
+    table minus its first period, divided in place by the window lengths.
+    A float cell is then the subtract-and-divide of ``interval_average``.
+    A rational cell divides its integer table sum by r times the common
+    denominator; Python's int division rounds correctly, so the cell is
+    ``float`` of the exact average, and it raises ``OverflowError``
+    where that would.
     """
     n = x.n
+    p = x._prefix3[: 2 * n]
     if x.backend == FLOAT:
-        p = np.array(x._prefix3)
-        return [((p[r : r + n] - p[:n]) / r).tolist() for r in range(1, n)]
-    p, den = x._prefix3, x._den
-    return [[(p[i + r] - p[i]) / (r * den) for i in range(n)] for r in range(1, n)]
+        p, lengths = np.array(p), np.arange(1, n)
+    else:
+        p = np.array(p, dtype=object)
+        lengths = np.array([r * x._den for r in range(1, n)], dtype=object)
+    table = sliding_window_view(p[1:], n)[: n - 1] - p[:n]
+    table /= lengths[:, None]
+    return table.astype(float, copy=False)

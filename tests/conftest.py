@@ -1,7 +1,19 @@
+import importlib.util
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+# A failing property makes hypothesis write its patch through
+# ``hypothesis.extra._patching``, whose first import (libcst, then
+# typing_inspect) raises a DeprecationWarning from mypy_extensions.  Under
+# ``filterwarnings = ["error"]`` that warning turns into an INTERNALERROR
+# that ends the whole session, so the module is imported once here.
+if importlib.util.find_spec("libcst") is not None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
 
 settings.register_profile(
     "default",

@@ -29,7 +29,7 @@ import numpy as np
 from cycmax import reduction
 from cycmax.errors import CycmaxError
 from cycmax.reduction import FD_REL_STEP, LD, ReducedSolution
-from cycmax.periodic import IndexInterval, Profile, interval_average
+from cycmax.periodic import FLOAT, IndexInterval, Profile, interval_average
 from cycmax.structure import MIntervalRecord
 from cycmax.sums import SubsetCollectionSystem
 
@@ -205,6 +205,21 @@ def fraction_average_table(x) -> list[list[Fraction]]:
     n = x.n
     p = fraction_prefix3(x)
     return [[(p[i + r] - p[i]) / r for i in range(n)] for r in range(1, n)]
+
+
+def list_average_table(x) -> list[list[float]]:
+    """``structure.average_table`` as lists of floats, built a row at a time.
+
+    A float row is the prefix-sum difference divided by r in numpy, and a
+    rational cell divides the integer table sum by r times the common
+    denominator, one Python ``int / int`` per cell.
+    """
+    n = x.n
+    if x.backend == FLOAT:
+        p = np.array(x._prefix3)
+        return [((p[r : r + n] - p[:n]) / r).tolist() for r in range(1, n)]
+    p, den = x._prefix3, x._den
+    return [[(p[i + r] - p[i]) / (r * den) for i in range(n)] for r in range(1, n)]
 
 
 # ---------------------------------------------------------------------------

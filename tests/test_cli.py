@@ -10,6 +10,7 @@ import pytest
 from cycmax import cli
 from cycmax.verify import SUITES, CheckResult
 
+import oracles
 from golden_table import (
     CHAIN_UNDER_ROOT,
     MAXIMAL_CELLS,
@@ -182,7 +183,9 @@ class TestAnalyzeJsonEncoding:
         x = tuple_from_json(text, backend)
         poset = build_poset(x)
         report = cli.analyze_report(x, poset, cli.analyze_warnings(poset))
-        want = json.loads(json.dumps(report))
+        table = report["table"].tolist()
+        assert _float_bits(table) == _float_bits(oracles.list_average_table(x))
+        want = json.loads(json.dumps({**report, "table": table}))
         got = json.loads(out)
         assert _float_bits(got) == _float_bits(want)
         # orjson writes NaN as null, so every average must come back a float
@@ -191,6 +194,29 @@ class TestAnalyzeJsonEncoding:
         assert all(isinstance(a, float) and math.isfinite(a) for a in averages)
         if case == "degenerate":
             assert got["poset"]["root"] is None and got["degenerate"]
+
+
+class TestAnalyzeCsvCells:
+    """``analyze --format csv`` prints the list-form table through ``format_cell``."""
+
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    @pytest.mark.parametrize("n", [2, 79, 416])
+    def test_rows_are_the_formatted_list_table(self, capsys, tmp_path, backend, n):
+        from cycmax.periodic import tuple_from_json
+
+        text = json.dumps({"values": _seeded_values(n, n)})
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "analyze", "--backend", backend, "--format", "csv", str(path))
+        assert code == 0
+        want = oracles.list_average_table(tuple_from_json(text, backend))
+        rows = out.split("\n")[1:n]
+        assert len(rows) == n - 1
+        for r, line in enumerate(rows, start=1):
+            label, *cells = line.split(",")
+            assert label == str(r)
+            assert [cell.rstrip("*") for cell in cells] == [cli.format_cell(v) for v in want[r - 1]]
+        assert out.split("\n")[n].startswith("# average,")
 
 
 class TestSumCommands:

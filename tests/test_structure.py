@@ -279,7 +279,28 @@ class TestDistinctShortAverages:
                 assert verdict is distinct
 
 
+def float_bits(rows):
+    """A table of floats with each cell as its exact hex spelling."""
+    return [[v.hex() for v in row] for row in rows]
+
+
 class TestAverageTable:
+    """One C-contiguous float64 array, cell for cell the list form it replaced."""
+
+    CASES = {
+        "n-1": [3],
+        "seeded-2": np.random.default_rng(2).uniform(0.05, 10.0, 2).tolist(),
+        "seeded-79": np.random.default_rng(79).uniform(0.05, 10.0, 79).tolist(),
+        "wide": [1e16, 3, 1],
+        "near-1e300": [1e300, 2.5e300, 7e299, 1.3e300],
+        "subnormal": [0, 0, 1e-310],
+    }
+
+    @staticmethod
+    def assert_array_form(table, n):
+        assert type(table) is np.ndarray and table.dtype == np.float64
+        assert table.shape == (n - 1, n) and table.flags.c_contiguous
+
     def test_shape_and_first_row(self, ref_float):
         table = average_table(ref_float)
         assert len(table) == 9 and all(len(row) == 10 for row in table)
@@ -287,10 +308,10 @@ class TestAverageTable:
 
     def test_reference_spot_values(self, ref_rational):
         table = average_table(ref_rational)
-        assert table[1][1] == float(Fraction(29, 10))     # r=2, i=2
-        assert table[7][0] == float(Fraction(19, 8))      # r=8, i=1
-        assert table[8][3] == float(Fraction(191, 90))    # r=9, i=4 = 2.1222...
-        assert all(type(v) is float for row in table for v in row)
+        self.assert_array_form(table, 10)
+        assert table[1, 1] == float(Fraction(29, 10))     # r=2, i=2
+        assert table[7, 0] == float(Fraction(19, 8))      # r=8, i=1
+        assert table[8, 3] == float(Fraction(191, 90))    # r=9, i=4 = 2.1222...
 
     def test_cells_equal_interval_averages_exactly(self):
         # the table is the output of analyze json and csv, so it must stay
@@ -308,8 +329,26 @@ class TestAverageTable:
                     for r in range(1, n)
                 ]
                 table = average_table(x)
-                assert table == want
-                assert all(type(v) is float for row in table for v in row)
+                self.assert_array_form(table, n)
+                assert float_bits(table.tolist()) == float_bits(want)
+
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_cells_as_the_list_form(self, backend, case):
+        x = PeriodicTuple(self.CASES[case], backend=backend)
+        table = average_table(x)
+        self.assert_array_form(table, x.n)
+        assert float_bits(table.tolist()) == float_bits(oracles.list_average_table(x))
+
+    def test_rational_cells_round_to_subnormals(self):
+        table = average_table(PeriodicTuple([0, 0, 1e-310], backend="rational"))
+        half = float(Fraction(1e-310) / 2)
+        assert 0 < half < 2.2250738585072014e-308
+        assert table.tolist() == [[0.0, 0.0, 1e-310], [0.0, half, half]]
+
+    def test_rational_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            average_table(PeriodicTuple([10**400, 1, 2], backend="rational"))
 
 
 def mixed_denominator_fractions():
@@ -383,8 +422,8 @@ class TestExactKernel:
                 average_table(x)
         else:
             table = average_table(x)
-            assert table == want
-            assert all(type(v) is float for row in table for v in row)
+            assert table.dtype == np.float64
+            assert table.tolist() == want
 
         for y in (x, floats):
             n = y.n
