@@ -31,15 +31,18 @@ solves that branch of four sizes just below min(N, ceil(ln(1/p)) + 2),
 where the winner lies; the root left of the peak never wins (measured).
 All are solved in one batched Newton iteration, each started from a
 cubic Hermite interpolant of its size's samples, in 1 pass on the
-measured grids.  Both searches take a Newton step of at most 2^-24 in
-ln a with no pass to confirm it; V_k moves with a root's step along
-dV_k / d ln p = -q_k.  The lowest value wins.  ``_certified`` makes the
-winner's solution from ``_run``, the recurrence in 40-digit decimals,
-one Newton step past the longdouble root, and certifies it by its
-backward error (p_k there is p within 2^-63) or raises RuntimeError, a
-bug, not a verdict.  Solves refuse a longdouble without a 64-bit
-mantissa.  The finite-difference gradient takes its 2N points as rows
-of one call; nested grid searches are independent oracles at small N.
+measured grids.  Both searches are one routine, ``_newton``: Newton in
+ln a on a falling function, kept inside a bracket, that takes a step of
+at most 2^-24 with no pass to confirm it.  The search runs in ln a
+throughout, from the records to the roots, and V_k moves with a root's
+last step along dV_k / d ln p = -q_k.  The lowest value wins.
+``_certified`` makes the winner's solution from ``_run``, the recurrence
+in 40-digit decimals, one Newton step past the longdouble root, and
+certifies it by its backward error (p_k there is p within 2^-63) or
+raises RuntimeError, a bug, not a verdict.  Solves refuse a longdouble
+without a 64-bit mantissa.  The finite-difference gradient takes its 2N
+points as rows of one call; nested grid searches are independent oracles
+at small N.
 """
 
 from __future__ import annotations
@@ -226,12 +229,13 @@ def _residual_ld(x: np.ndarray, p) -> float:
 # exactly as size k - 1 at a = 1, its a -> 0 limit.
 _A_MIN = LD(2.0**-65)
 
-# Newton step in ln a at most which ``_roots`` and ``_peaks`` take and then
-# stop, with no pass to confirm it; its error is quadratic in the step.  On
-# the benchmark grids a first root step from a Hermite start is at most
-# 3.6e-8 (median 3.4e-10), and ``_certified``'s 40-digit step takes the
-# ~1e-15 left; ln p_k is flat at a peak, so m_k is exact to rounding.
+# Newton step in ln a at most which ``_newton`` takes and then stops, with
+# no pass to confirm it; its error is quadratic in the step.  On the
+# benchmark grids a first root step from a Hermite start is at most 3.6e-8
+# (median 3.4e-10), and ``_certified``'s 40-digit step takes the ~1e-15
+# left; ln p_k is flat at a peak, so m_k is exact to rounding.
 _NEWTON_STEP = LD(2.0**-24)
+
 
 def _forward(a: np.ndarray, k: np.ndarray):
     """p_k(a), d ln p_k / d ln a, V_k(a) and q_k(a) in longdouble, one column each.
@@ -260,6 +264,42 @@ def _forward(a: np.ndarray, k: np.ndarray):
     return u / (q * q), U - 2 * Q, V, q
 
 
+def _newton(x, lo, hi, evaluate):
+    """Roots in x = ln a of falling functions f, one per column, by safeguarded Newton.
+
+    Column i starts at x[i] inside its bracket [lo[i], hi[i]], across which
+    f falls through 0; ``evaluate(run, x[run])`` gives f and df/dx of the
+    columns ``run`` in one kernel pass.  Each pass narrows the bracket to the
+    sign change and takes the Newton step where it stays inside and is at
+    most half the step before last; otherwise it halves the bracket
+    (rtsafe).  A column whose Newton step is at most _NEWTON_STEP takes it
+    and stops, with no pass to confirm it, even where the step is too
+    short to move x off a bracket end, where halving would take dozens of
+    passes more.  A column whose bracket can no longer be halved stops at
+    the x of its last pass.  So each column's last pass is the one its
+    result is stepped from.  lo, hi and x are updated in place.
+    """
+    step = hi - lo
+    step_old = step.copy()
+    run = np.arange(len(x))
+    while len(run):
+        xr = x[run]
+        f, df = evaluate(run, xr)
+        lor = lo[run] = np.where(f > 0, xr, lo[run])
+        hir = hi[run] = np.where(f < 0, xr, hi[run])
+        s = -f / np.where(df < 0, df, -1)
+        found = (f == 0) | ((df < 0) & (abs(s) <= _NEWTON_STEP))
+        new = xr + s
+        newton = (df < 0) & (2 * abs(s) <= abs(step_old[run])) & (lor < new) & (new < hir)
+        new = np.where(newton | found, new, (lor + hir) / 2)
+        done = found | (new <= lor) | (new >= hir)
+        x[run] = np.where(found | ~done, new, xr)
+        step_old[run] = step[run]
+        step[run] = new - xr
+        run = run[~done]
+    return x
+
+
 # Sizes k >= _RISING_FROM have an interior peak; ln p_k only falls for the
 # smaller ones (tests pin both), whose a*_k stays _A_MIN.
 _RISING_FROM = 7
@@ -268,35 +308,23 @@ _RISING_FROM = 7
 def _peaks(k: np.ndarray):
     """ln a*_k and d^2 ln p_k / d(ln a)^2 there, for sizes k >= _RISING_FROM.
 
-    Safeguarded Newton on the slope d ln p_k / d ln a, which falls through
-    0 once on [ln _A_MIN, 0] (tests pin it): started on the measured curve
-    ln a*_k ~ -0.8033 - 5.29 / (k - 4.49), each pass narrows the bracket
-    to the sign change and takes the Newton step inside it, or halves the
-    bracket where the step leaves it.  A pass runs each size as two
+    ``_newton`` on the slope d ln p_k / d ln a, which falls through 0 once
+    on [ln _A_MIN, 0] (tests pin it), started on the measured curve
+    ln a*_k ~ -0.8033 - 5.29 / (k - 4.49).  A pass runs each size as two
     adjacent columns, at ln a and ln a + 2^-26, and the difference quotient
     of their slopes is the curvature, within ~1e-8 relative (tests pin
     1e-7).  Columns come sorted by k, descending.
     """
-    lo, hi = np.full(len(k), np.log(_A_MIN)), np.zeros(len(k), dtype=LD)
-    x = LD(-0.8033) - LD(5.29) / (k - LD(4.49))
-    curvature, delta = np.empty_like(x), LD(2.0**-26)
-    run = np.arange(len(k))
-    while len(run):
-        xr = x[run]
-        pair = np.exp(xr[:, None] + [0, delta]).ravel()
+    curvature, delta = np.empty(len(k), dtype=LD), LD(2.0**-26)
+
+    def evaluate(run, x):
+        pair = np.exp(x[:, None] + [0, delta]).ravel()
         slope, ahead = _forward(pair, np.repeat(k[run], 2))[1].reshape(-1, 2).T
         c = curvature[run] = (ahead - slope) / delta
-        lor = lo[run] = np.where(slope > 0, xr, lo[run])
-        hir = hi[run] = np.where(slope < 0, xr, hi[run])
-        step = -slope / c
-        new = xr + step
-        newton = (c < 0) & (lor < new) & (new < hir)
-        # a step this short is taken even where rounding has moved a bracket
-        # end across the peak
-        found = (c < 0) & (abs(step) <= _NEWTON_STEP)
-        x[run] = np.where(newton | found, new, (lor + hir) / 2)
-        run = run[~found]
-    return x, curvature
+        return slope, c
+
+    lo, hi = np.full(len(k), np.log(_A_MIN)), np.zeros(len(k), dtype=LD)
+    return _newton(LD(-0.8033) - LD(5.29) / (k - LD(4.49)), lo, hi, evaluate), curvature
 
 
 # The largest ln(1/p) of a float price whose inverse is finite.
@@ -323,11 +351,11 @@ _SAMPLES = _GRID + _TAIL + 1
 
 
 def _size_records(k: np.ndarray) -> np.ndarray:
-    """One record per size k: a*_k, m_k, then _SAMPLES values each of z, ln a and d ln a / dz.
+    """One record per size k: ln a*_k, m_k, then _SAMPLES values each of z, ln a and d ln a / dz.
 
     a*_k is where ln p_k peaks on [_A_MIN, oo), found by ``_peaks``; it is
     _A_MIN where ln p_k only falls.  The samples of the right branch start
-    at the peak, a*_k itself, whose level gives m_k, and go on at the
+    at the peak, ln a*_k itself, whose level gives m_k, and go on at the
     _GRID and _TAIL points, all right of it and capped at the bracket top,
     so ln a never falls, and z = sqrt(-m_k - ln p_k), 0 at the peak, rises.
     The sample pass gives the slope s = d ln p_k / d ln a at each sample,
@@ -337,20 +365,19 @@ def _size_records(k: np.ndarray) -> np.ndarray:
     so a record reads the same whatever sizes it is computed with.
     """
     k = np.sort(k)[::-1]
-    a_star, peak_dxdz = np.full(len(k), _A_MIN), np.zeros(len(k), dtype=LD)
+    peak, peak_dxdz = np.full(len(k), np.log(_A_MIN)), np.zeros(len(k), dtype=LD)
     rising = k >= _RISING_FROM
-    log_peak, curvature = _peaks(k[rising])
-    a_star[rising], peak_dxdz[rising] = np.exp(log_peak), np.sqrt(-2 / curvature)
-    peak, end = np.log(a_star), np.log(LD(2)) + _LOG_MAX / k
+    peak[rising], curvature = _peaks(k[rising])
+    peak_dxdz[rising] = np.sqrt(-2 / curvature)
+    end = np.log(LD(2)) + _LOG_MAX / k
     grid = np.linspace(np.maximum(peak, -10), 2, _GRID + 1, axis=1)[:, 1:]
     tail = 2 + (end[:, None] - 2) * np.linspace(0, 1, _TAIL + 1, dtype=LD)[1:] ** 2
     log_a = np.minimum(np.column_stack([peak, grid, tail]), end[:, None])
-    a = np.column_stack([a_star, np.exp(log_a[:, 1:])])
-    price, slope, _, _ = _forward(a.ravel(), np.repeat(k, _SAMPLES))
+    price, slope, _, _ = _forward(np.exp(log_a).ravel(), np.repeat(k, _SAMPLES))
     level, slope = np.log(price).reshape(log_a.shape), slope.reshape(log_a.shape)
     z = np.sqrt(np.maximum(level[:, :1] - level, 0))
     dxdz = np.column_stack([peak_dxdz, -2 * z[:, 1:] / slope[:, 1:]])
-    return np.column_stack([a_star, -level[:, 0], z, log_a, dxdz])[::-1]
+    return np.column_stack([peak, -level[:, 0], z, log_a, dxdz])[::-1]
 
 
 # The records of the sizes computed so far, row k for size k; rows of sizes
@@ -381,7 +408,7 @@ _START_BLOCK = 1024
 
 
 def _start(table: np.ndarray, k: np.ndarray, log_p: np.ndarray) -> np.ndarray:
-    """Newton start a of the right-branch root of size k at ln p.
+    """Newton start ln a of the right-branch root of size k at ln p.
 
     The root has z = sqrt(-m_k - ln p) > 0, which lies above the first
     sample (the peak, z = 0) and at most at the last (the bracket top at
@@ -401,50 +428,29 @@ def _start(table: np.ndarray, k: np.ndarray, log_p: np.ndarray) -> np.ndarray:
     d0, d1 = table[k, j + 2 * _SAMPLES - 1], table[k, j + 2 * _SAMPLES]
     h = z1 - z0
     t = (z - z0) / h
-    return np.exp(x0 + t * t * (3 - 2 * t) * (x1 - x0) + h * t * (1 - t) * ((1 - t) * d0 - t * d1))
+    return x0 + t * t * (3 - 2 * t) * (x1 - x0) + h * t * (1 - t) * ((1 - t) * d0 - t * d1)
 
 
-def _roots(lo, hi, a, k, p):
-    """Roots of p_k(a) = p on right-branch brackets [lo, hi], one per column.
+def _roots(lo, hi, x, k, p):
+    """Roots in ln a of p_k(a) = p on right-branch brackets [lo, hi], one per column.
 
     Columns come sorted by k, descending, each with its own price, bracket
-    and start a; p_k falls across the bracket, so h = ln(p_k / p) falls
-    from h(lo) > 0 to h(hi) < 0.  h is the log of a ratio near 1, not a
-    difference of logs near ln p, so its rounding stays at the ulps of p_k.
-    Newton steps in ln a are replaced by bisection in ln a when they leave
-    the bracket or do not halve the step before last (rtsafe).  A column
-    whose Newton step is at most _NEWTON_STEP takes that step and stops, with
-    no pass to confirm it, and gives the a of the step, V_k of its last
-    pass moved there by dV_k / d ln p = -q_k, so V_k + q_k h, and the slope
-    d ln p_k / d ln a of that pass.  It takes it even where the step is too
-    short to move a off a bracket end, where bisection would take dozens
-    of passes more.  A column whose bracket ends are adjacent floats stops
-    at the a of its last pass, with V_k and the slope there.
+    and start x, all in ln a; p_k falls across the bracket, so
+    h = ln(p_k / p) falls from h(lo) > 0 to h(hi) < 0, and ``_newton``
+    solves h = 0.  h is the log of a ratio near 1, not a difference of logs
+    near ln p, so its rounding stays at the ulps of p_k.  Gives ln a, V_k
+    and d ln p_k / d ln a, each from the last pass of its column: V_k moved
+    along dV_k / d ln p = -q_k to that pass's Newton step, so V_k + q_k h.
     """
-    V, slope = np.empty_like(a), np.empty_like(a)
-    step = np.log(hi / lo)
-    step_old = step.copy()
-    run = np.arange(len(a))
-    while len(run):
-        price, dh, Vr, q = _forward(a[run], k[run])
-        slope[run] = dh
-        ar, lor, hir = a[run], lo[run], hi[run]
+    V, slope = np.empty_like(x), np.empty_like(x)
+
+    def evaluate(run, xr):
+        price, dh, Vr, q = _forward(np.exp(xr), k[run])
         h = np.log(price / p[run])
-        lor = lo[run] = np.where(h > 0, ar, lor)
-        hir = hi[run] = np.where(h < 0, ar, hir)
-        s = -h / np.where(dh < 0, dh, -1)
-        found = (h == 0) | ((dh < 0) & (abs(s) <= _NEWTON_STEP))
-        newton = (dh < 0) & (2 * abs(s) <= abs(step_old[run]))
-        new = ar + ar * np.expm1(np.where(newton | found, s, 0))
-        newton &= (lor < new) & (new < hir)
-        V[run] = np.where(found, Vr + q * h, Vr)
-        new = np.where(newton | found, new, np.sqrt(lor * hir))
-        done = found | (new == ar) | (new <= lor) | (new >= hir)
-        a[run] = np.where(found | ~done, new, ar)
-        step_old[run] = step[run]
-        step[run] = np.where(newton, s, np.log(new / ar))
-        run = run[~done]
-    return a, V, slope
+        V[run], slope[run] = Vr + q * h, dh
+        return h, dh
+
+    return _newton(x, lo, hi, evaluate), V, slope
 
 
 @dataclass
@@ -606,10 +612,10 @@ def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
     owner, k = np.nonzero(root)[0], k[root]
     order = np.argsort(-k, kind="stable")
     owner, k = owner[order], k[order]
-    # p_k(a) <= a^-k for a >= 1, so p_k < p at a = 2 p^(-1/k)
-    lo, hi = table[k, 0], 2 * np.exp(-log_p[owner] / k)
+    # p_k(a) <= a^-k for a >= 1, so p_k < p at ln a = ln 2 - ln p / k
+    lo, hi = table[k, 0], np.log(LD(2)) - log_p[owner] / k
     start = np.clip(_start(table, k, log_p[owner]), lo, hi)
-    a, V, slope = _roots(lo, hi, start, k, price[owner])
+    x, V, slope = _roots(lo, hi, start, k, price[owner])
 
     # per problem, the lowest value, the smallest size on a tie; a problem
     # without columns (p >= 1 or N = 1) keeps the point mass, which size 2
@@ -619,7 +625,7 @@ def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
     winner = np.full(len(problems), -1)
     winner[owner[cols]] = cols
     return [
-        _certified(N, p, a[c], slope[c], int(k[c])) if c >= 0 else ReducedSolution(N, p, 1.0 / p, np.ones(1), 0.0)
+        _certified(N, p, np.exp(x[c]), slope[c], int(k[c])) if c >= 0 else ReducedSolution(N, p, 1.0 / p, np.ones(1), 0.0)
         for (N, p), c in zip(problems, winner.tolist())
     ]
 

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import index, sub
 from typing import Sequence
 
 from .errors import CycmaxError
@@ -53,8 +53,9 @@ class RadiusTuple:
 class SubsetCollectionSystem:
     """For each index i in 1..n, a nonempty list of nonempty subsets of 1..n.
 
-    Subsets are canonicalized to sorted tuples, and repeats are dropped,
-    keeping the first occurrence.
+    Subset entries are ints or numpy integers; a bool, float or str is
+    rejected, not rounded or parsed.  Subsets are canonicalized to sorted
+    tuples, and repeats are dropped, keeping the first occurrence.
     """
 
     def __init__(self, collections: Sequence[Sequence[Sequence[int]]]):
@@ -67,7 +68,12 @@ class SubsetCollectionSystem:
                 raise CycmaxError(f"collection at index {i} is empty")
             cleaned = {}  # ordered set of canonical subsets
             for subset in subsets:
-                idx = tuple(sorted(set(map(int, subset))))
+                try:
+                    idx = tuple(sorted(set(map(index, subset))))
+                except TypeError:
+                    idx = None
+                if idx is None or bool in map(type, subset):
+                    raise CycmaxError(f"subset {subset!r} at index {i} must hold integer indices")
                 if not idx:
                     raise CycmaxError(f"empty subset in collection {i}")
                 if idx[0] < 1 or idx[-1] > self.n:

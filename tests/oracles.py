@@ -351,23 +351,25 @@ def compositions(total: int, parts: int) -> np.ndarray:
 # branches: the right root by one batched Newton solve started at the
 # bracket top, ``two_pass_roots`` unless another is passed, and the left
 # root, where p_k rises from p_k(_A_MIN) < p to its peak, by bisection in
-# ln a down to adjacent floats.  The lowest value wins.
+# ln a down to adjacent floats.  The lowest value wins.  Like the solver,
+# both take and give ln a.
 
 
 def left_roots(lo, hi, k, p):
-    """Roots of p_k(a) = p where p_k rises over [lo, hi], by bisection in ln a.
+    """Roots in ln a of p_k(a) = p where p_k rises over [lo, hi], by bisection in ln a.
 
-    Columns come sorted by k, descending; gives a at the lower end of the
-    final bracket, whose ends are adjacent floats, and V_k and
-    d ln p_k / d ln a there, as ``two_pass_roots`` gives its roots.
+    Columns come sorted by k, descending, with brackets in ln a; gives the
+    ln a at the lower end of the final bracket, whose ends are adjacent
+    floats, and V_k and d ln p_k / d ln a there, as ``two_pass_roots``
+    gives its roots.
     """
     while True:
-        mid = np.sqrt(lo * hi)
+        mid = (lo + hi) / 2
         inside = (lo < mid) & (mid < hi)
         if not inside.any():
-            _, slope, V, _ = reduction._forward(lo, k)
+            _, slope, V, _ = reduction._forward(np.exp(lo), k)
             return lo, V, slope
-        below = reduction._forward(mid, k)[0] < p
+        below = reduction._forward(np.exp(mid), k)[0] < p
         lo = np.where(inside & below, mid, lo)
         hi = np.where(inside & ~below, mid, hi)
 
@@ -376,39 +378,38 @@ def left_roots(lo, hi, k, p):
 TWO_PASS_ROOT_STEP = LD(2.0**-50)
 
 
-def two_pass_roots(lo, hi, a, k, p):
-    """Roots of p_k(a) = p on right-branch brackets [lo, hi], as ``reduction._roots``.
+def two_pass_roots(lo, hi, x, k, p):
+    """Roots in ln a of p_k(a) = p on right-branch brackets [lo, hi], as ``reduction._roots``.
 
     The same safeguarded Newton iteration in ln a, but a column stops only
-    once its Newton step falls to TWO_PASS_ROOT_STEP, keeping the a of that
-    pass, so a warm root takes a second pass to confirm the first step.
-    Gives a, V_k and d ln p_k / d ln a at the roots, all from that pass.
-    The reference for ``reduction._roots``, which takes a short enough
-    step without that pass and moves V_k to the root along -q_k.
+    once its Newton step falls to TWO_PASS_ROOT_STEP, keeping the ln a of
+    that pass, so a warm root takes a second pass to confirm the first
+    step.  Gives ln a, V_k and d ln p_k / d ln a at the roots, all from that
+    pass.  The reference for ``reduction._roots``, which takes a short
+    enough step without that pass and moves V_k to the root along -q_k.
     """
-    V, slope = np.empty_like(a), np.empty_like(a)
-    step = np.log(hi / lo)
+    V, slope = np.empty_like(x), np.empty_like(x)
+    step = hi - lo
     step_old = step.copy()
-    run = np.arange(len(a))
+    run = np.arange(len(x))
     while len(run):
-        price, dh, V[run], _ = reduction._forward(a[run], k[run])
+        price, dh, V[run], _ = reduction._forward(np.exp(x[run]), k[run])
         slope[run] = dh
-        ar, lor, hir = a[run], lo[run], hi[run]
+        xr, lor, hir = x[run], lo[run], hi[run]
         h = np.log(price / p[run])
-        lor = lo[run] = np.where(h > 0, ar, lor)
-        hir = hi[run] = np.where(h < 0, ar, hir)
+        lor = lo[run] = np.where(h > 0, xr, lor)
+        hir = hi[run] = np.where(h < 0, xr, hir)
         s = -h / np.where(dh < 0, dh, -1)
         found = (h == 0) | ((dh < 0) & (abs(s) <= TWO_PASS_ROOT_STEP))
-        newton = (dh < 0) & (2 * abs(s) <= abs(step_old[run]))
-        new = ar + ar * np.expm1(np.where(newton, s, 0))
-        newton &= (lor < new) & (new < hir)
-        new = np.where(newton, new, np.sqrt(lor * hir))
-        done = found | (new == ar) | (new <= lor) | (new >= hir)
+        new = xr + s
+        newton = (dh < 0) & (2 * abs(s) <= abs(step_old[run])) & (lor < new) & (new < hir)
+        new = np.where(newton, new, (lor + hir) / 2)
+        done = found | (new <= lor) | (new >= hir)
         step_old[run] = step[run]
-        step[run] = np.where(newton, s, np.log(new / ar))
+        step[run] = new - xr
         run = run[~done]
-        a[run] = new[~done]
-    return a, V, slope
+        x[run] = new[~done]
+    return x, V, slope
 
 
 # Halvings that take ln a from [ln _A_MIN, 0], 45 wide, to within 1e-12.
@@ -440,7 +441,7 @@ def all_size_roots(problems, solve=two_pass_roots) -> dict:
     and results of ``reduction._roots``, run once on every size of every
     problem from the bracket tops.  Gives columns sorted by k, descending:
     ``owner`` (the problem's index), ``k``, ``left`` (whether the root lies
-    left of a*_k), the root ``a``, the value ``V`` and the slope
+    left of a*_k), the root's ``log_a``, the value ``V`` and the slope
     d ln p_k / d ln a there.
     """
     price = np.array([p for _, p in problems], dtype=LD)
@@ -452,7 +453,7 @@ def all_size_roots(problems, solve=two_pass_roots) -> dict:
     table[2:, :2] = reduction._records(sizes)[2 : K + 1, :2]
     table[sizes, 2] = np.log(reduction._forward(np.full(len(sizes), reduction._A_MIN), sizes)[0])
     assert table[K, 1] >= -log_p.min() or K >= max(N for N, _ in problems)
-    a_star, m, floor = table.T
+    log_peak, m, floor = table.T
     owner, k = [], []
     for i, (N, p) in enumerate(problems):
         sizes = np.arange(2, min(N, K) + 1)
@@ -462,19 +463,19 @@ def all_size_roots(problems, solve=two_pass_roots) -> dict:
     owner, k = np.concatenate(owner), np.concatenate(k)
     order = np.argsort(-k, kind="stable")
     owner, k = owner[order], k[order]
-    top = 2 * np.exp(-log_p[owner] / k)
-    a, V, slope = solve(a_star[k], top, top.copy(), k, price[owner])
+    top = np.log(LD(2)) - log_p[owner] / k
+    x, V, slope = solve(log_peak[k], top, top.copy(), k, price[owner])
     left = floor[k] < log_p[owner]
-    a_left, V_left, slope_left = left_roots(
-        np.full(left.sum(), reduction._A_MIN), a_star[k[left]], k[left], price[owner[left]]
+    x_left, V_left, slope_left = left_roots(
+        np.full(left.sum(), np.log(reduction._A_MIN)), log_peak[k[left]], k[left], price[owner[left]]
     )
     owner, k = np.concatenate([owner, owner[left]]), np.concatenate([k, k[left]])
     order = np.argsort(-k, kind="stable")
     columns = {
         "owner": owner,
         "k": k,
-        "left": np.repeat([False, True], [len(a), len(a_left)]),
-        "a": np.concatenate([a, a_left]),
+        "left": np.repeat([False, True], [len(x), len(x_left)]),
+        "log_a": np.concatenate([x, x_left]),
         "V": np.concatenate([V, V_left]),
         "slope": np.concatenate([slope, slope_left]),
     }
@@ -487,12 +488,12 @@ def minimize_all_sizes(problems) -> list:
     Gives, per problem, its ReducedSolution.
     """
     roots = all_size_roots(problems)
-    owner, k, a, V, slope = (roots[name] for name in ("owner", "k", "a", "V", "slope"))
+    owner, k, x, V, slope = (roots[name] for name in ("owner", "k", "log_a", "V", "slope"))
     best = {}
     for c in np.lexsort((k, V, owner)).tolist():
         best.setdefault(int(owner[c]), c)
     return [
-        reduction._certified(N, p, a[best[i]], slope[best[i]], int(k[best[i]])) if i in best else point_mass(N, p)
+        reduction._certified(N, p, np.exp(x[best[i]]), slope[best[i]], int(k[best[i]])) if i in best else point_mass(N, p)
         for i, (N, p) in enumerate(problems)
     ]
 

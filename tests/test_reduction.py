@@ -406,7 +406,7 @@ class TestBatchedSolve:
         # the kernel at the starts and at the roots on both sides of a*_k
         left = roots["left"]
         assert left.any() and not left.all()
-        a, k = np.concatenate([start, roots["a"]]), np.concatenate([k, roots["k"]])
+        a, k = np.exp(np.concatenate([start, roots["log_a"]])), np.concatenate([k, roots["k"]])
         order = np.argsort(-k, kind="stable")
         a, k = a[order], k[order]
         batch = _forward(a, k)
@@ -417,20 +417,20 @@ class TestBatchedSolve:
         k = roots["k"][left]
         hi = reduction._records(k)[k, 0]
         price = np.array([p for _, p in problems], dtype=LD)[roots["owner"][left]]
-        for i, want in enumerate(zip(*(roots[name][left] for name in ("a", "V", "slope")))):
+        for i, want in enumerate(zip(*(roots[name][left] for name in ("log_a", "V", "slope")))):
             cols = slice(i, i + 1)
-            alone = oracles.left_roots(np.full(1, _A_MIN), hi[cols], k[cols], price[cols])
+            alone = oracles.left_roots(np.full(1, np.log(_A_MIN)), hi[cols], k[cols], price[cols])
             assert tuple(c[0] for c in alone) == want, i
 
     def test_roots_take_the_newton_step_of_their_last_pass(self):
         # ``_certified`` takes its Newton step with the slope ``_roots`` gives:
-        # that of the column's last kernel pass, at a, bit for bit; the root
-        # is that pass's Newton step from a, and V_k that pass's moved there
-        # by dV_k / d ln p = -q_k, in the solver's solve from the samples and
-        # in the oracle's from the bracket tops (every size up to 700 at
-        # 1e-300, so the solver's alone there).  Each column is solved again
-        # alone, which gives what it gives in the batch (tested above), with
-        # its kernel passes recorded.
+        # that of the column's last kernel pass, at ln a, bit for bit; the
+        # root is that pass's Newton step in ln a, and V_k that pass's moved
+        # there by dV_k / d ln p = -q_k, in the solver's solve from the
+        # samples and in the oracle's from the bracket tops (every size up to
+        # 700 at 1e-300, so the solver's alone there).  Each column is solved
+        # again alone, which gives what it gives in the batch (tested above),
+        # with the ln a and the kernel output of each pass recorded.
         problems = [(1000, 1e-3), (372759, 1.0 / 372759), (40, 0.02), (10**12, 1e-30), (10**12, 1e-300)]
         calls = []
 
@@ -443,11 +443,18 @@ class TestBatchedSolve:
             reduction._minimize_many(problems)
         oracles.all_size_roots(problems[:-1], solve=recorded)
         assert len(calls) == 2
-        passes = []
+        passes, newton = [], reduction._newton
 
         def forward(a, k):
-            passes.append((a.copy(), _forward(a, k)))
-            return passes[-1][1]
+            passes[-1].append(_forward(a, k))
+            return passes[-1][-1]
+
+        def recorded_newton(x, lo, hi, evaluate):
+            def recorded_evaluate(run, xr):
+                passes.append([xr.copy()])
+                return evaluate(run, xr)
+
+            return newton(x, lo, hi, recorded_evaluate)
 
         steps = []
         for lo, hi, start, k, p in calls:
@@ -456,12 +463,13 @@ class TestBatchedSolve:
                 cols = slice(i, i + 1)
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(reduction, "_forward", forward)
-                    a, V, slope = _roots(lo[cols].copy(), hi[cols].copy(), start[cols].copy(), k[cols], p[cols])
+                    patch.setattr(reduction, "_newton", recorded_newton)
+                    x, V, slope = _roots(lo[cols].copy(), hi[cols].copy(), start[cols].copy(), k[cols], p[cols])
                 last, (price, last_slope, last_V, q) = passes[-1]
                 h = np.log(price / p[cols])
                 assert slope == last_slope, (k[i], p[i])
                 assert V == last_V + q * h, (k[i], p[i])
-                assert a == last + last * np.expm1(-h / last_slope), (k[i], p[i])
+                assert x == last - h / last_slope, (k[i], p[i])
                 steps[-1].append(len(passes))
                 passes.clear()
         solver, oracle = steps
@@ -475,7 +483,7 @@ class TestBatchedSolve:
         # the roots that mpmath finds per size by bisection and Newton steps
         for p in (1.0 / 138950, 1e-6):
             roots = oracles.all_size_roots([(10**7, p)], solve=_roots)
-            k, root, value = roots["k"], roots["a"], roots["V"]
+            k, root, value = roots["k"], roots["log_a"], roots["V"]
             assert roots["left"].any()
             for size in sorted(set(k.tolist())):
                 got = sorted(zip(root[k == size], value[k == size]))
@@ -483,8 +491,8 @@ class TestBatchedSolve:
                 assert len(got) == len(want), size
                 with mp.workdps(oracles.MP_DPS):
                     want = sorted((e[0] / e[1], v) for v, e in want)
-                    for (a, v), (want_a, want_v) in zip(got, want):
-                        assert abs(oracles.mp_of(a) / want_a - 1) <= 4 * 2.0**-50, size
+                    for (x, v), (want_a, want_v) in zip(got, want):
+                        assert abs(mp.exp(oracles.mp_of(x)) / want_a - 1) <= 4 * 2.0**-50, size
                         assert abs(oracles.mp_of(v) / want_v - 1) <= 1e-15, size
 
     def test_bit_identical_to_per_size_oracle(self):
@@ -668,6 +676,22 @@ class TestBatchedSolve:
             passes = kernel_passes(problems)
             assert len(passes) <= 2
 
+    def test_falling_sizes_near_their_top_take_few_passes(self):
+        # sizes 2..6, whose ln p_k only falls, start a root from the first
+        # sample interval, at _A_MIN with d ln a / dz = 0, so next to the top
+        # price the Hermite start is poor and a warm solve takes many passes;
+        # measured at 1e-12, 1e-9 and 1e-6 below each top (1 or 2 passes at
+        # 1e-3), with N at the size and past it, and pinned as upper bounds
+        measured = {2: (12, 7, 11), 3: (14, 8, 11), 4: (48, 10, 11), 5: (9, 11, 10), 6: (12, 12, 7)}
+        cases = [([(10**9, 0.999999)], 11)]
+        k = np.arange(2, 7)
+        for size, m_k in zip(k.tolist(), reduction._records(k)[k, 1]):
+            for d, most in zip((1e-12, 1e-9, 1e-6), measured[size]):
+                cases += [([(N, float(np.exp(-m_k) * (1 - d)))], most) for N in (size, 10**9)]
+        for problems, most in cases:
+            reduction._minimize_many(problems)  # the sizes' records are cached
+            assert len(kernel_passes(problems)) <= most, problems
+
     def test_cold_solve_takes_few_passes(self, monkeypatch):
         # a first call computes its sizes' records: a Newton peak search of
         # 3 or 4 passes, one sample pass, then the root solve; the 46
@@ -708,7 +732,7 @@ class TestSizeTable:
         z, log_a, dxdz = rows[:, 2 : 2 + S], rows[:, 2 + S : 2 + 2 * S], rows[:, 2 + 2 * S :]
         assert rows.shape[1] == 2 + 3 * S
         assert reduction._records(k).nbytes <= 8e6  # measured: 7.2 MB
-        assert np.array_equal(log_a[:, 0], np.log(rows[:, 0])) and np.all(z[:, 0] == 0)
+        assert np.array_equal(log_a[:, 0], rows[:, 0]) and np.all(z[:, 0] == 0)
         assert np.all(np.diff(log_a, axis=1) >= 0)
         assert np.all(z[:, 1:] > 0)
         assert np.all(np.isfinite(dxdz)) and np.all(dxdz[:, 1:] > 0)
@@ -733,7 +757,7 @@ class TestSizeTable:
         z0, z1, x0, x1, d0, d1 = (table[k, c] for c in (j - 1, j, j + S - 1, j + S, j + 2 * S - 1, j + 2 * S))
         h = z1 - z0
         t = (z - z0) / h
-        want = np.exp(x0 + t * t * (3 - 2 * t) * (x1 - x0) + h * t * (1 - t) * ((1 - t) * d0 - t * d1))
+        want = x0 + t * t * (3 - 2 * t) * (x1 - x0) + h * t * (1 - t) * ((1 - t) * d0 - t * d1)
         assert np.array_equal(reduction._start(table, k, log_p), want)
 
     def test_peaks_match_bisection(self):
@@ -747,9 +771,9 @@ class TestSizeTable:
         a_star, m = oracles.bisect_peaks(k)
         falls = k < reduction._RISING_FROM
         assert np.array_equal(k[falls], [6, 5, 4, 3, 2])
-        assert np.all(table[k[falls], 0] == _A_MIN) and np.all(a_star[falls] == _A_MIN)
+        assert np.all(table[k[falls], 0] == np.log(_A_MIN)) and np.all(a_star[falls] == _A_MIN)
         assert np.array_equal(table[k[falls], 1], m[falls])
-        assert np.all(abs(np.log(table[k, 0] / a_star)) <= 1e-12)  # measured: 6.4e-13
+        assert np.all(abs(table[k, 0] - np.log(a_star)) <= 1e-12)  # measured: 6.4e-13
         assert np.all(abs(table[k, 1] - m) <= 5 * k * np.finfo(LD).eps)  # measured: 4.4 k eps
 
     def test_derivative_changes_sign_at_most_once(self):
@@ -772,15 +796,15 @@ class TestSizeTable:
     def test_table_matches_mpmath(self):
         table = _size_records(np.arange(2, 65))
         for k in (2, 6, 7, 12, 40):
-            a_star, m = table[k - 2, :2]
+            got_peak, m = table[k - 2, :2]
             log_peak, top = oracles.mp_peak(k)
             with mp.workdps(oracles.MP_DPS):
                 assert abs(oracles.mp_of(m) + top) <= 1e-17 * max(1.0, float(m)), k
                 if k <= 6:
                     floor = np.log(_forward(np.array([_A_MIN]), np.array([k]))[0][0])
-                    assert a_star == _A_MIN and floor == -m, k
+                    assert got_peak == np.log(_A_MIN) and floor == -m, k
                 else:
-                    assert abs(oracles.mp_of(np.log(a_star)) - log_peak) <= 1e-8, k
+                    assert abs(oracles.mp_of(got_peak) - log_peak) <= 1e-8, k
 
     def test_size_reads_the_same_in_every_table(self, monkeypatch):
         # a size reads the same whether cached alone or with others, and the

@@ -286,6 +286,19 @@ class TestGeneralizedMaxSum:
         with pytest.raises(ValueError):
             SubsetCollectionSystem([[[3]]])  # index beyond n=1
 
+    @pytest.mark.parametrize("entry", [1.7, 1.0, np.float64(1.0), True, np.bool_(True), "1"])
+    def test_rejects_an_index_that_is_not_an_integer(self, entry):
+        # int() once turned 1.7 into 1 and read True and "1" as index 1
+        with pytest.raises(CycmaxError, match="at index 1 must hold integer indices"):
+            SubsetCollectionSystem([[[entry]]])
+        with pytest.raises(CycmaxError, match="at index 2 must hold integer indices"):
+            SubsetCollectionSystem([[[1]], [[1], [2, entry]]])
+
+    def test_numpy_integer_indices_are_ints(self):
+        system = SubsetCollectionSystem([[np.array([2, 1])], [[np.int32(2)]]])
+        assert system.collections == (((1, 2),), ((2,),))
+        assert all(type(v) is int for subsets in system.collections for s in subsets for v in s)
+
     def test_duplicate_subsets_removed(self):
         system = SubsetCollectionSystem([[[1, 2], [2, 1], [1]], [[1, 2]]])
         assert system.collections[0] == ((1, 2), (1,))
