@@ -149,9 +149,9 @@ def cmd_analyze(args) -> int:
             text = analyze_table_csv(x, poset)
         else:
             # orjson writes the (n-1) x n float table straight from the array,
-            # with no Python float per cell; the other commands keep json
-            # because they print unbounded user integers, and orjson rejects
-            # integers past 64 bits
+            # with no Python float per cell; ``sum`` and ``minimize`` keep
+            # json because they print unbounded user integers, and orjson
+            # rejects integers past 64 bits
             report = analyze_report(x, poset, warnings)
             text = orjson.dumps(report, option=orjson.OPT_SERIALIZE_NUMPY).decode()
     print(text)
@@ -181,7 +181,8 @@ def cmd_sum(args) -> int:
 def cmd_maxsum(args) -> int:
     x = _load("tuple", args.tuple, tuple_from_json, args.backend)
     res = max_avg_sum(x)
-    print(json.dumps({"value": float(res.value), "radii": list(res.radii.radii)}))
+    # the radii are at most n, so orjson's 64-bit integers hold them
+    print(orjson.dumps({"value": float(res.value), "radii": list(res.radii.radii)}).decode())
     return EXIT_OK
 
 

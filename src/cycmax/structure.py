@@ -153,7 +153,7 @@ def has_majorizing_prefixes(x: PeriodicTuple, start: int) -> bool:
     on the integer prefix table of the rational twin, from the first period.
     """
     x = x._exact()
-    n, p = x.n, x._prefix3
+    n, p = x.n, x._prefix2
     first = (start - 1) % n
     left, total = p[first], p[n]
     for k in range(1, n):
@@ -196,7 +196,7 @@ def distinct_short_averages(x: PeriodicTuple) -> bool:
     """
     x = x._exact()
     n = x.n
-    p = x._prefix3
+    p = x._prefix2
     lcm = math.lcm(*range(1, n + 1))
     seen = {p[n] * (lcm // n)}
     for i in range(n):
@@ -222,7 +222,7 @@ def average_table(x: PeriodicTuple) -> np.ndarray:
     where that would.
     """
     n = x.n
-    p = x._prefix3[: 2 * n]
+    p = x._prefix2
     if x.backend == FLOAT:
         p, lengths = np.array(p), np.arange(1, n)
     else:

@@ -105,7 +105,7 @@ class SubsetCollectionSystem:
 
 def _table_entries(x: PeriodicTuple) -> list[int]:
     """A rational tuple's entries in table units, at positions 1..n."""
-    return [0, *map(sub, x._prefix3[1 : x.n + 1], x._prefix3[: x.n])]
+    return [0, *map(sub, x._prefix2[1 : x.n + 1], x._prefix2[: x.n])]
 
 
 def sum_with_radii(x: PeriodicTuple, r: RadiusTuple) -> Number:
@@ -115,8 +115,8 @@ def sum_with_radii(x: PeriodicTuple, r: RadiusTuple) -> Number:
     entries (whole periods as multiples of the period sum) with ``math.fsum``:
     a difference of prefix sums would lose a small window after a large
     entry to cancellation.  A float average below the normal range, or a
-    float sum past the float range, is rejected.  The rational backend
-    reads its exact table.
+    float window sum, window length or total past the float range, is
+    rejected.  The rational backend reads its exact table.
     """
     if len(r) != x.n:
         raise CycmaxError(f"expected {x.n} radii, got {len(r)}")
@@ -130,7 +130,12 @@ def sum_with_radii(x: PeriodicTuple, r: RadiusTuple) -> Number:
             s = x._table(i + length) - x._table(i)
         else:
             q, rest = divmod(length, n)
-            s = math.fsum((q * period, *twice[i : i + rest]))
+            try:
+                s = math.fsum((q * period, *twice[i : i + rest]))
+            except OverflowError:  # q, or a partial sum, past the float range
+                s = math.inf
+            if s == math.inf or length > sys.float_info.max:
+                raise CycmaxError(f"the window of length {length} after index {i} {OVERFLOW}")
         if s == 0:
             raise CycmaxError(f"window of length {length} after index {i} sums to zero")
         denom = x._ratio(s, length)

@@ -94,7 +94,7 @@ def _brute_right_maximal(x: PeriodicTuple, i: int, r_max: int):
 
     Floats divide table differences as ``interval_average`` does; rational ones cross-multiply.
     """
-    t = x._prefix3[i - 1 :] + [x._table(k) for k in range(3 * x.n + 1, i + r_max)]
+    t = x._prefix2[i - 1 :] + [x._table(k) for k in range(2 * x.n + 1, i + r_max)]
     if x._den is None:
         averages = [(t[r] - t[0]) / r for r in range(1, r_max + 1)]
         best = max(averages)  # the first of equal maxima

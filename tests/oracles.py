@@ -15,10 +15,12 @@ sum ``x.values`` themselves and never read that table.  The per-window
 forms that the verify suites' scans and the cyclic sums replaced are
 kept as they were, with the prop5 suite's draw of one subset per
 generator call, and so is the finite-difference gradient taken one
-coordinate at a time, and the root solve that confirmed each last Newton
-step with one more kernel pass.
+coordinate at a time, the root solve that confirmed each last Newton
+step with one more kernel pass, and the tuple reader that parsed float
+documents with ``json.loads`` rather than orjson.
 """
 
+import json
 import math
 from fractions import Fraction
 from typing import Optional
@@ -29,7 +31,7 @@ import numpy as np
 from cycmax import reduction
 from cycmax.errors import CycmaxError
 from cycmax.reduction import FD_REL_STEP, LD, ReducedSolution
-from cycmax.periodic import FLOAT, IndexInterval, Profile, interval_average
+from cycmax.periodic import FLOAT, RATIONAL, IndexInterval, PeriodicTuple, Profile, _exact_number, interval_average
 from cycmax.structure import MIntervalRecord
 from cycmax.sums import SubsetCollectionSystem
 
@@ -102,6 +104,20 @@ def link_parents(records: list[MIntervalRecord], n: int) -> dict[int, Optional[i
         else:
             parent[rec.start] = None
     return parent
+
+
+def json_tuple_from_json(text, backend: str = FLOAT) -> PeriodicTuple:
+    """``periodic.tuple_from_json`` as it read every document with ``json.loads``."""
+    try:
+        doc = json.loads(text, parse_float=_exact_number if backend == RATIONAL else None)
+    except (ValueError, RecursionError) as exc:
+        raise CycmaxError(str(exc)) from exc
+    if not isinstance(doc, dict) or "values" not in doc:
+        raise CycmaxError('tuple JSON must be an object with a "values" array')
+    values = doc["values"]
+    if not isinstance(values, list) or not values:
+        raise CycmaxError('"values" must be a nonempty array')
+    return PeriodicTuple([_exact_number(v) if isinstance(v, str) else v for v in values], backend=backend)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +232,9 @@ def list_average_table(x) -> list[list[float]]:
     """
     n = x.n
     if x.backend == FLOAT:
-        p = np.array(x._prefix3)
+        p = np.array(x._prefix2)
         return [((p[r : r + n] - p[:n]) / r).tolist() for r in range(1, n)]
-    p, den = x._prefix3, x._den
+    p, den = x._prefix2, x._den
     return [[(p[i + r] - p[i]) / (r * den) for i in range(n)] for r in range(1, n)]
 
 

@@ -343,6 +343,30 @@ class TestOverflowingSum:
         if backend == "float":
             assert err == "error: the sum exceeds the float range (the rational backend sums it exactly)\n"
 
+    @pytest.mark.parametrize("normalized", [[], ["--normalized"]], ids=["plain", "normalized"])
+    @pytest.mark.parametrize(
+        "values, k",
+        [([1, 2, 3], 10**308), ([1, 2, 3], 10**309), ([0.1] * 10, 10**309)],
+        ids=["sum-past-range", "radius-past-range", "radius-past-range-small-sum"],
+    )
+    def test_float_window_past_the_range_exits_1(self, capsys, tmp_path, values, k, normalized):
+        # the window sum (10**308 // 3 periods of sum 6) or the radius itself
+        # leaves the float range; this once printed 0.0 or ended in a traceback
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"values": values}))
+        code, out, err = run_cli(capsys, "sum", str(path), "--k", str(k), *normalized)
+        assert (code, out) == (1, "")
+        assert err == f"error: the window of length {k} after index 1 exceeds the float range (the rational backend sums it exactly)\n"
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_rational_window_past_the_float_range(self, capsys, tmp_path, normalized):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"values": [1, 2, 3]}))
+        argv = ["sum", str(path), "--k", str(10**308), "--backend", "rational"] + ["--normalized"] * normalized
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == (3e-308 if normalized else 3.0)
+
 
 class TestEntriesPastTheFloatRange:
     """A tuple holding 10**400: the float backend rejects it when parsed,

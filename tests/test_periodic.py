@@ -17,7 +17,7 @@ from cycmax.errors import CycmaxError
 from cycmax.periodic import right_maximal_profile
 from cycmax.structure import all_m_intervals, m_interval
 
-from oracles import link_parents, scan_profile, scan_right_maximal
+from oracles import json_tuple_from_json, link_parents, scan_profile, scan_right_maximal
 
 fractions_st = st.fractions(min_value=0, max_value=1000, max_denominator=50)
 
@@ -73,8 +73,8 @@ class TestPeriodicTuple:
             assert interval_average(ref_rational, IndexInterval(i, i)) == Fraction(entry)
 
     def test_prefix_matches_direct_sum_everywhere(self, ref_rational):
-        # windows that start below index 1 and end past 3n read the prefix
-        # table outside the three periods it stores
+        # windows that start below index 1 and end past 2n read the prefix
+        # table outside the two periods it stores
         x = ref_rational
         for a in range(-25, 12):
             for b in range(a, 45):
@@ -191,20 +191,24 @@ class TestConstructorContract:
             total, one = prefix[-1], prefix[1:]
             prefix += [total + s for s in one] + [(total + total) + s for s in one]
             assert x.values == tuple(values) and x._den is None
-            assert all(type(v) is float for v in x.values + tuple(x._prefix3))
+            assert all(type(v) is float for v in x.values + tuple(x._prefix2))
         else:
             values = [Fraction(1), Fraction(4), Fraction(1, 2), Fraction(1, 3), Fraction(5, 2)]
             # numerators over the common denominator 6
             prefix = [0, 6, 30, 33, 35, 50, 56, 80, 83, 85, 100, 106, 130, 133, 135, 150]
             assert x.values == tuple(values) and x._den == 6
             assert all(type(v) is Fraction for v in x.values)
-            assert all(type(s) is int for s in x._prefix3)
+            assert all(type(s) is int for s in x._prefix2)
         assert x.backend == ("rational" if backend is None else backend)
-        assert x._prefix3 == prefix
+        # two periods are stored, and the third is served with the same bits
+        assert x._prefix2 == prefix[: 2 * x.n + 1]
+        assert [x._table(k) for k in range(3 * x.n + 1)] == prefix
+        assert all(type(x._table(k)) is type(prefix[k]) for k in range(3 * x.n + 1))
 
     def test_numpy_integers_are_summed_exactly(self):
         x = PeriodicTuple([np.int64(2**62), np.int64(2**62)], backend="rational")
-        assert x._prefix3[-1] == 6 * 2**62
+        assert x._prefix2[-1] == 4 * 2**62
+        assert x._table(3 * x.n) == 6 * 2**62
         assert right_maximal_profile(x).values == [Fraction(2**62)] * 2
 
 
@@ -344,10 +348,20 @@ class TestRightMaximal:
         for _ in range(300):
             x = PeriodicTuple(rng.choice([1e16, 1.0], int(rng.integers(1, 41))).tolist())
             prof = right_maximal_profile(x)
-            p = x._prefix3
+            p = x._prefix2
             for k, (got, r, best) in enumerate(zip(prof.values, prof.lengths, scan_profile(x)[0])):
                 assert 1 <= r <= x.n and got == (p[k + r] - p[k]) / r
                 assert best - 2 * sys.float_info.epsilon * best <= got <= best
+
+    def test_float_parents_on_cancelling_entries_match_oracle(self):
+        # the container search on the same classes: where 1e16 + 1 rounds
+        # to 1e16, a pass that also walks a third period pops second-period
+        # points by rounded averages the first period never forms
+        rng = np.random.default_rng(2024)
+        for _ in range(500):
+            x = PeriodicTuple(rng.choice([1e16, 1.0], int(rng.integers(1, 30))).tolist())
+            parents = link_parents(all_m_intervals(x), x.n)
+            assert right_maximal_profile(x).parents == [parents[i] for i in range(1, x.n + 1)], x
 
     @given(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=20))
     def test_float_values_agree_with_scan(self, values):
@@ -379,7 +393,75 @@ class TestForwardMaxAverage:
         assert mean - 1e-12 * max(mean, 1.0) <= m <= max(values) + 1e-12
 
 
+def _read(reader, text):
+    """The entries as ``float.hex`` strings, or the message of the ``CycmaxError``."""
+    try:
+        return [v.hex() for v in reader(text, "float").values]
+    except CycmaxError as exc:
+        return str(exc)
+
+
+BIG = 2**1024 - 2**970  # the least integer that rounds past the float range
+
+# documents orjson rejects or reads differently from json, in both encodings
+READER_CASES = [
+    '{"values": [1, NaN]}',
+    '{"values": [Infinity, 1]}',
+    '{"values": [-Infinity]}',
+    '{"values": [1e400, 1]}',
+    '{"values": [1, -1e400]}',
+    '{"values": [1, "\ud800"]}',
+    '{"values": [1, 2], "note": "\udc00"}',
+    '{"values": [%s, 1]}' % (10**400),
+    '{"values": [%s, 1]}' % ("9" * 5000),
+    '{"values": [1], "seed": %s}' % ("9" * 5000),
+    '{"values": [1, 2]}' + " ",
+    '{"values": [1, 2],}',
+    '{"values": [01]}',
+    '{"values": [1.]}',
+    '{"values": ' + "[" * 40 + "1" + "]" * 40 + "}",
+    '{"values": ' + "[" * 5000 + "1" + "]" * 5000 + "}",
+    '{"values": [1], "deep": ' + "[" * 5000 + "]" * 5000 + "}",
+    '{"values": [1], "deep": ' + '{"a":' * 5000 + "1" + "}" * 5000 + "}",
+    '{"values": [1, 2], "values": [3]}',
+    "",
+    "[1, 2]",
+] + [
+    # integers past 64 bits, which orjson returns as floats
+    '{"values": [%d, 1]}' % v
+    for v in (2**63, 2**64 - 1, 2**64, 2**64 + 1, 3**50, 10**30 + 1, 2**1023 + 2**970, BIG - 1, BIG, BIG + 1, -(2**64) - 5)
+]
+
+
 class TestJson:
+    @pytest.mark.parametrize("text", READER_CASES, ids=range(len(READER_CASES)))
+    def test_reader_matches_the_json_reader(self, text):
+        for doc in (text, text.encode("utf-8", "surrogatepass")):
+            assert _read(tuple_from_json, doc) == _read(json_tuple_from_json, doc)
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-le", "utf-32", "latin-1"])
+    def test_reader_matches_the_json_reader_on_other_encodings(self, encoding):
+        doc = '{"values": [1.5, 2], "note": "caf\u00e9"}'
+        for text in (doc.encode(encoding), "\ufeff" + doc):
+            assert _read(tuple_from_json, text) == _read(json_tuple_from_json, text)
+
+    def test_reader_matches_the_json_reader_on_seeded_literals(self):
+        # shortest reprs, 30-digit mantissas, subnormals and long integers
+        rng = np.random.default_rng(31)
+        texts = []
+        for _ in range(2000):
+            scaled = rng.uniform(0, 1e3, 3) * 10.0 ** rng.integers(-320, 300, 3)
+            reprs = [repr(v) for v in scaled.tolist()]
+            mantissas = [
+                "%d.%se%d" % (rng.integers(1, 10), "".join(map(str, rng.integers(0, 10, 29))), rng.integers(-340, 309))
+                for _ in range(3)
+            ]
+            subnormals = [repr(int(k) * 2.0**-1074) for k in rng.integers(1, 2**52, 3)]
+            integers = [str(int(d) * 10 ** int(e)) for d, e in zip(rng.integers(1, 10**18, 3), rng.integers(0, 300, 3))]
+            texts.append('{"values": [%s]}' % ", ".join(reprs + mantissas + subnormals + integers))
+        for text in texts:
+            assert _read(tuple_from_json, text) == _read(json_tuple_from_json, text), text
+
     def test_parse_float_backend(self):
         x = tuple_from_json('{"values": [1.2, 3, "7/2"]}', "float")
         assert x.backend == "float"

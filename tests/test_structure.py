@@ -482,8 +482,8 @@ class TestExactKernel:
     def test_common_denominator_table(self):
         x = PeriodicTuple([Fraction(1, 6), Fraction(3, 4), Fraction(0), Fraction(2)], backend="rational")
         assert x._den == 12
-        assert x._prefix3[:5] == [0, 2, 11, 11, 35]
-        assert all(type(v) is int for v in x._prefix3)
+        assert x._prefix2[:5] == [0, 2, 11, 11, 35]
+        assert all(type(v) is int for v in x._prefix2)
         assert x.average * x.n == Fraction(35, 12) and x.average == Fraction(35, 48)
         # window sums across the period start, into the second period and past the third
         assert [interval_average(x, IndexInterval(a, b)) * (b - a + 1) for a, b in ((0, 0), (1, 5), (1, 13))] == [
