@@ -57,18 +57,11 @@ def sweep(n_values: Sequence[int]) -> list[SweepRecord]:
     if not values:
         raise CycmaxError("n_values must be nonempty")
 
-    records = []
-    for n, sol in zip(values, _minimize_many([(n, cyclic_price(n)) for n in values])):
-        records.append(
-            SweepRecord(
-                n=n,
-                s_star=sol.value,
-                deficit=math.e * math.log(n) - sol.value,
-                support=sol.support,
-                residual=sol.stationarity_residual,
-            )
-        )
-    return records
+    solutions = _minimize_many([(n, cyclic_price(n)) for n in values])
+    return [
+        SweepRecord(n, sol.value, math.e * math.log(n) - sol.value, sol.support, sol.stationarity_residual)
+        for n, sol in zip(values, solutions)
+    ]
 
 
 # The most points a grid takes: a warm sweep of 1e4 points over 1e3..1e300

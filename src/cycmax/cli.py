@@ -35,7 +35,7 @@ from . import reduction
 from .errors import CycmaxError
 from .periodic import FLOAT, RATIONAL, PeriodicTuple, tuple_from_json
 from .reduction import brute_force_oracle, minimize_chain
-from .structure import IntervalPoset, average_table, build_poset, full_maximal_start
+from .structure import IntervalPoset, average_table, build_poset, full_maximal_start, has_subnormal_cell
 from .sums import RadiusTuple, diananda_sum, max_avg_sum, radii_from_json, sum_with_radii
 from .verify import run_suites
 
@@ -66,6 +66,11 @@ def _load(kind: str, path: str, parse, *args):
         raise CycmaxError(f"cannot read {path}: {exc}") from exc
     except CycmaxError as exc:
         raise CycmaxError(f"malformed {kind} file {path}: {exc}") from exc
+
+
+# A nonzero rational result whose float lies below the normal range keeps
+# fewer than 53 bits or prints as 0, so it is an input error too.
+BELOW_NORMAL = "a result lies below the normal float range and cannot be printed"
 
 
 @contextlib.contextmanager
@@ -143,6 +148,9 @@ def cmd_analyze(args) -> int:
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     with _printable():
+        # the mean is the least right maximal value, and dot prints no cell
+        if x.backend == RATIONAL and (float(x.average) < sys.float_info.min or args.format != "dot" and has_subnormal_cell(x)):
+            raise CycmaxError(BELOW_NORMAL)
         if args.format == "dot":
             text = poset.to_dot()
         elif args.format == "csv":
@@ -174,6 +182,8 @@ def cmd_sum(args) -> int:
         details = {"k": args.k, "normalized": bool(args.normalized)}
     with _printable():
         payload = {"value": float(value), **details}
+    if value and abs(payload["value"]) < sys.float_info.min:
+        raise CycmaxError(BELOW_NORMAL)
     print(json.dumps(payload))
     return EXIT_OK
 

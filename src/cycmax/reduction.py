@@ -20,18 +20,19 @@ first-order conditions run front to back as a forward recurrence of
 sums and quotients of positive numbers, which makes size k stationary at
 one price p_k(a); each k thus reduces to the scalar equation p_k(a) = p.
 The recurrence depends on neither k nor p, so one longdouble pass serves
-many sizes of many problems (N, p) at once, and the cost of a solve is
-counted in such passes; it gives p_k, V_k and the slope of ln p_k in ln a.
-A per-process record of each size, independent of p and computed the
-first time a call needs it, tells where p_k peaks (Newton on the slope,
-whose derivative is the difference quotient of two adjacent columns, in
-3 or 4 passes), hence whether the size has a root, and samples the
-branch right of the peak, with its slope (one more pass).  Each problem
-solves that branch of four sizes just below min(N, ceil(ln(1/p)) + 2),
-where the winner lies; the root left of the peak never wins (measured).
-All are solved in one batched Newton iteration, each started from a
-cubic Hermite interpolant of its size's samples, in 1 pass on the
-measured grids.  Both searches are one routine, ``_newton``: Newton in
+many sizes of many problems (N, p) at once, its columns in any order, and
+the cost of a solve is counted in such passes; it gives p_k, V_k and the
+slope of ln p_k in ln a.  A per-process record of each size, independent
+of p and computed the first time a call needs it, holds the depth m_k of
+the peak of p_k (Newton on the slope, whose derivative is the difference
+quotient of two adjacent columns, in 3 or 4 passes), hence whether the
+size has a root, and samples of the branch right of the peak, from the
+peak on, with its slope (one more pass).  Each problem solves that
+branch of four sizes just below min(N, ceil(ln(1/p)) + 2), where the
+winner lies; the root left of the peak never wins (measured).  All are
+solved in one batched Newton iteration, each started from a cubic
+Hermite interpolant of its size's samples, in 1 pass on the measured
+grids.  Both searches are one routine, ``_newton``: Newton in
 ln a on a falling function, kept inside a bracket, that takes a step of
 at most 2^-24 with no pass to confirm it.  The search runs in ln a
 throughout, from the records to the roots, and V_k moves with a root's
@@ -213,15 +214,17 @@ def _residual_ld(x: np.ndarray, p) -> float:
 # roots each lay above the right root of their size (least relative gap
 # 3e-13, at the fold) and at least 5.7e-6 above the problem's winner.  The
 # branches meet at the fold, where dV/dp = -x_last/p^2 along each, and the
-# left root has the larger last entry.  a*_k, m_k and samples of the right
-# branch depend on no price and are computed once per size, the first time
-# a call needs the size; the peak search takes d^2 ln p_k / d(ln a)^2 as
-# the difference quotient of the slopes at ln a and ln a + 2^-26, so the
-# kernel carries the first derivative only.  Each problem takes a window of
-# four sizes around ln(1/p), where its winner lies; their right roots are
-# solved together by safeguarded Newton in ln a, each started at the Hermite
-# interpolant of its size's samples, and the lowest value wins.  The last
-# pass of each root gives the slope of the winner's 40-digit Newton step.
+# left root has the larger last entry.  m_k and samples of the right
+# branch, the first at a*_k, depend on no price and are computed once per
+# size, the first time a call needs the size; the peak search takes
+# d^2 ln p_k / d(ln a)^2 as the difference quotient of the slopes at ln a
+# and ln a + 2^-26, so the kernel carries the first derivative only.  Each
+# problem takes a window of four sizes around ln(1/p), where its winner
+# lies; their right roots are solved together by safeguarded Newton in
+# ln a, each started at the Hermite interpolant of its size's samples, and
+# the lowest value wins.  The last pass of each root gives the slope of the
+# winner's 40-digit Newton step.  The kernel orders the columns of a pass
+# itself, so the columns of any call may mix sizes and problems freely.
 
 # Lower end of the search for a*_k, where it stays for sizes whose ln p_k
 # only falls.  At and below it a is under half an ulp of 1 in longdouble,
@@ -240,15 +243,18 @@ _NEWTON_STEP = LD(2.0**-24)
 def _forward(a: np.ndarray, k: np.ndarray):
     """p_k(a), d ln p_k / d ln a, V_k(a) and q_k(a) in longdouble, one column each.
 
-    Column i runs k[i] steps from a[i]; the columns must come sorted by k,
-    descending, so that step j works on the prefix of columns with k >= j.
-    The slope, the one derivative carried (``_peaks`` differences slopes),
-    runs Q_j = d ln q_j / d ln a and U_j = d ln u_j / d ln a alongside:
+    Column i runs k[i] steps from a[i], and the columns may come in any
+    order: they run sorted by k, descending, so that step j works on the
+    prefix of columns with k >= j, and every output comes back in the
+    order of a.  The slope, the one derivative carried (``_peaks``
+    differences slopes), runs Q_j = d ln q_j / d ln a and
+    U_j = d ln u_j / d ln a alongside:
     Q_j = (q_{j-1} Q_{j-1} + u_{j-1} U_{j-1}) / q_j and U_j = U_{j-1} - Q_j.
     """
-    # how many columns take steps 1, 2, ..., k[0] + 1
-    live = np.searchsorted(-k, -np.arange(1, k.max(initial=0) + 2), side="right").tolist()
-    u = np.array(a, dtype=LD)
+    order = np.argsort(-k, kind="stable")
+    # how many columns take steps 1, 2, ..., max(k) + 1
+    live = np.searchsorted(-k[order], -np.arange(1, k.max(initial=0) + 2), side="right").tolist()
+    u = np.asarray(a, dtype=LD)[order]
     q, Q, V, qQ = np.zeros((4, len(u)), dtype=LD)
     U = np.ones_like(u)
     for n, m in zip(live, live[1:]):
@@ -261,7 +267,8 @@ def _forward(a: np.ndarray, k: np.ndarray):
         # u_{j+1} and U_{j+1} serve only the columns that take one more step
         U[:m] -= Q[:m]
         u[:m] /= q[:m]
-    return u / (q * q), U - 2 * Q, V, q
+    back = np.argsort(order)
+    return tuple(c[back] for c in (u / (q * q), U - 2 * Q, V, q))
 
 
 def _newton(x, lo, hi, evaluate):
@@ -313,7 +320,7 @@ def _peaks(k: np.ndarray):
     ln a*_k ~ -0.8033 - 5.29 / (k - 4.49).  A pass runs each size as two
     adjacent columns, at ln a and ln a + 2^-26, and the difference quotient
     of their slopes is the curvature, within ~1e-8 relative (tests pin
-    1e-7).  Columns come sorted by k, descending.
+    1e-7).
     """
     curvature, delta = np.empty(len(k), dtype=LD), LD(2.0**-26)
 
@@ -341,7 +348,7 @@ _LOG_MAX = LD(math.log(sys.float_info.max))
 # n = 664 and 12% of those in windows cut by N take 2.  With 160 points
 # 14 of the 3072 roots of the 96 benchmark grids take 2, and with 96
 # points 231 do.  A record is
-# 2 + 3 * 209 longdoubles, 10 KB, so the table of the sizes 2..712 that a
+# 1 + 3 * 209 longdoubles, 10 KB, so the table of the sizes 2..712 that a
 # float price reaches holds 7.2 MB.  ``_start``'s sample count needs a
 # size's z samples never to fall, which holds for every size 2..712
 # (tests pin it).
@@ -349,9 +356,12 @@ _GRID = 192
 _TAIL = 16
 _SAMPLES = _GRID + _TAIL + 1
 
+# The fields of a record's sample block: z, ln a and d ln a / dz.
+_Z, _LOG_A, _DXDZ = range(3)
+
 
 def _size_records(k: np.ndarray) -> np.ndarray:
-    """One record per size k: ln a*_k, m_k, then _SAMPLES values each of z, ln a and d ln a / dz.
+    """One record per size k: m_k, then a (3, _SAMPLES) block of z, ln a and d ln a / dz samples.
 
     a*_k is where ln p_k peaks on [_A_MIN, oo), found by ``_peaks``; it is
     _A_MIN where ln p_k only falls.  The samples of the right branch start
@@ -364,7 +374,6 @@ def _size_records(k: np.ndarray) -> np.ndarray:
     like the square root of the distance.  Each size is solved on its own,
     so a record reads the same whatever sizes it is computed with.
     """
-    k = np.sort(k)[::-1]
     peak, peak_dxdz = np.full(len(k), np.log(_A_MIN)), np.zeros(len(k), dtype=LD)
     rising = k >= _RISING_FROM
     peak[rising], curvature = _peaks(k[rising])
@@ -377,28 +386,28 @@ def _size_records(k: np.ndarray) -> np.ndarray:
     level, slope = np.log(price).reshape(log_a.shape), slope.reshape(log_a.shape)
     z = np.sqrt(np.maximum(level[:, :1] - level, 0))
     dxdz = np.column_stack([peak_dxdz, -2 * z[:, 1:] / slope[:, 1:]])
-    return np.column_stack([peak, -level[:, 0], z, log_a, dxdz])[::-1]
+    return np.column_stack([-level[:, 0], z, log_a, dxdz])
 
 
 # The records of the sizes computed so far, row k for size k; rows of sizes
 # not yet computed read nan.  ``_records`` fills them as calls need them.
-_table = np.full((0, 2 + 3 * _SAMPLES), np.nan, dtype=LD)
+_table = np.full((0, 1 + 3 * _SAMPLES), np.nan, dtype=LD)
 
 
-def _records(k: np.ndarray) -> np.ndarray:
-    """The table, with the records of sizes k >= 2 that it lacked computed in one batch."""
+def _records(k: np.ndarray):
+    """m_k and the sample blocks of the table, with the sizes k >= 2 that it lacked computed in one batch.
+
+    Both are views of the table, row k for size k: m[k], and
+    samples[k, field, j], sample j of the field _Z, _LOG_A or _DXDZ.
+    """
     global _table
-    size = k.max(initial=1) + 1
-    if size > len(_table):
-        grown = np.full((size, _table.shape[1]), np.nan, dtype=LD)
-        grown[: len(_table)] = _table
-        _table = grown
-    new = np.zeros(len(_table), dtype=bool)
-    new[k] = True
-    new = np.flatnonzero(new & np.isnan(_table[:, 1]))
+    if k.max(initial=1) >= len(_table):
+        old, _table = _table, np.full((k.max(initial=1) + 1, _table.shape[1]), np.nan, dtype=LD)
+        _table[: len(old)] = old
+    new = np.flatnonzero((np.bincount(k, minlength=len(_table)) > 0) & np.isnan(_table[:, 0]))
     if len(new):
         _table[new] = _size_records(new)
-    return _table
+    return _table[:, 0], _table[:, 1:].reshape(len(_table), 3, _SAMPLES)
 
 
 # Columns per block of ``_start``'s sample count.  The count gathers a
@@ -407,7 +416,7 @@ def _records(k: np.ndarray) -> np.ndarray:
 _START_BLOCK = 1024
 
 
-def _start(table: np.ndarray, k: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+def _start(m: np.ndarray, samples: np.ndarray, k: np.ndarray, log_p: np.ndarray) -> np.ndarray:
     """Newton start ln a of the right-branch root of size k at ln p.
 
     The root has z = sqrt(-m_k - ln p) > 0, which lies above the first
@@ -416,16 +425,15 @@ def _start(table: np.ndarray, k: np.ndarray, log_p: np.ndarray) -> np.ndarray:
     size's z samples never fall, the count of its samples below z is the
     index of the first sample at or above it, and ln a is interpolated in
     z between that sample and the one before by the cubic Hermite
-    interpolant of their ln a and d ln a / dz.
+    interpolant of their ln a and d ln a / dz.  m and samples are those
+    of ``_records``.
     """
-    z = np.sqrt(-table[k, 1] - log_p)
+    z = np.sqrt(-m[k] - log_p)
     j = np.empty(len(k), dtype=int)
     for i in range(0, len(k), _START_BLOCK):
         block = slice(i, i + _START_BLOCK)
-        j[block] = (table[k[block], 2 : 2 + _SAMPLES] < z[block, None]).sum(axis=1) + 2
-    z0, z1 = table[k, j - 1], table[k, j]
-    x0, x1 = table[k, j + _SAMPLES - 1], table[k, j + _SAMPLES]
-    d0, d1 = table[k, j + 2 * _SAMPLES - 1], table[k, j + 2 * _SAMPLES]
+        j[block] = (samples[k[block], _Z] < z[block, None]).sum(axis=1)
+    (z0, x0, d0), (z1, x1, d1) = samples[k, :, j - 1].T, samples[k, :, j].T
     h = z1 - z0
     t = (z - z0) / h
     return x0 + t * t * (3 - 2 * t) * (x1 - x0) + h * t * (1 - t) * ((1 - t) * d0 - t * d1)
@@ -434,13 +442,13 @@ def _start(table: np.ndarray, k: np.ndarray, log_p: np.ndarray) -> np.ndarray:
 def _roots(lo, hi, x, k, p):
     """Roots in ln a of p_k(a) = p on right-branch brackets [lo, hi], one per column.
 
-    Columns come sorted by k, descending, each with its own price, bracket
-    and start x, all in ln a; p_k falls across the bracket, so
-    h = ln(p_k / p) falls from h(lo) > 0 to h(hi) < 0, and ``_newton``
-    solves h = 0.  h is the log of a ratio near 1, not a difference of logs
-    near ln p, so its rounding stays at the ulps of p_k.  Gives ln a, V_k
-    and d ln p_k / d ln a, each from the last pass of its column: V_k moved
-    along dV_k / d ln p = -q_k to that pass's Newton step, so V_k + q_k h.
+    Each column has its own price, bracket and start x, all in ln a; p_k
+    falls across the bracket, so h = ln(p_k / p) falls from h(lo) > 0 to
+    h(hi) < 0, and ``_newton`` solves h = 0.  h is the log of a ratio near
+    1, not a difference of logs near ln p, so its rounding stays at the
+    ulps of p_k.  Gives ln a, V_k and d ln p_k / d ln a, each from the last
+    pass of its column: V_k moved along dV_k / d ln p = -q_k to that pass's
+    Newton step, so V_k + q_k h.
     """
     V, slope = np.empty_like(x), np.empty_like(x)
 
@@ -603,18 +611,17 @@ def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
     # m_k rises with k and k - m_k > 1.28 (measured to k = 712, least at
     # k = 10), so the top of the window, the largest size with a root, lies
     # at most 2 below the bound, and the window is the four largest sizes
-    # with a root among the six up to it; rows 0 and 1 of the table read
-    # nan, which has no root
+    # with a root among the six up to it; m reads nan at sizes 0 and 1,
+    # which has no root
     k = bound[:, None] - np.arange(_WINDOW + 2)
-    table = _records(k[k >= 2])
-    root = table[np.maximum(k, 0), 1] < -log_p[:, None]
+    m, samples = _records(k[k >= 2])
+    root = m[np.maximum(k, 0)] < -log_p[:, None]
     root &= np.cumsum(root, axis=1) <= _WINDOW
     owner, k = np.nonzero(root)[0], k[root]
-    order = np.argsort(-k, kind="stable")
-    owner, k = owner[order], k[order]
-    # p_k(a) <= a^-k for a >= 1, so p_k < p at ln a = ln 2 - ln p / k
-    lo, hi = table[k, 0], np.log(LD(2)) - log_p[owner] / k
-    start = np.clip(_start(table, k, log_p[owner]), lo, hi)
+    # the first ln a sample is ln a*_k; p_k(a) <= a^-k for a >= 1, so
+    # p_k < p at ln a = ln 2 - ln p / k
+    lo, hi = samples[k, _LOG_A, 0], np.log(LD(2)) - log_p[owner] / k
+    start = np.clip(_start(m, samples, k, log_p[owner]), lo, hi)
     x, V, slope = _roots(lo, hi, start, k, price[owner])
 
     # per problem, the lowest value, the smallest size on a tie; a problem

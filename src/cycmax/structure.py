@@ -231,3 +231,17 @@ def average_table(x: PeriodicTuple) -> np.ndarray:
     table = sliding_window_view(p[1:], n)[: n - 1] - p[:n]
     table /= lengths[:, None]
     return table.astype(float, copy=False)
+
+
+def has_subnormal_cell(x: PeriodicTuple) -> bool:
+    """Whether a cell of ``average_table`` is nonzero with a float below the normal range.
+
+    A nonzero cell is at least the least positive entry over n - 1, so the
+    cells are read, in O(n^2), only where that bound is below the normal
+    range.
+    """
+    n, p, tiny = x.n, np.array(x._prefix2, dtype=object), np.finfo(float).tiny
+    if n == 1 or x._ratio(min(filter(None, np.diff(p[: n + 1]))), n - 1) >= tiny:
+        return False
+    sums = sliding_window_view(p[1:], n)[: n - 1] - p[:n]
+    return bool(np.any((sums != 0) & (average_table(x) < tiny)))

@@ -374,8 +374,8 @@ def compositions(total: int, parts: int) -> np.ndarray:
 def left_roots(lo, hi, k, p):
     """Roots in ln a of p_k(a) = p where p_k rises over [lo, hi], by bisection in ln a.
 
-    Columns come sorted by k, descending, with brackets in ln a; gives the
-    ln a at the lower end of the final bracket, whose ends are adjacent
+    The brackets are in ln a; gives the ln a at the lower end of the final
+    bracket, whose ends are adjacent
     floats, and V_k and d ln p_k / d ln a there, as ``two_pass_roots``
     gives its roots.
     """
@@ -437,8 +437,7 @@ def bisect_peaks(k):
 
     Bisects ln a over [ln _A_MIN, 0] on the sign of d ln p_k / d ln a,
     keeping the lower end, so a*_k stays _A_MIN where ln p_k only falls;
-    m_k is -ln p_k there.  Columns come sorted by k, descending.  The
-    reference for ``reduction._peaks``, the Newton search that replaced it.
+    m_k is -ln p_k there.  The reference for ``reduction._peaks``, the Newton search that replaced it.
     """
     lo = np.full(len(k), reduction._A_MIN)
     hi = np.ones(len(k), dtype=LD)
@@ -455,21 +454,21 @@ def all_size_roots(problems, solve=two_pass_roots) -> dict:
 
     The right roots come from ``solve``, a root solve with the arguments
     and results of ``reduction._roots``, run once on every size of every
-    problem from the bracket tops.  Gives columns sorted by k, descending:
-    ``owner`` (the problem's index), ``k``, ``left`` (whether the root lies
-    left of a*_k), the root's ``log_a``, the value ``V`` and the slope
-    d ln p_k / d ln a there.
+    problem from the bracket tops.  Gives the columns of the right roots,
+    then those of the left roots: ``owner`` (the problem's index), ``k``,
+    ``left`` (whether the root lies left of a*_k), the root's ``log_a``,
+    the value ``V`` and the slope d ln p_k / d ln a there.
     """
     price = np.array([p for _, p in problems], dtype=LD)
     log_p = np.log(price)
     # m_k rises by more than 0.98 a size from m_2 = 0, so no size past K has a root
     K = int(max(2, min(max(min(N, 10**6) for N, _ in problems), 3 - log_p.min() / 0.98)))
-    sizes = np.arange(K, 1, -1)
-    table = np.full((K + 1, 3), np.inf, dtype=LD)
-    table[2:, :2] = reduction._records(sizes)[2 : K + 1, :2]
-    table[sizes, 2] = np.log(reduction._forward(np.full(len(sizes), reduction._A_MIN), sizes)[0])
-    assert table[K, 1] >= -log_p.min() or K >= max(N for N, _ in problems)
-    log_peak, m, floor = table.T
+    sizes = np.arange(2, K + 1)
+    m, samples = reduction._records(sizes)
+    log_peak = samples[:, reduction._LOG_A, 0]
+    floor = np.zeros(K + 1, dtype=LD)
+    floor[sizes] = np.log(reduction._forward(np.full(len(sizes), reduction._A_MIN), sizes)[0])
+    assert m[K] >= -log_p.min() or K >= max(N for N, _ in problems)
     owner, k = [], []
     for i, (N, p) in enumerate(problems):
         sizes = np.arange(2, min(N, K) + 1)
@@ -477,25 +476,20 @@ def all_size_roots(problems, solve=two_pass_roots) -> dict:
         owner.append(np.full(len(sizes), i))
         k.append(sizes)
     owner, k = np.concatenate(owner), np.concatenate(k)
-    order = np.argsort(-k, kind="stable")
-    owner, k = owner[order], k[order]
     top = np.log(LD(2)) - log_p[owner] / k
     x, V, slope = solve(log_peak[k], top, top.copy(), k, price[owner])
     left = floor[k] < log_p[owner]
     x_left, V_left, slope_left = left_roots(
         np.full(left.sum(), np.log(reduction._A_MIN)), log_peak[k[left]], k[left], price[owner[left]]
     )
-    owner, k = np.concatenate([owner, owner[left]]), np.concatenate([k, k[left]])
-    order = np.argsort(-k, kind="stable")
-    columns = {
-        "owner": owner,
-        "k": k,
+    return {
+        "owner": np.concatenate([owner, owner[left]]),
+        "k": np.concatenate([k, k[left]]),
         "left": np.repeat([False, True], [len(x), len(x_left)]),
         "log_a": np.concatenate([x, x_left]),
         "V": np.concatenate([V, V_left]),
         "slope": np.concatenate([slope, slope_left]),
     }
-    return {name: c[order] for name, c in columns.items()}
 
 
 def minimize_all_sizes(problems) -> list:

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -305,7 +306,11 @@ class TestUnderflowingAverages:
         code, out, err = run_cli(capsys, *command, tiny_path)
         assert (code, out, err) == (1, "", "error: a right maximal value " + self.UNDERFLOW)
         code, out, err = run_cli(capsys, *command, tiny_path, "--backend", "rational")
-        assert code == 0 and err == ""
+        if command == ["maxsum"]:
+            assert code == 0 and err == ""
+        else:
+            # analyze prints the mean, 5e-324 / 3, which no float holds
+            assert (code, out, err) == (1, "", f"error: {cli.BELOW_NORMAL}\n")
 
     def test_maxsum_reads_it_on_the_rational_backend(self, capsys, tiny_path):
         code, out, _ = run_cli(capsys, "maxsum", tiny_path, "--backend", "rational")
@@ -366,6 +371,55 @@ class TestOverflowingSum:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert json.loads(out)["value"] == (3e-308 if normalized else 3.0)
+
+
+class TestResultsBelowTheFloatRange:
+    """A rational result that is not 0 but whose float lies below the
+    normal range would print as 0.0 or with few bits; it is an input error."""
+
+    def run(self, capsys, tmp_path, values, *argv):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"values": values}))
+        return run_cli(capsys, argv[0], str(path), "--backend", "rational", *argv[1:])
+
+    @pytest.mark.parametrize("k", [10**400, 10**320], ids=["10**400", "10**320"])
+    def test_normalized_sum(self, capsys, tmp_path, k):
+        # 3 / k: 3e-400 printed as 0.0, and 3e-320 as a subnormal
+        code, out, err = self.run(capsys, tmp_path, [1, 2, 3], "sum", "--k", str(k), "--normalized")
+        assert (code, out, err) == (1, "", f"error: {cli.BELOW_NORMAL}\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
+    def test_analyze_averages(self, capsys, tmp_path, fmt):
+        # the mean, every m-interval average and every cell are below it
+        code, out, err = self.run(capsys, tmp_path, ["1e-400", "3e-400"], "analyze", "--format", fmt)
+        assert (code, out, err) == (1, "", f"error: {cli.BELOW_NORMAL}\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_analyze_cell(self, capsys, tmp_path, fmt):
+        # the mean and the right maximal values are normal, one cell is not;
+        # dot prints no cell
+        code, out, err = self.run(capsys, tmp_path, [1, "1e-310", 0, 0], "analyze", "--format", fmt)
+        assert (code, out, err) == (1, "", f"error: {cli.BELOW_NORMAL}\n")
+        code, out, err = self.run(capsys, tmp_path, [1, "1e-310", 0, 0], "analyze", "--format", "dot")
+        assert (code, err) == (0, "") and "a=0.25" in out
+
+    def test_smallest_normal_float_prints(self, capsys, tmp_path):
+        tiny = sys.float_info.min
+        code, out, err = self.run(capsys, tmp_path, [1, 2, 3], "sum", "--k", str(3 * 2**1022), "--normalized")
+        assert (code, err) == (0, "") and json.loads(out)["value"] == tiny
+        # a mean of exactly the smallest normal float, with every other
+        # average above it; a zero cell is exact and prints
+        code, out, err = self.run(capsys, tmp_path, [repr(2 * tiny), 0], "analyze")
+        doc = json.loads(out)
+        assert (code, err) == (0, "") and doc["average"] == tiny and doc["table"] == [[2 * tiny, 0.0]]
+
+    def test_tiny_entries_with_normal_averages_print(self, capsys, tmp_path):
+        # the least entry over n - 1 is below the normal range, so every
+        # cell is read; none is nonzero and below it
+        code, out, err = self.run(capsys, tmp_path, [1, "3e-308", 1, 1, 1], "analyze")
+        assert (code, err) == (0, "")
+        cells = [v for row in json.loads(out)["table"] for v in row]
+        assert min(v for v in cells if v) >= sys.float_info.min
 
 
 class TestEntriesPastTheFloatRange:

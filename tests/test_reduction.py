@@ -372,6 +372,18 @@ class TestBatchedSolve:
                 assert abs(got_q / (x / entries[0]) - 1) <= 2 * k[i] * eps, (k[i], a[i])
                 assert abs(got_slope - want_slope) <= 2 * k[i] * eps * (1 + abs(want_slope)), (k[i], a[i])
 
+    def test_kernel_takes_columns_in_any_order(self):
+        # seeded sizes 2..700 and ln a over [ln _A_MIN, 5], run sorted by
+        # size, descending, and shuffled: every output of every column reads
+        # the same bits, in the order the columns came in
+        rng = np.random.default_rng(32)
+        k = np.sort(rng.integers(2, 701, 500))[::-1]
+        a = np.exp(rng.uniform(float(np.log(_A_MIN)), 5, len(k)).astype(LD))
+        shuffle = rng.permutation(len(k))
+        assert not np.all(np.diff(k[shuffle]) <= 0)
+        for got, want in zip(_forward(a[shuffle], k[shuffle]), _forward(a, k)):
+            assert np.array_equal(got, want[shuffle])
+
     def test_peak_curvature_quotient_matches_mpmath(self, monkeypatch):
         # the difference quotient of the slopes of ``_peaks``' paired columns
         # against central differences of the 50-digit slope (steps of 1e-15
@@ -407,15 +419,13 @@ class TestBatchedSolve:
         left = roots["left"]
         assert left.any() and not left.all()
         a, k = np.exp(np.concatenate([start, roots["log_a"]])), np.concatenate([k, roots["k"]])
-        order = np.argsort(-k, kind="stable")
-        a, k = a[order], k[order]
         batch = _forward(a, k)
         for i in range(len(a)):
             alone = _forward(a[i : i + 1], k[i : i + 1])
             assert all(np.array_equal(b[i : i + 1], c) for b, c in zip(batch, alone)), i
         # the left roots' bisection, one column at a time
         k = roots["k"][left]
-        hi = reduction._records(k)[k, 0]
+        hi = reduction._records(k)[1][k, reduction._LOG_A, 0]
         price = np.array([p for _, p in problems], dtype=LD)[roots["owner"][left]]
         for i, want in enumerate(zip(*(roots[name][left] for name in ("log_a", "V", "slope")))):
             cols = slice(i, i + 1)
@@ -534,7 +544,7 @@ class TestBatchedSolve:
         grid = geometric_grid(1e3, 1e300, 400)
         sols = reduction._minimize_many([(n, 1.0 / n) for n in grid])
         k = np.arange(7, 713, 10)
-        m = reduction._records(k)[k, 1]
+        m = reduction._records(k)[0][k]
         near = [
             (N, float(np.exp(-m_k) * (1 - delta)))
             for size, m_k in zip(k.tolist(), m)
@@ -685,7 +695,7 @@ class TestBatchedSolve:
         measured = {2: (12, 7, 11), 3: (14, 8, 11), 4: (48, 10, 11), 5: (9, 11, 10), 6: (12, 12, 7)}
         cases = [([(10**9, 0.999999)], 11)]
         k = np.arange(2, 7)
-        for size, m_k in zip(k.tolist(), reduction._records(k)[k, 1]):
+        for size, m_k in zip(k.tolist(), reduction._records(k)[0][k]):
             for d, most in zip((1e-12, 1e-9, 1e-6), measured[size]):
                 cases += [([(N, float(np.exp(-m_k) * (1 - d)))], most) for N in (size, 10**9)]
         for problems, most in cases:
@@ -706,7 +716,7 @@ class TestSizeTable:
     """The shape of ln p_k in ln a that the size rule and the brackets rest on."""
 
     def test_peak_depth_rises_strictly(self):
-        m = _size_records(np.arange(2, 257))[:, 1]
+        m = reduction._records(np.arange(2, 257))[0][2:257]
         steps = np.diff(m).astype(float)
         assert m[0] == 0 and np.all(steps > 0)  # m_2 = 0: p_2(a) = (1 + a)^-2
         assert 0.98 < steps.min() and steps.max() < 1.39  # measured: 0.9836 to 1.3863
@@ -718,7 +728,7 @@ class TestSizeTable:
         top = math.ceil(math.log(sys.float_info.max)) + 2
         assert top == 712  # the largest bound a float price with a finite 1/p reaches
         k = np.arange(2, top + 1)
-        gap = (k - reduction._records(k)[k, 1]).astype(float)
+        gap = (k - reduction._records(k)[0][k]).astype(float)
         assert gap.min() > 1.2899 and k[gap.argmin()] == 10  # measured: 1.28996 at k = 10
 
     def test_samples_start_at_the_peak_and_then_rise(self):
@@ -727,12 +737,13 @@ class TestSizeTable:
         # peak, so none is a copy of it; d ln a / dz is positive past the
         # peak, and at the peak 0 exactly where ln p_k only falls
         k = np.arange(2, 713)
-        S = reduction._SAMPLES
-        rows = reduction._records(k)[k]
-        z, log_a, dxdz = rows[:, 2 : 2 + S], rows[:, 2 + S : 2 + 2 * S], rows[:, 2 + 2 * S :]
-        assert rows.shape[1] == 2 + 3 * S
-        assert reduction._records(k).nbytes <= 8e6  # measured: 7.2 MB
-        assert np.array_equal(log_a[:, 0], rows[:, 0]) and np.all(z[:, 0] == 0)
+        m, samples = reduction._records(k)
+        z, log_a, dxdz = (samples[k, field] for field in (reduction._Z, reduction._LOG_A, reduction._DXDZ))
+        assert reduction._table.shape[1] == 1 + 3 * reduction._SAMPLES
+        assert reduction._table.nbytes <= 8e6  # measured: 7.2 MB
+        rising = k >= reduction._RISING_FROM
+        assert np.array_equal(log_a[rising, 0], reduction._peaks(k[rising])[0]) and np.all(z[:, 0] == 0)
+        assert np.all(log_a[~rising, 0] == np.log(_A_MIN))
         assert np.all(np.diff(log_a, axis=1) >= 0)
         assert np.all(z[:, 1:] > 0)
         assert np.all(np.isfinite(dxdz)) and np.all(dxdz[:, 1:] > 0)
@@ -743,22 +754,22 @@ class TestSizeTable:
         # index of the first sample at or above it only while a size's
         # samples never fall: every size a float price reaches
         k = np.arange(2, 713)
-        S = reduction._SAMPLES
-        table = reduction._records(k)
-        assert np.all(np.diff(table[k, 2 : 2 + S], axis=1) >= 0)
+        m, samples = reduction._records(k)
+        Z, LOG_A, DXDZ = reduction._Z, reduction._LOG_A, reduction._DXDZ
+        assert np.all(np.diff(samples[k, Z], axis=1) >= 0)
         # so the starts equal the cubic Hermite interpolant in z between the
         # samples around the count, on seeded sizes and prices from just
         # past the peak out to the smallest float price
         rng = np.random.default_rng(15)
-        k = np.sort(rng.integers(2, 701, 2000))[::-1]
-        log_p = -np.minimum(table[k, 1] + LD(10) ** rng.uniform(-12, 3, len(k)), reduction._LOG_MAX)
-        z = np.sqrt(-table[k, 1] - log_p)
-        j = 2 + (table[k, 2 : 2 + S] < z[:, None]).sum(axis=1)
-        z0, z1, x0, x1, d0, d1 = (table[k, c] for c in (j - 1, j, j + S - 1, j + S, j + 2 * S - 1, j + 2 * S))
+        k = rng.integers(2, 701, 2000)
+        log_p = -np.minimum(m[k] + LD(10) ** rng.uniform(-12, 3, len(k)), reduction._LOG_MAX)
+        z = np.sqrt(-m[k] - log_p)
+        j = (samples[k, Z] < z[:, None]).sum(axis=1)
+        z0, z1, x0, x1, d0, d1 = (samples[k, field, i] for field in (Z, LOG_A, DXDZ) for i in (j - 1, j))
         h = z1 - z0
         t = (z - z0) / h
         want = x0 + t * t * (3 - 2 * t) * (x1 - x0) + h * t * (1 - t) * ((1 - t) * d0 - t * d1)
-        assert np.array_equal(reduction._start(table, k, log_p), want)
+        assert np.array_equal(reduction._start(m, samples, k, log_p), want)
 
     def test_peaks_match_bisection(self):
         # the Newton search against the 46 halvings it replaced, on every size
@@ -766,15 +777,16 @@ class TestSizeTable:
         # 6.4e-13), m_k within the kernel's rounding at both points (2 k eps
         # each, see the kernel test) and of both logs, and sizes whose ln p_k
         # only falls keep a*_k = _A_MIN and m_k bit for bit
-        k = np.arange(712, 1, -1)
-        table = reduction._records(k)
+        k = np.arange(2, 713)
+        got_m, samples = reduction._records(k)
+        got_m, log_peak = got_m[k], samples[k, reduction._LOG_A, 0]
         a_star, m = oracles.bisect_peaks(k)
         falls = k < reduction._RISING_FROM
-        assert np.array_equal(k[falls], [6, 5, 4, 3, 2])
-        assert np.all(table[k[falls], 0] == np.log(_A_MIN)) and np.all(a_star[falls] == _A_MIN)
-        assert np.array_equal(table[k[falls], 1], m[falls])
-        assert np.all(abs(table[k, 0] - np.log(a_star)) <= 1e-12)  # measured: 6.4e-13
-        assert np.all(abs(table[k, 1] - m) <= 5 * k * np.finfo(LD).eps)  # measured: 4.4 k eps
+        assert np.array_equal(k[falls], [2, 3, 4, 5, 6])
+        assert np.all(log_peak[falls] == np.log(_A_MIN)) and np.all(a_star[falls] == _A_MIN)
+        assert np.array_equal(got_m[falls], m[falls])
+        assert np.all(abs(log_peak - np.log(a_star)) <= 1e-12)  # measured: 6.4e-13
+        assert np.all(abs(got_m - m) <= 5 * k * np.finfo(LD).eps)  # measured: 4.4 k eps
 
     def test_derivative_changes_sign_at_most_once(self):
         # on a fine ln a grid from the bracket floor to a = 1e4, sizes up to 64
@@ -794,9 +806,9 @@ class TestSizeTable:
         assert np.all(_forward(np.ones(len(ks), dtype=LD), ks)[1] < 0)
 
     def test_table_matches_mpmath(self):
-        table = _size_records(np.arange(2, 65))
+        m_k, samples = reduction._records(np.arange(2, 65))
         for k in (2, 6, 7, 12, 40):
-            got_peak, m = table[k - 2, :2]
+            got_peak, m = samples[k, reduction._LOG_A, 0], m_k[k]
             log_peak, top = oracles.mp_peak(k)
             with mp.workdps(oracles.MP_DPS):
                 assert abs(oracles.mp_of(m) + top) <= 1e-17 * max(1.0, float(m)), k
@@ -814,15 +826,16 @@ class TestSizeTable:
             assert np.array_equal(_size_records(np.array([k]))[0], batch[k - 2]), k
         monkeypatch.setattr(reduction, "_table", reduction._table[:0])
         assert minimize_chain(7, 4.0).support == 1  # ceil(ln(1/p)) + 2 < 2: no size to compute
-        alone = reduction._records(np.array([40]))[40].copy()
-        assert np.flatnonzero(~np.isnan(reduction._table[:, 1])).tolist() == [40]
-        assert np.array_equal(alone, batch[38])
-        assert np.array_equal(reduction._records(np.arange(64, 1, -1))[2:], batch)
+        m, _ = reduction._records(np.array([40]))
+        assert np.flatnonzero(~np.isnan(m)).tolist() == [40]
+        assert np.array_equal(reduction._table[40], batch[38])
+        reduction._records(np.arange(64, 1, -1))
+        assert np.array_equal(reduction._table[2:], batch)
 
     def test_a_size_has_a_root_iff_it_peaks_above_the_price(self):
-        m = _size_records(np.arange(2, 17))[:, 1]
+        m = reduction._records(np.arange(2, 17))[0]
         for k in (5, 12):
-            top = math.exp(-float(m[k - 2]))
+            top = math.exp(-float(m[k]))
             assert oracles.mp_stationary_points(k, top * (1 - 1e-9))
             assert not oracles.mp_stationary_points(k, top * (1 + 1e-9))
 

@@ -14,7 +14,7 @@ from cycmax import (
     interval_average,
     m_interval,
 )
-from cycmax import verify
+from cycmax import structure, verify
 from cycmax.periodic import right_maximal_profile
 from cycmax.structure import (
     IntervalPoset,
@@ -23,6 +23,7 @@ from cycmax.structure import (
     average_table,
     distinct_short_averages,
     has_majorizing_prefixes,
+    has_subnormal_cell,
 )
 from cycmax.sums import SubsetCollectionSystem, generalized_max_sum
 
@@ -349,6 +350,30 @@ class TestAverageTable:
     def test_rational_overflow_raises(self):
         with pytest.raises(OverflowError):
             average_table(PeriodicTuple([10**400, 1, 2], backend="rational"))
+
+    @pytest.mark.parametrize(
+        "values, below, reads",
+        [
+            ([1, 2, 3], False, False),
+            ([Fraction(1, 10**400), Fraction(3, 10**400)], True, True),
+            ([2, 0, 0, Fraction(1, 10**320)], True, True),
+            ([2 * 2.0**-1022, 0], False, False),  # the least positive cell is 2^-1021
+            ([2.0**-1022, 0, 0], True, True),  # 2^-1022 / 2 is not normal
+            ([1, 3e-308, 1, 1, 1], False, True),  # the bound is below, no cell is
+            ([1, 2 * 2.0**-1022, 0, 0, 0], True, True),  # 2^-1021 / 2 is normal, / 3 is not
+        ],
+    )
+    def test_subnormal_cell(self, monkeypatch, values, below, reads):
+        # the cells are read only where the least positive entry over n - 1
+        # is below the normal range; the answer is the scan of the exact
+        # cells against their floats
+        x = PeriodicTuple(values, backend="rational")
+        exact = [v for row in oracles.fraction_average_table(x) for v in row]
+        assert any(v and float(v) < 2.0**-1022 for v in exact) == below
+        calls = []
+        monkeypatch.setattr(structure, "average_table", lambda x: calls.append(x) or average_table(x))
+        assert has_subnormal_cell(x) == below
+        assert bool(calls) == reads
 
 
 def mixed_denominator_fractions():

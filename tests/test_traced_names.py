@@ -3,8 +3,9 @@
 A rename would silently drop its per-layer metrics, because the tracer
 skips names that do not resolve.  These tests read the benchmark's name
 lists (without importing or changing it) and require every name to exist.
-So does the solve benchmark ``scripts/bench_solve.py``, whose child
-process patches and calls solver internals by name.
+So do the solve benchmark ``scripts/bench_solve.py`` and the output
+identity check ``scripts/identity.py``, which, with their child
+processes, patch and call solver internals by name.
 """
 
 import ast
@@ -40,13 +41,26 @@ def test_traced_verify_suites_exist():
     assert set(_literal("perfbench/workloads.py", "VERIFY_SUITES")) <= set(SUITES)
 
 
-def test_solve_benchmark_names_exist():
-    # every ``reduction.<name>`` that the child program of the solve benchmark reads
-    names = {
+def _reduction_names(script: str) -> set:
+    """Every ``reduction.<name>`` that ``script`` or its child program reads."""
+    trees = [ast.parse((ROOT / script).read_text(encoding="utf-8")), ast.parse(_literal(script, "CHILD"))]
+    return {
         node.attr
-        for node in ast.walk(ast.parse(_literal("scripts/bench_solve.py", "CHILD")))
+        for tree in trees
+        for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "reduction"
     }
+
+
+def test_solve_benchmark_names_exist():
+    names = _reduction_names("scripts/bench_solve.py")
     assert {"_forward", "_peaks", "_minimize_many"} <= names
+    for name in sorted(names):
+        assert callable(getattr(reduction, name, None)), f"cycmax.reduction.{name} is gone"
+
+
+def test_identity_check_names_exist():
+    names = _reduction_names("scripts/identity.py")
+    assert {"_records", "_minimize_many"} <= names
     for name in sorted(names):
         assert callable(getattr(reduction, name, None)), f"cycmax.reduction.{name} is gone"
