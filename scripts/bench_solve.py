@@ -9,7 +9,9 @@ Each run is a fresh Python process that imports ``cycmax`` from a tree's
 are timed and the least of them is the warm time.  Each solve also
 counts its passes of the kernel ``reduction._forward``, cold and warm
 (the most over the warm solves); the count costs a call per pass.  The
-cold solve also times its calls of the peak search ``reduction._peaks``.  On a
+cold solve also times its calls of the peak search ``reduction._peaks``,
+and the process reports its peak resident memory (``ru_maxrss``) right
+after it, before any warm solve.  On a
 shared machine the warm solves of one process split into modes far
 apart, so a median picks one of them at random; the least is stable to a
 few percent.  The points are n = 1e3, 1e6, 1e30, 1e100 and 1e300, each
@@ -19,9 +21,9 @@ the two trees run alternately, point by point.  Cold solves, one per
 process, also split into modes far apart, so the least cold time over the
 runs is reported beside the median.  Prints one JSON object: per tree and
 point the median over ``RUNS`` runs of both times and of the cold peak
-search, the least cold time, the kernel passes cold and warm and every
-run, and the parent-to-change ratios of the medians and of the least
-cold times.
+search and of the peak resident memory after the cold solve, the least
+cold time, the kernel passes cold and warm and every run, and the
+parent-to-change ratios of the medians and of the least cold times.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ RUNS = 5  # fresh processes per tree and point
 REPEATS = 20  # warm solves timed per run
 
 CHILD = """
-import json, sys, time
+import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from cycmax import reduction
 from cycmax.asymptotics import geometric_grid
@@ -69,6 +71,7 @@ reduction._forward, reduction._peaks = counted, timed
 t = time.perf_counter()
 reduction._minimize_many(problems)
 cold = time.perf_counter() - t
+cold_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
 cold_passes, warm, warm_passes = passes[0], [], 0
 for _ in range(repeats):
     passes[0] = 0
@@ -76,7 +79,7 @@ for _ in range(repeats):
     reduction._minimize_many(problems)
     warm.append(time.perf_counter() - t)
     warm_passes = max(warm_passes, passes[0])
-print(json.dumps({"cold_s": cold, "cold_peaks_s": peaks_s[0], "warm_s": min(warm), "cold_passes": cold_passes, "warm_passes": warm_passes}))
+print(json.dumps({"cold_s": cold, "cold_peaks_s": peaks_s[0], "cold_rss_mb": cold_rss_mb, "warm_s": min(warm), "cold_passes": cold_passes, "warm_passes": warm_passes}))
 """
 
 
@@ -117,11 +120,13 @@ def main() -> None:
                 "cold_s": statistics.median(r["cold_s"] for r in rs),
                 "cold_min_s": min(r["cold_s"] for r in rs),
                 "cold_peaks_s": statistics.median(r["cold_peaks_s"] for r in rs),
+                "cold_rss_mb": statistics.median(r["cold_rss_mb"] for r in rs),
                 "warm_s": statistics.median(r["warm_s"] for r in rs),
                 "cold_passes": max(r["cold_passes"] for r in rs),
                 "warm_passes": max(r["warm_passes"] for r in rs),
                 "cold_runs": [r["cold_s"] for r in rs],
                 "cold_peaks_runs": [r["cold_peaks_s"] for r in rs],
+                "cold_rss_runs": [r["cold_rss_mb"] for r in rs],
                 "warm_runs": [r["warm_s"] for r in rs],
             }
             for point, rs in points.items()
@@ -129,7 +134,7 @@ def main() -> None:
     if args.parent:
         change, parent = record["trees"]["change"], record["trees"]["parent"]
         record["parent_over_change"] = {
-            point: {kind: parent[point][kind] / change[point][kind] for kind in ("cold_s", "cold_min_s", "cold_peaks_s", "warm_s")}
+            point: {kind: parent[point][kind] / change[point][kind] for kind in ("cold_s", "cold_min_s", "cold_peaks_s", "cold_rss_mb", "warm_s")}
             for point in POINTS
         }
     print(json.dumps(record, indent=1))

@@ -23,7 +23,8 @@ The recurrence depends on neither k nor p, so one longdouble pass serves
 many sizes of many problems (N, p) at once, its columns in any order, and
 the cost of a solve is counted in such passes; it gives p_k, V_k and the
 slope of ln p_k in ln a.  A per-process record of each size, independent
-of p and computed the first time a call needs it, holds the depth m_k of
+of p and computed the first time a call needs it, in a store with a row
+for every size a float price reaches, holds the depth m_k of
 the peak of p_k (Newton on the slope, whose derivative is the difference
 quotient of two adjacent columns, in 3 or 4 passes), hence whether the
 size has a root, and samples of the branch right of the peak, from the
@@ -31,8 +32,9 @@ peak on, with its slope (one more pass).  Each problem solves that
 branch of four sizes just below min(N, ceil(ln(1/p)) + 2), where the
 winner lies; the root left of the peak never wins (measured).  All are
 solved in one batched Newton iteration, each started from a cubic
-Hermite interpolant of its size's samples, in 1 pass on the measured
-grids.  Both searches are one routine, ``_newton``: Newton in
+Hermite interpolant of its size's samples (from the square-root law of
+z next to the top of a size whose ln p_k only falls), in 1 pass on the
+measured grids.  Both searches are one routine, ``_newton``: Newton in
 ln a on a falling function, kept inside a bracket, that takes a step of
 at most 2^-24 with no pass to confirm it.  The search runs in ln a
 throughout, from the records to the roots, and V_k moves with a root's
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,10 +73,10 @@ def t_chain(x: Sequence, p) -> float:
 
     Zero entries may only appear as a prefix of zeros; a positive entry
     followed by a zero makes the pair inadmissible.  Works on floats,
-    Fractions, or numpy scalars alike.
+    Fractions, or numpy scalars alike; see ``_check_objective`` for what
+    it rejects.
     """
-    if p <= 0:
-        raise CycmaxError("p must be positive")
+    _check_objective(x, p)
     n = len(x)
     total = 0 * x[-1]
     for i in range(n - 1):
@@ -92,10 +95,10 @@ def t_noncyclic(x: Sequence, p) -> float:
     capped by the distance to the right end), so the vector is treated
     as a finite segment, not a periodic one.  Each window sum runs
     forward from its own start: a difference of prefix sums would lose
-    a tiny window next to a large one to cancellation.
+    a tiny window next to a large one to cancellation.  Rejects what
+    ``t_chain`` rejects.
     """
-    if p <= 0:
-        raise CycmaxError("p must be positive")
+    _check_objective(x, p)
     n = len(x)
     total = 0 * x[-1]
     for i in range(n - 1):
@@ -112,6 +115,21 @@ def t_noncyclic(x: Sequence, p) -> float:
             raise CycmaxError(f"positive entry at {i} with zero forward window")
         total += x[i] / best
     return total + x[-1] / p
+
+
+def _check_objective(x: Sequence, p) -> None:
+    """Reject an empty x, an entry of x that is negative or not finite, and a p that is not positive and finite.
+
+    Both tests compare with math.inf, which NaN fails and a Fraction or an
+    int of any size passes exactly, where math.isfinite would convert it to
+    a float and overflow.
+    """
+    if not len(x):
+        raise CycmaxError("x must be nonempty")
+    if not all(0 <= v < math.inf for v in x):
+        raise CycmaxError("entries of x must be nonnegative and finite")
+    if not 0 < p < math.inf:
+        raise CycmaxError("p must be positive and finite")
 
 
 def _chain_values(X: np.ndarray, p) -> np.ndarray:
@@ -216,15 +234,18 @@ def _residual_ld(x: np.ndarray, p) -> float:
 # branches meet at the fold, where dV/dp = -x_last/p^2 along each, and the
 # left root has the larger last entry.  m_k and samples of the right
 # branch, the first at a*_k, depend on no price and are computed once per
-# size, the first time a call needs the size; the peak search takes
+# size, the first time a call needs the size, into the size's row of a
+# store allocated once for sizes 0..712; the peak search takes
 # d^2 ln p_k / d(ln a)^2 as the difference quotient of the slopes at ln a
 # and ln a + 2^-26, so the kernel carries the first derivative only.  Each
 # problem takes a window of four sizes around ln(1/p), where its winner
 # lies; their right roots are solved together by safeguarded Newton in
-# ln a, each started at the Hermite interpolant of its size's samples, and
-# the lowest value wins.  The last pass of each root gives the slope of the
-# winner's 40-digit Newton step.  The kernel orders the columns of a pass
-# itself, so the columns of any call may mix sizes and problems freely.
+# ln a, each started at the Hermite interpolant of its size's samples (in
+# the first sample interval of a size whose ln p_k only falls, where z^2
+# grows like a, at the square-root law of z instead), and the lowest value
+# wins.  The last pass of each root gives the slope of the winner's
+# 40-digit Newton step.  The kernel orders the columns of a pass itself,
+# so the columns of any call may mix sizes and problems freely.
 
 # Lower end of the search for a*_k, where it stays for sizes whose ln p_k
 # only falls.  At and below it a is under half an ulp of 1 in longdouble,
@@ -348,8 +369,8 @@ _LOG_MAX = LD(math.log(sys.float_info.max))
 # n = 664 and 12% of those in windows cut by N take 2.  With 160 points
 # 14 of the 3072 roots of the 96 benchmark grids take 2, and with 96
 # points 231 do.  A record is
-# 1 + 3 * 209 longdoubles, 10 KB, so the table of the sizes 2..712 that a
-# float price reaches holds 7.2 MB.  ``_start``'s sample count needs a
+# 1 + 3 * 209 longdoubles, 10 KB, so the store of the sizes 2..712 that a
+# float price reaches reserves 7.2 MB.  ``_start``'s halving search needs a
 # size's z samples never to fall, which holds for every size 2..712
 # (tests pin it).
 _GRID = 192
@@ -360,8 +381,8 @@ _SAMPLES = _GRID + _TAIL + 1
 _Z, _LOG_A, _DXDZ = range(3)
 
 
-def _size_records(k: np.ndarray) -> np.ndarray:
-    """One record per size k: m_k, then a (3, _SAMPLES) block of z, ln a and d ln a / dz samples.
+def _size_records(k: np.ndarray):
+    """m_k and a (3, _SAMPLES) block of z, ln a and d ln a / dz samples, per size k.
 
     a*_k is where ln p_k peaks on [_A_MIN, oo), found by ``_peaks``; it is
     _A_MIN where ln p_k only falls.  The samples of the right branch start
@@ -386,34 +407,42 @@ def _size_records(k: np.ndarray) -> np.ndarray:
     level, slope = np.log(price).reshape(log_a.shape), slope.reshape(log_a.shape)
     z = np.sqrt(np.maximum(level[:, :1] - level, 0))
     dxdz = np.column_stack([peak_dxdz, -2 * z[:, 1:] / slope[:, 1:]])
-    return np.column_stack([-level[:, 0], z, log_a, dxdz])
+    return -level[:, 0], np.stack([z, log_a, dxdz], axis=1)
 
 
-# The records of the sizes computed so far, row k for size k; rows of sizes
-# not yet computed read nan.  ``_records`` fills them as calls need them.
-_table = np.full((0, 1 + 3 * _SAMPLES), np.nan, dtype=LD)
+# Sizes solved per problem: the right branch of the _WINDOW sizes up to the
+# window's top, the largest size with a root that is at most N and at most
+# ceil(ln(1/p)) + _ABOVE_LOG_N.  Measured on the 1200 ln n in [7, 400], the
+# winner is ceil(ln n) (958 cases) or ceil(ln n) + 1 (242); on 6300 seeded
+# (N, p), N < ln(1/p) and p down to 1e-300 included, and on 600 with N in
+# [30, 689] and ln(1/p) in [N, 690], it is the top, one below it or two
+# below it, never three.  tests/test_reduction.py checks the window against
+# both branches of every size on 924 more, 24 of them with N cutting it at
+# large sizes.  Anchored at the largest size with a root instead, the
+# window misses the winner from n ~ 1e100 on (233 for 231 there), where
+# m_k has fallen more than 4 below k.
+_WINDOW = 4
+_ABOVE_LOG_N = 2
+
+# The records of every size a float price reaches, row k for size k up to
+# ceil(_LOG_MAX) + _ABOVE_LOG_N = 712: _m holds m_k, nan until ``_records``
+# computes the size, and _samples its (3, _SAMPLES) block.  Only the rows of
+# computed sizes are written or read, so the 7.2 MB of _samples, which
+# np.empty leaves untouched, are reserved, not resident.
+_m = np.full(math.ceil(_LOG_MAX) + _ABOVE_LOG_N + 1, np.nan, dtype=LD)
+_samples = np.empty((len(_m), 3, _SAMPLES), dtype=LD)
 
 
 def _records(k: np.ndarray):
-    """m_k and the sample blocks of the table, with the sizes k >= 2 that it lacked computed in one batch.
+    """m_k and the sample blocks of the store, with the sizes 2 <= k <= 712 that it lacked computed in one batch.
 
-    Both are views of the table, row k for size k: m[k], and
-    samples[k, field, j], sample j of the field _Z, _LOG_A or _DXDZ.
+    Row k is size k: m[k], and samples[k, field, j], sample j of the field
+    _Z, _LOG_A or _DXDZ.
     """
-    global _table
-    if k.max(initial=1) >= len(_table):
-        old, _table = _table, np.full((k.max(initial=1) + 1, _table.shape[1]), np.nan, dtype=LD)
-        _table[: len(old)] = old
-    new = np.flatnonzero((np.bincount(k, minlength=len(_table)) > 0) & np.isnan(_table[:, 0]))
+    new = np.flatnonzero((np.bincount(k, minlength=len(_m)) > 0) & np.isnan(_m))
     if len(new):
-        _table[new] = _size_records(new)
-    return _table[:, 0], _table[:, 1:].reshape(len(_table), 3, _SAMPLES)
-
-
-# Columns per block of ``_start``'s sample count.  The count gathers a
-# block's rows of z samples, 3.3 KB a column, so a block of 1024 columns
-# holds 3.4 MB however many columns a call solves.
-_START_BLOCK = 1024
+        _m[new], _samples[new] = _size_records(new)
+    return _m, _samples
 
 
 def _start(m: np.ndarray, samples: np.ndarray, k: np.ndarray, log_p: np.ndarray) -> np.ndarray:
@@ -422,21 +451,26 @@ def _start(m: np.ndarray, samples: np.ndarray, k: np.ndarray, log_p: np.ndarray)
     The root has z = sqrt(-m_k - ln p) > 0, which lies above the first
     sample (the peak, z = 0) and at most at the last (the bracket top at
     the smallest float price) wherever the size has a root.  Since a
-    size's z samples never fall, the count of its samples below z is the
-    index of the first sample at or above it, and ln a is interpolated in
-    z between that sample and the one before by the cubic Hermite
-    interpolant of their ln a and d ln a / dz.  m and samples are those
-    of ``_records``.
+    size's z samples never fall, halving the sample indices finds the
+    last sample below z, j, in 8 steps of one sample per column, and ln a
+    is interpolated in z between samples j and j + 1 by the cubic Hermite
+    interpolant of their ln a and d ln a / dz.  Where sample j is the
+    peak at _A_MIN of a size whose ln p_k only falls, z^2 grows like a
+    and no cubic in z fits ln a, so the start is the square-root law
+    ln a = x1 + 2 ln(z / z1) through sample j + 1.  m and samples are
+    those of ``_records``.
     """
-    z = np.sqrt(-m[k] - log_p)
-    j = np.empty(len(k), dtype=int)
-    for i in range(0, len(k), _START_BLOCK):
-        block = slice(i, i + _START_BLOCK)
-        j[block] = (samples[k[block], _Z] < z[block, None]).sum(axis=1)
-    (z0, x0, d0), (z1, x1, d1) = samples[k, :, j - 1].T, samples[k, :, j].T
+    z, Z = np.sqrt(-m[k] - log_p), samples[:, _Z]
+    j, n = np.zeros(len(k), dtype=int), _SAMPLES
+    while n > 1:
+        half = n // 2
+        j += half * (Z[k, j + half] < z)
+        n -= half
+    (z0, x0, d0), (z1, x1, d1) = samples[k, :, j].T, samples[k, :, j + 1].T
     h = z1 - z0
     t = (z - z0) / h
-    return x0 + t * t * (3 - 2 * t) * (x1 - x0) + h * t * (1 - t) * ((1 - t) * d0 - t * d1)
+    hermite = x0 + t * t * (3 - 2 * t) * (x1 - x0) + h * t * (1 - t) * ((1 - t) * d0 - t * d1)
+    return np.where(d0 == 0, x1 + 2 * np.log(z / z1), hermite)
 
 
 def _roots(lo, hi, x, k, p):
@@ -557,38 +591,31 @@ def check_price(p: float) -> float:
     return p
 
 
+def _check_size(n, name: str) -> int:
+    """n as an int, if it is an integer of at least 1: an int or a numpy integer, not a bool."""
+    try:
+        size = operator.index(n)
+    except TypeError:
+        size = 0
+    if isinstance(n, bool) or size < 1:
+        raise CycmaxError(f"{name} must be a positive integer")
+    return size
+
+
 def check_problem(N: int, p: float) -> None:
     """Reject a chain problem (N, p) that the solver does not take."""
-    if N < 1:
-        raise CycmaxError("N must be a positive integer")
+    _check_size(N, "N")
     check_price(p)
 
 
 def cyclic_price(n: int) -> float:
     """The price 1/n of the cyclic length n, which must lie in the float range."""
-    if n < 1:
-        raise CycmaxError("n must be a positive integer")
     try:
-        return 1.0 / n
+        return 1.0 / _check_size(n, "n")
     except OverflowError:
         raise CycmaxError(
             f"n is too large: it must lie within the float range (at most {sys.float_info.max:.6g})"
         ) from None
-
-
-# Sizes solved per problem: the right branch of the _WINDOW sizes up to the
-# window's top, the largest size with a root that is at most N and at most
-# ceil(ln(1/p)) + _ABOVE_LOG_N.  Measured on the 1200 ln n in [7, 400], the
-# winner is ceil(ln n) (958 cases) or ceil(ln n) + 1 (242); on 6300 seeded
-# (N, p), N < ln(1/p) and p down to 1e-300 included, and on 600 with N in
-# [30, 689] and ln(1/p) in [N, 690], it is the top, one below it or two
-# below it, never three.  tests/test_reduction.py checks the window against
-# both branches of every size on 924 more, 24 of them with N cutting it at
-# large sizes.  Anchored at the largest size with a root instead, the
-# window misses the winner from n ~ 1e100 on (233 for 231 there), where
-# m_k has fallen more than 4 below k.
-_WINDOW = 4
-_ABOVE_LOG_N = 2
 
 
 def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
@@ -741,12 +768,13 @@ def brute_force_oracle(N: int, p: float, grid_steps: int) -> float:
 
     A grid of step 1/grid_steps, then ``_REFINEMENTS`` local refinements.
     Independent of the log-coordinate optimizer; cost grows like
-    grid_steps^(N-1), so this is a small-N verification tool.
+    grid_steps^(N-1), so this is a small-N verification tool.  N and
+    grid_steps are positive integers, and p a price ``check_price`` takes.
     """
-    if N < 1:
-        raise CycmaxError("N must be positive")
-    if N > 6:
+    if _check_size(N, "N") > 6:
         raise CycmaxError("grid oracle supports N <= 6")
+    check_price(p)
+    _check_size(grid_steps, "grid_steps")
     if N == 1:
         return 1.0 / p
     X = _compositions(grid_steps, N).astype(float) / grid_steps
@@ -775,12 +803,12 @@ def cyclic_bruteforce(n: int, grid_steps: int) -> float:
     Enumerates simplex grid points with the largest coordinate first
     (each rotation orbit contributes one such representative), then
     refines locally ``_REFINEMENTS`` times.  Returns the best value found,
-    an upper bound on the true infimum.
+    an upper bound on the true infimum.  n and grid_steps are positive
+    integers.
     """
-    if n < 1:
-        raise CycmaxError("n must be positive")
-    if n > 4:
+    if _check_size(n, "n") > 4:
         raise CycmaxError("cyclic grid search supports n <= 4")
+    _check_size(grid_steps, "grid_steps")
     if n == 1:
         return 1.0
     comp = _compositions(grid_steps, n)

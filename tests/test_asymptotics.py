@@ -59,6 +59,10 @@ class TestInfS:
             minimize_chain(0, 1.0)
         with pytest.raises(ValueError):
             sweep([0])
+        # unchecked, 2.5 and True are solved as sizes and "3" raises TypeError
+        for n in (2.5, True, "3"):
+            with pytest.raises(CycmaxError, match="n must be a positive integer"):
+                sweep([1000, n])
 
     def test_agrees_with_windowed_route(self):
         # uncycling: the chain minimizer, read as a periodic n-tuple with

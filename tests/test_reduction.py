@@ -72,9 +72,34 @@ class TestChainObjective:
         with pytest.raises(ValueError):
             t_chain([1.0], 0.0)
 
+    @pytest.mark.parametrize("objective", [t_chain, t_noncyclic])
+    @pytest.mark.parametrize(
+        "x, p, message",
+        [
+            ([], 1.0, "nonempty"),
+            ([1.0, -1.0], 1.0, "nonnegative and finite"),
+            ([0.5, math.nan], 1.0, "nonnegative and finite"),
+            ([math.inf, 1.0], 1.0, "nonnegative and finite"),
+            (np.array([0.5, np.nan]), 1.0, "nonnegative and finite"),
+            ([0.5, 0.5], math.nan, "positive and finite"),
+            ([0.5, 0.5], math.inf, "positive and finite"),
+            ([0.5, 0.5], -1.0, "positive and finite"),
+        ],
+    )
+    def test_rejects_what_it_cannot_evaluate(self, objective, x, p, message):
+        # unchecked, [] raises IndexError and the rest evaluate to -2.0, nan or 1.0
+        with pytest.raises(CycmaxError, match=message):
+            objective(x, p)
+
     def test_works_on_fractions(self):
         val = t_chain([Fraction(1, 3), Fraction(2, 3)], Fraction(1, 2))
         assert val == Fraction(1, 2) + Fraction(4, 3)
+        # a rational entry past the float range is finite, and so are numpy scalars
+        huge = Fraction(10**400)
+        assert t_chain([huge, Fraction(1)], Fraction(1, 2)) == huge + 2
+        assert t_noncyclic([huge, Fraction(1)], Fraction(1, 2)) == huge + 2
+        assert t_chain([np.float64(0.5), np.float64(0.5)], np.float64(0.5)) == 2.0
+        assert t_chain([LD("1e400"), LD(1)], LD(0.5)) == LD("1e400") + 2
 
 
 class TestWindowedObjective:
@@ -243,6 +268,12 @@ class TestMinimizeChain:
             minimize_chain(3, 0.0)
         with pytest.raises(ValueError):
             minimize_chain(3, math.inf)
+        # N is an integer, read through operator.index: unchecked, 2.5 and True
+        # are solved as sizes and "3" raises TypeError
+        for N in (2.5, True, "3", np.float64(3.0)):
+            with pytest.raises(CycmaxError, match="N must be a positive integer"):
+                minimize_chain(N, 0.3)
+        assert minimize_chain(np.int64(3), 0.3).to_dict() == minimize_chain(3, 0.3).to_dict()
 
     @pytest.mark.parametrize("p", [5e-324, 1e-320, 5e-309])
     def test_rejects_a_price_whose_inverse_overflows(self, p):
@@ -309,6 +340,12 @@ def kernel_passes(problems) -> list:
         patch.setattr(reduction, "_forward", counted)
         reduction._minimize_many(problems)
     return passes
+
+
+def fresh_store(monkeypatch):
+    """An empty size store for the rest of the test: both arrays of ``reduction``, nothing computed."""
+    monkeypatch.setattr(reduction, "_m", np.full_like(reduction._m, np.nan))
+    monkeypatch.setattr(reduction, "_samples", np.empty_like(reduction._samples))
 
 
 def benchmark_factors(seeds: int) -> list:
@@ -687,16 +724,18 @@ class TestBatchedSolve:
             assert len(passes) <= 2
 
     def test_falling_sizes_near_their_top_take_few_passes(self):
-        # sizes 2..6, whose ln p_k only falls, start a root from the first
-        # sample interval, at _A_MIN with d ln a / dz = 0, so next to the top
-        # price the Hermite start is poor and a warm solve takes many passes;
-        # measured at 1e-12, 1e-9 and 1e-6 below each top (1 or 2 passes at
-        # 1e-3), with N at the size and past it, and pinned as upper bounds
-        measured = {2: (12, 7, 11), 3: (14, 8, 11), 4: (48, 10, 11), 5: (9, 11, 10), 6: (12, 12, 7)}
-        cases = [([(10**9, 0.999999)], 11)]
+        # sizes 2..6, whose ln p_k only falls, start a root in the first
+        # sample interval, from _A_MIN, by the square-root law of z (the
+        # Hermite start there took up to 48 passes); measured at 1e-12,
+        # 1e-9, 1e-6 and 1e-3 below each top, with N at the size and past
+        # it, and pinned as upper bounds.  Size 4 at 1e-12 stays slow: the
+        # slope of ln p_4 there is about 1e-12, and the rounding of h puts
+        # more noise in the Newton step than _NEWTON_STEP
+        measured = {2: (2, 2, 2, 1), 3: (2, 2, 2, 1), 4: (39, 2, 2, 1), 5: (2, 2, 2, 1), 6: (4, 3, 3, 2)}
+        cases = [([(10**9, 0.999999)], 2)]
         k = np.arange(2, 7)
         for size, m_k in zip(k.tolist(), reduction._records(k)[0][k]):
-            for d, most in zip((1e-12, 1e-9, 1e-6), measured[size]):
+            for d, most in zip((1e-12, 1e-9, 1e-6, 1e-3), measured[size]):
                 cases += [([(N, float(np.exp(-m_k) * (1 - d)))], most) for N in (size, 10**9)]
         for problems, most in cases:
             reduction._minimize_many(problems)  # the sizes' records are cached
@@ -707,7 +746,7 @@ class TestBatchedSolve:
         # 3 or 4 passes, one sample pass, then the root solve; the 46
         # halvings of the bisection it replaced made that 50 passes
         for n in (10**3, 10**30, 10**300):
-            monkeypatch.setattr(reduction, "_table", reduction._table[:0])
+            fresh_store(monkeypatch)
             passes = kernel_passes([(n, 1.0 / n)])
             assert len(passes) <= 6, n  # measured: 6 at 1e3, 5 at 1e30 and 1e300
 
@@ -739,8 +778,8 @@ class TestSizeTable:
         k = np.arange(2, 713)
         m, samples = reduction._records(k)
         z, log_a, dxdz = (samples[k, field] for field in (reduction._Z, reduction._LOG_A, reduction._DXDZ))
-        assert reduction._table.shape[1] == 1 + 3 * reduction._SAMPLES
-        assert reduction._table.nbytes <= 8e6  # measured: 7.2 MB
+        assert m.shape == (713,) and samples.shape == (713, 3, reduction._SAMPLES)
+        assert m.nbytes + samples.nbytes <= 8e6  # measured: 7.2 MB
         rising = k >= reduction._RISING_FROM
         assert np.array_equal(log_a[rising, 0], reduction._peaks(k[rising])[0]) and np.all(z[:, 0] == 0)
         assert np.all(log_a[~rising, 0] == np.log(_A_MIN))
@@ -750,16 +789,18 @@ class TestSizeTable:
         assert np.array_equal(dxdz[:, 0] == 0, k < reduction._RISING_FROM)
 
     def test_z_samples_never_fall(self):
-        # ``_start`` counts a size's samples below a root's z, which gives the
-        # index of the first sample at or above it only while a size's
-        # samples never fall: every size a float price reaches
+        # ``_start`` halves the sample indices down to the last sample below a
+        # root's z, which finds the first sample at or above it only while a
+        # size's samples never fall: every size a float price reaches
         k = np.arange(2, 713)
         m, samples = reduction._records(k)
         Z, LOG_A, DXDZ = reduction._Z, reduction._LOG_A, reduction._DXDZ
         assert np.all(np.diff(samples[k, Z], axis=1) >= 0)
         # so the starts equal the cubic Hermite interpolant in z between the
-        # samples around the count, on seeded sizes and prices from just
-        # past the peak out to the smallest float price
+        # samples around the count of samples below z, on seeded sizes and
+        # prices from just past the peak out to the smallest float price;
+        # in the first interval of a size whose ln p_k only falls, the
+        # square-root law through the sample at its end
         rng = np.random.default_rng(15)
         k = rng.integers(2, 701, 2000)
         log_p = -np.minimum(m[k] + LD(10) ** rng.uniform(-12, 3, len(k)), reduction._LOG_MAX)
@@ -769,6 +810,9 @@ class TestSizeTable:
         h = z1 - z0
         t = (z - z0) / h
         want = x0 + t * t * (3 - 2 * t) * (x1 - x0) + h * t * (1 - t) * ((1 - t) * d0 - t * d1)
+        falls = (j == 1) & (k < reduction._RISING_FROM)
+        assert 0 < falls.sum() < (k < reduction._RISING_FROM).sum()
+        want[falls] = x1[falls] + 2 * np.log(z[falls] / z1[falls])
         assert np.array_equal(reduction._start(m, samples, k, log_p), want)
 
     def test_peaks_match_bisection(self):
@@ -819,18 +863,20 @@ class TestSizeTable:
                     assert abs(oracles.mp_of(got_peak) - log_peak) <= 1e-8, k
 
     def test_size_reads_the_same_in_every_table(self, monkeypatch):
-        # a size reads the same whether cached alone or with others, and the
-        # cache computes only the sizes asked for
-        batch = _size_records(np.arange(2, 65))
+        # a size reads the same whether stored alone or with others, and the
+        # store computes only the sizes asked for
+        batch_m, batch = _size_records(np.arange(2, 65))
         for k in (2, 7, 40, 64):
-            assert np.array_equal(_size_records(np.array([k]))[0], batch[k - 2]), k
-        monkeypatch.setattr(reduction, "_table", reduction._table[:0])
+            m, samples = _size_records(np.array([k]))
+            assert m[0] == batch_m[k - 2] and np.array_equal(samples[0], batch[k - 2]), k
+        fresh_store(monkeypatch)
         assert minimize_chain(7, 4.0).support == 1  # ceil(ln(1/p)) + 2 < 2: no size to compute
-        m, _ = reduction._records(np.array([40]))
+        m, samples = reduction._records(np.array([40]))
         assert np.flatnonzero(~np.isnan(m)).tolist() == [40]
-        assert np.array_equal(reduction._table[40], batch[38])
+        assert m[40] == batch_m[38] and np.array_equal(samples[40], batch[38])
         reduction._records(np.arange(64, 1, -1))
-        assert np.array_equal(reduction._table[2:], batch)
+        assert np.flatnonzero(~np.isnan(m)).tolist() == list(range(2, 65))
+        assert np.array_equal(m[2:65], batch_m) and np.array_equal(samples[2:65], batch)
 
     def test_a_size_has_a_root_iff_it_peaks_above_the_price(self):
         m = reduction._records(np.arange(2, 17))[0]
@@ -978,6 +1024,23 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError):
             brute_force_oracle(7, 0.5, 10)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2, -1.0, 10), "p must be positive and finite"),
+            ((2, math.nan, 10), "p must be positive and finite"),
+            ((2, 0.5, 0), "grid_steps must be a positive integer"),
+            ((2, 0.5, 2.5), "grid_steps must be a positive integer"),
+            ((2.5, 0.5, 10), "N must be a positive integer"),
+            ((True, 0.5, 10), "N must be a positive integer"),
+        ],
+    )
+    def test_rejects_what_it_cannot_search(self, args, message):
+        # unchecked, the bad prices give -1.0 and nan, grid_steps = 2.5 gives 1.6,
+        # N = True gives 2.0, and the rest raise ZeroDivisionError or TypeError
+        with pytest.raises(CycmaxError, match=message):
+            brute_force_oracle(*args)
+
 
 class TestCyclicBruteforce:
     def test_single_entry(self):
@@ -1002,6 +1065,11 @@ class TestCyclicBruteforce:
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             cyclic_bruteforce(5, 10)
+
+    @pytest.mark.parametrize("n, steps", [(2, 0), (2, -3), (2.5, 10), (True, 10), (np.float64(2.0), 10)])
+    def test_rejects_a_non_integer_size_or_grid(self, n, steps):
+        with pytest.raises(CycmaxError, match="must be a positive integer"):
+            cyclic_bruteforce(n, steps)
 
 
 class TestVectorizedEvaluators:
