@@ -583,12 +583,12 @@ def _certified(N: int, p: float, a, slope, k: int) -> ReducedSolution:
 
 
 def check_price(p: float) -> float:
-    """p itself, if the solver takes it as a price: positive, with 1/p finite."""
+    """p as a float, if the solver takes it as a price: positive, with 1/p finite."""
     if not 0 < p < math.inf:
         raise CycmaxError("p must be positive and finite")
     if not math.isfinite(1.0 / p):
         raise CycmaxError(f"p = {p!r} is too small: 1/p overflows")
-    return p
+    return float(p)
 
 
 def _check_size(n, name: str) -> int:
@@ -602,10 +602,9 @@ def _check_size(n, name: str) -> int:
     return size
 
 
-def check_problem(N: int, p: float) -> None:
-    """Reject a chain problem (N, p) that the solver does not take."""
-    _check_size(N, "N")
-    check_price(p)
+def check_problem(N: int, p: float) -> tuple[int, float]:
+    """(N, p) as an int and a float; rejects a chain problem that the solver does not take."""
+    return _check_size(N, "N"), check_price(p)
 
 
 def cyclic_price(n: int) -> float:
@@ -627,8 +626,7 @@ def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
     each winner by ``_certified`` as the list is made, so one winner's
     entries are held at a time.
     """
-    for N, p in problems:
-        check_problem(N, p)
+    problems = [check_problem(N, p) for N, p in problems]
     _check_longdouble()
     price = np.array([p for _, p in problems], dtype=LD)
     log_p = np.log(price)

@@ -62,31 +62,63 @@ class CheckResult:
         return f"{tag} {self.suite}.{self.name}: {self.detail}"
 
 
-def _random_float_tuple(rng: np.random.Generator, max_n: int = 50) -> PeriodicTuple:
-    n = int(rng.integers(2, max_n + 1))
-    vals = rng.uniform(0.05, 10.0, size=n)
-    return PeriodicTuple(vals.tolist(), backend="float")
+def _slices(values: list, sizes: list):
+    """Consecutive slices of ``values`` of the given sizes, one at a time."""
+    start = 0
+    for n in sizes:
+        yield values[start : start + n]
+        start += n
 
 
-def _random_rational_tuple(
-    rng: np.random.Generator, min_n: int = 3, max_n: int = 12, generic: bool = True
-) -> PeriodicTuple:
-    """Random integer-valued tuple; optionally resampled until all short
-    window averages are pairwise distinct."""
-    while True:
-        n = int(rng.integers(min_n, max_n + 1))
-        vals = [Fraction(int(v)) for v in rng.integers(1, 10**6, size=n)]
-        x = PeriodicTuple(vals, backend="rational")
-        if not generic or distinct_short_averages(x):
-            return x
+# Each sampler below draws a whole suite's tuples in two generator calls,
+# the sizes and then every entry, and builds the tuples one at a time as
+# the suite reads them; the sizes come back as an array, from which a
+# suite draws its per-trial scalars in one call each.
 
 
-def _random_tied_tuple(rng: np.random.Generator, max_n: int = 16) -> PeriodicTuple:
-    """Rational tuple of small integers, so many window averages tie."""
-    while True:
-        vals = rng.integers(0, 4, size=int(rng.integers(1, max_n + 1)))
-        if vals.any():
-            return PeriodicTuple([Fraction(int(v)) for v in vals], backend="rational")
+def _float_tuples(rng: np.random.Generator, count: int, max_n: int):
+    """``count`` float tuples, of sizes uniform in 2..max_n and entries uniform in [0.05, 10), and their sizes."""
+    sizes = rng.integers(2, max_n + 1, size=count)
+    values = rng.uniform(0.05, 10.0, size=int(sizes.sum())).tolist()
+    return (PeriodicTuple(v, backend="float") for v in _slices(values, sizes.tolist())), sizes
+
+
+def _rational_tuples(rng: np.random.Generator, count: int):
+    """``count`` rational tuples, of sizes uniform in 3..12 and integer entries uniform in 1..10**6 - 1, and their sizes."""
+    sizes = rng.integers(3, 13, size=count)
+    values = rng.integers(1, 10**6, size=int(sizes.sum())).tolist()
+    return (PeriodicTuple(v, backend="rational") for v in _slices(values, sizes.tolist())), sizes
+
+
+def _generic_tuples(rng: np.random.Generator, count: int):
+    """``count`` rational tuples whose short window averages are pairwise distinct.
+
+    A drawn tuple with two equal averages is drawn again, alone, until it
+    has none, so each tuple follows the conditional distribution.
+    """
+    tuples, _ = _rational_tuples(rng, count)
+    return (x if distinct_short_averages(x) else next(_generic_tuples(rng, 1)) for x in tuples)
+
+
+def _tied_tuples(rng: np.random.Generator, count: int):
+    """``count`` rational tuples of sizes uniform in 1..16 and entries uniform in 0..3, so many window averages tie.
+
+    An all-zero draw is drawn again, alone, until it is not.
+    """
+    sizes = rng.integers(1, 17, size=count).tolist()
+    values = rng.integers(0, 4, size=sum(sizes)).tolist()
+    return (
+        PeriodicTuple(v, backend="rational") if any(v) else next(_tied_tuples(rng, 1))
+        for v in _slices(values, sizes)
+    )
+
+
+def _simplex_points(rng: np.random.Generator, sizes: np.ndarray) -> list[np.ndarray]:
+    """Uniform points of the simplices of the given sizes, Dirichlet(1, ..., 1): normalized standard exponentials."""
+    ends = np.cumsum(sizes)
+    e = rng.standard_exponential(int(ends[-1]))
+    e /= np.repeat(np.add.reduceat(e, ends - sizes), sizes)
+    return np.split(e, ends[:-1])
 
 
 def _brute_right_maximal(x: PeriodicTuple, i: int, r_max: int):
@@ -114,11 +146,11 @@ def suite_periodic(rng: np.random.Generator) -> list[CheckResult]:
     trials = 200
 
     bad = 0
-    for _ in range(trials):
-        x = _random_float_tuple(rng, max_n=20)
-        i = int(rng.integers(1, x.n + 1))
-        r = int(rng.integers(1, x.n + 1))
-        k = int(rng.integers(-3, 4))
+    tuples, sizes = _float_tuples(rng, trials, max_n=20)
+    starts = rng.integers(1, sizes + 1).tolist()
+    lengths = rng.integers(1, sizes + 1).tolist()
+    shifts = rng.integers(-3, 4, size=trials).tolist()
+    for x, i, r, k in zip(tuples, starts, lengths, shifts):
         iv = IndexInterval(i, i + r - 1)
         a = interval_average(x, iv)
         b = interval_average(x, iv.shifted(k * x.n))
@@ -129,10 +161,10 @@ def suite_periodic(rng: np.random.Generator) -> list[CheckResult]:
     )
 
     bad = 0
-    for _ in range(trials // 4):
-        x = _random_rational_tuple(rng, generic=False)
-        i = int(rng.integers(1, x.n + 1))
-        r = int(rng.integers(1, x.n + 1))
+    tuples, sizes = _rational_tuples(rng, trials // 4)
+    starts = rng.integers(1, sizes + 1).tolist()
+    lengths = rng.integers(1, sizes + 1).tolist()
+    for x, i, r in zip(tuples, starts, lengths):
         iv = IndexInterval(i, i + r - 1)
         if interval_average(x, iv) != interval_average(x, iv.shifted(7 * x.n)):
             bad += 1
@@ -141,9 +173,8 @@ def suite_periodic(rng: np.random.Generator) -> list[CheckResult]:
     )
 
     bad = 0
-    for _ in range(trials):
-        x = _random_float_tuple(rng, max_n=16)
-        i = int(rng.integers(1, x.n + 1))
+    tuples, sizes = _float_tuples(rng, trials, max_n=16)
+    for x, i in zip(tuples, rng.integers(1, sizes + 1).tolist()):
         short = right_maximal(x, i)
         wide, _ = _brute_right_maximal(x, i, 3 * x.n)
         if wide > short + 1e-12 * max(abs(short), 1.0):
@@ -153,9 +184,8 @@ def suite_periodic(rng: np.random.Generator) -> list[CheckResult]:
     )
 
     bad = 0
-    for _ in range(trials):
-        x = _random_float_tuple(rng, max_n=20)
-        i = int(rng.integers(1, x.n + 1))
+    tuples, sizes = _float_tuples(rng, trials, max_n=20)
+    for x, i in zip(tuples, rng.integers(1, sizes + 1).tolist()):
         m = right_maximal(x, i)
         lo, hi = min(x.values), max(x.values)
         if not (lo - 1e-12 <= m <= hi + 1e-12):
@@ -167,8 +197,7 @@ def suite_periodic(rng: np.random.Generator) -> list[CheckResult]:
     )
 
     bad = 0
-    for _ in range(trials // 4):
-        x = _random_tied_tuple(rng)
+    for x in _tied_tuples(rng, trials // 4):
         prof = right_maximal_profile(x)
         brute = [_brute_right_maximal(x, i, x.n) for i in range(1, x.n + 1)]
         if list(zip(prof.values, prof.lengths)) != brute:
@@ -182,24 +211,25 @@ def suite_periodic(rng: np.random.Generator) -> list[CheckResult]:
 def suite_prop4(rng: np.random.Generator) -> list[CheckResult]:
     """Minimum of the right maximal values equals the period mean."""
     results = []
+    floats, rationals = 1000, 200
     worst = 0.0
-    for _ in range(1000):
-        x = _random_float_tuple(rng, max_n=50)
+    tuples, _ = _float_tuples(rng, floats, max_n=50)
+    for x in tuples:
         values = right_maximal_profile(x).values
         gap = abs(min(values) - x.average) / max(abs(x.average), 1.0)
         worst = max(worst, gap)
     results.append(
-        CheckResult("prop4", "min-maximal-equals-mean-float", worst <= 1e-12, f"1000 tuples, worst relative gap {worst:.2e}")
+        CheckResult("prop4", "min-maximal-equals-mean-float", worst <= 1e-12, f"{floats} tuples, worst relative gap {worst:.2e}")
     )
 
     bad = 0
-    for _ in range(200):
-        x = _random_rational_tuple(rng, generic=False)
+    tuples, _ = _rational_tuples(rng, rationals)
+    for x in tuples:
         values = right_maximal_profile(x).values
         if min(values) != x.average:
             bad += 1
     results.append(
-        CheckResult("prop4", "min-maximal-equals-mean-exact", bad == 0, f"200 rational tuples, {bad} failures")
+        CheckResult("prop4", "min-maximal-equals-mean-exact", bad == 0, f"{rationals} rational tuples, {bad} failures")
     )
     return results
 
@@ -258,27 +288,27 @@ def suite_poset(rng: np.random.Generator) -> list[CheckResult]:
         CheckResult("poset", "reference-tuple-structure", ok, f"classes {recs == expected}, root {p0.root}, minimal {p0.minimal_elements()}")
     )
 
+    trials = 200
     defect_count = 0
-    for _ in range(200):
-        x = _random_rational_tuple(rng)
+    for x in _generic_tuples(rng, trials):
         defects = _poset_checks_one(x)
         if defects:
             defect_count += 1
     results.append(
-        CheckResult("poset", "generic-rational-structure", defect_count == 0, f"200 generic tuples, {defect_count} with defects")
+        CheckResult("poset", "generic-rational-structure", defect_count == 0, f"{trials} generic tuples, {defect_count} with defects")
     )
     return results
 
 
 def suite_rotation(rng: np.random.Generator) -> list[CheckResult]:
+    trials = 200
     bad = 0
-    for _ in range(200):
-        x = _random_rational_tuple(rng)
+    for x in _generic_tuples(rng, trials):
         hits = [i for i in range(1, x.n + 1) if has_majorizing_prefixes(x, i)]
         if len(hits) != 1 or hits[0] != full_maximal_start(x):
             bad += 1
     return [
-        CheckResult("rotation", "unique-majorizing-rotation", bad == 0, f"200 generic tuples, {bad} failures")
+        CheckResult("rotation", "unique-majorizing-rotation", bad == 0, f"{trials} generic tuples, {bad} failures")
     ]
 
 
@@ -305,10 +335,10 @@ def _random_hypothesis_system(rng: np.random.Generator, n: int) -> SubsetCollect
 
 def suite_prop5(rng: np.random.Generator) -> list[CheckResult]:
     results = []
+    trials = 100
     bad_upper = 0
     bad_lower = 0
-    for _ in range(100):
-        n = int(rng.integers(4, 11))
+    for n in rng.integers(4, 11, size=trials).tolist():
         system = _random_hypothesis_system(rng, n)
         for eps in (Fraction(1, 1000), Fraction(1, 10**6)):
             x = PeriodicTuple([Fraction(1)] + [eps] * (n - 1), backend="rational")
@@ -318,7 +348,7 @@ def suite_prop5(rng: np.random.Generator) -> list[CheckResult]:
             if value < 1:
                 bad_lower += 1
     results.append(
-        CheckResult("prop5", "spiked-tuple-upper-bound", bad_upper == 0, f"100 systems x 2 epsilons, {bad_upper} bound violations")
+        CheckResult("prop5", "spiked-tuple-upper-bound", bad_upper == 0, f"{trials} systems x 2 epsilons, {bad_upper} bound violations")
     )
     results.append(
         CheckResult("prop5", "lower-bound-one", bad_lower == 0, f"{bad_lower} values below 1")
@@ -382,19 +412,21 @@ def suite_reduced(rng: np.random.Generator) -> list[CheckResult]:
     results.append(CheckResult("reduced", "minimizer-structure", struct_bad == 0, f"{struct_bad} structure violations"))
     results.append(CheckResult("reduced", "windowed-equals-chain-at-minimizer", agree_worst <= 1e-9, f"worst relative gap {agree_worst:.2e}"))
 
+    # a uniform point of the simplex with its first `lead` entries zeroed
+    # and the rest renormalized is `lead` zeros and a uniform point of the
+    # smaller simplex
+    trials = 200
     dom_bad = 0
-    for _ in range(200):
-        N = int(rng.integers(2, 9))
-        x = rng.dirichlet(np.ones(N))
-        lead = int(rng.integers(0, N - 1))
-        x[:lead] = 0.0
-        x = x / x.sum()
-        if np.all(x[lead:] > 0):
-            p = float(rng.uniform(0.05, 2.0))
+    sizes = rng.integers(2, 9, size=trials)
+    leads = rng.integers(0, sizes - 1)
+    prices = rng.uniform(0.05, 2.0, size=trials).tolist()
+    for lead, tail, p in zip(leads.tolist(), _simplex_points(rng, sizes - leads), prices):
+        if np.all(tail > 0):
+            x = np.concatenate((np.zeros(lead), tail))
             tc, tn = t_chain(x, p), t_noncyclic(x, p)
             if tc < tn - 1e-12 * max(abs(tn), 1.0):
                 dom_bad += 1
-    results.append(CheckResult("reduced", "chain-dominates-windowed", dom_bad == 0, f"200 samples, {dom_bad} violations"))
+    results.append(CheckResult("reduced", "chain-dominates-windowed", dom_bad == 0, f"{trials} samples, {dom_bad} violations"))
     return results
 
 
@@ -413,31 +445,35 @@ def suite_reduction(rng: np.random.Generator) -> list[CheckResult]:
 
 
 def suite_gradient(rng: np.random.Generator) -> list[CheckResult]:
+    trials = 100
     worst = 0.0
-    for _ in range(100):
-        N = int(rng.integers(2, 9))
-        x = 0.7 * rng.dirichlet(np.ones(N)) + 0.3 / N
+    sizes = rng.integers(2, 9, size=trials)
+    prices = rng.uniform(0.05, 1.5, size=trials).tolist()
+    for N, x, p in zip(sizes.tolist(), _simplex_points(rng, sizes), prices):
+        x = 0.7 * x + 0.3 / N
         x = x / x.sum()
-        p = float(rng.uniform(0.05, 1.5))
         worst = max(worst, gradient_agreement(x, p))
     return [
-        CheckResult("gradient", "analytic-vs-central-difference", worst <= 1e-6, f"100 interior points, worst normalized error {worst:.2e}")
+        CheckResult("gradient", "analytic-vs-central-difference", worst <= 1e-6, f"{trials} interior points, worst normalized error {worst:.2e}")
     ]
 
 
 def suite_envelope(rng: np.random.Generator) -> list[CheckResult]:
     """The maximal-average sum is the infimum of the radii sums."""
+    trials = 200
     bad = 0
-    for _ in range(200):
-        x = _random_float_tuple(rng, max_n=20)
-        radii = RadiusTuple(tuple(int(r) for r in rng.integers(1, x.n + 1, size=x.n)))
+    tuples, sizes = _float_tuples(rng, trials, max_n=20)
+    # each index's radius is uniform in 1..n of its own tuple
+    drawn = rng.integers(1, np.repeat(sizes, sizes) + 1).tolist()
+    for x, r in zip(tuples, _slices(drawn, sizes.tolist())):
+        radii = RadiusTuple(tuple(r))
         res = max_avg_sum(x)
         if sum_with_radii(x, radii) < res.value - 1e-12:
             bad += 1
         if abs(sum_with_radii(x, res.radii) - res.value) > 1e-12 * max(res.value, 1.0):
             bad += 1
     return [
-        CheckResult("envelope", "radii-sums-dominate-max-sum", bad == 0, f"200 random pairs, {bad} violations")
+        CheckResult("envelope", "radii-sums-dominate-max-sum", bad == 0, f"{trials} random pairs, {bad} violations")
     ]
 
 

@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 import random
 import sys
@@ -274,6 +275,15 @@ class TestMinimizeChain:
             with pytest.raises(CycmaxError, match="N must be a positive integer"):
                 minimize_chain(N, 0.3)
         assert minimize_chain(np.int64(3), 0.3).to_dict() == minimize_chain(3, 0.3).to_dict()
+
+    @pytest.mark.parametrize("N, p", [(np.int64(5), 0.3), (5, np.float32(0.3)), (np.int64(4), np.float32(2.0))])
+    def test_numpy_inputs_give_a_json_dict(self, N, p):
+        # N and p reach the solution as an int and a float, solved as the
+        # Python numbers of the same value, the point mass of p >= 1 too
+        d = minimize_chain(N, p).to_dict()
+        assert type(d["n"]) is int and type(d["p"]) is float and type(d["value"]) is float
+        assert json.loads(json.dumps(d)) == d
+        assert d == minimize_chain(int(N), float(p)).to_dict()
 
     @pytest.mark.parametrize("p", [5e-324, 1e-320, 5e-309])
     def test_rejects_a_price_whose_inverse_overflows(self, p):
