@@ -4,7 +4,8 @@
     python3 scripts/identity.py --src A/src --parent B/src
 
 Each tree runs in a fresh Python process that imports ``cycmax`` from its
-``src`` directory, as ``scripts/bench_solve.py`` does, and
+``src`` directory, as ``scripts/bench_solve.py`` does, and streams back
+one result a line, so the two trees are compared as they run, and
 
 * runs 322 CLI commands in process through ``cli.main``, keeping stdout,
   stderr and the exit code (an exception is kept as its repr):
@@ -15,6 +16,12 @@ Each tree runs in a fresh Python process that imports ``cycmax`` from its
   30 over 0.001..1.5, 48 at 1e-12..1e-3 below the top of twelve sizes in
   2..700, and 0.999999, 0.5, 1, 1.5, 1e-300 and 5e-324), and
   ``verify --seed 0..5``;
+* runs 8,360 tuple commands the same way, ``analyze`` as json, csv and
+  dot and ``maxsum`` on each of 2,090 seeded tuple files: 30 of uniform
+  floats in [0.05, 10) with n in 2..600, 60 of rational ints 1..3 with
+  n in 2..150 (``--backend rational``), and 2,000 float tuples drawn
+  from {1e16, 1, 3, 1e-5, 0} with n in 1..40, the set of the README's
+  known-defect bullet;
 * solves 9,498 chain problems (N, p) with ``reduction._minimize_many``, one
   call per batch, keeping each solution's support, value, entry bytes and
   residual: the 96 benchmark grids (768 problems, a batch each), a
@@ -25,8 +32,9 @@ Each tree runs in a fresh Python process that imports ``cycmax`` from its
 
 This process builds both sets with ``geometric_grid`` and the peak depths
 m_k of the ``--src`` tree, so both trees run the same commands and solve
-the same problems.  Prints every difference, one a line, then a summary
-line, and exits 1 if there is any.
+the same problems, and writes the tuple files to a temporary directory
+that both children run in.  Prints every difference, one a line, then a
+summary line, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import math
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -46,14 +55,14 @@ NEAR_FOLD_D = (1e-15, 1e-12, 1e-9, 1e-6, 1e-3)
 NEAR_TOP_D = (1e-12, 1e-9, 1e-6, 1e-3)
 NEAR_TOP_SIZES = (2, 3, 4, 5, 6, 7, 10, 50, 100, 300, 500, 700)
 
-# Each child reads its job as JSON on stdin and writes its results as JSON on stdout.
+# Each child reads its job as JSON on stdin and writes one JSON line on
+# stdout per command, then one per problem.
 CHILD = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from cycmax import cli, reduction
 
 job = json.load(sys.stdin)
-commands = []
 for argv in job["commands"]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -61,12 +70,10 @@ for argv in job["commands"]:
             code = cli.main(argv)
         except Exception as exc:
             code = repr(exc)
-    commands.append([code, out.getvalue(), err.getvalue()])
-problems = []
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
 for batch in job["batches"]:
     for sol in reduction._minimize_many([tuple(problem) for problem in batch]):
-        problems.append([sol.support, sol.value.hex(), sol.entries.tobytes().hex(), sol.stationarity_residual.hex()])
-print(json.dumps({"commands": commands, "problems": problems}))
+        print(json.dumps([sol.support, sol.value.hex(), sol.entries.tobytes().hex(), sol.stationarity_residual.hex()]))
 """
 
 
@@ -85,11 +92,19 @@ def below_top(reduction, sizes, d) -> list[float]:
     return [float(p) for p in np.exp(-reduction._records(k)[0][k]) * (1 - np.array(d, dtype=reduction.LD))]
 
 
-def child(src: str, job: dict):
-    out = subprocess.run(
-        [sys.executable, "-c", CHILD, src], input=json.dumps(job), capture_output=True, text=True, check=True
-    )
-    return json.loads(out.stdout)
+def children(job: dict, cwd: str, *srcs: str):
+    """One child per tree, all fed ``job``; yields their results for each line, side by side."""
+    procs = [
+        subprocess.Popen([sys.executable, "-c", CHILD, src], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, cwd=cwd)
+        for src in srcs
+    ]
+    for proc in procs:
+        proc.stdin.write(json.dumps(job))
+        proc.stdin.close()
+    yield from zip(*(map(json.loads, proc.stdout) for proc in procs))
+    for proc, src in zip(procs, srcs):
+        if proc.wait():
+            raise RuntimeError(f"the child for {src} exited {proc.returncode}")
 
 
 def commands(geometric_grid, tops: list[float]) -> list[list[str]]:
@@ -109,6 +124,24 @@ def commands(geometric_grid, tops: list[float]) -> list[list[str]]:
     return argvs
 
 
+def tuple_files(directory: Path) -> list[list[str]]:
+    """Writes the 2,090 seeded tuple files into ``directory``; returns the 8,360 commands on them."""
+    rng = np.random.default_rng(32)
+    tuples = [(f"float-{j:02d}.json", rng.uniform(0.05, 10.0, int(rng.integers(2, 601))).tolist(), "float") for j in range(30)]
+    tuples += [(f"rational-{j:02d}.json", rng.integers(1, 4, int(rng.integers(2, 151))).tolist(), "rational") for j in range(60)]
+    rng = np.random.default_rng(2024)
+    while len(tuples) < 2090:
+        values = rng.choice([1e16, 1.0, 3.0, 1e-5, 0.0], int(rng.integers(1, 41))).tolist()
+        if any(values):
+            tuples.append((f"mix-{len(tuples) - 90:04d}.json", values, "float"))
+    argvs = []
+    for name, values, backend in tuples:
+        (directory / name).write_text(json.dumps({"values": values}))
+        argvs += [["analyze", name, "--backend", backend, "--format", fmt] for fmt in ("json", "csv", "dot")]
+        argvs.append(["maxsum", name, "--backend", backend])
+    return argvs
+
+
 def batches(geometric_grid, folds: list[float]) -> list[list[list]]:
     """The 9,498 problems in their batches; ``folds`` are the near-fold prices, N-free."""
     out = [[[n, 1.0 / n] for n in geometric_grid(1e3 * f, 1e6 * f, 8)] for f in benchmark_factors()]
@@ -124,10 +157,13 @@ def batches(geometric_grid, folds: list[float]) -> list[list[list]]:
 
 
 def first_difference(a: str, b: str) -> str:
-    """Where two texts part: the first differing line of each, shortened."""
+    """Where two texts part: the first differing line of each, shortened to
+    the 120 characters from 40 before the first differing column."""
     for i, (x, y) in enumerate(zip(a.splitlines() + [""], b.splitlines() + [""])):
         if x != y:
-            return f"line {i + 1}: {x[:120]!r} against {y[:120]!r}"
+            column = next((j for j, (c, d) in enumerate(zip(x, y)) if c != d), min(len(x), len(y)))
+            start = max(column - 40, 0)
+            return f"line {i + 1}, column {column + 1}: {x[start:start + 120]!r} against {y[start:start + 120]!r}"
     return "same lines, different ends"
 
 
@@ -136,29 +172,34 @@ def main() -> None:
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"), help="the tree checked as the change")
     parser.add_argument("--parent", required=True, help="src directory of the tree it must match")
     args = parser.parse_args()
-    sys.path.insert(0, args.src)
+    src, parent = str(Path(args.src).resolve()), str(Path(args.parent).resolve())
+    sys.path.insert(0, src)
     from cycmax import reduction
     from cycmax.asymptotics import geometric_grid
 
     tops = below_top(reduction, np.repeat(NEAR_TOP_SIZES, len(NEAR_TOP_D)), NEAR_TOP_D * len(NEAR_TOP_SIZES))
     fold_sizes = range(2, 699, 3)
     folds = below_top(reduction, np.repeat(fold_sizes, len(NEAR_FOLD_D)), NEAR_FOLD_D * len(fold_sizes))
-    job = {"commands": commands(geometric_grid, tops), "batches": batches(geometric_grid, folds)}
-    change, parent = child(args.src, job), child(args.parent, job)
     differences = 0
-    for argv, got, want in zip(job["commands"], change["commands"], parent["commands"]):
-        for name, g, w in zip(("exit code", "stdout", "stderr"), got, want):
-            if g != w:
-                differences += 1
-                where = first_difference(g, w) if isinstance(g, str) and isinstance(w, str) else f"{g!r} against {w!r}"
-                print(f"{' '.join(argv)}: {name} differs, {where}")
-    problems = [problem for batch in job["batches"] for problem in batch]
-    for (N, p), got, want in zip(problems, change["problems"], parent["problems"]):
-        for name, g, w in zip(("support", "value", "entry bytes", "residual"), got, want):
-            if g != w:
-                differences += 1
-                print(f"N = {N}, p = {p!r}: {name} differs, {str(g)[:80]} against {str(w)[:80]}")
-    print(f"{len(job['commands'])} commands, {len(problems)} problems: {differences} differences")
+    with tempfile.TemporaryDirectory() as directory:
+        argvs = commands(geometric_grid, tops) + tuple_files(Path(directory))
+        job = {"commands": argvs, "batches": batches(geometric_grid, folds)}
+        problems = [problem for batch in job["batches"] for problem in batch]
+        results = children(job, directory, src, parent)
+        for argv, (got, want) in zip(argvs, results):
+            for name, g, w in zip(("exit code", "stdout", "stderr"), got, want):
+                if g != w:
+                    differences += 1
+                    where = first_difference(g, w) if isinstance(g, str) and isinstance(w, str) else f"{g!r} against {w!r}"
+                    print(f"{' '.join(argv)}: {name} differs, {where}")
+        for (N, p), (got, want) in zip(problems, results):
+            for name, g, w in zip(("support", "value", "entry bytes", "residual"), got, want):
+                if g != w:
+                    differences += 1
+                    print(f"N = {N}, p = {p!r}: {name} differs, {str(g)[:80]} against {str(w)[:80]}")
+        for _ in results:  # waits for both children, and raises if one failed
+            pass
+    print(f"{len(argvs)} commands, {len(problems)} problems: {differences} differences")
     sys.exit(1 if differences else 0)
 
 

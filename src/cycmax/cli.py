@@ -82,6 +82,25 @@ def _printable():
         raise CycmaxError(f"a result lies outside the float range and cannot be printed: {exc}") from None
 
 
+def _print_line(text) -> None:
+    """Print a str, or orjson's UTF-8 bytes, and a newline.
+
+    Bytes go straight to the binary buffer under ``sys.stdout`` once the
+    text layer is flushed, so a large document is never held a second
+    time as a str; a stream without a buffer, such as ``io.StringIO``,
+    gets them decoded.
+    """
+    if isinstance(text, bytes):
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is not None:
+            sys.stdout.flush()
+            buffer.write(text)
+            buffer.write(b"\n")
+            return
+        text = text.decode()
+    print(text)
+
+
 def format_cell(value) -> str:
     """Three-decimal rounding with trailing zeros trimmed: 2.26, 3, 2.375."""
     text = f"{float(value):.3f}".rstrip("0").rstrip(".")
@@ -161,8 +180,8 @@ def cmd_analyze(args) -> int:
             # json because they print unbounded user integers, and orjson
             # rejects integers past 64 bits
             report = analyze_report(x, poset, warnings)
-            text = orjson.dumps(report, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    print(text)
+            text = orjson.dumps(report, option=orjson.OPT_SERIALIZE_NUMPY)
+    _print_line(text)
     return EXIT_OK
 
 
@@ -192,7 +211,7 @@ def cmd_maxsum(args) -> int:
     x = _load("tuple", args.tuple, tuple_from_json, args.backend)
     res = max_avg_sum(x)
     # the radii are at most n, so orjson's 64-bit integers hold them
-    print(orjson.dumps({"value": float(res.value), "radii": list(res.radii.radii)}).decode())
+    _print_line(orjson.dumps({"value": float(res.value), "radii": list(res.radii.radii)}))
     return EXIT_OK
 
 

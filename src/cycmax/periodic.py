@@ -17,8 +17,8 @@ Conventions used throughout the package:
 All maximal averages come from one primitive, ``right_maximal_profile``:
 a right-to-left stack pass over the prefix-sum points (F. Riesz's rising
 sun lemma, i.e. the least concave majorant of the prefix sums).  It
-yields the value, the shortest maximizing length and the Hasse parent of
-every start in amortized O(n), and runs once per tuple.
+yields the value and the shortest maximizing length of every start in
+amortized O(n), and runs once per tuple.
 
 Two backends are supported: binary floats and exact rationals via
 ``fractions.Fraction`` (used where combinatorial decisions hinge on
@@ -133,7 +133,13 @@ class PeriodicTuple:
             backend = RATIONAL if any(issubclass(kind, Fraction) for kind in kinds) else FLOAT
         # The prefix table holds floats, or for rationals the integer
         # numerators over the common denominator ``_den``.
-        if backend == RATIONAL:
+        if backend == RATIONAL and set(map(type, vals)) == {int}:
+            # ints are their own numerators over the denominator 1
+            self._den = 1
+            entries = vals
+            vals = list(map(Fraction, vals))
+            zero = 0
+        elif backend == RATIONAL:
             # a Fraction is kept as it is; Fraction() reads an int or a
             # float, and a numpy float of another width by its exact ratio
             vals = [
@@ -218,18 +224,19 @@ def interval_average(x: PeriodicTuple, interval: IndexInterval) -> Number:
 class Profile(NamedTuple):
     """Maximal structure of the starts 1..n (entry i-1 belongs to start i).
 
-    ``values`` are the right maximal values, ``lengths`` the shortest
-    windows attaining them, and ``parents`` the start of the smallest
-    class strictly containing each start's class (None at length n).
+    ``values`` are the right maximal values and ``lengths`` the shortest
+    windows attaining them.  The class of start i is the window
+    [i : i + lengths[i-1] - 1] modulo shifts by n; its Hasse parent, the
+    start of the smallest class strictly containing it (None at length
+    n), is found by ``structure.build_poset``.
     """
 
     values: list
     lengths: list[int]
-    parents: list[Optional[int]]
 
 
 def right_maximal_profile(x: PeriodicTuple) -> Profile:
-    """Right maximal values, shortest maximizing lengths and Hasse parents.
+    """Right maximal values and shortest maximizing lengths.
 
     The pass runs once per tuple; later calls return the same result.  A
     float tuple with a right maximal value below the normal range is rejected.
@@ -250,40 +257,30 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
     the top is popped while the average from k to the second entry is
     strictly greater than the average to the top; strict ``>`` keeps the
     shortest window on ties.  The top left after popping ends the maximal
-    window starting at k+1, and the point that pops an entry starts the
-    smallest window containing that entry's window.
+    window starting at k+1.
 
     The stack is kept as links: the top at point k is always k+1, the
     point pushed last, and the entry below a point is the top it was
-    pushed on, ``ends`` of that point.  So ``ends`` and ``poppers`` are
-    indexed by point over all 2n points, and popping stops at the
-    stack-bottom sentinel 2n.  Each backend has its own loop, so the
-    backend is tested once per call: rational averages are compared
-    exactly on the integer table, a/b > c/d as a*d > c*b; the float loop
-    carries the top's average and divides once per comparison, the same
-    quotients as a per-start scan.
+    pushed on, ``ends`` of that point.  So ``ends`` is indexed by point
+    over all 2n points, and popping stops at the stack-bottom sentinel
+    2n.  Each backend has its own loop, so the backend is tested once per
+    call: rational averages are compared exactly on the integer table,
+    a/b > c/d as a*d > c*b; the float loop carries the top's average and
+    divides once per comparison, the same quotients as a per-start scan.
 
     Starts 1..n are read from the first period, so their window sums are
     the same differences of the same table entries as a per-start scan.
     Two periods suffice: left of a point's window end, the hull of the
-    later points does not depend on the points past that end, so every
-    pop made by a first-period point is the one a longer pass makes.
-    The parent of start t+1 is therefore ``poppers[t]`` when a
-    first-period point popped t; otherwise its container, if any, begins
-    left of point 0, and its twin one period on, ``poppers[t + n]``,
-    names it.  A second-period point popped by a point k >= n has a
-    first-period twin that was popped too, so the second period is read
-    only where the first has no popper.  Lengths are clamped to n as a
-    guard against float rounding lifting a window past one period above
-    the mean window it repeats; on 20,000 seeded uniform float tuples at
-    n = 2..7 it never fired.
+    later points does not depend on the points past that end.  Lengths
+    are clamped to n as a guard against float rounding lifting a window
+    past one period above the mean window it repeats; on 20,000 seeded
+    uniform float tuples at n = 2..7 it never fired.
     """
     n = x.n
     p = x._prefix2
     den = x._den
     last = 2 * n
     ends = [0] * last
-    poppers: list[Optional[int]] = [None] * last
     if den is None:
         for k in range(last - 1, -1, -1):
             pk = p[k]
@@ -294,7 +291,6 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
                 navg = (p[nxt] - pk) / (nxt - k)
                 if not navg > avg:
                     break
-                poppers[top] = k
                 top, avg = nxt, navg
             ends[k] = top
     else:
@@ -307,7 +303,6 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
                 nrise, nrun = p[nxt] - pk, nxt - k
                 if not nrise * run > rise * nrun:
                     break
-                poppers[top] = k
                 top, rise, run = nxt, nrise, nrun
             ends[k] = top
 
@@ -318,9 +313,7 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
         values = [(p[k + r] - p[k]) / r for k, r in enumerate(lengths)]
     else:
         values = [Fraction(p[k + r] - p[k], r * den) for k, r in enumerate(lengths)]
-    poppers = [second if first is None else first for first, second in zip(poppers[:n], poppers[n:])]
-    parents = [None if r == n or popper is None else popper % n + 1 for r, popper in zip(lengths, poppers)]
-    return Profile(values, lengths, parents)
+    return Profile(values, lengths)
 
 
 def right_maximal(x: PeriodicTuple, i: int) -> Number:

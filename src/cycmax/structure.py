@@ -10,10 +10,10 @@ disjoint, so the Hasse diagram is a forest; when all short-window
 averages are pairwise distinct (the generic case) it is a tree whose root
 is the unique full-length class, whose average equals the period mean.
 
-Every object here is a lookup into one ``right_maximal_profile`` pass:
-the classes are its lengths, the Hasse parents are the starts that pop
-each class off its stack, and the majorizing rotation is the first
-argmin of its values.  The window-average table, which ``analyze``
+Every object here is read off one ``right_maximal_profile`` pass: the
+classes are its lengths, the majorizing rotation is the first argmin of
+its values, and the Hasse parents come from one walk over the classes'
+windows (``_parents``).  The window-average table, which ``analyze``
 prints, is read in floats straight off the prefix table.
 """
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -120,7 +121,8 @@ def _record(profile: Profile, k: int) -> MIntervalRecord:
 
 
 def _records(profile: Profile) -> list[MIntervalRecord]:
-    return [_record(profile, k) for k in range(len(profile.values))]
+    values, lengths = profile
+    return list(map(MIntervalRecord, range(1, len(values) + 1), [r - 1 for r in lengths], values))
 
 
 def m_interval(x: PeriodicTuple, i: int) -> MIntervalRecord:
@@ -162,22 +164,62 @@ def has_majorizing_prefixes(x: PeriodicTuple, start: int) -> bool:
     return True
 
 
+def _parents(lengths: list[int]) -> list[Optional[int]]:
+    """The start of the smallest class strictly containing each class, or None.
+
+    ``lengths[k]`` is the length of the class of start k + 1, whose window
+    on the prefix-sum points runs from k to ``ends[k]`` = k + lengths[k].
+    One left-to-right walk over the windows of two periods keeps a stack
+    of open windows, as links: ``below[s]`` is the window under s.  Each
+    window pops every window that ends before it ends; the top left over
+    starts earlier and ends no earlier, so it strictly contains the new
+    window.  Where the classes nest, a popped window contains no later
+    window (the window that popped it would overlap it without nesting),
+    so the top is the container that starts last: the smallest.  A
+    second-period window s >= n has every container starting within one
+    period before it, so the top names the parent of class s - n, and a
+    length-n class keeps the stack-bottom sentinel 2n.  A first-period
+    window ending at or before point n pops only windows that end
+    earlier still and is popped by the first second-period window, so
+    the walk reads the first period only where a window crosses point n.
+    """
+    n = len(lengths)
+    last = 2 * n
+    ends = list(map(add, range(n), lengths))
+    ends += [e + n for e in ends]
+    ends.append(3 * n)
+    below = [last] * last
+    top = last
+    for s in [k for k in range(n) if ends[k] > n]:
+        e = ends[s]
+        while ends[top] < e:
+            top = below[top]
+        below[s] = top
+        top = s
+    for s, e in zip(range(n, last), ends[n:last]):
+        while ends[top] < e:
+            top = below[top]
+        below[s] = top
+        top = s
+    return [None if t == last else t % n + 1 for t in below[n:]]
+
+
 def build_poset(x: PeriodicTuple) -> IntervalPoset:
     """Inclusion order of the n irreducible-maximal-interval classes.
 
-    Each class's parent is the smallest class strictly containing it, as
-    found by the profile pass.  On generic inputs the result is a tree
-    rooted at the full-length class; on tied inputs it may be a forest
-    (root None when no class has cardinality n).
+    Each class's parent is the smallest class strictly containing it
+    (``_parents``).  On generic inputs the result is a tree rooted at the
+    full-length class; on tied inputs it may be a forest (root None when
+    no class has cardinality n).
     """
+    n = x.n
     profile = right_maximal_profile(x)
-    records = _records(profile)
-    roots = [rec.start for rec in records if rec.cardinality == x.n]
+    lengths = profile.lengths
     return IntervalPoset(
-        n=x.n,
-        nodes={rec.start: rec for rec in records},
-        parent={rec.start: q for rec, q in zip(records, profile.parents)},
-        root=min(roots) if roots else None,
+        n=n,
+        nodes=dict(zip(range(1, n + 1), _records(profile))),
+        parent=dict(zip(range(1, n + 1), _parents(lengths))),
+        root=lengths.index(n) + 1 if n in lengths else None,
     )
 
 

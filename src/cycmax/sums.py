@@ -169,7 +169,7 @@ def max_avg_sum(x: PeriodicTuple) -> MaxSumResult:
     == value exactly on the rational backend; on floats only to rounding,
     as ``sum_with_radii`` sums each window with ``math.fsum``.
     """
-    values, lengths, _ = right_maximal_profile(x)
+    values, lengths = right_maximal_profile(x)
     # the profile rotated by one place: position i-1 holds index i+1
     maxima = values[1:] + values[:1]
     total = 0 * x.values[0]

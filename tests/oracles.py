@@ -1,7 +1,8 @@
 """Reference implementations kept as independent oracles.
 
-The package derives values, shortest maximizing lengths and Hasse parents
-from one O(n) stack pass (``cycmax.periodic.right_maximal_profile``), and
+The package derives values and shortest maximizing lengths from one O(n)
+stack pass (``cycmax.periodic.right_maximal_profile``), Hasse parents
+from one walk over the classes (``cycmax.structure.build_poset``), and
 solves the right branch of a window of four support sizes of the chain
 problem by one batched Newton iteration on a forward recurrence
 (``cycmax.reduction.minimize_chain``).  These are the direct definitions
@@ -23,7 +24,7 @@ documents with ``json.loads`` rather than orjson.
 import json
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import mpmath as mp
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from cycmax import reduction
 from cycmax.errors import CycmaxError
 from cycmax.reduction import FD_REL_STEP, LD, ReducedSolution
-from cycmax.periodic import FLOAT, RATIONAL, IndexInterval, PeriodicTuple, Profile, _exact_number, interval_average
+from cycmax.periodic import FLOAT, RATIONAL, IndexInterval, PeriodicTuple, _exact_number, interval_average
 from cycmax.structure import MIntervalRecord
 from cycmax.sums import SubsetCollectionSystem
 
@@ -65,20 +66,31 @@ def scan_profile(x):
     return [v for v, _ in pairs], [r for _, r in pairs]
 
 
-def _class_contains(parent: MIntervalRecord, child: MIntervalRecord, n: int) -> bool:
-    """Whether some shift of ``child`` by a multiple of n lies inside ``parent``."""
-    if parent.cardinality <= child.cardinality:
-        return False
-    return any(parent.interval.contains(child.interval.shifted(t * n)) for t in (-1, 0, 1))
+def _spans(records: list[MIntervalRecord]) -> list[tuple[int, int]]:
+    """The (first, last) index of each class's representative [i : i+kappa]."""
+    return [(rec.start, rec.start + rec.kappa) for rec in records]
 
 
-def _classes_overlap(a: MIntervalRecord, b: MIntervalRecord, n: int) -> bool:
-    """Whether representatives of the two classes share an index (mod shifts)."""
-    for t in (-1, 0, 1):
-        shifted = b.interval.shifted(t * n)
-        if shifted.a <= a.interval.b and a.interval.a <= shifted.b:
-            return True
-    return False
+def _class_contains(parent: tuple[int, int], child: tuple[int, int], n: int) -> bool:
+    """Whether some shift of the span ``child`` by a multiple of n lies strictly inside ``parent``."""
+    (a, b), (c, d) = parent, child
+    return b - a > d - c and any(a <= c + t * n and d + t * n <= b for t in (-1, 0, 1))
+
+
+def _classes_overlap(one: tuple[int, int], other: tuple[int, int], n: int) -> bool:
+    """Whether the two spans share an index (mod shifts)."""
+    (a, b), (c, d) = one, other
+    return any(c + t * n <= b and a <= d + t * n for t in (-1, 0, 1))
+
+
+def classes_nest(records: list[MIntervalRecord], n: int) -> bool:
+    """Whether every two classes are nested or disjoint (mod shifts)."""
+    spans = _spans(records)
+    return all(
+        _class_contains(a, b, n) or _class_contains(b, a, n) or not _classes_overlap(a, b, n)
+        for j, a in enumerate(spans)
+        for b in spans[j + 1 :]
+    )
 
 
 def link_parents(records: list[MIntervalRecord], n: int) -> dict[int, Optional[int]]:
@@ -87,22 +99,20 @@ def link_parents(records: list[MIntervalRecord], n: int) -> dict[int, Optional[i
     Fails an assertion if two classes overlap without one containing the
     other.
     """
+    spans = _spans(records)
     parent: dict[int, Optional[int]] = {}
-    for rec in records:
+    for span in spans:
         containers = []
-        for other in records:
-            if other.start == rec.start:
+        for other in spans:
+            if other == span:
                 continue
-            if _class_contains(other, rec, n):
-                containers.append(other)
+            if _class_contains(other, span, n):
+                containers.append((other[1] - other[0], other[0]))
             else:
-                assert _class_contains(rec, other, n) or not _classes_overlap(rec, other, n), (
-                    f"classes {rec.interval} and {other.interval} overlap without nesting"
+                assert _class_contains(span, other, n) or not _classes_overlap(span, other, n), (
+                    "classes [%d:%d] and [%d:%d] overlap without nesting" % (*span, *other)
                 )
-        if containers:
-            parent[rec.start] = min(containers, key=lambda r: (r.cardinality, r.start)).start
-        else:
-            parent[rec.start] = None
+        parent[span[0]] = min(containers)[1] if containers else None
     return parent
 
 
@@ -137,8 +147,21 @@ def _fraction_prefix(x, p: list, k: int) -> Fraction:
     return q * p[x.n] + p[r]
 
 
-def fraction_rising_sun(x) -> Profile:
-    """The rising-sun pass with ``Fraction`` averages and quotient comparisons."""
+class PoppedProfile(NamedTuple):
+    """Values, shortest maximizing lengths, and Hasse parents read off the pops."""
+
+    values: list
+    lengths: list[int]
+    parents: list[Optional[int]]
+
+
+def fraction_rising_sun(x) -> PoppedProfile:
+    """The rising-sun pass with ``Fraction`` averages and quotient comparisons.
+
+    Over three periods, the point that pops a middle-period start's entry
+    begins the smallest window containing that start's window: its Hasse
+    parent, found independently of the package's walk over the classes.
+    """
     n = x.n
     p = fraction_prefix3(x)
     ends = [0] * n
@@ -168,7 +191,7 @@ def fraction_rising_sun(x) -> Profile:
         lengths.append(r)
         popper = poppers[k]
         parents.append(None if r == n or popper is None else popper % n + 1)
-    return Profile(values, lengths, parents)
+    return PoppedProfile(values, lengths, parents)
 
 
 def fraction_distinct_short_averages(x) -> bool:

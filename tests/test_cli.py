@@ -197,6 +197,26 @@ class TestAnalyzeJsonEncoding:
             assert got["poset"]["root"] is None and got["degenerate"]
 
 
+class TestBinaryStdout:
+    @pytest.mark.parametrize("command", [["analyze"], ["maxsum"], ["analyze", "--format", "csv"]])
+    def test_buffer_gets_the_text_a_text_stream_gets(self, ref_path, monkeypatch, command):
+        # orjson's bytes go to the binary buffer after whatever the text
+        # layer holds; a stream without a buffer gets them decoded
+        import io
+
+        raw = io.BytesIO()
+        binary = io.TextIOWrapper(raw, encoding="utf-8", newline="\n")
+        binary.write("before\n")
+        monkeypatch.setattr(sys, "stdout", binary)
+        assert cli.main([*command, ref_path]) == 0
+        text = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", text)
+        assert cli.main([*command, ref_path]) == 0
+        binary.flush()
+        assert raw.getvalue().decode() == "before\n" + text.getvalue()
+        assert text.getvalue().endswith("}\n" if command[-1] != "csv" else "\n")
+
+
 class TestAnalyzeCsvCells:
     """``analyze --format csv`` prints the list-form table through ``format_cell``."""
 
@@ -782,7 +802,7 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["radii"] == [2, 1, 5, 4, 3, 2, 1, 10, 1, 8]
 
-    @pytest.mark.parametrize("command", ["analyze", "minimize"])
+    @pytest.mark.parametrize("command", ["analyze", "analyze-json", "minimize"])
     def test_closed_stdout_exits_1_without_a_traceback(self, command, tmp_path):
         import os
         import pathlib
@@ -792,11 +812,16 @@ class TestModuleEntryPoint:
         import cycmax
 
         # analyze fails inside its print (a 200 x 200 table outgrows the
-        # buffer), minimize (non-convergent at 1e10) in the flush after the
-        # JSON that its error handler prints
+        # buffer), or as json in its write to the binary buffer, minimize
+        # (non-convergent at 1e10) in the flush after the JSON that its
+        # error handler prints
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"values": [1.0 + (i * 7919 % 1000) / 1000 for i in range(200)]}))
-        argv = {"analyze": ["analyze", str(path), "--format", "csv"], "minimize": ["minimize", "--n", "10000000000"]}
+        argv = {
+            "analyze": ["analyze", str(path), "--format", "csv"],
+            "analyze-json": ["analyze", str(path)],
+            "minimize": ["minimize", "--n", "10000000000"],
+        }
         env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cycmax.__file__).parents[1])}
         read, write = os.pipe()
         os.close(read)  # the reader is gone before the first write

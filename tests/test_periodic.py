@@ -15,7 +15,7 @@ from cycmax import (
 from cycmax import periodic
 from cycmax.errors import CycmaxError
 from cycmax.periodic import right_maximal_profile
-from cycmax.structure import all_m_intervals, m_interval
+from cycmax.structure import all_m_intervals, build_poset, m_interval
 
 from oracles import json_tuple_from_json, link_parents, scan_profile, scan_right_maximal
 
@@ -211,6 +211,17 @@ class TestConstructorContract:
         assert x._table(3 * x.n) == 6 * 2**62
         assert right_maximal_profile(x).values == [Fraction(2**62)] * 2
 
+    @given(st.lists(st.integers(0, 2**70), min_size=1, max_size=12).filter(any))
+    def test_int_entries_match_the_same_fractions(self, values):
+        x = PeriodicTuple(values, backend="rational")
+        y = PeriodicTuple([Fraction(v) for v in values], backend="rational")
+        assert x._den == y._den == 1
+        assert x._prefix2 == y._prefix2
+        assert all(type(s) is int for s in x._prefix2)
+        assert x.values == y.values
+        assert all(type(v) is Fraction for v in x.values)
+        assert right_maximal_profile(x) == right_maximal_profile(y)
+
 
 class TestIntervalAverage:
     def test_full_period_average(self, ref_float, ref_rational):
@@ -294,7 +305,7 @@ class TestRightMaximal:
         for _ in range(25):
             n = int(rng.integers(1, 40))
             x = PeriodicTuple(rng.uniform(0.001, 50.0, n).tolist())
-            values, lengths, _ = right_maximal_profile(x)
+            values, lengths = right_maximal_profile(x)
             for i in range(1, n + 1):
                 v, r = scan_right_maximal(x, i)
                 assert values[i - 1] == v
@@ -322,23 +333,21 @@ class TestRightMaximal:
         prof = right_maximal_profile(x)
         assert (prof.values, prof.lengths) == scan_profile(x)
         assert max(prof.lengths) == x.n
-        assert prof.parents[prof.lengths.index(x.n)] is None
+        assert build_poset(x).parent[prof.lengths.index(x.n) + 1] is None
 
     @given(tied_rational_lists(max_size=16))
     def test_tied_rationals_match_oracles_exactly(self, values):
         x = PeriodicTuple(values, backend="rational")
         prof = right_maximal_profile(x)
         assert (prof.values, prof.lengths) == scan_profile(x)
-        parents = link_parents(all_m_intervals(x), x.n)
-        assert prof.parents == [parents[i] for i in range(1, x.n + 1)]
+        assert build_poset(x).parent == link_parents(all_m_intervals(x), x.n)
 
     def test_float_parents_match_oracle(self):
         rng = np.random.default_rng(21)
         tuples = [rng.uniform(0.05, 10.0, int(rng.integers(1, 41))).tolist() for _ in range(300)]
         for values in tuples + [CLAMP_REGRESSION]:
             x = PeriodicTuple(values)
-            parents = link_parents(all_m_intervals(x), x.n)
-            assert right_maximal_profile(x).parents == [parents[i] for i in range(1, x.n + 1)]
+            assert build_poset(x).parent == link_parents(all_m_intervals(x), x.n)
 
     def test_float_pass_on_cancelling_entries(self):
         # 1e16 + 1 rounds to 1e16, so the rounded prefix table is not the
@@ -360,8 +369,7 @@ class TestRightMaximal:
         rng = np.random.default_rng(2024)
         for _ in range(500):
             x = PeriodicTuple(rng.choice([1e16, 1.0], int(rng.integers(1, 30))).tolist())
-            parents = link_parents(all_m_intervals(x), x.n)
-            assert right_maximal_profile(x).parents == [parents[i] for i in range(1, x.n + 1)], x
+            assert build_poset(x).parent == link_parents(all_m_intervals(x), x.n), x
 
     @given(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=20))
     def test_float_values_agree_with_scan(self, values):
