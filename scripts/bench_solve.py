@@ -15,8 +15,10 @@ after it, before any warm solve.  On a
 shared machine the warm solves of one process split into modes far
 apart, so a median picks one of them at random; the least is stable to a
 few percent.  The points are n = 1e3, 1e6, 1e30, 1e100 and 1e300, each
-solved as ``reduction._minimize_many([(n, 1/n)])``, and the 8-point
-benchmark grid ``geometric_grid(1e3, 1e6, 8)`` solved as one batch.  With ``--parent``
+solved as ``reduction._minimize_many([(n, 1/n)])``, the 8-point
+benchmark grid ``geometric_grid(1e3, 1e6, 8)`` solved as one batch, and
+the dense grid ``geometric_grid(1e3, 1e6, 20000)`` (18,817 distinct n)
+solved as one batch, timed over ``DENSE_REPEATS`` warm solves.  With ``--parent``
 the two trees run alternately, point by point.  Cold solves, one per
 process, also split into modes far apart, so the least cold time over the
 runs is reported beside the median.  Prints one JSON object: per tree and
@@ -37,9 +39,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-POINTS = ["1e3", "1e6", "1e30", "1e100", "1e300", "grid8"]
+POINTS = ["1e3", "1e6", "1e30", "1e100", "1e300", "grid8", "dense"]
 RUNS = 5  # fresh processes per tree and point
 REPEATS = 20  # warm solves timed per run
+DENSE_REPEATS = 3  # warm solves timed per run of the dense grid, 0.5-0.8 s each
 
 CHILD = """
 import json, resource, sys, time
@@ -50,6 +53,8 @@ from cycmax.asymptotics import geometric_grid
 point, repeats = sys.argv[2], int(sys.argv[3])
 if point == "grid8":
     problems = [(n, 1.0 / n) for n in geometric_grid(1e3, 1e6, 8)]
+elif point == "dense":
+    problems = [(n, 1.0 / n) for n in geometric_grid(1e3, 1e6, 20000)]
 else:
     n = 10 ** int(point[2:])
     problems = [(n, 1.0 / n)]
@@ -85,7 +90,10 @@ print(json.dumps({"cold_s": cold, "cold_peaks_s": peaks_s[0], "cold_rss_mb": col
 
 def run(src: str, point: str) -> dict:
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, src, point, str(REPEATS)], capture_output=True, text=True, check=True
+        [sys.executable, "-c", CHILD, src, point, str(DENSE_REPEATS if point == "dense" else REPEATS)],
+        capture_output=True,
+        text=True,
+        check=True,
     )
     return json.loads(out.stdout)
 
@@ -113,7 +121,7 @@ def main() -> None:
         for i in range(RUNS):
             for name in sorted(trees, reverse=i % 2 == 1):
                 runs[name][point].append(run(trees[name], point))
-    record = {"machine": machine(), "runs": RUNS, "repeats": REPEATS, "trees": {}}
+    record = {"machine": machine(), "runs": RUNS, "repeats": REPEATS, "dense_repeats": DENSE_REPEATS, "trees": {}}
     for name, points in runs.items():
         record["trees"][name] = {
             point: {

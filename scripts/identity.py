@@ -7,11 +7,12 @@ Each tree runs in a fresh Python process that imports ``cycmax`` from its
 ``src`` directory, as ``scripts/bench_solve.py`` does, and streams back
 one result a line, so the two trees are compared as they run, and
 
-* runs 322 CLI commands in process through ``cli.main``, keeping stdout,
+* runs 323 CLI commands in process through ``cli.main``, keeping stdout,
   stderr and the exit code (an exception is kept as its repr):
   the 96 benchmark ``sweep --estimate-a`` grids of seeds 0..7 (twelve
   8-point grids over f 1e3 .. f 1e6 per seed, as ``perfbench/workloads.py``
-  draws them), a 400-point sweep over 3..1e300, ``minimize --n`` at 15
+  draws them), a 400-point sweep over 3..1e300, the dense sweep
+  ``sweep --from 1e3 --to 1e6 --points 20000``, ``minimize --n`` at 15
   values of n, ``minimize --p`` at 204 prices (120 seeded over 1e-300..1,
   30 over 0.001..1.5, 48 at 1e-12..1e-3 below the top of twelve sizes in
   2..700, and 0.999999, 0.5, 1, 1.5, 1e-300 and 5e-324), and
@@ -108,12 +109,13 @@ def children(job: dict, cwd: str, *srcs: str):
 
 
 def commands(geometric_grid, tops: list[float]) -> list[list[str]]:
-    """The 322 CLI commands; ``tops`` are the prices just below the top of NEAR_TOP_SIZES."""
+    """The 323 CLI commands; ``tops`` are the prices just below the top of NEAR_TOP_SIZES."""
     argvs = [
         ["sweep", "--from", repr(1e3 * f), "--to", repr(1e6 * f), "--points", "8", "--estimate-a"]
         for f in benchmark_factors()
     ]
     argvs.append(["sweep", "--from", "3", "--to", "1e300", "--points", "400", "--estimate-a"])
+    argvs.append(["sweep", "--from", "1e3", "--to", "1e6", "--points", "20000"])
     ns = [2, 3, 5, 10, 50, 100, 664, 1000, 10**4, 10**6, 10**9, 10**15, 10**30, 10**100, 10**300]
     argvs += [["minimize", "--n", str(n)] for n in ns]
     rng = np.random.default_rng(30)

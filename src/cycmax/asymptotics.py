@@ -65,9 +65,9 @@ def sweep(n_values: Sequence[int]) -> list[SweepRecord]:
 
 
 # The most points a grid takes: a warm sweep of 1e4 points over 1e3..1e300
-# peaks at 53 MB (tracemalloc), 16 MB of it held before the sweep, the
-# 7.2 MB size store that such a sweep fills included, and about 3.7 KB per
-# point (README), so this is about 0.4 GB.
+# peaks at 49 MB (tracemalloc), 16 MB of it held before the sweep, the
+# 7.2 MB size store that such a sweep fills included, and about 3.3 KB per
+# point (README), so this is about 0.33 GB.
 MAX_GRID_POINTS = 100_000
 
 

@@ -39,13 +39,15 @@ ln a on a falling function, kept inside a bracket, that takes a step of
 at most 2^-24 with no pass to confirm it.  The search runs in ln a
 throughout, from the records to the roots, and V_k moves with a root's
 last step along dV_k / d ln p = -q_k.  The lowest value wins.
-``_certified`` makes the winner's solution from ``_run``, the recurrence
-in 40-digit decimals, one Newton step past the longdouble root, and
-certifies it by its backward error (p_k there is p within 2^-63) or
-raises RuntimeError, a bug, not a verdict.  Solves refuse a longdouble
-without a 64-bit mantissa.  The finite-difference gradient takes its 2N
-points as rows of one call; nested grid searches are independent oracles
-at small N.
+``_certify`` makes the solutions of all the winners of a call: per
+winner, the recurrence in 40-digit decimals takes one Newton step past
+the longdouble root and certifies it by its backward error (p_k there is
+p within 2^-63) or raises RuntimeError, a bug, not a verdict; per chunk
+of about _CHUNK entries, one parse to longdouble, one pass for the
+residuals and one rounding to doubles serve every winner.  Solves refuse
+a longdouble without a 64-bit mantissa.  The finite-difference gradient
+takes its 2N points as rows of one call; nested grid searches are
+independent oracles at small N.
 """
 
 from __future__ import annotations
@@ -193,18 +195,6 @@ def _grad_ld(x: np.ndarray, p) -> np.ndarray:
     return g
 
 
-def _residual_ld(x: np.ndarray, p) -> float:
-    """Norm of the support gradient projected tangent to the sum constraint.
-
-    Evaluated in extended precision: near the optimum the gradient
-    components agree to many digits, and the cancellation would otherwise
-    swamp the result for small p.
-    """
-    g = _grad_ld(x, p)
-    g -= g.sum() / len(g)  # the bits of g.mean(), without its dispatch
-    return float(np.sqrt((g * g).sum()))
-
-
 # ---------------------------------------------------------------------------
 # Forward recurrence for the first-order system, many support sizes at once
 #
@@ -256,7 +246,7 @@ _A_MIN = LD(2.0**-65)
 # Newton step in ln a at most which ``_newton`` takes and then stops, with
 # no pass to confirm it; its error is quadratic in the step.  On the
 # benchmark grids a first root step from a Hermite start is at most 3.6e-8
-# (median 3.4e-10), and ``_certified``'s 40-digit step takes the ~1e-15
+# (median 3.4e-10), and ``_certify``'s 40-digit step takes the ~1e-15
 # left; ln p_k is flat at a peak, so m_k is exact to rounding.
 _NEWTON_STEP = LD(2.0**-24)
 
@@ -502,7 +492,7 @@ class ReducedSolution:
     Only the trailing support is stored; every entry before it is zero.
     ``stationarity_residual`` is that of the longdouble entries these were
     rounded from, a diagnostic: the certificate is the backward error that
-    ``_certified`` checks.
+    ``_certify`` checks.
     """
 
     N: int
@@ -551,35 +541,104 @@ def _run(a, k: int):
     return x, q, value
 
 
-def _certified(N: int, p: float, a, slope, k: int) -> ReducedSolution:
-    """The solution of size k at the longdouble root a, certified in 40 digits.
+def _last(a, k: int):
+    """u_{k-1} and q_k of ``_run``, by the same operations in the same order, without the entries or V_k."""
+    u, q = a, 0
+    for _ in range(k - 1):
+        q += u
+        u /= q
+    return u, q + u
+
+
+def _residuals(x: np.ndarray, start: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The stationarity residual of each support in the flat longdouble x, as doubles.
+
+    Support i has k[i] entries, and x holds a slot before each support,
+    at start[i], and one after the last: 0 before the first, and after
+    each support its price, [0, x^1, p^1, x^2, ..., x^m, p^m].  The
+    residual of a support is the norm of its gradient (``_grad_ld``)
+    projected tangent to the sum constraint, in extended precision: near
+    the optimum the gradient components agree to many digits, and the
+    cancellation would otherwise swamp the result for small p.  The
+    gradient is elementwise, with the term that crosses a slot masked, and
+    the slots' own components are zeroed, so ``np.add.reduceat`` from each
+    slot sums a support as 0 plus the pairwise sum of its components: the
+    bits of ``g.sum()`` of that support alone.
+    """
+    g = 1 / x[1:]
+    cross = x[:-2] / x[1:-1] ** 2
+    cross[start] = 0
+    g[1:] -= cross
+    g[start] = 0
+    g -= (np.add.reduceat(g, start) / k).repeat(k + 1)
+    g[start] = 0
+    return np.sqrt(np.add.reduceat(g * g, start)).astype(float)
+
+
+def _solutions(solved: list, strings: list) -> list:
+    """The solutions of one chunk of certified winners.
+
+    ``solved`` holds (N, p, V_k, k, start) per winner, and ``strings`` the
+    entries in 40 digits, each support after a slot "0" at its start,
+    and one more "0" after the last.  The strings are parsed in one call,
+    rounded once to longdouble; the residuals are those of these entries
+    (``_residuals``), and each entry is then rounded to the nearest double,
+    in one call, and not renormalized: the doubles sum to 1 within a few
+    ulps.
+    """
+    N, p, value, k, start = zip(*solved)
+    x = np.array(strings, dtype=LD)
+    x[[i + n + 1 for i, n in zip(start, k)]] = p
+    rounded = x.astype(float)
+    entries = [rounded[i + 1 : i + 1 + n] for i, n in zip(start, k)]
+    return list(map(ReducedSolution, N, p, value, entries, _residuals(x, np.array(start), np.array(k)).tolist()))
+
+
+# Entries certified together: ``_certify`` rounds a chunk once its entry
+# strings pass _CHUNK, so it holds at most _CHUNK + 713 at a time.  On a
+# warm 1e4-point sweep over 1e3..1e300 (3.5 million entries) one chunk for
+# all took the tracemalloc peak to 616 MB, against 33.1 MB with this one,
+# nearly all of it the solutions returned.
+_CHUNK = 2048
+
+
+def _certify(problems: Sequence[tuple[int, float]], a: np.ndarray, slope: np.ndarray, k: np.ndarray) -> list:
+    """The solutions of sizes k at the longdouble roots a, certified in 40 digits, one per problem (N, p).
 
     The longdouble recurrence leaves p_k and the entries a few ulps off,
     and the gradient at the last entry reads that error times 1/p.  So
-    ``_run`` runs it again in 40 digits, and one Newton step in ln a, with
-    the slope of the last kernel pass of ``_roots`` (taken just before a,
-    within _NEWTON_STEP in ln a), takes a to the root.  The run there
-    certifies it: a backward error above _EPS raises RuntimeError.  The
-    residual is that of the entries rounded once from 40 digits to
-    longdouble; each is then rounded to the nearest double, and not
-    renormalized: the doubles sum to 1 within a few ulps.
+    ``_last`` runs it again in 40 digits, and one Newton step in ln a,
+    with the slope of the last kernel pass of ``_roots`` (taken just before
+    a, within _NEWTON_STEP in ln a), takes a to the root.  ``_run`` there
+    certifies it: a backward error above _EPS raises RuntimeError, and no
+    solution is returned.  All runs share one decimal context, and the
+    winners' entries are rounded in chunks of about _CHUNK (``_solutions``);
+    each problem's solution reads the same in any chunk.
     """
+    solutions, solved, strings = [], [], ["0"]
     with decimal.localcontext() as context:
         context.prec = 40
-        num, den = a.as_integer_ratio()
-        root = decimal.Decimal(num) / den
-        price = decimal.Decimal(float(p))
-        x, q, _ = _run(root, k)
-        mismatch = x[-1] / (q * q * price) - 1
-        x, q, value = _run(root * (1 - mismatch / decimal.Decimal(float(slope))), k)
-        error = abs(x[-1] / (q * q * price) - 1)
-        if error > _EPS:
-            raise RuntimeError(
-                f"uncertified root of size {k} at p = {float(p)!r}: "
-                f"backward error {float(error):.3g} above {float(_EPS):.3g}"
-            )
-        x = np.array([str(v / q) for v in x], dtype=LD)
-    return ReducedSolution(N, p, float(value), x.astype(float), _residual_ld(x, LD(p)))
+        for (N, p), root, s, size in zip(problems, a, slope, k):
+            size = int(size)
+            num, den = root.as_integer_ratio()
+            root = decimal.Decimal(num) / den
+            price = decimal.Decimal(p)
+            u, q = _last(root, size)
+            mismatch = u / (q * q * price) - 1
+            x, q, value = _run(root * (1 - mismatch / decimal.Decimal(float(s))), size)
+            error = abs(x[-1] / (q * q * price) - 1)
+            if error > _EPS:
+                raise RuntimeError(
+                    f"uncertified root of size {size} at p = {float(p)!r}: "
+                    f"backward error {float(error):.3g} above {float(_EPS):.3g}"
+                )
+            solved.append((N, p, float(value), size, len(strings) - 1))
+            strings += [str(v / q) for v in x]
+            strings.append("0")
+            if len(strings) > _CHUNK or len(solutions) + len(solved) == len(problems):
+                solutions += _solutions(solved, strings)
+                solved, strings = [], ["0"]
+    return solutions
 
 
 def check_price(p: float) -> float:
@@ -617,17 +676,15 @@ def cyclic_price(n: int) -> float:
         ) from None
 
 
-def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
-    """Minimize the chain sum for every (N, p) of ``problems`` together.
+def _winners(problems: list) -> tuple:
+    """The winning root of each checked (N, p) of ``problems``, from one batched root solve.
 
     The right branch of each size of each problem's window is one column
     of a single batched root solve; each problem then keeps its lowest
-    value.  Gives one ReducedSolution per problem, built in problem order,
-    each winner by ``_certified`` as the list is made, so one winner's
-    entries are held at a time.
+    value.  Gives whether each problem has a winner, and the winners' a,
+    slopes d ln p_k / d ln a and sizes k, in problem order; the solve's
+    columns are freed on return, before the winners are certified.
     """
-    problems = [check_problem(N, p) for N, p in problems]
-    _check_longdouble()
     price = np.array([p for _, p in problems], dtype=LD)
     log_p = np.log(price)
     # ceil(ln(1/p)) + 2 is at most 712 for a float price, so the cap on N
@@ -654,12 +711,24 @@ def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
     # beats wherever it has a root
     ranked = np.lexsort((k, V, owner))
     cols = ranked[np.diff(owner[ranked], prepend=-1) != 0]
-    winner = np.full(len(problems), -1)
-    winner[owner[cols]] = cols
-    return [
-        _certified(N, p, np.exp(x[c]), slope[c], int(k[c])) if c >= 0 else ReducedSolution(N, p, 1.0 / p, np.ones(1), 0.0)
-        for (N, p), c in zip(problems, winner.tolist())
-    ]
+    won = np.zeros(len(problems), dtype=bool)
+    won[owner[cols]] = True
+    return won.tolist(), np.exp(x[cols]), slope[cols], k[cols]
+
+
+def _minimize_many(problems: Sequence[tuple[int, float]]) -> list:
+    """Minimize the chain sum for every (N, p) of ``problems`` together.
+
+    Gives one ReducedSolution per problem, in problem order: the winners
+    of ``_winners`` are certified by one ``_certify`` call, which holds
+    one chunk's entry strings at a time, and a problem without a root
+    keeps the point mass.
+    """
+    problems = [check_problem(N, p) for N, p in problems]
+    _check_longdouble()
+    won, a, slope, k = _winners(problems)
+    certified = iter(_certify([problem for problem, w in zip(problems, won) if w], a, slope, k))
+    return [next(certified) if w else ReducedSolution(N, p, 1.0 / p, np.ones(1), 0.0) for (N, p), w in zip(problems, won)]
 
 
 def minimize_chain(N: int, p: float) -> ReducedSolution:
@@ -672,9 +741,10 @@ def minimize_chain(N: int, p: float) -> ReducedSolution:
     never wins; see the notes above ``_forward``), the lowest value wins,
     and its entries and value are rounded from 40-digit decimals.  The
     40-digit run certifies the winner by its backward error (see
-    ``_certified``); a root that fails it raises RuntimeError, since no
-    float input is known to.  Rejects a p so small that 1/p overflows a
-    float.
+    ``_certify``); a root that fails it raises RuntimeError, since no
+    float input is known to.  The solution reads the same bits as in any
+    batch of ``_minimize_many``.  Rejects a p so small that 1/p overflows
+    a float.
     """
     return _minimize_many([(N, p)])[0]
 

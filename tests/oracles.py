@@ -17,8 +17,9 @@ forms that the verify suites' scans and the cyclic sums replaced are
 kept as they were, with the prop5 suite's draw of one subset per
 generator call, and so is the finite-difference gradient taken one
 coordinate at a time, the root solve that confirmed each last Newton
-step with one more kernel pass, and the tuple reader that parsed float
-documents with ``json.loads`` rather than orjson.
+step with one more kernel pass, the stationarity residual of one support
+vector, and the tuple reader that parsed float documents with
+``json.loads`` rather than orjson.
 """
 
 import json
@@ -364,6 +365,22 @@ def loop_chain_gradient_fd(x, p):
 
 
 # ---------------------------------------------------------------------------
+# The stationarity residual of one support vector, as
+# ``cycmax.reduction`` took it winner by winner before it took the
+# residuals of a chunk of winners from one flat array.
+
+
+def residual_ld(x, p) -> float:
+    """Norm of the chain sum's gradient at x projected tangent to the sum constraint, in the precision of x."""
+    g = np.empty(len(x), dtype=x.dtype)
+    g[:-1] = 1 / x[1:]
+    g[-1] = 1 / p
+    g[1:] -= x[:-1] / x[1:] ** 2
+    g -= g.sum() / len(g)
+    return float(np.sqrt((g * g).sum()))
+
+
+# ---------------------------------------------------------------------------
 # Grid enumeration of the simplex, by recursion on the first coordinate.
 
 
@@ -525,10 +542,9 @@ def minimize_all_sizes(problems) -> list:
     best = {}
     for c in np.lexsort((k, V, owner)).tolist():
         best.setdefault(int(owner[c]), c)
-    return [
-        reduction._certified(N, p, np.exp(x[best[i]]), slope[best[i]], int(k[best[i]])) if i in best else point_mass(N, p)
-        for i, (N, p) in enumerate(problems)
-    ]
+    cols = [best[i] for i in sorted(best)]
+    certified = iter(reduction._certify([problems[i] for i in sorted(best)], np.exp(x[cols]), slope[cols], k[cols]))
+    return [next(certified) if i in best else point_mass(N, p) for i, (N, p) in enumerate(problems)]
 
 
 def point_mass(N: int, p: float) -> ReducedSolution:
@@ -638,7 +654,7 @@ def minimize_by_support(N: int, p: float) -> ReducedSolution:
         if found is None or not found[1] < best.value:
             break
         x, value = found
-        best = ReducedSolution(N, p, float(value), x.astype(float), reduction._residual_ld(x, LD(p)))
+        best = ReducedSolution(N, p, float(value), x.astype(float), residual_ld(x, LD(p)))
     return best
 
 

@@ -196,7 +196,7 @@ class TestBatchedSweep:
 
     def test_one_batched_root_solve_per_sweep(self, monkeypatch):
         calls = []
-        roots, certified = reduction._roots, reduction._certified
+        roots, certify = reduction._roots, reduction._certify
 
         def counted(name, solve):
             def run(*args):
@@ -206,14 +206,16 @@ class TestBatchedSweep:
             return run
 
         monkeypatch.setattr(reduction, "_roots", counted("roots", roots))
-        monkeypatch.setattr(reduction, "_certified", counted("certified", certified))
+        monkeypatch.setattr(reduction, "_certify", counted("certify", certify))
         ns = geometric_grid(1e3, 1e6, 8)
         sweep(ns)
         # the right branch of at most four sizes of every n in one root
-        # solve, then the eight winners certified one by one, in order
-        assert [name for name, _ in calls] == ["roots"] + ["certified"] * 8
+        # solve, then the eight winners certified in one call, in order
+        assert [name for name, _ in calls] == ["roots", "certify"]
         assert 8 <= len(calls[0][1][0]) <= 8 * 4
-        assert [args[:2] for _, args in calls[1:]] == [(n, 1.0 / n) for n in ns]
+        problems, a, slope, k = calls[1][1]
+        assert problems == [(n, 1.0 / n) for n in ns]
+        assert len(a) == len(slope) == len(k) == 8
 
 
 class TestGeometricGrid:

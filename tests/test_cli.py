@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,24 @@ class TestSumCommands:
         plain = json.loads(out)["value"]
         code, out, _ = run_cli(capsys, "sum", ref_path, "--k", "2", "--normalized")
         assert json.loads(out)["value"] == pytest.approx(plain / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    def test_zulauf_tuple_goes_below_shapiro_bound(self, capsys, tmp_path, backend):
+        # Zulauf's n = 14 counterexample to Shapiro's inequality: its sum of
+        # x_i / (x_{i+1} + x_{i+2}) is 202566829/28938140 = 6.99999478...,
+        # below n/2 = 7; ``--k 2`` divides each entry by the average of the
+        # next two, so it reads twice that, and ``--normalized`` halves it
+        x = [0, 42, 2, 42, 4, 41, 5, 39, 4, 38, 2, 38, 0, 40]
+        path = tmp_path / "zulauf.json"
+        path.write_text(json.dumps({"values": x}))
+        shapiro = sum(Fraction(x[i], x[(i + 1) % 14] + x[(i + 2) % 14]) for i in range(14))
+        assert shapiro == Fraction(202566829, 28938140) < 7
+        code, out, _ = run_cli(capsys, "sum", str(path), "--k", "2", "--normalized", "--backend", backend)
+        assert (code, out) == (0, '{"value": 6.999994781972856, "k": 2, "normalized": true}\n')
+        assert json.loads(out)["value"] == float(shapiro)
+        code, out, _ = run_cli(capsys, "sum", str(path), "--k", "2", "--backend", backend)
+        assert (code, out) == (0, '{"value": 13.999989563945713, "k": 2, "normalized": false}\n')
+        assert json.loads(out)["value"] == float(2 * shapiro)
 
     def test_sum_prints_a_k_past_64_bits_exactly(self, capsys, ref_path):
         # the reason sum keeps the json encoder: orjson rejects such an int

@@ -27,7 +27,6 @@ from cycmax.reduction import (
     _compositions,
     _forward,
     _grad_ld,
-    _residual_ld,
     _roots,
     _size_records,
     chain_gradient_fd,
@@ -193,7 +192,7 @@ class TestGradient:
 
 class TestSupportHelpers:
     def test_projected_residual_zero_for_singleton(self):
-        assert _residual_ld(np.ones(1, dtype=LD), LD(0.3)) == 0.0
+        assert oracles.residual_ld(np.ones(1, dtype=LD), LD(0.3)) == 0.0
         assert minimize_chain(7, 1.5).stationarity_residual == 0.0
 
 
@@ -260,7 +259,7 @@ class TestMinimizeChain:
     def test_residual_recomputable_from_solution(self):
         for N, p in [(5, 0.2), (14, 0.08)]:
             sol = minimize_chain(N, p)
-            assert _residual_ld(sol.entries.astype(LD), LD(p)) <= 1e-10
+            assert oracles.residual_ld(sol.entries.astype(LD), LD(p)) <= 1e-10
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -480,7 +479,7 @@ class TestBatchedSolve:
             assert tuple(c[0] for c in alone) == want, i
 
     def test_roots_take_the_newton_step_of_their_last_pass(self):
-        # ``_certified`` takes its Newton step with the slope ``_roots`` gives:
+        # ``_certify`` takes its Newton step with the slope ``_roots`` gives:
         # that of the column's last kernel pass, at ln a, bit for bit; the
         # root is that pass's Newton step in ln a, and V_k that pass's moved
         # there by dV_k / d ln p = -q_k, in the solver's solve from the
@@ -662,26 +661,28 @@ class TestBatchedSolve:
 
     def test_certificates_keep_their_margin(self):
         # the backward error |p_k / p - 1| of every winner's certified run,
-        # the last ``_run`` of its ``_certified``, against the bound _EPS of
-        # 1.08e-19; measured, the largest of the 912 reads 9.3e-23
-        errors, last = [], []
-        run, certified = reduction._run, reduction._certified
+        # the one ``_run`` per winner of ``_certify``, against the bound
+        # _EPS of 1.08e-19; measured, the largest of the 912 reads 9.3e-23
+        errors, runs = [], []
+        run, certify = reduction._run, reduction._certify
 
         def recorded_run(a, k):
-            last[:] = [run(a, k)]
-            return last[0]
+            runs.append(run(a, k))
+            return runs[-1]
 
-        def recorded_certified(N, p, a, slope, k):
-            solution = certified(N, p, a, slope, k)
-            x, q, _ = last[0]
+        def recorded_certify(problems, *args):
+            runs.clear()
+            solutions = certify(problems, *args)
+            assert len(runs) == len(problems)
             with decimal.localcontext() as context:
                 context.prec = 40
-                errors.append(abs(x[-1] / (q * q * decimal.Decimal(p)) - 1))
-            return solution
+                for (N, p), (x, q, _) in zip(problems, runs):
+                    errors.append(abs(x[-1] / (q * q * decimal.Decimal(p)) - 1))
+            return solutions
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(reduction, "_run", recorded_run)
-            patch.setattr(reduction, "_certified", recorded_certified)
+            patch.setattr(reduction, "_certify", recorded_certify)
             for problems in identity_problems():
                 reduction._minimize_many(problems)
         assert len(errors) >= 900
@@ -759,6 +760,104 @@ class TestBatchedSolve:
             fresh_store(monkeypatch)
             passes = kernel_passes([(n, 1.0 / n)])
             assert len(passes) <= 6, n  # measured: 6 at 1e3, 5 at 1e30 and 1e300
+
+
+def flat_supports(supports, prices):
+    """The layout ``reduction._residuals`` reads: a slot 0, then each support followed by its price."""
+    x = [np.zeros(1, dtype=LD)]
+    for support, p in zip(supports, prices):
+        x += [np.asarray(support, dtype=LD), np.full(1, p, dtype=LD)]
+    k = np.array([len(support) for support in supports])
+    return np.concatenate(x), np.cumsum(k + 1) - k - 1, k
+
+
+class TestCertify:
+    """The winners of a batch certified together, in chunks of about ``_CHUNK`` entries."""
+
+    def test_batched_residuals_match_the_per_vector_oracle(self):
+        # each support's residual from the flat array against the oracle's
+        # on that support alone: bit for bit (a bound of 0 times eps |g|),
+        # because each segment sum runs from a zeroed slot, 0 plus the
+        # pairwise sum of the support, the order of ``g.sum()``; on the
+        # near-stationary entries of 60 solutions over 3..1e300, where the
+        # projection cancels to about eps |g|, and on 300 random supports
+        # of 2..712 entries spread over 40 orders of magnitude
+        sols = reduction._minimize_many([(n, 1.0 / n) for n in geometric_grid(3, 1e300, 60)])
+        supports, prices = [sol.entries for sol in sols], [sol.p for sol in sols]
+        rng = np.random.default_rng(36)
+        supports += [np.exp(rng.uniform(-92, 0, rng.integers(2, 713))) for _ in range(300)]
+        prices += (10.0 ** -rng.uniform(0, 300, 300)).tolist()
+        for lo, hi in [(0, 60), (60, 360), (0, 360), (17, 18), (359, 360)]:
+            x, start, k = flat_supports(supports[lo:hi], prices[lo:hi])
+            got = reduction._residuals(x, start, k).tolist()
+            want = [oracles.residual_ld(np.asarray(e, dtype=LD), LD(p)) for e, p in zip(supports[lo:hi], prices[lo:hi])]
+            assert got == want, (lo, hi)
+
+    def test_solutions_read_the_same_alone_and_in_any_chunk(self):
+        # a 120-point batch over 3..1e300 spans about 20 chunks; each of its
+        # solutions reads the same bits solved alone: support, value, entry
+        # bytes and residual
+        problems = [(n, 1.0 / n) for n in geometric_grid(3, 1e300, 120)]
+        chunks = []
+
+        def recorded(solved, strings):
+            chunks.append(len(solved))
+            return solutions(solved, strings)
+
+        solutions = reduction._solutions
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reduction, "_solutions", recorded)
+            batch = reduction._minimize_many(problems)
+        assert len(chunks) >= 10 and sum(chunks) == len(problems)
+        for (N, p), got in zip(problems, batch):
+            alone = minimize_chain(N, p)
+            assert (got.support, got.value, got.stationarity_residual) == (
+                alone.support,
+                alone.value,
+                alone.stationarity_residual,
+            ), N
+            assert got.entries.tobytes() == alone.entries.tobytes(), N
+
+    def test_chunks_hold_a_bounded_number_of_entries(self):
+        # a chunk is rounded once its strings pass _CHUNK, and a support has
+        # at most 712 entries and one slot after it
+        held = []
+
+        def recorded(solved, strings):
+            held.append(len(strings))
+            return solutions(solved, strings)
+
+        solutions = reduction._solutions
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reduction, "_solutions", recorded)
+            reduction._minimize_many([(n, 1.0 / n) for n in geometric_grid(1e3, 1e300, 400)])
+        assert len(held) > 50
+        assert max(held) <= reduction._CHUNK + 713
+        assert min(held[:-1]) > reduction._CHUNK
+
+    def test_one_uncertified_winner_fails_its_batch(self):
+        # the winning column of the fifth of eight problems moved by 1e-6
+        # relative, its ln a by ln(1 + 1e-6): the batch raises, naming that
+        # size and price, where the other seven solve as they do alone
+        problems = [(n, 1.0 / n) for n in geometric_grid(1e3, 1e6, 8)]
+        N, p = problems[4]
+        size = minimize_chain(N, p).support
+        rest = problems[:4] + problems[5:]
+        want = [minimize_chain(*problem).to_dict() for problem in rest]
+        moved = []
+
+        def move(lo, hi, x, k, price):
+            x, V, slope = _roots(lo, hi, x, k, price)
+            col = (k == size) & (price == LD(p))
+            moved.append(int(col.sum()))
+            return np.where(col, x + np.log1p(LD(1e-6)), x), V, slope
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reduction, "_roots", move)
+            with pytest.raises(RuntimeError, match=f"uncertified root of size {size} at p = {p!r}: backward error"):
+                reduction._minimize_many(problems)
+            assert [sol.to_dict() for sol in reduction._minimize_many(rest)] == want
+        assert moved == [1, 0]
 
 
 class TestSizeTable:
