@@ -29,7 +29,12 @@ one result a line, so the two trees are compared as they run, and
   400-point grid over 3..1e300, 3000 windows cut by N (N in 2..689,
   ln(1/p) over N..690), 2000 prices down to e^-709 with N = 1e9, 1000 n
   over 3..664, and 2330 near-fold prices p = e^-m_k (1 - d) for
-  d = 1e-15 .. 1e-3, k = 2..698 in steps of 3 and N = k or 1e9.
+  d = 1e-15 .. 1e-3, k = 2..698 in steps of 3 and N = k or 1e9;
+* then reads the size records of every size 2..712, m_k and its
+  (3, _SAMPLES) sample block, from ``reduction._records``, and compares
+  them by value: each longdouble goes as the shortest string that reads
+  back to it, since ``tobytes`` includes padding bytes that differ
+  between runs.  A record change that the outputs hide shows here.
 
 This process builds both sets with ``geometric_grid`` and the peak depths
 m_k of the ``--src`` tree, so both trees run the same commands and solve
@@ -55,11 +60,14 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 NEAR_FOLD_D = (1e-15, 1e-12, 1e-9, 1e-6, 1e-3)
 NEAR_TOP_D = (1e-12, 1e-9, 1e-6, 1e-3)
 NEAR_TOP_SIZES = (2, 3, 4, 5, 6, 7, 10, 50, 100, 300, 500, 700)
+RECORD_SIZES = range(2, 713)  # every size a float price reaches
 
 # Each child reads its job as JSON on stdin and writes one JSON line on
-# stdout per command, then one per problem.
+# stdout per command, then one per problem, then one per size record:
+# m_k, then its sample block flattened.
 CHILD = """
 import contextlib, io, json, sys
+import numpy as np
 sys.path.insert(0, sys.argv[1])
 from cycmax import cli, reduction
 
@@ -75,6 +83,10 @@ for argv in job["commands"]:
 for batch in job["batches"]:
     for sol in reduction._minimize_many([tuple(problem) for problem in batch]):
         print(json.dumps([sol.support, sol.value.hex(), sol.entries.tobytes().hex(), sol.stationarity_residual.hex()]))
+sizes = job["sizes"]
+m, samples = reduction._records(np.array(sizes))
+for size in sizes:
+    print(json.dumps([str(m[size]), *samples[size].astype(str).ravel().tolist()]))
 """
 
 
@@ -185,7 +197,7 @@ def main() -> None:
     differences = 0
     with tempfile.TemporaryDirectory() as directory:
         argvs = commands(geometric_grid, tops) + tuple_files(Path(directory))
-        job = {"commands": argvs, "batches": batches(geometric_grid, folds)}
+        job = {"commands": argvs, "batches": batches(geometric_grid, folds), "sizes": list(RECORD_SIZES)}
         problems = [problem for batch in job["batches"] for problem in batch]
         results = children(job, directory, src, parent)
         for argv, (got, want) in zip(argvs, results):
@@ -199,10 +211,20 @@ def main() -> None:
                 if g != w:
                     differences += 1
                     print(f"N = {N}, p = {p!r}: {name} differs, {str(g)[:80]} against {str(w)[:80]}")
+        record_differences = 0
+        for size, (got, want) in zip(RECORD_SIZES, results):
+            g, w = (np.array(r, dtype=reduction.LD) for r in (got, want))
+            moved = len(g) if g.shape != w.shape else np.count_nonzero(g != w)
+            if moved:
+                record_differences += 1
+                print(f"size {size}: {moved} of {len(w)} record values differ; m_k {got[0]} against {want[0]}")
         for _ in results:  # waits for both children, and raises if one failed
             pass
-    print(f"{len(argvs)} commands, {len(problems)} problems: {differences} differences")
-    sys.exit(1 if differences else 0)
+    print(
+        f"{len(argvs)} commands, {len(problems)} problems: {differences} differences; "
+        f"{len(RECORD_SIZES)} size records: {record_differences} differences"
+    )
+    sys.exit(1 if differences or record_differences else 0)
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ class SweepRecord:
 def sweep(n_values: Sequence[int]) -> list[SweepRecord]:
     """Solve a list of n values, in any order, at price 1/n each.
 
-    All n are solved together: the right branch of each of the four
+    All n are solved together: the right branch of each of the three
     support sizes around ln n of every n is a column of a single batched
     root solve (the left branch never wins), and each n keeps its own
     lowest value, the same result as ``minimize_chain(n, 1/n)``.  No n

@@ -29,7 +29,7 @@ the peak of p_k (Newton on the slope, whose derivative is the difference
 quotient of two adjacent columns, in 3 or 4 passes), hence whether the
 size has a root, and samples of the branch right of the peak, from the
 peak on, with its slope (one more pass).  Each problem solves that
-branch of four sizes just below min(N, ceil(ln(1/p)) + 2), where the
+branch of three sizes just below min(N, ceil(ln(1/p)) + 2), where the
 winner lies; the root left of the peak never wins (measured).  All are
 solved in one batched Newton iteration, each started from a cubic
 Hermite interpolant of its size's samples (from the square-root law of
@@ -174,8 +174,9 @@ def chain_gradient_fd(x: np.ndarray, p: float) -> np.ndarray:
 def gradient_agreement(x: np.ndarray, p: float) -> float:
     """Normalized mismatch between the analytic and the differenced gradient.
 
-    The analytic gradient is ``_grad_ld``, the one behind every solve's
-    stationarity residual, evaluated here in double precision.
+    The analytic gradient is ``_grad_ld``, evaluated here in double
+    precision; a solve's stationarity residual takes the same gradient
+    elementwise over its longdouble entries (``_residuals``).
     """
     g_fd = chain_gradient_fd(x, p)
     g = _grad_ld(np.asarray(x, dtype=float), p)
@@ -228,12 +229,12 @@ def _grad_ld(x: np.ndarray, p) -> np.ndarray:
 # store allocated once for sizes 0..712; the peak search takes
 # d^2 ln p_k / d(ln a)^2 as the difference quotient of the slopes at ln a
 # and ln a + 2^-26, so the kernel carries the first derivative only.  Each
-# problem takes a window of four sizes around ln(1/p), where its winner
-# lies; their right roots are solved together by safeguarded Newton in
-# ln a, each started at the Hermite interpolant of its size's samples (in
-# the first sample interval of a size whose ln p_k only falls, where z^2
-# grows like a, at the square-root law of z instead), and the lowest value
-# wins.  The last pass of each root gives the slope of the winner's
+# problem takes a window of three sizes around ln(1/p), where its winner
+# lies; their right roots are solved together by Newton in ln a, kept
+# inside a bracket, each started at the Hermite interpolant of its size's
+# samples (in the first sample interval of a size whose ln p_k only falls,
+# where z^2 grows like a, at the square-root law of z instead), and the
+# lowest value wins.  The last pass of each root gives the slope of the winner's
 # 40-digit Newton step.  The kernel orders the columns of a pass itself,
 # so the columns of any call may mix sizes and problems freely.
 
@@ -246,7 +247,7 @@ _A_MIN = LD(2.0**-65)
 # Newton step in ln a at most which ``_newton`` takes and then stops, with
 # no pass to confirm it; its error is quadratic in the step.  On the
 # benchmark grids a first root step from a Hermite start is at most 3.6e-8
-# (median 3.4e-10), and ``_certify``'s 40-digit step takes the ~1e-15
+# (median 3.8e-10), and ``_certify``'s 40-digit step takes the ~1e-15
 # left; ln p_k is flat at a peak, so m_k is exact to rounding.
 _NEWTON_STEP = LD(2.0**-24)
 
@@ -283,22 +284,19 @@ def _forward(a: np.ndarray, k: np.ndarray):
 
 
 def _newton(x, lo, hi, evaluate):
-    """Roots in x = ln a of falling functions f, one per column, by safeguarded Newton.
+    """Roots in x = ln a of falling functions f, one per column, by Newton kept inside a bracket.
 
     Column i starts at x[i] inside its bracket [lo[i], hi[i]], across which
     f falls through 0; ``evaluate(run, x[run])`` gives f and df/dx of the
     columns ``run`` in one kernel pass.  Each pass narrows the bracket to the
-    sign change and takes the Newton step where it stays inside and is at
-    most half the step before last; otherwise it halves the bracket
-    (rtsafe).  A column whose Newton step is at most _NEWTON_STEP takes it
-    and stops, with no pass to confirm it, even where the step is too
-    short to move x off a bracket end, where halving would take dozens of
-    passes more.  A column whose bracket can no longer be halved stops at
-    the x of its last pass.  So each column's last pass is the one its
-    result is stepped from.  lo, hi and x are updated in place.
+    sign change and takes the Newton step where it lands inside; otherwise
+    it halves the bracket.  A column whose Newton step is at most
+    _NEWTON_STEP takes it and stops, with no pass to confirm it, even where
+    the step is too short to move x off a bracket end, where halving would
+    take dozens of passes more.  A column whose bracket can no longer be
+    halved stops at the x of its last pass.  So each column's last pass is
+    the one its result is stepped from.  lo, hi and x are updated in place.
     """
-    step = hi - lo
-    step_old = step.copy()
     run = np.arange(len(x))
     while len(run):
         xr = x[run]
@@ -308,12 +306,10 @@ def _newton(x, lo, hi, evaluate):
         s = -f / np.where(df < 0, df, -1)
         found = (f == 0) | ((df < 0) & (abs(s) <= _NEWTON_STEP))
         new = xr + s
-        newton = (df < 0) & (2 * abs(s) <= abs(step_old[run])) & (lor < new) & (new < hir)
+        newton = (df < 0) & (lor < new) & (new < hir)
         new = np.where(newton | found, new, (lor + hir) / 2)
         done = found | (new <= lor) | (new >= hir)
         x[run] = np.where(found | ~done, new, xr)
-        step_old[run] = step[run]
-        step[run] = new - xr
         run = run[~done]
     return x
 
@@ -355,14 +351,13 @@ _LOG_MAX = LD(math.log(sys.float_info.max))
 # float price.  With the slope at each sample ``_start`` interpolates by
 # cubic Hermite, and 192 grid points bring every warm root to 1 Newton
 # pass, a first step of at most _NEWTON_STEP, on 3000 seeded n = 1/p over
-# 664..1e6 and 3000 prices over 1e-300..1e-6; 11% of the roots below
+# 664..1e6 and 3000 prices over 1e-300..1e-6; 10% of the roots below
 # n = 664 and 12% of those in windows cut by N take 2.  With 160 points
-# 14 of the 3072 roots of the 96 benchmark grids take 2, and with 96
-# points 231 do.  A record is
-# 1 + 3 * 209 longdoubles, 10 KB, so the store of the sizes 2..712 that a
-# float price reaches reserves 7.2 MB.  ``_start``'s halving search needs a
-# size's z samples never to fall, which holds for every size 2..712
-# (tests pin it).
+# 14 of the 2304 roots of the 96 benchmark grids take 2, and with 96
+# points 76 do.  A record is 1 + 3 * 209 longdoubles, 10 KB, so the store
+# of the sizes 2..712 that a float price reaches reserves 7.2 MB.
+# ``_start``'s halving search needs a size's z samples never to fall,
+# which holds for every size 2..712 (tests pin it).
 _GRID = 192
 _TAIL = 16
 _SAMPLES = _GRID + _TAIL + 1
@@ -410,8 +405,10 @@ def _size_records(k: np.ndarray):
 # both branches of every size on 924 more, 24 of them with N cutting it at
 # large sizes.  Anchored at the largest size with a root instead, the
 # window misses the winner from n ~ 1e100 on (233 for 231 there), where
-# m_k has fallen more than 4 below k.
-_WINDOW = 4
+# m_k has fallen more than 4 below k.  3 is the smallest window the tests
+# accept: with 2, six fail, and a replay of 8,683 CLI commands and 9,498
+# problems (scripts/identity.py) reads the same bytes with 3 as with 4.
+_WINDOW = 3
 _ABOVE_LOG_N = 2
 
 # The records of every size a float price reaches, row k for size k up to
@@ -541,15 +538,6 @@ def _run(a, k: int):
     return x, q, value
 
 
-def _last(a, k: int):
-    """u_{k-1} and q_k of ``_run``, by the same operations in the same order, without the entries or V_k."""
-    u, q = a, 0
-    for _ in range(k - 1):
-        q += u
-        u /= q
-    return u, q + u
-
-
 def _residuals(x: np.ndarray, start: np.ndarray, k: np.ndarray) -> np.ndarray:
     """The stationarity residual of each support in the flat longdouble x, as doubles.
 
@@ -607,11 +595,11 @@ def _certify(problems: Sequence[tuple[int, float]], a: np.ndarray, slope: np.nda
 
     The longdouble recurrence leaves p_k and the entries a few ulps off,
     and the gradient at the last entry reads that error times 1/p.  So
-    ``_last`` runs it again in 40 digits, and one Newton step in ln a,
-    with the slope of the last kernel pass of ``_roots`` (taken just before
-    a, within _NEWTON_STEP in ln a), takes a to the root.  ``_run`` there
-    certifies it: a backward error above _EPS raises RuntimeError, and no
-    solution is returned.  All runs share one decimal context, and the
+    ``_run`` runs it again in 40 digits, and one Newton step in ln a, with
+    the slope of the last kernel pass of ``_roots`` (taken just before a,
+    within _NEWTON_STEP in ln a), takes a to the root.  A second ``_run``
+    there certifies it: a backward error above _EPS raises RuntimeError,
+    and no solution is returned.  All runs share one decimal context, and the
     winners' entries are rounded in chunks of about _CHUNK (``_solutions``);
     each problem's solution reads the same in any chunk.
     """
@@ -623,8 +611,8 @@ def _certify(problems: Sequence[tuple[int, float]], a: np.ndarray, slope: np.nda
             num, den = root.as_integer_ratio()
             root = decimal.Decimal(num) / den
             price = decimal.Decimal(p)
-            u, q = _last(root, size)
-            mismatch = u / (q * q * price) - 1
+            x, q, _ = _run(root, size)
+            mismatch = x[-1] / (q * q * price) - 1
             x, q, value = _run(root * (1 - mismatch / decimal.Decimal(float(s))), size)
             error = abs(x[-1] / (q * q * price) - 1)
             if error > _EPS:
@@ -692,8 +680,8 @@ def _winners(problems: list) -> tuple:
     bound = np.minimum([min(N, 10**6) for N, _ in problems], np.ceil(-log_p) + _ABOVE_LOG_N).astype(int)
     # m_k rises with k and k - m_k > 1.28 (measured to k = 712, least at
     # k = 10), so the top of the window, the largest size with a root, lies
-    # at most 2 below the bound, and the window is the four largest sizes
-    # with a root among the six up to it; m reads nan at sizes 0 and 1,
+    # at most 2 below the bound, and the window is the three largest sizes
+    # with a root among the five up to it; m reads nan at sizes 0 and 1,
     # which has no root
     k = bound[:, None] - np.arange(_WINDOW + 2)
     m, samples = _records(k[k >= 2])
@@ -735,7 +723,7 @@ def minimize_chain(N: int, p: float) -> ReducedSolution:
     """Minimize the chain sum over the N-simplex at price p.
 
     The candidates are the point mass and the positive stationary points
-    of the four support sizes just below min(N, ceil(ln(1/p)) + 2) that
+    of the three support sizes just below min(N, ceil(ln(1/p)) + 2) that
     have a root, where the minimum lies (measured; see ``_WINDOW``): the
     right branch of each is solved in longdouble (its left-branch root
     never wins; see the notes above ``_forward``), the lowest value wins,

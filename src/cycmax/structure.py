@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import add
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,8 +37,7 @@ from .periodic import (
 )
 
 
-@dataclass(frozen=True)
-class MIntervalRecord:
+class MIntervalRecord(NamedTuple):
     """Irreducible maximal interval with left end ``start`` in 1..n."""
 
     start: int

@@ -3,7 +3,7 @@
 The package derives values and shortest maximizing lengths from one O(n)
 stack pass (``cycmax.periodic.right_maximal_profile``), Hasse parents
 from one walk over the classes (``cycmax.structure.build_poset``), and
-solves the right branch of a window of four support sizes of the chain
+solves the right branch of a window of three support sizes of the chain
 problem by one batched Newton iteration on a forward recurrence
 (``cycmax.reduction.minimize_chain``).  These are the direct definitions
 and three chain solvers: both branches of every size with a root, the
@@ -401,7 +401,7 @@ def compositions(total: int, parts: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Chain minimization over every branch of every support size with a root.
 #
-# ``cycmax.reduction`` solves only the right branch of a window of four
+# ``cycmax.reduction`` solves only the right branch of a window of three
 # sizes around ln(1/p), each root from a start interpolated in its size's
 # samples.  Here every size with m_k < ln(1/p), up to N, is solved on both
 # branches: the right root by one batched Newton solve started at the
@@ -437,8 +437,10 @@ TWO_PASS_ROOT_STEP = LD(2.0**-50)
 def two_pass_roots(lo, hi, x, k, p):
     """Roots in ln a of p_k(a) = p on right-branch brackets [lo, hi], as ``reduction._roots``.
 
-    The same safeguarded Newton iteration in ln a, but a column stops only
-    once its Newton step falls to TWO_PASS_ROOT_STEP, keeping the ln a of
+    Safeguarded Newton in ln a, as rtsafe: a Newton step is taken only
+    where it stays inside the bracket and is at most half the step before
+    last, and the bracket is halved otherwise.  A column stops only once
+    its Newton step falls to TWO_PASS_ROOT_STEP, keeping the ln a of
     that pass, so a warm root takes a second pass to confirm the first
     step.  Gives ln a, V_k and d ln p_k / d ln a at the roots, all from that
     pass.  The reference for ``reduction._roots``, which takes a short

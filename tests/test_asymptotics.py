@@ -209,10 +209,10 @@ class TestBatchedSweep:
         monkeypatch.setattr(reduction, "_certify", counted("certify", certify))
         ns = geometric_grid(1e3, 1e6, 8)
         sweep(ns)
-        # the right branch of at most four sizes of every n in one root
+        # the right branch of at most three sizes of every n in one root
         # solve, then the eight winners certified in one call, in order
         assert [name for name, _ in calls] == ["roots", "certify"]
-        assert 8 <= len(calls[0][1][0]) <= 8 * 4
+        assert 8 <= len(calls[0][1][0]) <= 8 * 3
         problems, a, slope, k = calls[1][1]
         assert problems == [(n, 1.0 / n) for n in ns]
         assert len(a) == len(slope) == len(k) == 8

@@ -616,7 +616,7 @@ class TestBatchedSolve:
             assert max(abs(x / e - 1) for x, e in zip(got.entries, entries)) <= 1e-15
 
     def test_window_matches_all_sizes(self):
-        """The window of four sizes below min(N, ceil(ln(1/p)) + 2) gives the
+        """The window of three sizes below min(N, ceil(ln(1/p)) + 2) gives the
         support, value, residual and entries, bit for bit, that every branch
         of every size with a root gives, solved from the bracket ends.
 
@@ -661,8 +661,10 @@ class TestBatchedSolve:
 
     def test_certificates_keep_their_margin(self):
         # the backward error |p_k / p - 1| of every winner's certified run,
-        # the one ``_run`` per winner of ``_certify``, against the bound
-        # _EPS of 1.08e-19; measured, the largest of the 912 reads 9.3e-23
+        # the second of the two ``_run``s per winner of ``_certify`` (the
+        # first, at the longdouble root, gives the Newton step), against
+        # the bound _EPS of 1.08e-19; measured, the largest of the 912
+        # reads 9.3e-23
         errors, runs = [], []
         run, certify = reduction._run, reduction._certify
 
@@ -673,10 +675,10 @@ class TestBatchedSolve:
         def recorded_certify(problems, *args):
             runs.clear()
             solutions = certify(problems, *args)
-            assert len(runs) == len(problems)
+            assert len(runs) == 2 * len(problems)
             with decimal.localcontext() as context:
                 context.prec = 40
-                for (N, p), (x, q, _) in zip(problems, runs):
+                for (N, p), (x, q, _) in zip(problems, runs[1::2]):
                     errors.append(abs(x[-1] / (q * q * decimal.Decimal(p)) - 1))
             return solutions
 
@@ -721,9 +723,9 @@ class TestBatchedSolve:
             reduction._minimize_many(problems)  # the sizes' records are cached
             passes = kernel_passes(problems)
             assert len(passes) == 1, problems
-            assert passes[0] <= 4 * len(problems)
+            assert passes[0] <= 3 * len(problems)
         # below n = 664 and in windows cut by N some roots take a second
-        # pass (measured: 324 of 3147 columns and 1508 of 3906 here); a step
+        # pass (measured: 257 of 2618 columns and 1152 of 2949 here); a step
         # too short to move a off a bracket end is taken all the same, since
         # bisection from there took up to 71 passes
         rng = np.random.default_rng(7)
@@ -870,8 +872,8 @@ class TestSizeTable:
         assert 0.98 < steps.min() and steps.max() < 1.39  # measured: 0.9836 to 1.3863
 
     def test_every_size_peaks_more_than_one_below_its_size(self):
-        # the window takes the four largest sizes with a root among the six
-        # up to min(N, ceil(ln(1/p)) + 2); that they hold the four largest
+        # the window takes the three largest sizes with a root among the five
+        # up to min(N, ceil(ln(1/p)) + 2); that they hold the three largest
         # below it needs k - m_k >= 1, so that size ceil(ln(1/p)) has a root
         top = math.ceil(math.log(sys.float_info.max)) + 2
         assert top == 712  # the largest bound a float price with a finite 1/p reaches
