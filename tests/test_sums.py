@@ -174,6 +174,8 @@ class TestMaxAvgSum:
     def test_argmax_radii_reproduce_value(self, ref_rational):
         res = max_avg_sum(ref_rational)
         assert sum_with_radii(ref_rational, res.radii) == res.value
+        # built without the constructor's checks, so checked here
+        assert all(type(r) is int and 1 <= r <= ref_rational.n for r in res.radii.radii)
 
     def test_envelope_over_random_radii(self, ref_float):
         rng = np.random.default_rng(3)
